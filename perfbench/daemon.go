@@ -152,8 +152,14 @@ func (d *daemon) scrape() (map[string]float64, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	return parseMetrics(resp.Body)
+}
+
+// parseMetrics reads an OpenMetrics exposition into a name -> value map
+// (unlabelled samples).
+func parseMetrics(r io.Reader) (map[string]float64, error) {
 	out := map[string]float64{}
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" || line[0] == '#' {

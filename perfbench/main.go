@@ -4,7 +4,7 @@
 // prints one JSON result as its last line.
 //
 //	perfbench -serve PATH/mira-serve -workload analyze|edit|query|sweep \
-//	          -seed N -seconds S -trace 0|1 [-out DIR] [-ops N]
+//	          -seed N -seconds S -trace 0|1 [-out DIR]
 //
 // Each workload runs a fixed number of operations (opsPerSecond x
 // seconds) in each of three rounds on a fresh daemon, so heap size, GC
@@ -74,7 +74,6 @@ func main() {
 	flag.IntVar(&cfg.seconds, "seconds", 10, "run length: the op count is opsPerSecond x seconds")
 	flag.IntVar(&trace, "trace", 0, "1 = traced per-layer run")
 	flag.StringVar(&cfg.out, "out", ".bench_build", "directory for span files")
-	flag.IntVar(&cfg.ops, "ops", 0, "override the timed op count (self-test)")
 	flag.Parse()
 	cfg.trace = trace == 1
 	res, err := run(context.Background(), cfg, os.Stdout)
@@ -105,10 +104,12 @@ func run(ctx context.Context, cfg config, log io.Writer) (*result, error) {
 	n := cfg.ops
 	if n <= 0 {
 		n = opsPerSecond[cfg.workload] * max(1, cfg.seconds)
-		if cfg.trace {
-			// The traced run replays every request twice more in
-			// process; a quarter of the requests keeps it as short as an
-			// untraced run.
+		if cfg.trace && cfg.workload != "query" {
+			// The traced run replays every request in two in-process
+			// passes; a quarter of the requests keeps it about as short
+			// as an untraced run. A query costs microseconds in process,
+			// and its layer sum needs every request to average out the
+			// machine's scheduling noise.
 			n /= 4
 		}
 	}

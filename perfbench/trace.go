@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -28,9 +29,12 @@ import (
 )
 
 // span is one timed call into a layer, recorded in memory and written
-// out as one JSON line at exit. Times are nanoseconds since the trace
-// began; Parent is the index of the enclosing span, -1 at the root.
+// out as one JSON line at exit. Pass is the timed pass (1 or 2) that
+// recorded it. Times are nanoseconds since the pass's trace began;
+// Parent is the index of the enclosing span within the pass, -1 at the
+// root.
 type span struct {
+	Pass   int    `json:"pass,omitempty"`
 	Name   string `json:"name"`
 	Start  int64  `json:"start_ns"`
 	End    int64  `json:"end_ns"`
@@ -48,6 +52,7 @@ type tracer struct {
 	spans       []span
 	stack       []int
 	req         int
+	pass        int
 	countAllocs bool
 	ms          runtime.MemStats
 }
@@ -59,7 +64,7 @@ func (t *tracer) begin(name string) {
 	if len(t.stack) > 0 {
 		parent = t.stack[len(t.stack)-1]
 	}
-	sp := span{Name: name, Parent: parent, Req: t.req}
+	sp := span{Pass: t.pass, Name: name, Parent: parent, Req: t.req}
 	if t.countAllocs {
 		runtime.ReadMemStats(&t.ms)
 		sp.Allocs = t.ms.Mallocs
@@ -82,7 +87,7 @@ func (t *tracer) end() {
 // record adds a span measured elsewhere (the untraced engine call).
 func (t *tracer) record(name string, start time.Time, d time.Duration) {
 	s := start.Sub(t.t0).Nanoseconds()
-	t.spans = append(t.spans, span{Name: name, Start: s, End: s + d.Nanoseconds(), Parent: -1, Req: t.req})
+	t.spans = append(t.spans, span{Pass: t.pass, Name: name, Start: s, End: s + d.Nanoseconds(), Parent: -1, Req: t.req})
 }
 
 // layerOf maps a span name to its layer (module): "cc.link" -> "cc".
@@ -120,8 +125,8 @@ func selfTimes(spans []span, reqs map[int]bool) (self map[string]time.Duration, 
 // keys the engine would keep, so each replayed request does the same
 // work as the engine call it shadows.
 type mirror struct {
-	// eng and an, when set, are the in-process engine and its priming
-	// analyses, for the engine's own spans.
+	// eng, when set, is the in-process engine whose calls repeat times;
+	// an are its analyses of the primed programs, for sweep grids.
 	eng *engine.Engine
 	an  []*engine.Analysis
 
@@ -250,11 +255,14 @@ func (m *mirror) query(p *core.Pipeline, o *op) error {
 	return nil
 }
 
-// sweep mirrors Analysis.Sweep: compile once per function key, expand
-// the grid into one environment map per point as the engine does, then
+// sweep mirrors Analysis.Sweep: compile once per function key, then
 // evaluate every point (and, for roofline, assess it against its arch)
-// fanned out over the engine's worker bound.
-func (m *mirror) sweep(ctx context.Context, p *core.Pipeline, o *op, workers int) error {
+// fanned out over the engine's worker bound. The grid comes from the
+// engine: a's Sweep called with a cancelled context expands the grid,
+// resolves the archs and lays out the points but evaluates none, so the
+// engine.Sweep span times the engine's own per-sweep work with the
+// engine's real code.
+func (m *mirror) sweep(ctx context.Context, a *engine.Analysis, p *core.Pipeline, o *op, workers int) error {
 	cm := m.compiled[p.FuncKeys[o.fn]]
 	if cm == nil {
 		var err error
@@ -267,9 +275,8 @@ func (m *mirror) sweep(ctx context.Context, p *core.Pipeline, o *op, workers int
 		m.compiled[p.FuncKeys[o.fn]] = cm
 	}
 	archs := []*arch.Description{nil}
-	names := []string{""}
 	if o.archs != nil {
-		archs, names = archs[:0], o.archs
+		archs = archs[:0]
 		for _, name := range o.archs {
 			d, err := m.reg.Lookup(name)
 			if err != nil {
@@ -279,37 +286,25 @@ func (m *mirror) sweep(ctx context.Context, p *core.Pipeline, o *op, workers int
 		}
 	}
 
-	m.t.begin("engine.grid")
-	var envs []map[string]int64
-	idx := make([]int, len(o.axes))
-	for done := false; !done; {
-		env := make(map[string]int64, len(o.axes)+1)
-		for i, ax := range o.axes {
-			env[ax.Name] = ax.Values[idx[i]]
-		}
-		envs = append(envs, env)
-		i := len(idx) - 1
-		for ; i >= 0; i-- {
-			if idx[i]++; idx[i] < len(o.axes[i].Values) {
-				break
-			}
-			idx[i] = 0
-		}
-		done = i < 0
-	}
-	pts := make([]engine.SweepPoint, len(envs)*len(archs))
-	for ai := range archs {
-		for ei := range envs {
-			pts[ai*len(envs)+ei].Env, pts[ai*len(envs)+ei].Arch = envs[ei], names[ai]
-		}
-	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	m.t.begin("engine.Sweep")
+	res, err := a.Sweep(cancelled, sweepSpec(o))
 	m.t.end()
+	if err != nil {
+		return err
+	}
+	pts := res.Points
+	nEnv := len(pts) / len(archs)
+	for i := range pts {
+		pts[i].Err = nil
+	}
 
 	const chunk = 64
 	fan := func(each func(pt *engine.SweepPoint, d *arch.Description)) {
 		_ = engine.ForEachCtx(ctx, workers, (len(pts)+chunk-1)/chunk, func(ci int) error {
 			for i := ci * chunk; i < min(len(pts), (ci+1)*chunk); i++ {
-				each(&pts[i], archs[i/len(envs)])
+				each(&pts[i], archs[i/nEnv])
 			}
 			return nil
 		})
@@ -338,41 +333,47 @@ func (m *mirror) sweep(ctx context.Context, p *core.Pipeline, o *op, workers int
 	return nil
 }
 
-// replay sends one op through the mirror inside a "request" span. With
-// an engine attached, it then repeats the engine call the op made: the
-// repeat is a cache or memo hit, so its span times the engine's own
-// per-request work (content hashing, memo fingerprints and lookups)
-// with the engine's real code.
+// replay sends one op through the mirror inside a "request" span. A
+// sweep op needs the engine's analyses (an) for its grid.
 func (m *mirror) replay(ctx context.Context, o *op, workers int) error {
 	m.t.begin("request")
 	defer m.t.end()
 	m.compiledFns, m.modeled = m.compiledFns[:0], 0
 	switch {
 	case o.src != "":
-		if _, err := m.analyze(o.name, o.src); err != nil {
-			return err
-		}
-		if m.eng != nil {
-			m.t.begin("engine.AnalyzeCtx")
-			_, err := m.eng.AnalyzeCtx(ctx, o.name, o.src)
-			m.t.end()
-			return err
-		}
-		return nil
+		_, err := m.analyze(o.name, o.src)
+		return err
 	case o.cells != nil:
-		if err := m.query(m.pipes[o.prog], o); err != nil {
-			return err
-		}
-		if m.eng != nil {
-			m.t.begin("engine.Run")
-			_, _, err := engineCall(ctx, m.eng, m.an, o)
-			m.t.end()
-			return err
-		}
-		return nil
+		return m.query(m.pipes[o.prog], o)
 	default:
-		return m.sweep(ctx, m.pipes[o.prog], o, workers)
+		return m.sweep(ctx, m.an[o.prog], m.pipes[o.prog], o, workers)
 	}
+}
+
+// repeat runs again the engine call an analyze or edit op made. The
+// repeat is a cache hit, so its span times the engine's own per-request
+// work (content hashing and the cache lookup) with the engine's real
+// code. It returns the span's duration.
+func (m *mirror) repeat(ctx context.Context, o *op) (time.Duration, error) {
+	if o.src == "" {
+		return 0, nil
+	}
+	m.t.begin("engine.AnalyzeCtx")
+	_, err := m.eng.AnalyzeCtx(ctx, o.name, o.src)
+	m.t.end()
+	sp := m.t.spans[len(m.t.spans)-1]
+	return time.Duration(sp.End - sp.Start), err
+}
+
+// evalSeconds reads the engine's own mira_eval_seconds sum: the time its
+// memo-missed model walks took, timed inside the engine.
+func evalSeconds(eng *engine.Engine) (float64, error) {
+	var buf bytes.Buffer
+	if err := eng.Obs().WriteOpenMetrics(&buf); err != nil {
+		return 0, err
+	}
+	m, err := parseMetrics(&buf)
+	return m["mira_eval_seconds_sum"], err
 }
 
 // prime mirrors the daemon's priming /analyze calls.
@@ -419,15 +420,7 @@ func engineCall(ctx context.Context, eng *engine.Engine, an []*engine.Analysis, 
 		}
 		return d, nil, nil
 	default:
-		kind := engine.KindStatic
-		if o.kind == "roofline" {
-			kind = engine.KindRoofline
-		}
-		axes := make([]engine.SweepAxis, len(o.axes))
-		for i, ax := range o.axes {
-			axes[i] = engine.SweepAxis{Name: ax.Name, Values: ax.Values}
-		}
-		res, err := an[o.prog].Sweep(ctx, engine.SweepSpec{Fn: o.fn, Kind: kind, Axes: axes, Archs: o.archs})
+		res, err := an[o.prog].Sweep(ctx, sweepSpec(o))
 		d := time.Since(start)
 		if err != nil {
 			return d, nil, err
@@ -439,84 +432,163 @@ func engineCall(ctx context.Context, eng *engine.Engine, an []*engine.Analysis, 
 	}
 }
 
+// sweepSpec is the engine form of a sweep op.
+func sweepSpec(o *op) engine.SweepSpec {
+	kind := engine.KindStatic
+	if o.kind == "roofline" {
+		kind = engine.KindRoofline
+	}
+	axes := make([]engine.SweepAxis, len(o.axes))
+	for i, ax := range o.axes {
+		axes[i] = engine.SweepAxis{Name: ax.Name, Values: ax.Values}
+	}
+	return engine.SweepSpec{Fn: o.fn, Kind: kind, Axes: axes, Archs: o.archs}
+}
+
 type traceResult struct {
 	metrics map[string]metric
 	bad     []string
 }
 
-// traced replays the plan in process: an engine with the daemon's
-// options answers every request untraced (the "call" span), and the
-// mirror replays the same request through the layers with spans. It
-// then replays a prefix twice more counting allocations.
-func traced(ctx context.Context, pl *plan, ph *phaseResult, counters map[string]float64, spansPath string, log io.Writer) (*traceResult, error) {
-	registry := arch.NewRegistry()
-	a, err := registry.Resolve("")
+// timedPass is one in-process pass over the timed requests.
+type timedPass struct {
+	spans  []span
+	call   []time.Duration // per request, the untraced engine call
+	replay []time.Duration // per request, the traced replay and the engine's own span
+	bad    []string
+
+	funcsCompiled, funcsModeled, srcBytes, objBytes, points int
+}
+
+// timePass sets up a fresh in-process engine with the daemon's options
+// and a fresh mirror, primed and warmed as the daemon was, then sends
+// each timed request as the untraced engine call (span "call") followed
+// by its traced replay and the engine's own span. On analyze and edit
+// that span repeats the call; on query it is the call minus the engine's
+// own timing of its model walks, since a repeated query is a memo hit
+// that finds the call's entries in the core's caches and skips the memo
+// stores; on sweep it is inside the replay. Request ids start at 1 for
+// timed ops.
+func timePass(ctx context.Context, pl *plan, pass int) (*timedPass, int, error) {
+	eng, an, opts, err := primedEngine(ctx, pl, 0)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	opts := core.Options{Arch: a}
-	eng := engine.New(engine.Options{Core: opts, MaxResident: 4096, Registry: registry})
 	workers := eng.Workers()
 	t := newTracer()
+	t.pass = pass
 	m := newMirror(opts, t, len(pl.progs))
-	var bad []string
-
-	// Set-up: the same priming and warm-up the daemon saw.
-	an := make([]*engine.Analysis, len(pl.progs))
-	for i, p := range pl.progs {
-		if an[i], err = eng.AnalyzeCtx(ctx, p.name, p.src); err != nil {
-			return nil, err
-		}
-	}
 	if err := m.prime(pl); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	m.eng, m.an = eng, an
 	for i := range pl.warm {
 		if _, _, err := engineCall(ctx, eng, an, &pl.warm[i]); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := m.replay(ctx, &pl.warm[i], workers); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 
-	// Timed requests: the untraced engine call (span "call"), then the
-	// traced replay of the same request. Request ids start at 1 for
-	// timed ops.
-	timedReqs := map[int]bool{}
-	var engineDur, reqDur []time.Duration
-	var engineTotal time.Duration
-	var funcsCompiled, funcsModeled int
-	m.srcBytes, m.objBytes = 0, 0
+	tp := &timedPass{}
+	m.srcBytes, m.objBytes, m.points = 0, 0, 0
+	evalSum, err := evalSeconds(eng)
+	if err != nil {
+		return nil, 0, err
+	}
+	// The collector runs only between requests, once the heap has grown
+	// by gcEvery: a concurrent mark phase would otherwise slow whichever
+	// of the call and its replay it overlaps.
+	const gcEvery = 128 << 20
+	oldGC := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(oldGC)
+	var mem runtime.MemStats
+	var heapAfterGC uint64
 	for i := range pl.timed {
 		o := &pl.timed[i]
 		t.req = i + 1
-		timedReqs[t.req] = true
+		if runtime.ReadMemStats(&mem); i == 0 || mem.HeapAlloc > heapAfterGC+gcEvery {
+			runtime.GC()
+			runtime.ReadMemStats(&mem)
+			heapAfterGC = mem.HeapAlloc
+		}
 		start := time.Now()
 		d, recompiled, err := engineCall(ctx, eng, an, o)
 		if err != nil {
-			return nil, fmt.Errorf("engine: %v", err)
+			return nil, 0, fmt.Errorf("engine: %v", err)
 		}
 		t.record("call", start, d)
-		engineDur = append(engineDur, d)
-		engineTotal += d
 		rs := len(t.spans)
 		if err := m.replay(ctx, o, workers); err != nil {
-			return nil, fmt.Errorf("replay: %v", err)
+			return nil, 0, fmt.Errorf("replay: %v", err)
 		}
-		reqDur = append(reqDur, time.Duration(t.spans[rs].End-t.spans[rs].Start))
-		funcsCompiled += len(m.compiledFns)
-		funcsModeled += m.modeled
+		rd, err := m.repeat(ctx, o)
+		if err != nil {
+			return nil, 0, fmt.Errorf("engine repeat: %v", err)
+		}
+		if o.cells != nil {
+			sum, err := evalSeconds(eng)
+			if err != nil {
+				return nil, 0, err
+			}
+			rd = d - time.Duration((sum-evalSum)*float64(time.Second))
+			t.record("engine.Run", start, rd)
+			evalSum = sum
+		}
+		tp.call = append(tp.call, d)
+		tp.replay = append(tp.replay, time.Duration(t.spans[rs].End-t.spans[rs].Start)+rd)
+		tp.funcsCompiled += len(m.compiledFns)
+		tp.funcsModeled += m.modeled
 		if o.src != "" && !slices.Equal(recompiled, m.compiledFns) {
-			bad = append(bad, fmt.Sprintf("trace: %s: engine recompiled %v, replay compiled %v", o.name, recompiled, m.compiledFns))
+			tp.bad = append(tp.bad, fmt.Sprintf("trace: %s: engine recompiled %v, replay compiled %v", o.name, recompiled, m.compiledFns))
 		}
 	}
-	if err := writeSpans(spansPath, t.spans); err != nil {
+	tp.spans = t.spans
+	tp.srcBytes, tp.objBytes, tp.points = m.srcBytes, m.objBytes, m.points
+	return tp, workers, nil
+}
+
+// traced replays the plan in process in two identical timed passes (see
+// timePass) and then replays a prefix twice more counting allocations.
+// Each request counts the faster of its two engine calls and the layer
+// spans of its faster replay, so a preemption or stall that hits one
+// pass does not land in the comparison of layers with calls.
+func traced(ctx context.Context, pl *plan, ph *phaseResult, counters map[string]float64, spansPath string, log io.Writer) (*traceResult, error) {
+	var passes [2]*timedPass
+	var workers int
+	for k := range passes {
+		var err error
+		if passes[k], workers, err = timePass(ctx, pl, k+1); err != nil {
+			return nil, err
+		}
+	}
+	p1, p2 := passes[0], passes[1]
+	bad := append(p1.bad, p2.bad...)
+	chosen := [2]map[int]bool{{}, {}}
+	var engineDur, reqDur []time.Duration
+	var engineTotal time.Duration
+	for i := range pl.timed {
+		d := min(p1.call[i], p2.call[i])
+		engineDur = append(engineDur, d)
+		engineTotal += d
+		k := 0
+		if p2.replay[i] < p1.replay[i] {
+			k = 1
+		}
+		chosen[k][i+1] = true
+		reqDur = append(reqDur, passes[k].replay[i])
+	}
+	if err := writeSpans(spansPath, append(p1.spans, p2.spans...)); err != nil {
 		return nil, err
 	}
 
-	self, _, calls := selfTimes(t.spans, timedReqs)
+	self, _, calls := selfTimes(p1.spans, chosen[0])
+	self2, _, calls2 := selfTimes(p2.spans, chosen[1])
+	for name, d := range self2 {
+		self[name] += d
+		calls[name] += calls2[name]
+	}
 	layer := map[string]time.Duration{}
 	for name, d := range self {
 		if name != "call" && name != "request" {
@@ -531,9 +603,7 @@ func traced(ctx context.Context, pl *plan, ph *phaseResult, counters map[string]
 	perOp := func(d time.Duration) float64 { return ms(d) / ops }
 	sumRatio := float64(layerSum) / float64(engineTotal)
 	if sumRatio < 0.9 || sumRatio > 1.1 {
-		// A decomposition gap, not a wrong answer: reported, and the run
-		// stays correct.
-		fmt.Fprintf(log, "WARN trace: layer self times sum to %.3f of the in-process engine calls, outside the 10%% tolerance\n", sumRatio)
+		bad = append(bad, fmt.Sprintf("trace: layer self times sum to %.3f of the in-process engine calls, outside 0.9-1.1", sumRatio))
 	}
 	engineP50 := percentile(sortedCopy(engineDur), 0.5)
 	tracedP50 := percentile(sortedCopy(reqDur), 0.5)
@@ -548,11 +618,11 @@ func traced(ctx context.Context, pl *plan, ph *phaseResult, counters map[string]
 	// requests, each from a fresh mirror, with the collector stopped
 	// during every counted request so sync.Pool state cannot differ.
 	allocOps := min(len(pl.timed), 40)
-	a1, err := allocPass(ctx, pl, opts, allocOps, workers)
+	a1, err := allocPass(ctx, pl, allocOps, workers)
 	if err != nil {
 		return nil, err
 	}
-	a2, err := allocPass(ctx, pl, opts, allocOps, workers)
+	a2, err := allocPass(ctx, pl, allocOps, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -581,12 +651,12 @@ func traced(ctx context.Context, pl *plan, ph *phaseResult, counters map[string]
 		walkUs = float64(self["model.Evaluate"]) / float64(time.Microsecond) / float64(calls["model.Evaluate"])
 	}
 	evalNs := 0.0
-	if m.points > 0 {
-		evalNs = float64(self["model.Eval"]) / float64(m.points)
+	if p1.points > 0 {
+		evalNs = float64(self["model.Eval"]) / float64(p1.points)
 	}
 	parseKiBs := 0.0
 	if self["parser.ParseFile"] > 0 {
-		parseKiBs = float64(m.srcBytes) / 1024 / self["parser.ParseFile"].Seconds()
+		parseKiBs = float64(p1.srcBytes) / 1024 / self["parser.ParseFile"].Seconds()
 	}
 	out := map[string]metric{
 		"parser.self_ms":          {perOp(layer["parser"]), "ms"},
@@ -595,13 +665,13 @@ func traced(ctx context.Context, pl *plan, ph *phaseResult, counters map[string]
 		"sema.self_ms":            {perOp(layer["sema"]), "ms"},
 		"core.funckeys_ms":        {perOp(layer["core"]), "ms"},
 		"cc.self_ms":              {perOp(layer["cc"]), "ms"},
-		"cc.funcs_compiled":       {float64(funcsCompiled) / ops, "count"},
+		"cc.funcs_compiled":       {float64(p1.funcsCompiled) / ops, "count"},
 		"cc.link_ms":              {perOp(self["cc.Link"]), "ms"},
 		"cc.allocs":               {allocsPerOp("cc"), "count"},
 		"objfile.self_ms":         {perOp(layer["objfile"]), "ms"},
-		"objfile.kib":             {float64(m.objBytes) / 1024 / ops, "KiB"},
+		"objfile.kib":             {float64(p1.objBytes) / 1024 / ops, "KiB"},
 		"metrics.self_ms":         {perOp(layer["metrics"]), "ms"},
-		"metrics.funcs_modeled":   {float64(funcsModeled) / ops, "count"},
+		"metrics.funcs_modeled":   {float64(p1.funcsModeled) / ops, "count"},
 		"metrics.allocs":          {allocsPerOp("metrics"), "count"},
 		"model.walk_us":           {walkUs, "us"},
 		"model.compile_ms":        {perOp(self["model.Compile"]), "ms"},
@@ -619,12 +689,12 @@ func traced(ctx context.Context, pl *plan, ph *phaseResult, counters map[string]
 		"daemon.analyze_busy_ms":  {1000 * counters["mira_analyze_seconds_sum"] / ops, "ms"},
 		"daemon.eval_busy_ms":     {1000 * counters["mira_eval_seconds_sum"] / ops, "ms"},
 		"daemon.sweep_busy_ms":    {1000 * counters["mira_sweep_seconds_sum"] / ops, "ms"},
-		"trace.layer_sum_ratio":   {sumRatio, "ratio"},
+		"trace.layer_sum_gap":     {math.Abs(1 - sumRatio), "ratio"},
 		"trace.overhead_pct":      {overhead, "%"},
 		"trace.allocs_repeat":     {repeat, "ratio"},
 	}
 	fmt.Fprintf(log, "trace: %d spans -> %s; engine p50 %.3f ms untraced, traced replay p50 %.3f ms (overhead %.1f%%); layers sum to %.3f of engine time\n",
-		len(t.spans), spansPath, ms(engineP50), ms(tracedP50), overhead, sumRatio)
+		len(p1.spans)+len(p2.spans), spansPath, ms(engineP50), ms(tracedP50), overhead, sumRatio)
 	for _, l := range sortedKeys(layer) {
 		fmt.Fprintf(log, "  layer %-8s self %.4f ms/op, allocs %d then %d over %d ops\n", l, perOp(layer[l]), a1[l], a2[l], allocOps)
 	}
@@ -634,9 +704,16 @@ func traced(ctx context.Context, pl *plan, ph *phaseResult, counters map[string]
 
 // allocPass replays set-up plus the first n timed ops from a fresh
 // mirror and returns the allocation count per layer over those n ops.
-func allocPass(ctx context.Context, pl *plan, opts core.Options, n, workers int) (map[string]uint64, error) {
+// Its engine serves only the sweep grids, on one worker like the
+// counted replays, so no goroutine start lands in a count.
+func allocPass(ctx context.Context, pl *plan, n, workers int) (map[string]uint64, error) {
+	_, an, opts, err := primedEngine(ctx, pl, 1)
+	if err != nil {
+		return nil, err
+	}
 	t := newTracer()
 	m := newMirror(opts, t, len(pl.progs))
+	m.an = an
 	if err := m.prime(pl); err != nil {
 		return nil, err
 	}
@@ -668,6 +745,26 @@ func allocPass(ctx context.Context, pl *plan, opts core.Options, n, workers int)
 		}
 	}
 	return out, nil
+}
+
+// primedEngine returns an in-process engine with the daemon's options
+// (workers 0 is one per CPU, as -j 0) and its analyses of the plan's
+// primed programs.
+func primedEngine(ctx context.Context, pl *plan, workers int) (*engine.Engine, []*engine.Analysis, core.Options, error) {
+	registry := arch.NewRegistry()
+	a, err := registry.Resolve("")
+	if err != nil {
+		return nil, nil, core.Options{}, err
+	}
+	opts := core.Options{Arch: a}
+	eng := engine.New(engine.Options{Core: opts, Workers: workers, MaxResident: 4096, Registry: registry})
+	an := make([]*engine.Analysis, len(pl.progs))
+	for i, p := range pl.progs {
+		if an[i], err = eng.AnalyzeCtx(ctx, p.name, p.src); err != nil {
+			return nil, nil, core.Options{}, err
+		}
+	}
+	return eng, an, opts, nil
 }
 
 // writeSpans writes one JSON object per span.
