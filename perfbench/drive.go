@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 )
 
@@ -167,26 +168,57 @@ func (s *session) do(ctx context.Context, o *op, idx int) (time.Duration, error)
 		if err != nil {
 			return rtt, s.fail("sweep %s: %v", o.fn, err)
 		}
-		var w sweepWire
-		if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
+		if err := checkSweep(raw, o); err != nil {
 			return rtt, s.fail("sweep %s: %v", o.fn, err)
 		}
-		if w.Total != int(o.work) || len(w.Points) != w.Total {
-			return rtt, s.fail("sweep %s: %d/%d points, want %d", o.fn, len(w.Points), w.Total, int(o.work))
+		if idx%sweepSampleEvery != 0 {
+			return rtt, nil
 		}
-		for _, p := range w.Points {
+		var w sweepWire
+		if err := json.Unmarshal(raw, &w); err != nil {
+			return rtt, s.fail("sweep %s: %v", o.fn, err)
+		}
+		for _, i := range []int{0, len(w.Points) / 2, len(w.Points) - 1} {
+			p := w.Points[i]
 			if p.Error != "" || (o.kind == "static" && p.Metrics == nil) || (o.kind == "roofline" && len(p.Roofline) == 0) {
-				return rtt, s.fail("sweep %s point %v: %q", o.fn, p.Env, p.Error)
+				return rtt, s.fail("sweep %s point %v: no %s answer", o.fn, p.Env, o.kind)
 			}
-		}
-		if idx%sweepSampleEvery == 0 {
-			for _, i := range []int{0, len(w.Points) / 2, len(w.Points) - 1} {
-				p := w.Points[i]
-				s.samples = append(s.samples, sweepSample{prog: o.prog, fn: o.fn, arch: p.Arch, env: p.Env, metrics: p.Metrics, roofline: p.Roofline})
-			}
+			s.samples = append(s.samples, sweepSample{prog: o.prog, fn: o.fn, arch: p.Arch, env: p.Env, metrics: p.Metrics, roofline: p.Roofline})
 		}
 		return rtt, nil
 	}
+}
+
+// checkSweep checks a whole /sweep answer without decoding its points:
+// the client does this between two timed sweeps, and decoding 4096 points
+// costs more than the daemon's own evaluation of them. The body must be
+// one valid JSON document whose header total is the planned grid, with
+// exactly that many points, none of them an error and each carrying the
+// answer its kind asks for. (The daemon writes the header first and one
+// {"env":...} object per point; no answer object has an "error" key.)
+func checkSweep(raw []byte, o *op) error {
+	if !json.Valid(raw) {
+		return fmt.Errorf("answer is not one JSON document")
+	}
+	want := int(o.work)
+	_, rest, ok := bytes.Cut(raw, []byte(`"total":`))
+	if end := bytes.IndexByte(rest, ','); !ok || end < 0 || string(rest[:end]) != strconv.Itoa(want) {
+		return fmt.Errorf("header total is not %d", want)
+	}
+	answer := []byte(`"metrics":`)
+	if o.kind == "roofline" {
+		answer = []byte(`"roofline":`)
+	}
+	if n := bytes.Count(raw, []byte(`{"env":`)); n != want {
+		return fmt.Errorf("%d points, want %d", n, want)
+	}
+	if n := bytes.Count(raw, answer); n != want {
+		return fmt.Errorf("%d of %d points carry %s", n, want, answer)
+	}
+	if n := bytes.Count(raw, []byte(`"error":`)); n != 0 {
+		return fmt.Errorf("%d points answered an error", n)
+	}
+	return nil
 }
 
 // Checking samples: every vmSampleEvery-th analyze/edit op is re-run on
@@ -218,6 +250,9 @@ type phaseResult struct {
 	hwmKiB    float64
 	before    map[string]float64
 	after     map[string]float64
+	// ref are the reference unit times measured between the timed ops
+	// (see speed.go); wall excludes them.
+	ref []time.Duration
 }
 
 // runPhase sends ops in a closed loop and measures them.
@@ -232,8 +267,16 @@ func (s *session) runPhase(ctx context.Context, ops []op) (*phaseResult, error) 
 		return nil, err
 	}
 	bytes0 := s.respBytes
+	st := refOnce()
+	every := max(1, len(ops)/refPerRound)
+	var refTime time.Duration
 	start := time.Now()
 	for i := range ops {
+		if i%every == 0 {
+			d := st.timeRef()
+			res.ref = append(res.ref, d)
+			refTime += d
+		}
 		rtt, err := s.do(ctx, &ops[i], i)
 		res.rtt = append(res.rtt, rtt)
 		res.attempted++
@@ -244,7 +287,7 @@ func (s *session) runPhase(ctx context.Context, ops []op) (*phaseResult, error) 
 		res.lat = append(res.lat, rtt)
 		res.work += ops[i].work
 	}
-	res.wall = time.Since(start)
+	res.wall = time.Since(start) - refTime
 	res.respBytes = s.respBytes - bytes0
 	st1, err := s.d.stat()
 	if err != nil {

@@ -6,14 +6,16 @@
 //	perfbench -serve PATH/mira-serve -workload analyze|edit|query|sweep \
 //	          -seed N -seconds S -trace 0|1 [-out DIR]
 //
-// Each workload runs a fixed number of operations (opsPerSecond x
-// seconds) in each of three rounds on a fresh daemon, so heap size, GC
-// count and peak RSS at the end of a round do not depend on how fast the
-// code under test is; every metric is the median over the rounds. With
-// -trace 1 one round's seeded requests are also replayed in process
-// through each layer's public functions, and the per-layer metrics are
-// printed instead of the end-to-end ones. See README.md for the metric
-// and workload catalogue.
+// Each round sends a workload's fixed request sequence (roundOps) to a
+// fresh daemon, so heap size, GC count and peak RSS at the end of a round
+// do not depend on how fast the code under test is. A run makes as many
+// identical rounds as fit in -seconds, at least three. Time metrics are
+// scaled to the reference speed measured between the round's requests
+// (see speed.go); every metric is the median over the rounds. With -trace 1
+// one round's seeded requests are also replayed in process through each
+// layer's public functions, and the per-layer metrics are printed instead
+// of the end-to-end ones. See README.md for the metric and workload
+// catalogue.
 package main
 
 import (
@@ -25,23 +27,28 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"time"
 )
 
-// opsPerSecond fixes each workload's timed operation count per round
-// per second of -seconds; warmOps are the untimed analyze/edit requests
-// sent during set-up (query and sweep warm every program and target).
-// At 20 seconds query sends 9600 requests a round: below 10000, so its
-// tail is p99.5 with 48 samples beyond it rather than p99.9 with 10.
+// roundOps fixes each workload's timed operation count per round, whole
+// seeded cycles each: 15 analyze cycles, two edit cycles, 150 query
+// cycles, three sweep cycles. Each count puts ten or more samples beyond
+// its tail percentile (p95, p95, p99.5, p90). tracedOps are the timed ops
+// of a traced run's one round. warmOps are the untimed analyze/edit
+// requests sent during set-up (query and sweep warm every program and
+// target).
 var (
-	opsPerSecond = map[string]int{"analyze": 20, "edit": 15, "query": 480, "sweep": 5}
-	warmOps      = map[string]int{"analyze": 28, "edit": 28}
+	roundOps  = map[string]int{"analyze": 210, "edit": 286, "query": 9600, "sweep": 144}
+	tracedOps = map[string]int{"analyze": 112, "edit": 143, "query": 9600, "sweep": 48}
+	warmOps   = map[string]int{"analyze": 28, "edit": 28}
 )
 
-// rounds is how many times an untraced run sets up a fresh daemon and
-// sends the whole seeded request sequence; every metric is the median of
-// the rounds' values. Each round's heap grows exactly as one round's
-// requests make it grow.
-const rounds = 3
+// minRounds is the fewest rounds an untraced run makes. It starts
+// another round while the last one's length still fits in -seconds; how
+// many fit depends on the host and the code under test, but every round
+// is the same request sequence on a fresh daemon, so the count changes
+// only how many values the median is taken over.
+const minRounds = 3
 
 type metric struct {
 	Value float64 `json:"value"`
@@ -71,7 +78,7 @@ func main() {
 	flag.StringVar(&cfg.serve, "serve", "", "mira-serve binary to benchmark")
 	flag.StringVar(&cfg.workload, "workload", "", "analyze, edit, query or sweep")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
-	flag.IntVar(&cfg.seconds, "seconds", 10, "run length: the op count is opsPerSecond x seconds")
+	flag.IntVar(&cfg.seconds, "seconds", 10, "run length: rounds start while they fit in it, at least three")
 	flag.IntVar(&trace, "trace", 0, "1 = traced per-layer run")
 	flag.StringVar(&cfg.out, "out", ".bench_build", "directory for span files")
 	flag.Parse()
@@ -92,7 +99,7 @@ func main() {
 // run executes one benchmark pass and returns its result; report lines
 // go to log.
 func run(ctx context.Context, cfg config, log io.Writer) (*result, error) {
-	if _, ok := opsPerSecond[cfg.workload]; !ok {
+	if _, ok := roundOps[cfg.workload]; !ok {
 		return nil, fmt.Errorf("unknown workload %q (want analyze, edit, query or sweep)", cfg.workload)
 	}
 	if cfg.serve == "" {
@@ -101,32 +108,34 @@ func run(ctx context.Context, cfg config, log io.Writer) (*result, error) {
 	if _, err := os.Stat(cfg.serve); err != nil {
 		return nil, err
 	}
-	n := cfg.ops
-	if n <= 0 {
-		n = opsPerSecond[cfg.workload] * max(1, cfg.seconds)
-		if cfg.trace && cfg.workload != "query" {
-			// The traced run replays every request in two in-process
-			// passes; a quarter of the requests keeps it about as short
-			// as an untraced run. A query costs microseconds in process,
-			// and its layer sum needs every request to average out the
-			// machine's scheduling noise.
-			n /= 4
-		}
+	n := roundOps[cfg.workload]
+	if cfg.trace {
+		// The traced run replays every request in two in-process passes;
+		// its one round is kept about as short as an untraced run. A
+		// query costs microseconds in process, and its layer sum needs
+		// every request to average out the machine's scheduling noise.
+		n = tracedOps[cfg.workload]
+	}
+	if cfg.ops > 0 {
+		n = cfg.ops
 	}
 	pl, err := makePlan(cfg.workload, cfg.seed, warmOps[cfg.workload], n)
 	if err != nil {
 		return nil, err
 	}
 
-	nRounds := rounds
-	if cfg.trace {
-		nRounds = 1
-	}
 	res := &result{Correct: true, Metrics: map[string]metric{}}
 	perRound := map[string][]float64{}
 	var last *phaseResult
 	var lastCounters map[string]float64
-	for r := 0; r < nRounds; r++ {
+	budget := time.Duration(max(1, cfg.seconds)) * time.Second
+	runStart := time.Now()
+	var lastRound time.Duration
+	for r := 0; ; r++ {
+		if (cfg.trace && r == 1) || (!cfg.trace && r >= minRounds && time.Since(runStart)+lastRound > budget) {
+			break
+		}
+		roundStart := time.Now()
 		s, took, err := setup(ctx, cfg.serve, pl)
 		if err != nil {
 			return nil, err
@@ -150,14 +159,19 @@ func run(ctx context.Context, cfg config, log io.Writer) (*result, error) {
 
 		lat := sortedCopy(ph.lat)
 		tailQ := tailPercentile(len(lat))
-		fmt.Fprintf(log, "workload %s seed %d round %d: %d ops timed (%d failed), %d warm-up, %d primed programs, %d answers re-checked, set-up %.3f s\n",
-			cfg.workload, cfg.seed, r+1, ph.attempted, ph.failed, len(pl.warm), len(pl.progs), checked, took.Seconds())
+		lastRound = time.Since(roundStart)
+		fmt.Fprintf(log, "workload %s seed %d round %d: %d ops timed (%d failed), %d warm-up, %d primed programs, %d answers re-checked, set-up %.3f s, round %.2f s\n",
+			cfg.workload, cfg.seed, r+1, ph.attempted, ph.failed, len(pl.warm), len(pl.progs), checked, took.Seconds(), lastRound.Seconds())
 		fmt.Fprintf(log, "latency over %d samples: p50 %.3f ms, tail = p%g %.3f ms, max %.3f ms; deciles", len(lat),
 			ms(percentile(lat, 0.5)), tailQ*100, ms(percentile(lat, tailQ)), ms(percentile(lat, 1)))
 		for q := 1; q < 10; q++ {
 			fmt.Fprintf(log, " %.2f", ms(percentile(lat, float64(q)/10)))
 		}
-		fmt.Fprintln(log)
+		var inReq time.Duration
+		for _, d := range ph.rtt {
+			inReq += d
+		}
+		fmt.Fprintf(log, "; timed phase %.3f s, %.3f s of it in requests\n", ph.wall.Seconds(), inReq.Seconds())
 		if pl.workload == "query" {
 			fmt.Fprintf(log, "query repeat share (drawn): %.4f of requests\n", pl.repeatShare)
 		}
@@ -167,16 +181,33 @@ func run(ctx context.Context, cfg config, log io.Writer) (*result, error) {
 		for _, b := range bad {
 			fmt.Fprintf(log, "FAIL %s\n", b)
 		}
-		for name, v := range map[string]float64{
+		raw := map[string]float64{
 			"setup_s":          took.Seconds(),
 			"p50_ms":           ms(percentile(lat, 0.5)),
 			"tail_ms":          ms(percentile(lat, tailQ)),
 			"throughput_per_s": ph.work / ph.wall.Seconds(),
 			"cpu_ms_per_op":    ms(ph.cpu) / float64(ph.attempted),
 			"peak_rss_mb":      ph.hwmKiB / 1024,
-		} {
-			perRound[name] = append(perRound[name], v)
 		}
+		speed := refSpeed(ph.ref)
+		fmt.Fprintf(log, "round %d: reference unit %.4f ms (median of %d), speed %.4f; measured", r+1, ms(percentile(sortedCopy(ph.ref), 0.5)), len(ph.ref), speed)
+		for _, name := range sortedKeys(raw) {
+			fmt.Fprintf(log, " %s=%.6g", name, raw[name])
+		}
+		fmt.Fprintf(log, "; at reference speed")
+		for _, name := range sortedKeys(raw) {
+			v := raw[name]
+			switch name {
+			case "throughput_per_s":
+				v /= speed
+			case "peak_rss_mb":
+			default:
+				v *= speed
+			}
+			perRound[name] = append(perRound[name], v)
+			fmt.Fprintf(log, " %s=%.6g", name, v)
+		}
+		fmt.Fprintln(log)
 	}
 	if !cfg.trace {
 		units := map[string]string{"setup_s": "s", "p50_ms": "ms", "tail_ms": "ms", "throughput_per_s": "1/s", "cpu_ms_per_op": "ms", "peak_rss_mb": "MiB"}

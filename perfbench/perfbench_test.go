@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -26,12 +28,12 @@ type benchmarkSpec struct {
 	} `json:"per_layer"`
 }
 
-// tracedOps are the self-test's traced op counts. The traced run fails
+// selfTestTracedOps are the self-test's traced op counts. The traced run fails
 // when the layers' self times do not sum to the engine calls within 10%;
 // these counts give every workload enough in-process engine time (a few
 // hundred milliseconds) for that tolerance to sit well above the
 // machine's scheduling noise.
-var tracedOps = map[string]int{"analyze": 60, "edit": 60, "query": 9600, "sweep": 30}
+var selfTestTracedOps = map[string]int{"analyze": 60, "edit": 60, "query": 9600, "sweep": 30}
 
 // TestWorkloads runs every workload at a small op count, untraced and
 // traced, and checks that each run is correct and prints exactly the
@@ -68,7 +70,7 @@ func TestWorkloads(t *testing.T) {
 		for _, trace := range []bool{false, true} {
 			ops := 20
 			if trace {
-				ops = tracedOps[w.Name]
+				ops = selfTestTracedOps[w.Name]
 			}
 			var log bytes.Buffer
 			res, err := run(context.Background(), config{
@@ -142,5 +144,35 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 	if got := repCells / cells; got != q.repeatShare {
 		t.Errorf("query cell repeat share %g, want %g", got, q.repeatShare)
+	}
+}
+
+// TestCheckSweep checks the whole-body sweep check against answers the
+// daemon could send: a good one, and each way a point or the grid can be
+// wrong.
+func TestCheckSweep(t *testing.T) {
+	pt := func(env int, body string) string { return fmt.Sprintf(`{"env":{"n":%d},%s}`+"\n", env, body) }
+	met := `"metrics":{"instrs":10,"flops":2,"fpi":2}`
+	sweep := func(total int, points ...string) []byte {
+		return []byte(fmt.Sprintf(`{"key":"k","fn":"f","kind":"static","total":%d,"points":[%s]}`+"\n", total, strings.Join(points, ",")))
+	}
+	static := &op{kind: "static", work: 2}
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		o    *op
+		ok   bool
+	}{
+		{"good", sweep(2, pt(1, met), pt(2, met)), static, true},
+		{"short grid", sweep(1, pt(1, met)), static, false},
+		{"missing point", sweep(2, pt(1, met)), static, false},
+		{"point error", sweep(2, pt(1, met), pt(2, `"error":"unbound n"`)), static, false},
+		{"no answer", sweep(2, pt(1, met), pt(2, `"arch":"zen2"`)), static, false},
+		{"wrong kind", sweep(2, pt(1, met), pt(2, met)), &op{kind: "roofline", work: 2}, false},
+		{"truncated", sweep(2, pt(1, met), pt(2, met))[:60], static, false},
+	} {
+		if err := checkSweep(c.raw, c.o); (err == nil) != c.ok {
+			t.Errorf("%s: checkSweep = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }
