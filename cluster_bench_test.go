@@ -2,7 +2,8 @@
 // peer transfer pays, the ring lookup every routed request pays, and
 // the read-through fetch a warm sibling serves. These ride in
 // bench-baseline (BENCH_7.json) so the cluster tier's costs are part of
-// the recorded performance trajectory.
+// the recorded performance trajectory. Peer transfers carry
+// per-function entries.
 package mira_test
 
 import (
@@ -17,37 +18,28 @@ import (
 	"mira/internal/obs"
 )
 
-// benchClusterEntry approximates a real cache entry: a small source and
-// a compiled-model object in the tens of kilobytes.
-func benchClusterEntry() *engine.Entry {
-	obj := make([]byte, 64<<10)
-	for i := range obj {
-		obj[i] = byte(i * 31)
+// benchClusterEntry is a per-function cache entry with a 64 KiB unit,
+// the payload size the cluster benchmarks have always used.
+func benchClusterEntry() *engine.FuncEntry {
+	unit := make([]byte, 64<<10)
+	for i := range unit {
+		unit[i] = byte(i * 31)
 	}
-	return &engine.Entry{Name: "bench.c", Source: benchprogsStream(), Object: obj}
-}
-
-func benchprogsStream() string {
-	return `
-double stream_triad(double *a, double *b, double *c, int n) {
-	int i; double s; s = 0.0;
-	for (i = 0; i < n; i++) { a[i] = b[i] + 3.0 * c[i]; s = s + a[i]; }
-	return s;
-}`
+	return &engine.FuncEntry{Name: "stream_triad", Unit: unit}
 }
 
 // BenchmarkCluster_WireRoundTrip: one encode + verified decode of a
-// 64 KiB entry frame — the CPU cost of every peer cache transfer
+// 64 KiB per-function frame — the CPU cost of every peer cache transfer
 // (checksum both ways).
 func BenchmarkCluster_WireRoundTrip(b *testing.B) {
 	e := benchClusterEntry()
 	key := fmt.Sprintf("%064x", 42)
-	raw := cluster.EncodeEntry(key, e)
+	raw := cluster.EncodeFuncEntry(key, e)
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		raw = cluster.EncodeEntry(key, e)
-		if _, err := cluster.DecodeEntry(key, raw); err != nil {
+		raw = cluster.EncodeFuncEntry(key, e)
+		if _, err := cluster.DecodeFuncEntry(key, raw); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +73,7 @@ func BenchmarkCluster_PeerReadThrough(b *testing.B) {
 	e := benchClusterEntry()
 	var key string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(cluster.EncodeEntry(key, e))
+		w.Write(cluster.EncodeFuncEntry(key, e))
 	}))
 	defer srv.Close()
 
@@ -102,7 +94,7 @@ func BenchmarkCluster_PeerReadThrough(b *testing.B) {
 			break
 		}
 	}
-	b.SetBytes(int64(len(cluster.EncodeEntry(key, e))))
+	b.SetBytes(int64(len(cluster.EncodeFuncEntry(key, e))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -112,8 +104,8 @@ func BenchmarkCluster_PeerReadThrough(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		got, ok := n2.Store.Load(key)
-		if !ok || !bytes.Equal(got.Object, e.Object) {
+		got, ok := n2.Store.LoadFunc(key)
+		if !ok || !bytes.Equal(got.Unit, e.Unit) {
 			b.Fatal("peer read-through failed")
 		}
 		b.StopTimer()

@@ -371,8 +371,7 @@ func printServeStats(w io.Writer, base string) error {
 	fmt.Fprintf(w, "  persistent store      %s\n", ratio("mira_store_hits_total", "mira_store_misses_total"))
 	fmt.Fprintf(w, "  incremental reuse     %s\n", ratio("mira_incremental_hits_total", "mira_incremental_misses_total"))
 	fmt.Fprintf(w, "  eval memo             %s\n", ratio("mira_eval_memo_hits_total", "mira_eval_memo_misses_total"))
-	fmt.Fprintf(w, "  cold analyze latency  %s\n", meanMs("mira_analyze_seconds"))
-	fmt.Fprintf(w, "  warm rebuild latency  %s\n", meanMs("mira_rebuild_seconds"))
+	fmt.Fprintf(w, "  analyze latency       %s\n", meanMs("mira_analyze_seconds"))
 	fmt.Fprintf(w, "  eval latency          %s\n", meanMs("mira_eval_seconds"))
 	fmt.Fprintf(w, "  report latency        %s\n", meanMs("mira_report_seconds"))
 	fmt.Fprintf(w, "  store errors          %g\n", exp.Value("mira_store_errors_total"))

@@ -33,7 +33,7 @@ func TestPrintServeStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"live pipeline cache", "cold analyze latency", "mira_pipeline_cache_misses_total"} {
+	for _, want := range []string{"live pipeline cache", "analyze latency", "mira_pipeline_cache_misses_total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("digest missing %q:\n%s", want, out)
 		}

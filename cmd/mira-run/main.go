@@ -146,8 +146,8 @@ type fileStamp struct {
 // incremental cache whenever its stamp changes, printing one row per
 // recompiled function. Reused functions stay silent; a content-identical
 // rewrite (touch, editor save with no edit) prints a single "unchanged"
-// line because the whole-source cache absorbs it before any pipeline
-// runs.
+// line because the live content-hash cache absorbs it before any
+// pipeline runs.
 func runWatch(ctx context.Context, eng *mira.Engine, paths []string, interval time.Duration) {
 	last := make(map[string]fileStamp, len(paths))
 	for ctx.Err() == nil {

@@ -104,8 +104,8 @@ func TestFrontDoorRateLimits(t *testing.T) {
 	}
 
 	// Health checks pass regardless of the client's bucket.
-	if w := get(s, "/healthz"); w.Code != http.StatusOK {
-		t.Fatalf("healthz while rate-limited: %d", w.Code)
+	if w := get(s, "/livez"); w.Code != http.StatusOK {
+		t.Fatalf("livez while rate-limited: %d", w.Code)
 	}
 }
 
@@ -201,11 +201,11 @@ func startSmokeCluster(t *testing.T, n int) []smokeReplica {
 	return reps
 }
 
-// peerHits sums mira_cluster_peer_hits_total across the replicas'
-// /metrics expositions.
-func peerHits(t *testing.T, reps []smokeReplica) float64 {
+// peerSum sums one cluster counter (mira_cluster_peer_hits_total, ...)
+// across the replicas' /metrics expositions.
+func peerSum(t *testing.T, reps []smokeReplica, name string) float64 {
 	t.Helper()
-	var hits float64
+	var sum float64
 	for _, rep := range reps {
 		resp, err := http.Get(rep.base + "/metrics")
 		if err != nil {
@@ -220,9 +220,19 @@ func peerHits(t *testing.T, reps []smokeReplica) float64 {
 		if err != nil {
 			t.Fatalf("parse %s/metrics: %v", rep.base, err)
 		}
-		hits += exp.Value("mira_cluster_peer_hits_total")
+		sum += exp.Value(name)
 	}
-	return hits
+	return sum
+}
+
+// logPeerTier reports the peer tier's traffic so far.
+func logPeerTier(t *testing.T, reps []smokeReplica, when string) {
+	t.Helper()
+	t.Logf("peer tier %s: %v hits, %v misses, %v errors, %v replications", when,
+		peerSum(t, reps, "mira_cluster_peer_hits_total"),
+		peerSum(t, reps, "mira_cluster_peer_misses_total"),
+		peerSum(t, reps, "mira_cluster_peer_errors_total"),
+		peerSum(t, reps, "mira_cluster_replications_total"))
 }
 
 // TestClusterSmoke is the end-to-end cluster exercise behind `make
@@ -252,7 +262,8 @@ func TestClusterSmoke(t *testing.T) {
 		}
 		rep.node.Store.Flush()
 	}
-	if hits := peerHits(t, reps); hits < 1 {
+	logPeerTier(t, reps, "after priming")
+	if hits := peerSum(t, reps, "mira_cluster_peer_hits_total"); hits < 1 {
 		t.Errorf("peer cache hits after priming = %v, want at least 1", hits)
 	}
 
@@ -304,4 +315,5 @@ func TestClusterSmoke(t *testing.T) {
 	if inter.Err5xx != 0 || inter.NetErr != 0 {
 		t.Errorf("interactive failures after replica death: %+v", inter)
 	}
+	logPeerTier(t, reps, "at the end")
 }

@@ -3,8 +3,9 @@
 // summary and instruction-category predictions, with every layer of
 // caching the engine has — singleflight compile dedup, memoized
 // (function, env) evaluation, and (with -cache-dir) a content-addressed
-// on-disk artifact store that survives restarts: a rebooted daemon
-// re-decodes stored object files instead of recompiling hot sources.
+// on-disk store of per-function object fragments that survives
+// restarts: a rebooted daemon decodes each stored function instead of
+// recompiling it.
 //
 // Endpoints:
 //
@@ -23,7 +24,6 @@
 //	GET  /archs     architecture registry: builtins plus -arch-dir loads,
 //	                each with its content key
 //	GET  /metrics   OpenMetrics text exposition (cache, latency, HTTP series)
-//	GET  /healthz   liveness + uptime (alias of /livez)
 //	GET  /livez     liveness: the process is up
 //	GET  /readyz    readiness: 503 while draining or interactive-saturated
 //
@@ -148,31 +148,30 @@ func run(ctx context.Context, cfg serveConfig) error {
 	// Standalone daemons historically ran with no store at all when
 	// -cache-dir was absent (the live cache suffices); cluster mode
 	// always needs one, since it is what sibling fetches serve from.
-	var local cluster.LocalStore
+	var store engine.CacheStore
 	if cfg.cacheDir != "" {
 		disk, err := cachestore.Open(cfg.cacheDir)
 		if err != nil {
 			return err
 		}
-		local = disk
+		store = disk
 		log.Printf("mira-serve: artifact cache at %s", disk.Dir())
 	}
 	reg := obs.NewRegistry()
 
 	var node *cluster.Node
-	var store engine.CacheStore
 	if cfg.peers != "" {
 		if cfg.self == "" {
 			return fmt.Errorf("-peers requires -self (this replica's base URL as it appears in the peer list)")
 		}
-		if local == nil {
-			local = engine.NewMemoryStore()
+		if store == nil {
+			store = engine.NewMemoryStore()
 		}
 		node, err = cluster.NewNode(cluster.NodeOptions{
 			Self:         strings.TrimRight(cfg.self, "/"),
 			Peers:        cluster.NormalizePeers(cfg.peers),
 			VirtualNodes: cfg.vnodes,
-			Local:        local,
+			Local:        store,
 			Obs:          reg,
 			Admission: cluster.AdmissionOptions{
 				InteractiveSlots: cfg.interactiveSlots,
@@ -186,8 +185,6 @@ func run(ctx context.Context, cfg serveConfig) error {
 		defer node.Close()
 		store = node.Store
 		log.Printf("mira-serve: cluster mode, self=%s peers=%v", node.Self, node.Ring.Peers())
-	} else if local != nil {
-		store = local
 	}
 	eng := engine.New(engine.Options{
 		Workers:     cfg.jobs,

@@ -106,7 +106,6 @@ func newServer(eng *engine.Engine, reg *obs.Registry, suites map[string]report.S
 	mux.HandleFunc("GET /workloads", s.handleWorkloads)
 	mux.HandleFunc("GET /archs", s.handleArchs)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /livez", s.handleLivez)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	if node != nil {
@@ -228,7 +227,7 @@ type analyzeResponse struct {
 	TableII   map[string]int64 `json:"table_ii,omitempty"`
 	Metrics   *metricsPayload  `json:"metrics,omitempty"`
 	// Incremental is present when this analysis ran the incremental
-	// pipeline (absent for whole-source cache hits, where nothing ran).
+	// pipeline (absent for live-cache hits, where nothing ran).
 	Incremental *incrementalInfo `json:"incremental,omitempty"`
 }
 
@@ -863,12 +862,4 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if err := s.reg.WriteOpenMetrics(w); err != nil && !errors.Is(err, http.ErrHandlerTimeout) {
 		log.Printf("mira-serve: write metrics: %v", err)
 	}
-}
-
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, map[string]any{
-		"status":         "ok",
-		"uptime_seconds": time.Since(s.start).Seconds(),
-		"workers":        s.eng.Workers(),
-	})
 }

@@ -162,8 +162,8 @@ func TestHostileRequestsGet4xxNotACrash(t *testing.T) {
 		}
 	}
 	// The daemon must still be healthy and able to do real work.
-	if w := get(h, "/healthz"); w.Code != 200 {
-		t.Fatalf("healthz after hostile traffic: %d", w.Code)
+	if w := get(h, "/livez"); w.Code != 200 {
+		t.Fatalf("livez after hostile traffic: %d", w.Code)
 	}
 	w := postJSON(t, h, "/eval", map[string]any{
 		"source": kernelSrc, "fn": "kernel", "env": map[string]int64{"n": 4},
@@ -262,13 +262,17 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 
 // TestWarmRestartServesFromDiskCache is the acceptance scenario: a
 // second mira-serve process over the same cache directory must serve a
-// known program from the stored artifact — hit counters visible at
-// /metrics, zero compiles.
+// known program from the stored per-function units — one store hit per
+// function visible at /metrics, zero functions recompiled.
 func TestWarmRestartServesFromDiskCache(t *testing.T) {
 	dir := t.TempDir()
+	src := kernelSrc + `
+double twice(double *x, int n) {
+	return kernel(x, n) + kernel(x, n);
+}`
 
 	first := newTestServer(t, dir)
-	w := postJSON(t, first, "/analyze", map[string]any{"name": "kernel.c", "source": kernelSrc})
+	w := postJSON(t, first, "/analyze", map[string]any{"name": "kernel.c", "source": src})
 	if w.Code != 200 {
 		t.Fatalf("first process analyze: %d: %s", w.Code, w.Body)
 	}
@@ -280,7 +284,7 @@ func TestWarmRestartServesFromDiskCache(t *testing.T) {
 	// "Restart": an entirely new engine + handler over the same dir.
 	second := newTestServer(t, dir)
 	w = postJSON(t, second, "/eval", map[string]any{
-		"source": kernelSrc, "fn": "kernel", "env": map[string]int64{"n": 1000},
+		"source": src, "fn": "kernel", "env": map[string]int64{"n": 1000},
 	})
 	if w.Code != 200 {
 		t.Fatalf("second process eval: %d: %s", w.Code, w.Body)
@@ -300,32 +304,38 @@ func TestWarmRestartServesFromDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := exp.Value("mira_store_hits_total"); got != 1 {
-		t.Errorf("warm process store hits = %v, want 1", got)
+	if len(cold.Functions) != 2 {
+		t.Fatalf("first process analyzed %d functions, want 2", len(cold.Functions))
 	}
-	if got := exp.Value("mira_analyze_seconds_count"); got != 0 {
-		t.Errorf("warm process compiled %v times, want 0 (disk cache should serve it)", got)
+	if got := exp.Value("mira_store_hits_total"); got != 2 {
+		t.Errorf("warm process store hits = %v, want 2 (one per function)", got)
 	}
-	if got := exp.Value("mira_rebuild_seconds_count"); got != 1 {
-		t.Errorf("warm process rebuild count = %v, want 1", got)
+	if got := exp.Value("mira_store_misses_total"); got != 0 {
+		t.Errorf("warm process store misses = %v, want 0", got)
+	}
+	if got := exp.Value("mira_incremental_misses_total"); got != 0 {
+		t.Errorf("warm process recompiled %v functions, want 0 (disk cache should serve them)", got)
 	}
 }
 
-func TestHealthz(t *testing.T) {
+func TestLivez(t *testing.T) {
 	h := newTestServer(t, "")
-	w := get(h, "/healthz")
+	w := get(h, "/livez")
 	if w.Code != 200 {
-		t.Fatalf("healthz %d", w.Code)
+		t.Fatalf("livez %d", w.Code)
 	}
 	var hr map[string]any
 	if err := json.Unmarshal(w.Body.Bytes(), &hr); err != nil {
 		t.Fatal(err)
 	}
 	if hr["status"] != "ok" {
-		t.Errorf("healthz body %v", hr)
+		t.Errorf("livez body %v", hr)
 	}
-	if _, ok := hr["workers"].(float64); !ok {
-		t.Errorf("healthz missing workers: %v", hr)
+	if _, ok := hr["uptime_seconds"].(float64); !ok {
+		t.Errorf("livez missing uptime_seconds: %v", hr)
+	}
+	if w := get(h, "/healthz"); w.Code != http.StatusNotFound {
+		t.Errorf("retired /healthz answered %d, want 404", w.Code)
 	}
 }
 
@@ -333,7 +343,7 @@ func TestHealthz(t *testing.T) {
 func TestMethodRouting(t *testing.T) {
 	h := newTestServer(t, "")
 	for _, c := range []struct{ method, path string }{
-		{"GET", "/analyze"}, {"GET", "/eval"}, {"POST", "/metrics"}, {"DELETE", "/healthz"},
+		{"GET", "/analyze"}, {"GET", "/eval"}, {"POST", "/metrics"}, {"DELETE", "/livez"},
 	} {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(c.method, c.path, strings.NewReader("{}")))

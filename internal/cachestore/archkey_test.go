@@ -24,7 +24,7 @@ func TestDiskStoreArchIsolation(t *testing.T) {
 	d2.MemBandwidthGBs *= 2
 
 	env := expr.EnvFromInts(map[string]int64{"n": 1000})
-	ridge := func(e *engine.Engine) float64 {
+	analyze := func(e *engine.Engine) (ridge float64, delta *core.Delta) {
 		t.Helper()
 		a, err := e.AnalyzeCtx(context.Background(), "k.c", kernelSrc)
 		if err != nil {
@@ -34,7 +34,7 @@ func TestDiskStoreArchIsolation(t *testing.T) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		return r.Roofline.RidgeAI
+		return r.Roofline.RidgeAI, a.Delta()
 	}
 
 	open := func(d *arch.Description) (*engine.Engine, *cachestore.Disk) {
@@ -49,11 +49,12 @@ func TestDiskStoreArchIsolation(t *testing.T) {
 	// First process: both twins compile cold and persist their artifacts
 	// into the one shared directory.
 	e1, _ := open(d1)
-	e2, _ := open(d2)
-	if e1.Key(kernelSrc) == e2.Key(kernelSrc) {
-		t.Fatal("arch twins share an on-disk key")
+	e2, store := open(d2)
+	ridge1, _ := analyze(e1)
+	ridge2, _ := analyze(e2)
+	if store.FuncLen() != 2 {
+		t.Fatalf("store holds %d entries, want 2: arch twins share an on-disk key", store.FuncLen())
 	}
-	ridge1, ridge2 := ridge(e1), ridge(e2)
 	if ridge1 == ridge2 {
 		t.Fatal("arch twins computed the same ridge point; the test cannot detect poisoning")
 	}
@@ -65,11 +66,12 @@ func TestDiskStoreArchIsolation(t *testing.T) {
 		d    *arch.Description
 		want float64
 	}{{d1, ridge1}, {d2, ridge2}} {
-		e, store := open(tc.d)
-		if _, ok := store.Load(e.Key(kernelSrc)); !ok {
-			t.Fatal("warm restart missed the on-disk entry")
+		e, _ := open(tc.d)
+		got, delta := analyze(e)
+		if delta == nil || len(delta.Compiled) != 0 {
+			t.Fatalf("warm restart missed the on-disk entry: delta %+v", delta)
 		}
-		if got := ridge(e); got != tc.want {
+		if got != tc.want {
 			t.Errorf("warm ridge %v, want %v", got, tc.want)
 		}
 	}

@@ -1,21 +1,17 @@
 // Package cachestore provides the content-addressed on-disk
-// implementation of engine.CacheStore and engine.FuncStore: compiled
-// analysis artifacts that survive process restarts, so a freshly started
-// mira-serve daemon rebuilds hot models by decoding stored bytes instead
-// of recompiling. Whole-source entries (source text + encoded object
-// file) and per-function entries (one compiled unit under its
-// function-content key) live side by side:
+// implementation of engine.CacheStore: compiled per-function artifacts
+// that survive process restarts, so a freshly started mira-serve daemon
+// restores every unchanged function's object fragment instead of
+// recompiling it. Each entry is one compiled unit under its
+// function-content key (core.FuncKeys):
 //
-//	<dir>/objects/<key[:2]>/<key>.mira    whole-source entries
-//	<dir>/funcs/<key[:2]>/<key>.mira      per-function units
+//	<dir>/funcs/<key[:2]>/<key>.mira
 //
-// where key is the engine's content hash (hex). Each entry file is
-// self-contained and checksummed:
+// Each entry file is one self-contained checksummed frame (see
+// EncodeFrame):
 //
 //	magic "MIRACS<version>\n" (engine.CacheFormatVersion)
-//	length-prefixed sections (uvarint length + bytes):
-//	    whole-source: key, name, source, object
-//	    per-function: key, name, unit
+//	length-prefixed sections (uvarint length + bytes): key, name, unit
 //	sha256 over everything before it (32 bytes)
 //
 // Writes go through a temp file in the same directory followed by an
@@ -23,7 +19,8 @@
 // the final name. Reads verify the magic, the embedded key, the section
 // framing, and the checksum; any mismatch — truncation, corruption, a
 // past or future format version — is a miss, never an error: a damaged
-// or stale cache degrades to a recompile, function by function.
+// or stale cache degrades to a recompile of exactly the function whose
+// entry is damaged.
 package cachestore
 
 import (
@@ -38,8 +35,7 @@ import (
 )
 
 // magic is derived from the shared cache-key format version: bumping
-// engine.CacheFormatVersion retires every on-disk entry (whole-source
-// and per-function alike) as a clean miss.
+// engine.CacheFormatVersion retires every on-disk entry as a clean miss.
 var magic = fmt.Sprintf("MIRACS%d\n", engine.CacheFormatVersion)
 
 // Disk is a content-addressed on-disk CacheStore.
@@ -47,18 +43,13 @@ type Disk struct {
 	dir string
 }
 
-// Ensure the engine contracts are met.
-var (
-	_ engine.CacheStore = (*Disk)(nil)
-	_ engine.FuncStore  = (*Disk)(nil)
-)
+// Ensure the engine contract is met.
+var _ engine.CacheStore = (*Disk)(nil)
 
 // Open prepares a disk store rooted at dir, creating it if needed.
 func Open(dir string) (*Disk, error) {
-	for _, sub := range []string{"objects", "funcs"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("cachestore: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "funcs"), 0o755); err != nil {
+		return nil, fmt.Errorf("cachestore: %w", err)
 	}
 	return &Disk{dir: dir}, nil
 }
@@ -66,10 +57,11 @@ func Open(dir string) (*Disk, error) {
 // Dir returns the store's root directory.
 func (d *Disk) Dir() string { return d.dir }
 
-// validKey gates what may become a file name: the engine's keys are
-// lowercase hex, and anything else (path separators, dots) is refused
-// outright rather than risked against the filesystem.
-func validKey(key string) bool {
+// ValidKey gates what may become a file name or a peer-protocol path
+// segment: the engine's keys are lowercase hex, and anything else (path
+// separators, dots) is refused outright rather than risked against the
+// filesystem or a URL.
+func ValidKey(key string) bool {
 	if len(key) < 4 {
 		return false
 	}
@@ -81,51 +73,23 @@ func validKey(key string) bool {
 	return true
 }
 
-func (d *Disk) path(sub, key string) string {
-	return filepath.Join(d.dir, sub, key[:2], key+".mira")
-}
-
-// Load reads, verifies, and decodes the whole-source entry stored under
-// key. Any defect in the on-disk bytes is a miss.
-func (d *Disk) Load(key string) (*engine.Entry, bool) {
-	if !validKey(key) {
-		return nil, false
-	}
-	raw, err := os.ReadFile(d.path("objects", key))
-	if err != nil {
-		return nil, false
-	}
-	sections, err := decodeSections(key, raw, 4)
-	if err != nil {
-		return nil, false
-	}
-	return &engine.Entry{
-		Name:   string(sections[1]),
-		Source: string(sections[2]),
-		Object: append([]byte(nil), sections[3]...),
-	}, true
-}
-
-// Store persists e under key, atomically.
-func (d *Disk) Store(key string, e *engine.Entry) error {
-	return d.write("objects", key,
-		encodeSections([]byte(key), []byte(e.Name), []byte(e.Source), e.Object))
+func (d *Disk) path(key string) string {
+	return filepath.Join(d.dir, "funcs", key[:2], key+".mira")
 }
 
 // LoadFunc reads, verifies, and decodes the per-function entry stored
-// under key (a function-content hash). The corruption contract is the
-// same as Load's: any defect is a miss, confined to this one entry —
-// sibling functions keep loading, and the caller recompiles exactly the
-// function that missed.
+// under key (a function-content hash). Any defect in the on-disk bytes
+// is a miss, confined to this one entry — sibling functions keep
+// loading, and the caller recompiles exactly the function that missed.
 func (d *Disk) LoadFunc(key string) (*engine.FuncEntry, bool) {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return nil, false
 	}
-	raw, err := os.ReadFile(d.path("funcs", key))
+	raw, err := os.ReadFile(d.path(key))
 	if err != nil {
 		return nil, false
 	}
-	sections, err := decodeSections(key, raw, 3)
+	sections, err := DecodeFrame(magic, key, raw, 3)
 	if err != nil {
 		return nil, false
 	}
@@ -135,18 +99,13 @@ func (d *Disk) LoadFunc(key string) (*engine.FuncEntry, bool) {
 	}, true
 }
 
-// StoreFunc persists e under key, atomically.
+// StoreFunc persists e under key via temp file + atomic rename.
 func (d *Disk) StoreFunc(key string, e *engine.FuncEntry) error {
-	return d.write("funcs", key,
-		encodeSections([]byte(key), []byte(e.Name), e.Unit))
-}
-
-// write lands raw under sub/key via temp file + atomic rename.
-func (d *Disk) write(sub, key string, raw []byte) error {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return fmt.Errorf("cachestore: invalid key %q", key)
 	}
-	target := d.path(sub, key)
+	raw := EncodeFrame(magic, []byte(key), []byte(e.Name), e.Unit)
+	target := d.path(key)
 	if err := os.MkdirAll(filepath.Dir(target), 0o755); err != nil {
 		return fmt.Errorf("cachestore: %w", err)
 	}
@@ -167,21 +126,16 @@ func (d *Disk) write(sub, key string, raw []byte) error {
 	return nil
 }
 
-// Len counts the whole-source entries currently on disk (for stats and
-// tests; it walks the fan-out directories).
-func (d *Disk) Len() int { return d.countEntries("objects") }
-
-// FuncLen counts the per-function entries currently on disk.
-func (d *Disk) FuncLen() int { return d.countEntries("funcs") }
-
-func (d *Disk) countEntries(sub string) int {
+// FuncLen counts the per-function entries currently on disk (for stats
+// and tests; it walks the fan-out directories).
+func (d *Disk) FuncLen() int {
 	n := 0
-	fans, _ := os.ReadDir(filepath.Join(d.dir, sub))
+	fans, _ := os.ReadDir(filepath.Join(d.dir, "funcs"))
 	for _, fan := range fans {
 		if !fan.IsDir() {
 			continue
 		}
-		files, _ := os.ReadDir(filepath.Join(d.dir, sub, fan.Name()))
+		files, _ := os.ReadDir(filepath.Join(d.dir, "funcs", fan.Name()))
 		for _, f := range files {
 			if filepath.Ext(f.Name()) == ".mira" {
 				n++
@@ -200,53 +154,55 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-func putSection(buf *bytes.Buffer, b []byte) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(b)))
-	buf.Write(tmp[:n])
-	buf.Write(b)
-}
-
-// encodeSections frames the entry body shared by both entry kinds:
-// magic, uvarint-length-prefixed sections, trailing sha256.
-func encodeSections(sections ...[]byte) []byte {
+// EncodeFrame frames sections for storage or transfer: magic, then each
+// section as a uvarint length and its bytes, then a sha256 over
+// everything before it. The on-disk store frames under "MIRACS<v>\n";
+// the peer wire uses the same frame under its own magic.
+func EncodeFrame(magic string, sections ...[]byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(magic)
+	var tmp [binary.MaxVarintLen64]byte
 	for _, s := range sections {
-		putSection(&buf, s)
+		n := binary.PutUvarint(tmp[:], uint64(len(s)))
+		buf.Write(tmp[:n])
+		buf.Write(s)
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	buf.Write(sum[:])
 	return buf.Bytes()
 }
 
-// decodeSections verifies magic, checksum, and framing, and returns
-// exactly want sections; sections[0] must equal key. Any defect is an
-// error the caller turns into a miss.
-func decodeSections(key string, raw []byte, want int) ([][]byte, error) {
+// DecodeFrame verifies magic, checksum, and framing of a frame built by
+// EncodeFrame and returns exactly want (at least one) sections,
+// aliasing raw; sections[0] must equal key. Every accepted frame is the
+// one EncodeFrame(magic, sections...) produces: lengths must be
+// minimally encoded and nothing may trail the last section. Any defect
+// is an error the caller turns into a miss.
+func DecodeFrame(magic, key string, raw []byte, want int) ([][]byte, error) {
 	if len(raw) < len(magic)+sha256.Size || string(raw[:len(magic)]) != magic {
-		return nil, fmt.Errorf("bad magic or truncated")
+		return nil, fmt.Errorf("cachestore: bad frame magic or truncated frame")
 	}
 	body, sum := raw[:len(raw)-sha256.Size], raw[len(raw)-sha256.Size:]
 	wantSum := sha256.Sum256(body)
 	if !bytes.Equal(sum, wantSum[:]) {
-		return nil, fmt.Errorf("checksum mismatch")
+		return nil, fmt.Errorf("cachestore: frame checksum mismatch")
 	}
 	r := body[len(magic):]
 	sections := make([][]byte, want)
+	var tmp [binary.MaxVarintLen64]byte
 	for i := range sections {
 		length, n := binary.Uvarint(r)
-		if n <= 0 || uint64(len(r)-n) < length {
-			return nil, fmt.Errorf("section %d framing", i)
+		if n <= 0 || n != binary.PutUvarint(tmp[:], length) || uint64(len(r)-n) < length {
+			return nil, fmt.Errorf("cachestore: frame section %d framing", i)
 		}
 		sections[i] = r[n : n+int(length)]
 		r = r[n+int(length):]
 	}
 	if len(r) != 0 {
-		return nil, fmt.Errorf("trailing bytes")
+		return nil, fmt.Errorf("cachestore: trailing frame bytes")
 	}
 	if string(sections[0]) != key {
-		return nil, fmt.Errorf("entry key %q under file key %q", sections[0], key)
+		return nil, fmt.Errorf("cachestore: frame for key %q read under key %q", sections[0], key)
 	}
 	return sections, nil
 }

@@ -3,8 +3,6 @@ package cachestore_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,37 +41,64 @@ func openStore(t *testing.T) *cachestore.Disk {
 	return d
 }
 
+// entryPath is where d keeps the entry for key.
+func entryPath(d *cachestore.Disk, key string) string {
+	return filepath.Join(d.Dir(), "funcs", key[:2], key+".mira")
+}
+
+// TestDiskRoundTrip stores a real compiled unit, reloads it through a
+// second handle on the same directory, and checks the bytes and the
+// on-disk frame layout.
 func TestDiskRoundTrip(t *testing.T) {
 	d := openStore(t)
-	key := strings.Repeat("ab", 32)
-	ent := &engine.Entry{Name: "k.c", Source: kernelSrc, Object: []byte{0, 1, 2, 254, 255}}
-	if _, ok := d.Load(key); ok {
-		t.Fatal("hit on empty store")
-	}
-	if err := d.Store(key, ent); err != nil {
+	res, err := core.AnalyzeIncremental("k.c", kernelSrc, core.Options{}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := d.Load(key)
+	art := res.Artifacts["kernel"]
+	ent := &engine.FuncEntry{Name: art.Name, Unit: core.EncodeUnit(art.Unit)}
+	if _, ok := d.LoadFunc(art.Key); ok {
+		t.Fatal("hit on empty store")
+	}
+	if err := d.StoreFunc(art.Key, ent); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := cachestore.Open(d.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := d2.LoadFunc(art.Key)
 	if !ok {
 		t.Fatal("stored entry missed")
 	}
-	if got.Name != ent.Name || got.Source != ent.Source || string(got.Object) != string(ent.Object) {
+	if got.Name != ent.Name || !bytes.Equal(got.Unit, ent.Unit) {
 		t.Errorf("round-trip mismatch: %+v", got)
 	}
-	if d.Len() != 1 {
-		t.Errorf("Len = %d, want 1", d.Len())
+	if _, err := core.DecodeUnit(got.Unit); err != nil {
+		t.Errorf("reloaded unit does not decode: %v", err)
+	}
+	raw, err := os.ReadFile(entryPath(d, art.Key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	magic := fmt.Sprintf("MIRACS%d\n", engine.CacheFormatVersion)
+	if !bytes.Equal(raw, cachestore.EncodeFrame(magic, []byte(art.Key), []byte(ent.Name), ent.Unit)) {
+		t.Error("on-disk entry is not the key, name, unit frame")
 	}
 }
 
 func TestDiskRejectsBadKeys(t *testing.T) {
 	d := openStore(t)
 	for _, key := range []string{"", "ab", "../../etc/passwd", "ABCDEF012345", "zz" + strings.Repeat("a", 8)} {
-		if err := d.Store(key, &engine.Entry{}); err == nil {
-			t.Errorf("Store accepted key %q", key)
+		if err := d.StoreFunc(key, &engine.FuncEntry{}); err == nil {
+			t.Errorf("StoreFunc accepted key %q", key)
 		}
-		if _, ok := d.Load(key); ok {
-			t.Errorf("Load accepted key %q", key)
+		if _, ok := d.LoadFunc(key); ok {
+			t.Errorf("LoadFunc accepted key %q", key)
 		}
+	}
+	if d.FuncLen() != 0 {
+		t.Errorf("FuncLen = %d after refused writes, want 0", d.FuncLen())
 	}
 }
 
@@ -82,10 +107,7 @@ func TestDiskRejectsBadKeys(t *testing.T) {
 // and never a bogus entry.
 func TestDiskCorruptEntryIsMiss(t *testing.T) {
 	key := strings.Repeat("cd", 32)
-	ent := &engine.Entry{Name: "k.c", Source: kernelSrc, Object: []byte("object bytes")}
-	path := func(d *cachestore.Disk) string {
-		return filepath.Join(d.Dir(), "objects", key[:2], key+".mira")
-	}
+	ent := &engine.FuncEntry{Name: "kernel", Unit: []byte("unit bytes")}
 	corruptions := []struct {
 		name string
 		mut  func([]byte) []byte
@@ -101,17 +123,17 @@ func TestDiskCorruptEntryIsMiss(t *testing.T) {
 	}
 	for _, c := range corruptions {
 		d := openStore(t)
-		if err := d.Store(key, ent); err != nil {
+		if err := d.StoreFunc(key, ent); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(path(d))
+		raw, err := os.ReadFile(entryPath(d, key))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path(d), c.mut(raw), 0o644); err != nil {
+		if err := os.WriteFile(entryPath(d, key), c.mut(raw), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := d.Load(key); ok {
+		if got, ok := d.LoadFunc(key); ok {
 			t.Errorf("%s: corrupt entry served: %+v", c.name, got)
 		}
 	}
@@ -123,11 +145,11 @@ func TestDiskEntryUnderWrongKey(t *testing.T) {
 	d := openStore(t)
 	key1 := strings.Repeat("11", 32)
 	key2 := strings.Repeat("22", 32)
-	if err := d.Store(key1, &engine.Entry{Name: "a.c", Source: "x", Object: []byte{1}}); err != nil {
+	if err := d.StoreFunc(key1, &engine.FuncEntry{Name: "a", Unit: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
-	src := filepath.Join(d.Dir(), "objects", key1[:2], key1+".mira")
-	dst := filepath.Join(d.Dir(), "objects", key2[:2], key2+".mira")
+	src := entryPath(d, key1)
+	dst := entryPath(d, key2)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +160,7 @@ func TestDiskEntryUnderWrongKey(t *testing.T) {
 	if err := os.WriteFile(dst, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d.Load(key2); ok {
+	if _, ok := d.LoadFunc(key2); ok {
 		t.Error("entry served under a key it was not stored for")
 	}
 }
@@ -159,7 +181,7 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.Len() == 0 {
+	if d1.FuncLen() == 0 {
 		t.Fatal("nothing persisted")
 	}
 
@@ -187,7 +209,7 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 	if exp.Value("mira_store_hits_total") == 0 {
 		t.Error("warm engine served no store hits")
 	}
-	if exp.Value("mira_analyze_seconds_count") != 0 {
+	if exp.Value("mira_incremental_misses_total") != 0 {
 		t.Error("warm engine recompiled despite the disk cache")
 	}
 }
@@ -215,8 +237,9 @@ func analyzeAndEval(e *engine.Engine, env expr.Env) (any, error) {
 // BenchmarkColdVsWarmRestart measures what the persistent cache buys a
 // restarting process: Cold compiles benchprogs from scratch each
 // iteration (fresh engine, empty store); WarmRestart gives each fresh
-// engine a directory populated by a previous "process" so every program
-// rebuilds from its stored artifact.
+// engine a directory populated by a previous "process" so every
+// function restores from its stored unit and only the models
+// regenerate.
 func BenchmarkColdVsWarmRestart(b *testing.B) {
 	jobs := []engine.Job{
 		{Name: "stream.c", Source: benchprogs.Stream},
@@ -262,7 +285,7 @@ func BenchmarkColdVsWarmRestart(b *testing.B) {
 	})
 }
 
-// TestDiskFuncRoundTrip covers the per-function side of the store.
+// TestDiskFuncRoundTrip covers arbitrary unit bytes and the entry count.
 func TestDiskFuncRoundTrip(t *testing.T) {
 	d := openStore(t)
 	key := strings.Repeat("fe", 32)
@@ -282,9 +305,6 @@ func TestDiskFuncRoundTrip(t *testing.T) {
 	}
 	if d.FuncLen() != 1 {
 		t.Errorf("FuncLen = %d, want 1", d.FuncLen())
-	}
-	if d.Len() != 0 {
-		t.Errorf("Len = %d, want 0 (function entries live under funcs/)", d.Len())
 	}
 }
 
@@ -341,7 +361,7 @@ func TestFuncEntryCorruptionIsolated(t *testing.T) {
 	}
 
 	// Edit inside minife only (a column shift on one of its lines), so
-	// the whole-source entry misses and the per-function path runs.
+	// the restarted engine must recompile minife itself as well.
 	mutated := strings.Replace(benchprogs.MiniFE, "return cg_solve", " return cg_solve", 1)
 	if mutated == benchprogs.MiniFE {
 		t.Fatal("mutation did not change the source")
@@ -380,35 +400,17 @@ func TestFuncEntryCorruptionIsolated(t *testing.T) {
 	}
 }
 
-// encodeWithMagic reproduces the entry framing (sections + trailing
-// sha256) under an arbitrary magic, to handcraft entries from other
-// format versions with valid checksums.
-func encodeWithMagic(magic string, sections ...[]byte) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	for _, s := range sections {
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(tmp[:], uint64(len(s)))
-		buf.Write(tmp[:n])
-		buf.Write(s)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	buf.Write(sum[:])
-	return buf.Bytes()
-}
-
 // TestVersionMismatchIsMiss pins the versioned-magic contract: the
 // on-disk magic embeds engine.CacheFormatVersion, and a perfectly
 // well-formed entry from another version — old or future, checksum and
 // framing intact — reads back as a clean miss, never an error.
 func TestVersionMismatchIsMiss(t *testing.T) {
 	d := openStore(t)
-	key := strings.Repeat("ef", 32)
-	if err := d.Store(key, &engine.Entry{Name: "k.c", Source: "s", Object: []byte{1}}); err != nil {
+	key := strings.Repeat("ab", 32)
+	if err := d.StoreFunc(key, &engine.FuncEntry{Name: "f", Unit: []byte{2}}); err != nil {
 		t.Fatal(err)
 	}
-	objPath := filepath.Join(d.Dir(), "objects", key[:2], key+".mira")
-	raw, err := os.ReadFile(objPath)
+	raw, err := os.ReadFile(entryPath(d, key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,28 +420,15 @@ func TestVersionMismatchIsMiss(t *testing.T) {
 			raw[:len(wantMagic)], wantMagic)
 	}
 
-	funcKey := strings.Repeat("ab", 32)
-	if err := d.StoreFunc(funcKey, &engine.FuncEntry{Name: "f", Unit: []byte{2}}); err != nil {
-		t.Fatal(err)
-	}
-	funcPath := filepath.Join(d.Dir(), "funcs", funcKey[:2], funcKey+".mira")
-
 	oldMagic := fmt.Sprintf("MIRACS%d\n", engine.CacheFormatVersion-1)
 	futureMagic := fmt.Sprintf("MIRACS%d\n", engine.CacheFormatVersion+1)
 	for _, version := range []string{oldMagic, futureMagic} {
-		obj := encodeWithMagic(version, []byte(key), []byte("k.c"), []byte("s"), []byte{1})
-		if err := os.WriteFile(objPath, obj, 0o644); err != nil {
+		fn := cachestore.EncodeFrame(version, []byte(key), []byte("f"), []byte{2})
+		if err := os.WriteFile(entryPath(d, key), fn, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := d.Load(key); ok {
-			t.Errorf("%q whole-source entry served across a version bump", strings.TrimSpace(version))
-		}
-		fn := encodeWithMagic(version, []byte(funcKey), []byte("f"), []byte{2})
-		if err := os.WriteFile(funcPath, fn, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := d.LoadFunc(funcKey); ok {
-			t.Errorf("%q per-function entry served across a version bump", strings.TrimSpace(version))
+		if _, ok := d.LoadFunc(key); ok {
+			t.Errorf("%q entry served across a version bump", strings.TrimSpace(version))
 		}
 	}
 }

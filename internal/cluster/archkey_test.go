@@ -50,14 +50,14 @@ func (p *peerDepot) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// objectKeys returns the whole-source entry keys the depot holds.
-func (p *peerDepot) objectKeys() []string {
+// funcKeys returns the per-function entry keys the depot holds.
+func (p *peerDepot) funcKeys() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []string
 	for path := range p.objects {
-		if strings.HasPrefix(path, "/cluster/object/") {
-			out = append(out, strings.TrimPrefix(path, "/cluster/object/"))
+		if strings.HasPrefix(path, "/cluster/func/") {
+			out = append(out, strings.TrimPrefix(path, "/cluster/func/"))
 		}
 	}
 	return out
@@ -123,9 +123,9 @@ func TestPeerTierArchIsolation(t *testing.T) {
 	if ridge1 == ridge2 {
 		t.Fatal("arch twins computed the same ridge point; the test cannot detect poisoning")
 	}
-	keys := depot.objectKeys()
+	keys := depot.funcKeys()
 	if len(keys) != 2 || keys[0] == keys[1] {
-		t.Fatalf("owner holds %d whole-source entries %v, want 2 distinct (one per arch)", len(keys), keys)
+		t.Fatalf("owner holds %d function entries %v, want 2 distinct (one per arch)", len(keys), keys)
 	}
 
 	// Cold phase: fresh replicas with empty local stores warm from the
@@ -136,7 +136,14 @@ func TestPeerTierArchIsolation(t *testing.T) {
 	if got := ridge(e3); got != ridge1 {
 		t.Errorf("cold d1 replica ridge %v, want %v", got, ridge1)
 	}
-	if _, ok := s3.Local().Load(e3.Key(twinSrc)); !ok {
+	a3, err := e3.AnalyzeCtx(context.Background(), "scale.c", twinSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3.met.peerHits.Value() == 0 {
+		t.Error("cold replica did not read through to the peer")
+	}
+	if _, ok := s3.Local().LoadFunc(a3.FuncKeys["scale"]); !ok {
 		t.Error("cold replica did not warm from the peer (local fill missing)")
 	}
 

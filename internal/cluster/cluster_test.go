@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/cachestore"
+	"mira/internal/engine"
 	"mira/internal/obs"
 )
 
@@ -121,35 +123,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-func TestWireEntryRoundTrip(t *testing.T) {
-	key := testKeys(1)[0]
-	e := &testEntry
-	raw := EncodeEntry(key, e)
-	got, err := DecodeEntry(key, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != e.Name || got.Source != e.Source || string(got.Object) != string(e.Object) {
-		t.Errorf("round trip mismatch: %+v", got)
-	}
-
-	// Any single defect is an error, never a partial decode.
-	if _, err := DecodeEntry("f00d", raw); err == nil {
-		t.Error("payload accepted under the wrong key")
-	}
-	if _, err := DecodeEntry(key, raw[:len(raw)-1]); err == nil {
-		t.Error("truncated payload accepted")
-	}
-	flipped := append([]byte(nil), raw...)
-	flipped[len(peerMagic)+3] ^= 0x40
-	if _, err := DecodeEntry(key, flipped); err == nil {
-		t.Error("corrupt payload accepted")
-	}
-	if _, err := DecodeEntry(key, []byte("not a frame at all")); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
 func TestWireFuncEntryRoundTrip(t *testing.T) {
 	key := testKeys(2)[1]
 	raw := EncodeFuncEntry(key, &testFuncEntry)
@@ -160,9 +133,27 @@ func TestWireFuncEntryRoundTrip(t *testing.T) {
 	if got.Name != testFuncEntry.Name || string(got.Unit) != string(testFuncEntry.Unit) {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
-	// A whole-source frame is not a function frame.
-	if _, err := DecodeFuncEntry(key, EncodeEntry(key, &testEntry)); err == nil {
-		t.Error("whole-source frame decoded as a function frame")
+
+	// Any single defect is an error, never a partial decode.
+	if _, err := DecodeFuncEntry("f00d", raw); err == nil {
+		t.Error("payload accepted under the wrong key")
+	}
+	if _, err := DecodeFuncEntry(key, raw[:len(raw)-1]); err == nil {
+		t.Error("truncated payload accepted")
+	}
+	flipped := append([]byte(nil), raw...)
+	flipped[len(peerMagic)+3] ^= 0x40
+	if _, err := DecodeFuncEntry(key, flipped); err == nil {
+		t.Error("corrupt payload accepted")
+	}
+	if _, err := DecodeFuncEntry(key, []byte("not a frame at all")); err == nil {
+		t.Error("garbage accepted")
+	}
+	// A store entry is not a peer payload: same frame, other magic.
+	store := cachestore.EncodeFrame(fmt.Sprintf("MIRACS%d\n", engine.CacheFormatVersion),
+		[]byte(key), []byte(testFuncEntry.Name), testFuncEntry.Unit)
+	if _, err := DecodeFuncEntry(key, store); err == nil {
+		t.Error("store-magic frame decoded as a peer payload")
 	}
 }
 
@@ -175,8 +166,8 @@ func TestValidKey(t *testing.T) {
 		"../etc":   false,
 		"":         false,
 	} {
-		if got := validKey(key); got != want {
-			t.Errorf("validKey(%q) = %v, want %v", key, got, want)
+		if got := cachestore.ValidKey(key); got != want {
+			t.Errorf("ValidKey(%q) = %v, want %v", key, got, want)
 		}
 	}
 }
@@ -226,15 +217,15 @@ func TestAdmissionSaturation(t *testing.T) {
 
 func TestClassOf(t *testing.T) {
 	for path, want := range map[string]Class{
-		"/query":               ClassInteractive,
-		"/eval":                ClassInteractive,
-		"/analyze":             ClassInteractive,
-		"/sweep":               ClassBulk,
-		"/report":              ClassBulk,
-		"/metrics":             ClassControl,
-		"/healthz":             ClassControl,
-		"/cluster/ring":        ClassControl,
-		"/cluster/object/abcd": ClassControl,
+		"/query":             ClassInteractive,
+		"/eval":              ClassInteractive,
+		"/analyze":           ClassInteractive,
+		"/sweep":             ClassBulk,
+		"/report":            ClassBulk,
+		"/metrics":           ClassControl,
+		"/livez":             ClassControl,
+		"/cluster/ring":      ClassControl,
+		"/cluster/func/abcd": ClassControl,
 	} {
 		if got := ClassOf(path); got != want {
 			t.Errorf("ClassOf(%q) = %v, want %v", path, got, want)

@@ -33,7 +33,7 @@ func (c *fakeClock) Now() time.Time {
 func TestPeerStoreLatencyUsesInjectedClock(t *testing.T) {
 	var key string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write(EncodeEntry(key, &testEntry))
+		_, _ = w.Write(EncodeFuncEntry(key, &testFuncEntry))
 	}))
 	defer srv.Close()
 
@@ -48,7 +48,7 @@ func TestPeerStoreLatencyUsesInjectedClock(t *testing.T) {
 	t.Cleanup(s.Close)
 	key = keyOwnedBy(t, s.ring, srv.URL)
 
-	if _, ok := s.Load(key); !ok {
+	if _, ok := s.LoadFunc(key); !ok {
 		t.Fatal("peer-held entry not loaded")
 	}
 	count, sum := met.peerLatency.Snapshot()

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+
+	"mira/internal/cachestore"
 )
 
 // ringInfo is the GET /cluster/ring payload: the membership, this
@@ -20,11 +22,9 @@ type ringInfo struct {
 
 // Handler serves the peer protocol for one replica:
 //
-//	GET /cluster/ring          ring introspection (JSON)
-//	GET /cluster/object/{key}  framed whole-source entry from the local store
-//	PUT /cluster/object/{key}  write-behind replication receiver
-//	GET /cluster/func/{key}    framed per-function entry
-//	PUT /cluster/func/{key}    per-function replication receiver
+//	GET /cluster/ring        ring introspection (JSON)
+//	GET /cluster/func/{key}  framed per-function entry from the local store
+//	PUT /cluster/func/{key}  write-behind replication receiver
 //
 // GETs serve from the replica's *local* store only — never through
 // the peer tier — so sibling fetches cannot recurse. PUT payloads are
@@ -34,8 +34,6 @@ type ringInfo struct {
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /cluster/ring", n.handleRing)
-	mux.HandleFunc("GET /cluster/object/{key}", n.handleGetObject)
-	mux.HandleFunc("PUT /cluster/object/{key}", n.handlePutObject)
 	mux.HandleFunc("GET /cluster/func/{key}", n.handleGetFunc)
 	mux.HandleFunc("PUT /cluster/func/{key}", n.handlePutFunc)
 	return mux
@@ -53,44 +51,9 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (n *Node) handleGetObject(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !validKey(key) {
-		http.Error(w, "bad key", http.StatusBadRequest)
-		return
-	}
-	e, ok := n.Store.Local().Load(key)
-	if !ok {
-		http.Error(w, "no entry", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// Best-effort: a short write means the fetching peer went away; it
-	// will fail checksum verification and treat the read as a miss.
-	_, _ = w.Write(EncodeEntry(key, e))
-}
-
-func (n *Node) handlePutObject(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	raw, ok := n.readPeerBody(w, r, key)
-	if !ok {
-		return
-	}
-	e, err := DecodeEntry(key, raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := n.Store.Local().Store(key, e); err != nil {
-		http.Error(w, "store failed", http.StatusInsufficientStorage)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (n *Node) handleGetFunc(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !cachestore.ValidKey(key) {
 		http.Error(w, "bad key", http.StatusBadRequest)
 		return
 	}
@@ -100,7 +63,8 @@ func (n *Node) handleGetFunc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	// Best-effort, as in handleGetObject: the peer verifies checksums.
+	// Best-effort: a short write means the fetching peer went away; it
+	// will fail checksum verification and treat the read as a miss.
 	_, _ = w.Write(EncodeFuncEntry(key, e))
 }
 
@@ -124,7 +88,7 @@ func (n *Node) handlePutFunc(w http.ResponseWriter, r *http.Request) {
 
 // readPeerBody validates the key and reads a bounded PUT body.
 func (n *Node) readPeerBody(w http.ResponseWriter, r *http.Request, key string) ([]byte, bool) {
-	if !validKey(key) {
+	if !cachestore.ValidKey(key) {
 		http.Error(w, "bad key", http.StatusBadRequest)
 		return nil, false
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"mira/internal/engine"
 	"mira/internal/obs"
 )
 
@@ -21,7 +22,7 @@ type NodeOptions struct {
 	VirtualNodes int
 	// Local is the replica's own store: the on-disk cachestore, or an
 	// engine.MemoryStore for diskless replicas. Required.
-	Local LocalStore
+	Local engine.CacheStore
 	// Obs receives the cluster metrics (mira_cluster_*,
 	// mira_admission_*, mira_ratelimit_*). Nil means a private
 	// registry. Use the same registry as the engine so one /metrics

@@ -66,10 +66,10 @@ func TestHandlerPutRejectsCorrupt(t *testing.T) {
 	defer srv.Close()
 
 	key := "deadbeefdeadbeef"
-	raw := EncodeEntry(key, &testEntry)
+	raw := EncodeFuncEntry(key, &testFuncEntry)
 	raw[len(raw)/2] ^= 0x01
 
-	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/cluster/object/"+key, strings.NewReader(string(raw)))
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/cluster/func/"+key, strings.NewReader(string(raw)))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -78,12 +78,12 @@ func TestHandlerPutRejectsCorrupt(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("corrupt PUT answered %d, want 400", resp.StatusCode)
 	}
-	if _, ok := n.Store.Local().Load(key); ok {
+	if _, ok := n.Store.Local().LoadFunc(key); ok {
 		t.Error("corrupt PUT reached the store")
 	}
 
 	// The intact frame is accepted and lands in the local store.
-	req, _ = http.NewRequest(http.MethodPut, srv.URL+"/cluster/object/"+key, strings.NewReader(string(EncodeEntry(key, &testEntry))))
+	req, _ = http.NewRequest(http.MethodPut, srv.URL+"/cluster/func/"+key, strings.NewReader(string(EncodeFuncEntry(key, &testFuncEntry))))
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestHandlerPutRejectsCorrupt(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Errorf("valid PUT answered %d, want 204", resp.StatusCode)
 	}
-	if _, ok := n.Store.Local().Load(key); !ok {
+	if _, ok := n.Store.Local().LoadFunc(key); !ok {
 		t.Error("valid PUT never reached the store")
 	}
 }
@@ -106,7 +106,7 @@ func TestHandlerGetServesLocalOnly(t *testing.T) {
 	defer srv.Close()
 
 	key := "feedfacefeedface"
-	resp, err := http.Get(srv.URL + "/cluster/object/" + key)
+	resp, err := http.Get(srv.URL + "/cluster/func/" + key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +115,8 @@ func TestHandlerGetServesLocalOnly(t *testing.T) {
 		t.Errorf("absent entry answered %d, want 404", resp.StatusCode)
 	}
 
-	n.Store.Local().Store(key, &testEntry)
-	resp, err = http.Get(srv.URL + "/cluster/object/" + key)
+	n.Store.Local().StoreFunc(key, &testFuncEntry)
+	resp, err = http.Get(srv.URL + "/cluster/func/" + key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestHandlerGetServesLocalOnly(t *testing.T) {
 			break
 		}
 	}
-	if _, err := DecodeEntry(key, raw); err != nil {
+	if _, err := DecodeFuncEntry(key, raw); err != nil {
 		t.Errorf("served frame does not verify: %v", err)
 	}
 
-	if resp, err := http.Get(srv.URL + "/cluster/object/UPPER"); err == nil {
+	if resp, err := http.Get(srv.URL + "/cluster/func/UPPER"); err == nil {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("invalid key answered %d, want 400", resp.StatusCode)

@@ -9,16 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"mira/internal/cachestore"
 	"mira/internal/engine"
 )
-
-// LocalStore is the store a replica owns outright: both the
-// whole-source and per-function sides. engine.MemoryStore and
-// cachestore.Disk implement it.
-type LocalStore interface {
-	engine.CacheStore
-	engine.FuncStore
-}
 
 // PeerStoreOptions tunes the peer cache tier. The zero value is a
 // sane production configuration.
@@ -33,10 +26,10 @@ type PeerStoreOptions struct {
 	Retries int
 	// Backoff is the base delay between read retries (default 25ms).
 	Backoff time.Duration
-	// ReplicaQueue bounds the write-behind queue (default 256). A full
-	// queue drops the oldest-enqueued semantics are not needed: the
-	// new entry is dropped and counted — replication is best-effort,
-	// the local store already has the artifact.
+	// ReplicaQueue bounds the write-behind queue (default 256). When
+	// the queue is full the new shipment is dropped and counted, not
+	// queued: replication is best-effort, and the local store already
+	// has the artifact.
 	ReplicaQueue int
 	// ReplicaWorkers is the number of background replication senders
 	// (default 2).
@@ -76,17 +69,17 @@ func (o PeerStoreOptions) withDefaults() PeerStoreOptions {
 	return o
 }
 
-// PeerStore implements engine.CacheStore and engine.FuncStore over the
-// cluster: reads go local-first, then read-through to the key's ring
-// owner (verified, checksummed, and cached locally on success); writes
-// land locally and replicate to the owner write-behind. Every peer
-// interaction is bounded — per-request timeout, bounded retries with
-// backoff, and a per-peer circuit breaker — so the worst a dead peer
-// can do is add one timeout before the engine compiles locally.
+// PeerStore implements engine.CacheStore over the cluster: reads go
+// local-first, then read-through to the key's ring owner (verified,
+// checksummed, and cached locally on success); writes land locally and
+// replicate to the owner write-behind. Every peer interaction is
+// bounded — per-request timeout, bounded retries with backoff, and a
+// per-peer circuit breaker — so the worst a dead peer can do is add one
+// timeout before the engine compiles locally.
 type PeerStore struct {
 	self   string
 	ring   *Ring
-	local  LocalStore
+	local  engine.CacheStore
 	client *http.Client
 	health *health
 	met    *metricsSet
@@ -103,21 +96,17 @@ type PeerStore struct {
 // replJob is one write-behind shipment: a framed payload bound for a
 // key's owner.
 type replJob struct {
-	kind    string // "object" or "func"
 	key     string
 	owner   string
 	payload []byte
 }
 
-// Ensure the engine contracts are met.
-var (
-	_ engine.CacheStore = (*PeerStore)(nil)
-	_ engine.FuncStore  = (*PeerStore)(nil)
-)
+// Ensure the engine contract is met.
+var _ engine.CacheStore = (*PeerStore)(nil)
 
 // newPeerStore wires the store; called by NewNode, which owns the
 // shared health registry and metrics set.
-func newPeerStore(self string, ring *Ring, local LocalStore, h *health, met *metricsSet, opts PeerStoreOptions) *PeerStore {
+func newPeerStore(self string, ring *Ring, local engine.CacheStore, h *health, met *metricsSet, opts PeerStoreOptions) *PeerStore {
 	opts = opts.withDefaults()
 	s := &PeerStore{
 		self:   self,
@@ -156,50 +145,19 @@ func (s *PeerStore) Flush() { s.pending.Wait() }
 // Local returns the replica's own store — what the peer-protocol
 // handler serves from, so sibling fetches never recurse through the
 // peer tier.
-func (s *PeerStore) Local() LocalStore { return s.local }
+func (s *PeerStore) Local() engine.CacheStore { return s.local }
 
-// Load is the read-through path: the local store first; on a miss,
-// fetch from the key's ring owner, verify the checksummed payload, and
-// cache it locally so the next request is a local hit. Every failure
-// mode — owner down, circuit open, timeout, corrupt payload — is a
-// miss: the engine compiles locally and the replica keeps serving.
-func (s *PeerStore) Load(key string) (*engine.Entry, bool) {
-	if e, ok := s.local.Load(key); ok {
-		return e, true
-	}
-	raw, ok := s.fetch("object", key)
-	if !ok {
-		return nil, false
-	}
-	e, err := DecodeEntry(key, raw)
-	if err != nil {
-		s.met.peerErrors.Inc()
-		return nil, false
-	}
-	s.met.peerHits.Inc()
-	// Local fill: repeats become local hits, and the entry survives
-	// the owner's death.
-	if err := s.local.Store(key, e); err != nil {
-		s.met.peerErrors.Inc()
-	}
-	return e, true
-}
-
-// Store lands e locally and replicates it write-behind to the key's
-// owner, so the ring's read-through tier converges on the owner
-// holding every artifact in its arc.
-func (s *PeerStore) Store(key string, e *engine.Entry) error {
-	err := s.local.Store(key, e)
-	s.replicate("object", key, EncodeEntry(key, e))
-	return err
-}
-
-// LoadFunc is Load for per-function entries.
+// LoadFunc is the read-through path: the local store first; on a
+// miss, fetch from the key's ring owner, verify the checksummed
+// payload, and cache it locally so the next request is a local hit.
+// Every failure mode — owner down, circuit open, timeout, corrupt
+// payload — is a miss: the engine compiles the function locally and the
+// replica keeps serving.
 func (s *PeerStore) LoadFunc(key string) (*engine.FuncEntry, bool) {
 	if e, ok := s.local.LoadFunc(key); ok {
 		return e, true
 	}
-	raw, ok := s.fetch("func", key)
+	raw, ok := s.fetch(key)
 	if !ok {
 		return nil, false
 	}
@@ -209,16 +167,20 @@ func (s *PeerStore) LoadFunc(key string) (*engine.FuncEntry, bool) {
 		return nil, false
 	}
 	s.met.peerHits.Inc()
+	// Local fill: repeats become local hits, and the entry survives
+	// the owner's death.
 	if err := s.local.StoreFunc(key, e); err != nil {
 		s.met.peerErrors.Inc()
 	}
 	return e, true
 }
 
-// StoreFunc is Store for per-function entries.
+// StoreFunc lands e locally and replicates it write-behind to the key's
+// owner, so the ring's read-through tier converges on the owner
+// holding every artifact in its arc.
 func (s *PeerStore) StoreFunc(key string, e *engine.FuncEntry) error {
 	err := s.local.StoreFunc(key, e)
-	s.replicate("func", key, EncodeFuncEntry(key, e))
+	s.replicate(key, EncodeFuncEntry(key, e))
 	return err
 }
 
@@ -226,8 +188,8 @@ func (s *PeerStore) StoreFunc(key string, e *engine.FuncEntry) error {
 // owner simply has no entry) is not a peer failure; transport errors,
 // timeouts, and 5xx responses count against the owner's breaker and
 // are retried within the configured bounds.
-func (s *PeerStore) fetch(kind, key string) ([]byte, bool) {
-	if !validKey(key) {
+func (s *PeerStore) fetch(key string) ([]byte, bool) {
+	if !cachestore.ValidKey(key) {
 		return nil, false
 	}
 	owner := s.ring.Owner(key)
@@ -241,7 +203,7 @@ func (s *PeerStore) fetch(kind, key string) ([]byte, bool) {
 			s.met.peerErrors.Inc()
 			return nil, false
 		}
-		raw, status, err := s.roundTrip(owner, kind, key)
+		raw, status, err := s.roundTrip(owner, key)
 		if err == nil && status == http.StatusOK {
 			b.Success()
 			return raw, true
@@ -261,12 +223,12 @@ func (s *PeerStore) fetch(kind, key string) ([]byte, bool) {
 }
 
 // roundTrip performs one GET against owner's peer endpoint.
-func (s *PeerStore) roundTrip(owner, kind, key string) ([]byte, int, error) {
+func (s *PeerStore) roundTrip(owner, key string) ([]byte, int, error) {
 	//lint:ignore mira/ctxflow the engine's CacheStore interface is ctx-free; the client timeout bounds the trip
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.Timeout)
 	defer cancel()
 	start := s.opts.Clock()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL(owner, kind, key), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL(owner, key), nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -296,7 +258,7 @@ func (s *PeerStore) roundTrip(owner, kind, key string) ([]byte, int, error) {
 // local replica's write has already landed; replication is best-effort
 // and a full queue drops the shipment with a counter, never blocking
 // the analysis path.
-func (s *PeerStore) replicate(kind, key string, payload []byte) {
+func (s *PeerStore) replicate(key string, payload []byte) {
 	owner := s.ring.Owner(key)
 	if owner == s.self {
 		return
@@ -308,7 +270,7 @@ func (s *PeerStore) replicate(kind, key string, payload []byte) {
 	}
 	s.pending.Add(1)
 	select {
-	case s.queue <- replJob{kind: kind, key: key, owner: owner, payload: payload}:
+	case s.queue <- replJob{key: key, owner: owner, payload: payload}:
 	default:
 		s.pending.Done()
 		s.met.replDrops.Inc()
@@ -368,7 +330,7 @@ func (s *PeerStore) put(job replJob) error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		peerURL(job.owner, job.kind, job.key), bytes.NewReader(job.payload))
+		peerURL(job.owner, job.key), bytes.NewReader(job.payload))
 	if err != nil {
 		return err
 	}
@@ -388,6 +350,6 @@ func (s *PeerStore) put(job replJob) error {
 }
 
 // peerURL builds the peer-protocol URL for an entry.
-func peerURL(owner, kind, key string) string {
-	return fmt.Sprintf("%s/cluster/%s/%s", owner, kind, key)
+func peerURL(owner, key string) string {
+	return fmt.Sprintf("%s/cluster/func/%s", owner, key)
 }

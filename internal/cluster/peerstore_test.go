@@ -12,7 +12,6 @@ import (
 	"mira/internal/obs"
 )
 
-var testEntry = engine.Entry{Name: "k.c", Source: "double f() { return 1.0; }", Object: []byte{1, 2, 3, 4}}
 var testFuncEntry = engine.FuncEntry{Name: "f", Unit: []byte{9, 8, 7}}
 
 // newTestPeerStore wires a PeerStore whose ring is {self, owner} with
@@ -50,24 +49,24 @@ func TestPeerStoreReadThrough(t *testing.T) {
 	requests := 0
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests++
-		w.Write(EncodeEntry(key, &testEntry))
+		w.Write(EncodeFuncEntry(key, &testFuncEntry))
 	}))
 	defer srv.Close()
 
 	s, _ := newTestPeerStore(t, "http://self.invalid:1", srv.URL, PeerStoreOptions{})
 	key = keyOwnedBy(t, s.ring, srv.URL)
 
-	e, ok := s.Load(key)
+	e, ok := s.LoadFunc(key)
 	if !ok {
 		t.Fatal("peer-held entry not loaded")
 	}
-	if e.Name != testEntry.Name || string(e.Object) != string(testEntry.Object) {
+	if e.Name != testFuncEntry.Name || string(e.Unit) != string(testFuncEntry.Unit) {
 		t.Errorf("entry mismatch: %+v", e)
 	}
-	if _, ok := s.local.Load(key); !ok {
+	if _, ok := s.local.LoadFunc(key); !ok {
 		t.Error("peer hit was not filled into the local store")
 	}
-	if _, ok := s.Load(key); !ok {
+	if _, ok := s.LoadFunc(key); !ok {
 		t.Fatal("repeat load failed")
 	}
 	if requests != 1 {
@@ -90,10 +89,10 @@ func TestPeerStoreOwnerDown(t *testing.T) {
 	})
 	key := keyOwnedBy(t, s.ring, owner)
 
-	if _, ok := s.Load(key); ok {
+	if _, ok := s.LoadFunc(key); ok {
 		t.Fatal("load from a dead owner reported a hit")
 	}
-	// One Load is two attempts (Retries defaults to 1), which meets the
+	// One LoadFunc is two attempts (Retries defaults to 1), which meets the
 	// threshold: the circuit is now open.
 	if got := h.breaker(owner).State(); got != "open" {
 		t.Errorf("breaker state after dead-owner load = %s, want open", got)
@@ -101,16 +100,16 @@ func TestPeerStoreOwnerDown(t *testing.T) {
 	// With the circuit open the miss is immediate (no dial); the store
 	// still answers and local writes still work.
 	start := time.Now()
-	if _, ok := s.Load(key); ok {
+	if _, ok := s.LoadFunc(key); ok {
 		t.Fatal("open-circuit load reported a hit")
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Errorf("open-circuit miss took %s; want immediate refusal", d)
 	}
-	if err := s.Store(key, &testEntry); err != nil {
+	if err := s.StoreFunc(key, &testFuncEntry); err != nil {
 		t.Fatalf("local store failed while the owner is down: %v", err)
 	}
-	if _, ok := s.local.Load(key); !ok {
+	if _, ok := s.local.LoadFunc(key); !ok {
 		t.Error("entry missing from the local store")
 	}
 }
@@ -134,7 +133,7 @@ func TestPeerStoreSlowPeer(t *testing.T) {
 	key := keyOwnedBy(t, s.ring, srv.URL)
 
 	start := time.Now()
-	if _, ok := s.Load(key); ok {
+	if _, ok := s.LoadFunc(key); ok {
 		t.Fatal("load from a hung peer reported a hit")
 	}
 	if d := time.Since(start); d > time.Second {
@@ -152,14 +151,14 @@ func TestPeerStoreCorruptPayload(t *testing.T) {
 	var key string
 	mode := "flip"
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		raw := EncodeEntry(key, &testEntry)
+		raw := EncodeFuncEntry(key, &testFuncEntry)
 		switch mode {
 		case "flip":
 			raw[len(raw)/2] ^= 0x01
 		case "truncate":
 			raw = raw[:len(raw)-8]
 		case "wrongkey":
-			raw = EncodeEntry("beef", &testEntry)
+			raw = EncodeFuncEntry("beef", &testFuncEntry)
 		}
 		w.Write(raw)
 	}))
@@ -170,10 +169,10 @@ func TestPeerStoreCorruptPayload(t *testing.T) {
 
 	for _, m := range []string{"flip", "truncate", "wrongkey"} {
 		mode = m
-		if _, ok := s.Load(key); ok {
+		if _, ok := s.LoadFunc(key); ok {
 			t.Errorf("%s: corrupt payload reported as a hit", m)
 		}
-		if _, ok := s.local.Load(key); ok {
+		if _, ok := s.local.LoadFunc(key); ok {
 			t.Errorf("%s: corrupt payload poisoned the local store", m)
 		}
 	}
@@ -195,7 +194,7 @@ func TestPeerStoreHealthyMiss(t *testing.T) {
 	s, h := newTestPeerStore(t, "http://self.invalid:1", srv.URL, PeerStoreOptions{BreakerThreshold: 1})
 	key := keyOwnedBy(t, s.ring, srv.URL)
 	for i := 0; i < 5; i++ {
-		if _, ok := s.Load(key); ok {
+		if _, ok := s.LoadFunc(key); ok {
 			t.Fatal("404 reported as a hit")
 		}
 	}
@@ -233,22 +232,18 @@ func TestPeerStoreWriteBehind(t *testing.T) {
 	s, _ := newTestPeerStore(t, "http://self.invalid:1", srv.URL, PeerStoreOptions{})
 	key := keyOwnedBy(t, s.ring, srv.URL)
 
-	if err := s.Store(key, &testEntry); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.StoreFunc(key, &testFuncEntry); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := s.local.LoadFunc(key); !ok {
+		t.Error("write did not land in the local store")
 	}
 	s.Flush()
 
 	mu.Lock()
 	defer mu.Unlock()
-	objRaw := received["/cluster/object/"+key]
-	if objRaw == nil {
-		t.Fatal("owner never received the object replication")
-	}
-	if _, err := DecodeEntry(key, objRaw); err != nil {
-		t.Errorf("replicated object frame does not verify: %v", err)
+	if len(received) != 1 {
+		t.Errorf("owner received %d shipments, want 1: %v", len(received), received)
 	}
 	fnRaw := received["/cluster/func/"+key]
 	if fnRaw == nil {
@@ -271,14 +266,14 @@ func TestPeerStoreSelfOwnedKey(t *testing.T) {
 	s, _ := newTestPeerStore(t, self, srv.URL, PeerStoreOptions{})
 	key := keyOwnedBy(t, s.ring, self)
 
-	if _, ok := s.Load(key); ok {
+	if _, ok := s.LoadFunc(key); ok {
 		t.Fatal("empty store reported a hit")
 	}
-	if err := s.Store(key, &testEntry); err != nil {
+	if err := s.StoreFunc(key, &testFuncEntry); err != nil {
 		t.Fatal(err)
 	}
 	s.Flush()
-	if _, ok := s.Load(key); !ok {
+	if _, ok := s.LoadFunc(key); !ok {
 		t.Fatal("self-owned entry not served locally")
 	}
 }

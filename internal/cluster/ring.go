@@ -5,13 +5,13 @@
 //   - Ring, a consistent-hash ring over content keys with virtual
 //     nodes, so each key has exactly one owner replica and membership
 //     changes move only the departed peer's share of the key space,
-//   - PeerStore, an HTTP/peer-backed engine.CacheStore/FuncStore with
-//     read-through to the key's owner, write-behind replication, and
-//     per-peer circuit breakers, so a dead peer degrades to a local
-//     compile instead of failing the request,
+//   - PeerStore, an HTTP/peer-backed engine.CacheStore of per-function
+//     entries with read-through to the key's owner, write-behind
+//     replication, and per-peer circuit breakers, so a dead peer
+//     degrades to a local compile instead of failing the request,
 //   - Handler, the peer-protocol endpoints (GET /cluster/ring for
-//     introspection, GET/PUT object and function entries) a replica
-//     serves to its siblings,
+//     introspection, GET/PUT per-function entries) a replica serves to
+//     its siblings,
 //   - Admission + RateLimiter, the front-door hygiene: QoS classes
 //     (interactive /query vs. bulk /sweep), bounded per-class
 //     concurrency that sheds excess bulk load with Retry-After instead

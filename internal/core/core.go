@@ -6,20 +6,16 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
 	"mira/internal/arch"
 	"mira/internal/ast"
-	"mira/internal/cc"
 	"mira/internal/disasm"
 	"mira/internal/expr"
 	"mira/internal/ir"
-	"mira/internal/metrics"
 	"mira/internal/model"
 	"mira/internal/objfile"
-	"mira/internal/parser"
 	"mira/internal/sema"
 	"mira/internal/vm"
 )
@@ -61,110 +57,14 @@ func Analyze(name, source string, opts Options) (*Pipeline, error) {
 // between stages (parse, sema, compile, decode, metrics), so an abandoned
 // request stops burning CPU at the next stage boundary. A cancelled run
 // returns ctx.Err() (possibly wrapped); callers that cache analysis
-// results must not cache it.
+// results must not cache it. It is AnalyzeIncrementalContext with no
+// cache: every function compiles.
 func AnalyzeContext(ctx context.Context, name, source string, opts Options) (*Pipeline, error) {
-	return analyze(ctx, name, source, nil, opts)
-}
-
-// AnalyzeFromObject rebuilds a Pipeline from source text plus a
-// previously encoded object file — the warm path of a persistent cache.
-// The front end still runs (parse + sema are cheap and the metric
-// generator needs the source AST), but the compiler and the encode step
-// are skipped: the artifact is decoded from the stored bytes, exactly as
-// Analyze decodes its freshly encoded buffer. The caller is responsible
-// for only pairing object bytes with the source text and options that
-// produced them (a content-addressed store keyed on both does this by
-// construction).
-func AnalyzeFromObject(name, source string, object []byte, opts Options) (*Pipeline, error) {
-	return AnalyzeFromObjectContext(context.Background(), name, source, object, opts)
-}
-
-// AnalyzeFromObjectContext is AnalyzeFromObject with the same stage-
-// boundary cancellation as AnalyzeContext.
-func AnalyzeFromObjectContext(ctx context.Context, name, source string, object []byte, opts Options) (*Pipeline, error) {
-	if len(object) == 0 {
-		// Distinguish "no artifact" from the compile path explicitly: a
-		// truncated store entry must degrade to a recompile at the caller,
-		// never silently become one here.
-		return nil, fmt.Errorf("core: decode stored object: empty artifact")
-	}
-	return analyze(ctx, name, source, object, opts)
-}
-
-// analyze is the shared pipeline body. object == nil means compile from
-// source (round-tripping the artifact through its byte encoding); a
-// non-nil object skips the compiler and decodes the stored bytes. Each
-// stage boundary is a cancellation point.
-func analyze(ctx context.Context, name, source string, object []byte, opts Options) (*Pipeline, error) {
-	if err := ctx.Err(); err != nil {
+	res, err := AnalyzeIncrementalContext(ctx, name, source, opts, nil)
+	if err != nil {
 		return nil, err
 	}
-	file, err := parser.ParseFile(name, source)
-	if err != nil {
-		return nil, fmt.Errorf("core: parse: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	prog, err := sema.Analyze(file)
-	if err != nil {
-		return nil, fmt.Errorf("core: sema: %w", err)
-	}
-	keys := FuncKeys(prog, opts)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if object == nil {
-		obj, err := cc.Compile(prog, cc.Options{SourceName: name, DisableOpt: opts.DisableOpt})
-		if err != nil {
-			return nil, fmt.Errorf("core: compile: %w", err)
-		}
-		var buf bytes.Buffer
-		if err := obj.Encode(&buf); err != nil {
-			return nil, fmt.Errorf("core: encode: %w", err)
-		}
-		object = buf.Bytes()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	decoded, err := objfile.Decode(object)
-	if err != nil {
-		return nil, fmt.Errorf("core: decode: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m, warns, err := metrics.Generate(prog, decoded, metrics.Config{Lenient: opts.Lenient})
-	if err != nil {
-		return nil, fmt.Errorf("core: metrics: %w", err)
-	}
-	a := opts.Arch
-	if a == nil {
-		a = arch.Generic()
-	}
-	return &Pipeline{
-		Name:     name,
-		Source:   source,
-		File:     file,
-		Prog:     prog,
-		Obj:      decoded,
-		Model:    m,
-		Arch:     a,
-		Warnings: warns,
-		FuncKeys: keys,
-	}, nil
-}
-
-// EncodeObject re-encodes the pipeline's object file to its portable byte
-// form — the artifact a persistent cache stores so a later process can
-// AnalyzeFromObject instead of recompiling.
-func (p *Pipeline) EncodeObject() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := p.Obj.Encode(&buf); err != nil {
-		return nil, fmt.Errorf("core: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+	return res.Pipeline, nil
 }
 
 // StaticMetrics evaluates the model of fn (inclusive) under env.

@@ -118,52 +118,6 @@ func TestAnalyzeErrorsPropagate(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFromObject round-trips the warm-start path: the artifact a
-// cold Analyze encodes must rebuild — without the compiler — into a
-// pipeline whose model evaluates identically.
-func TestAnalyzeFromObject(t *testing.T) {
-	cold, err := core.Analyze("k.c", kernelSrc, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	object, err := cold.EncodeObject()
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := core.AnalyzeFromObject("k.c", kernelSrc, object, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := expr.EnvFromInts(map[string]int64{"n": 1000})
-	cm, err := cold.StaticMetrics("kernel", env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm, err := warm.StaticMetrics("kernel", env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm != wm {
-		t.Errorf("warm metrics %+v != cold metrics %+v", wm, cm)
-	}
-	if cold.PythonModel() != warm.PythonModel() {
-		t.Error("warm rebuild emits a different Python model")
-	}
-	// The rebuilt artifact must also re-encode to the same bytes, so a
-	// store round-trip is idempotent.
-	again, err := warm.EncodeObject()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(object) {
-		t.Error("EncodeObject not stable across decode/encode round-trip")
-	}
-	// Corrupt bytes must surface as an error, not a bogus pipeline.
-	if _, err := core.AnalyzeFromObject("k.c", kernelSrc, object[:len(object)/2], core.Options{}); err == nil {
-		t.Error("truncated object accepted")
-	}
-}
-
 // TestAnalyzeContextCancellation: a dead context stops the pipeline at
 // a stage boundary with the context's own error.
 func TestAnalyzeContextCancellation(t *testing.T) {
@@ -175,9 +129,5 @@ func TestAnalyzeContextCancellation(t *testing.T) {
 	// A live context is the plain Analyze path.
 	if _, err := core.AnalyzeContext(context.Background(), "k.c", kernelSrc, core.Options{}); err != nil {
 		t.Fatal(err)
-	}
-	// Empty stored artifacts error instead of silently recompiling.
-	if _, err := core.AnalyzeFromObjectContext(context.Background(), "k.c", kernelSrc, nil, core.Options{}); err == nil {
-		t.Error("empty artifact accepted")
 	}
 }

@@ -12,12 +12,12 @@ import (
 )
 
 // CacheFormatVersion is the version of Mira's cache-key scheme, shared by
-// every caching layer: it is mixed into the engine's whole-source keys,
+// every caching layer: it is mixed into the engine's content-hash keys,
 // into every function-content key below, and into the cachestore's
 // on-disk magic. Bump it whenever the meaning of a key changes (hash
 // inputs, artifact encoding, model semantics) so that stale artifacts in
-// every layer — live memo, whole-source entries, per-function entries —
-// become clean misses at once, never mismatches.
+// every layer — live caches, per-function store entries — become clean
+// misses at once, never mismatches.
 //
 // Version history:
 //

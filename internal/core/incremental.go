@@ -1,14 +1,16 @@
-// Function-granular incremental analysis: the pipeline body of Analyze,
-// restructured so that each function's expensive artifacts — its compiled
-// unit and its generated model — can be served from a cache keyed by
-// function-content hash (see FuncKeys) instead of being rebuilt. Parsing,
-// semantic analysis, linking, and the object-file round trip always run
-// on the new source (they are cheap and whole-file by nature); compilation
-// and metric generation run only for functions whose content key misses.
+// Function-granular incremental analysis: the one pipeline body (Analyze
+// is this with no cache), built so that each function's expensive
+// artifacts — its compiled unit and its generated model — can be served
+// from a cache keyed by function-content hash (see FuncKeys) instead of
+// being rebuilt. Parsing, semantic analysis, linking, and the
+// object-file round trip always run on the new source (they are cheap and
+// whole-file by nature); compilation and metric generation run only for
+// functions whose content key misses.
 //
-// The result is bit-identical to a from-scratch Analyze: units link the
-// same bytes, models regenerate from the same inputs, and warnings
-// concatenate in the same function order.
+// The result is bit-identical to compiling and modeling the whole
+// program at once (cc.Compile, metrics.Generate): units link the same
+// bytes, models regenerate from the same inputs, and warnings concatenate
+// in the same function order.
 package core
 
 import (
@@ -56,9 +58,10 @@ type IncrementalResult struct {
 }
 
 // AnalyzeIncremental runs the pipeline on source, consulting lookup for
-// per-function artifacts by function-content key. lookup may be nil
-// (every function compiles cold). See AnalyzeIncrementalContext.
-func AnalyzeIncremental(name, source string, opts Options, lookup func(key string) (*FuncArtifact, bool)) (*IncrementalResult, error) {
+// per-function artifacts by function-content key and qualified function
+// name. lookup may be nil (every function compiles cold). See
+// AnalyzeIncrementalContext.
+func AnalyzeIncremental(name, source string, opts Options, lookup func(key, qname string) (*FuncArtifact, bool)) (*IncrementalResult, error) {
 	return AnalyzeIncrementalContext(context.Background(), name, source, opts, lookup)
 }
 
@@ -66,7 +69,7 @@ func AnalyzeIncremental(name, source string, opts Options, lookup func(key strin
 // stage-boundary cancellation as AnalyzeContext. A function counts as
 // Reused when its compiled unit came from lookup; if the artifact also
 // carried a model, metric generation is skipped for it too.
-func AnalyzeIncrementalContext(ctx context.Context, name, source string, opts Options, lookup func(key string) (*FuncArtifact, bool)) (*IncrementalResult, error) {
+func AnalyzeIncrementalContext(ctx context.Context, name, source string, opts Options, lookup func(key, qname string) (*FuncArtifact, bool)) (*IncrementalResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -94,7 +97,7 @@ func AnalyzeIncrementalContext(ctx context.Context, name, source string, opts Op
 	for _, q := range order {
 		key := keys[q]
 		if lookup != nil {
-			if art, ok := lookup(key); ok && art != nil && art.Unit != nil {
+			if art, ok := lookup(key, q); ok && art != nil && art.Unit != nil {
 				arts[q] = &FuncArtifact{Key: key, Name: q, Unit: art.Unit, Model: art.Model, Warnings: art.Warnings}
 				units = append(units, art.Unit)
 				delta.Reused = append(delta.Reused, q)
@@ -117,8 +120,8 @@ func AnalyzeIncrementalContext(ctx context.Context, name, source string, opts Op
 	if err != nil {
 		return nil, fmt.Errorf("core: compile: %w", err)
 	}
-	// Round-trip through the byte encoding, exactly as the cold path does:
-	// the model must be derived from the portable binary artifact.
+	// Round-trip through the byte encoding: the model must be derived from
+	// the portable binary artifact.
 	var buf bytes.Buffer
 	if err := obj.Encode(&buf); err != nil {
 		return nil, fmt.Errorf("core: encode: %w", err)

@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"mira/internal/benchprogs"
+	"mira/internal/cc"
 	"mira/internal/core"
+	"mira/internal/metrics"
+	"mira/internal/objfile"
 	"mira/internal/parser"
 	"mira/internal/sema"
 )
@@ -38,6 +41,56 @@ func mustProgram(t *testing.T, name, src string) *sema.Program {
 		t.Fatalf("sema %s: %v", name, err)
 	}
 	return prog
+}
+
+// reference analyzes src the whole-program way — cc.Compile, the
+// object-file round trip, metrics.Generate — with no per-function units
+// and no cache: the oracle every analysis core produces must match.
+func reference(t *testing.T, name, src string, opts core.Options) *core.Pipeline {
+	t.Helper()
+	prog := mustProgram(t, name, src)
+	obj, err := cc.Compile(prog, cc.Options{SourceName: name, DisableOpt: opts.DisableOpt})
+	if err != nil {
+		t.Fatalf("reference compile %s: %v", name, err)
+	}
+	var buf bytes.Buffer
+	if err := obj.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := objfile.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, warns, err := metrics.Generate(prog, decoded, metrics.Config{Lenient: opts.Lenient})
+	if err != nil {
+		t.Fatalf("reference metrics %s: %v", name, err)
+	}
+	return &core.Pipeline{Name: name, Source: src, Prog: prog, Obj: decoded, Model: m, Warnings: warns}
+}
+
+// encodeObject returns the portable bytes of a pipeline's object file.
+func encodeObject(t *testing.T, p *core.Pipeline) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Obj.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameResult fails unless got and want agree byte for byte: Python
+// model, encoded object file, and warnings.
+func sameResult(t *testing.T, what string, got, want *core.Pipeline) {
+	t.Helper()
+	if got.PythonModel() != want.PythonModel() {
+		t.Errorf("%s: python model differs from the reference", what)
+	}
+	if !bytes.Equal(encodeObject(t, got), encodeObject(t, want)) {
+		t.Errorf("%s: object bytes differ from the reference", what)
+	}
+	if g, w := strings.Join(got.Warnings, "\n"), strings.Join(want.Warnings, "\n"); g != w {
+		t.Errorf("%s: warnings differ: %q vs %q", what, g, w)
+	}
 }
 
 // shiftLine inserts two spaces at the start of the 1-based line, a
@@ -97,7 +150,8 @@ func sortedSet(m map[string]bool) []string {
 // incremental pipeline: for every benchmark program and every defined
 // function, mutating that one function and re-analyzing against the
 // artifacts of the original source must (a) produce byte-identical
-// results to a cold analysis of the mutated source, and (b) recompile
+// results to the whole-program reference analysis of the mutated
+// source, and (b) recompile
 // exactly the mutated function plus its transitive callers, reusing
 // everything else.
 func TestIncrementalMutationProperty(t *testing.T) {
@@ -111,11 +165,12 @@ func TestIncrementalMutationProperty(t *testing.T) {
 			if len(orig.Delta.Reused) != 0 {
 				t.Fatalf("nil lookup reused %v", orig.Delta.Reused)
 			}
+			sameResult(t, "uncached", orig.Pipeline, reference(t, tc.name, tc.src, opts))
 			byKey := map[string]*core.FuncArtifact{}
 			for _, art := range orig.Artifacts {
 				byKey[art.Key] = art
 			}
-			lookup := func(key string) (*core.FuncArtifact, bool) {
+			lookup := func(key, _ string) (*core.FuncArtifact, bool) {
 				art, ok := byKey[key]
 				return art, ok
 			}
@@ -136,29 +191,8 @@ func TestIncrementalMutationProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: incremental analyze: %v", target, err)
 				}
-				cold, err := core.Analyze(tc.name, mutated, opts)
-				if err != nil {
-					t.Fatalf("%s: cold analyze: %v", target, err)
-				}
-
 				// (a) Byte-identical results.
-				if got, want := incr.Pipeline.PythonModel(), cold.PythonModel(); got != want {
-					t.Errorf("%s: incremental python model differs from cold", target)
-				}
-				gotObj, err := incr.Pipeline.EncodeObject()
-				if err != nil {
-					t.Fatalf("%s: encode incremental: %v", target, err)
-				}
-				wantObj, err := cold.EncodeObject()
-				if err != nil {
-					t.Fatalf("%s: encode cold: %v", target, err)
-				}
-				if !bytes.Equal(gotObj, wantObj) {
-					t.Errorf("%s: incremental object bytes differ from cold", target)
-				}
-				if got, want := strings.Join(incr.Pipeline.Warnings, "\n"), strings.Join(cold.Warnings, "\n"); got != want {
-					t.Errorf("%s: warnings differ: %q vs %q", target, got, want)
-				}
+				sameResult(t, target, incr.Pipeline, reference(t, tc.name, mutated, opts))
 
 				// (b) Recompiled exactly the reverse closure.
 				gotCompiled := append([]string{}, incr.Delta.Compiled...)
@@ -212,7 +246,7 @@ func TestIncrementalIdenticalSourceReusesAll(t *testing.T) {
 	for _, art := range orig.Artifacts {
 		byKey[art.Key] = art
 	}
-	again, err := core.AnalyzeIncremental("minife", src, opts, func(key string) (*core.FuncArtifact, bool) {
+	again, err := core.AnalyzeIncremental("minife", src, opts, func(key, _ string) (*core.FuncArtifact, bool) {
 		art, ok := byKey[key]
 		return art, ok
 	})
@@ -247,7 +281,7 @@ func TestIncrementalUnitRoundTrip(t *testing.T) {
 		}
 		byKey[art.Key] = &core.FuncArtifact{Key: art.Key, Name: art.Name, Unit: u}
 	}
-	again, err := core.AnalyzeIncremental("dgemm", src, opts, func(key string) (*core.FuncArtifact, bool) {
+	again, err := core.AnalyzeIncremental("dgemm", src, opts, func(key, _ string) (*core.FuncArtifact, bool) {
 		art, ok := byKey[key]
 		return art, ok
 	})
@@ -257,15 +291,7 @@ func TestIncrementalUnitRoundTrip(t *testing.T) {
 	if len(again.Delta.Compiled) != 0 {
 		t.Fatalf("round-tripped units missed: recompiled %v", again.Delta.Compiled)
 	}
-	gotObj, err := again.Pipeline.EncodeObject()
-	if err != nil {
-		t.Fatalf("encode warm: %v", err)
-	}
-	wantObj, err := orig.Pipeline.EncodeObject()
-	if err != nil {
-		t.Fatalf("encode cold: %v", err)
-	}
-	if !bytes.Equal(gotObj, wantObj) {
+	if !bytes.Equal(encodeObject(t, again.Pipeline), encodeObject(t, orig.Pipeline)) {
 		t.Fatalf("object bytes differ after unit round trip")
 	}
 	if got, want := again.Pipeline.PythonModel(), orig.Pipeline.PythonModel(); got != want {

@@ -55,8 +55,7 @@ type Analysis struct {
 	// Sweep's fan-out; zero (standalone wrappers) means GOMAXPROCS.
 	workers int
 	// delta records the incremental build's reuse outcome; nil when the
-	// analysis was not produced by the incremental path (standalone
-	// wrappers, whole-source store rebuilds).
+	// analysis was not built by an Engine (standalone wrappers).
 	delta *core.Delta
 }
 
@@ -226,8 +225,7 @@ func (a *Analysis) Key() string { return a.key }
 
 // Delta reports which functions the incremental build reused versus
 // recompiled, in link order; nil when no incremental pipeline ran for
-// this caller's request (standalone wrappers, whole-source store
-// rebuilds, live-cache hits).
+// this caller's request (standalone wrappers, live-cache hits).
 func (a *Analysis) Delta() *core.Delta { return a.delta }
 
 // withoutDelta returns a view of the analysis with no reuse delta — what

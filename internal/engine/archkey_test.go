@@ -23,7 +23,7 @@ func nearTwin() (*arch.Description, *arch.Description) {
 // TestArchContentKeyPartitionsCaches is the end-to-end no-poisoning
 // regression test at the engine layer: two engines whose architectures
 // differ in a single parameter — same name, same everything else — must
-// produce distinct whole-source cache keys, distinct function-content
+// produce distinct content-hash cache keys, distinct function-content
 // keys, distinct entries in a shared persistent store, and distinct
 // roofline results.
 func TestArchContentKeyPartitionsCaches(t *testing.T) {
@@ -33,7 +33,7 @@ func TestArchContentKeyPartitionsCaches(t *testing.T) {
 	e2 := engine.New(engine.Options{Core: core.Options{Arch: d2}, Store: store})
 
 	if e1.Key(scaleSrc) == e2.Key(scaleSrc) {
-		t.Fatal("one-parameter arch twins share a whole-source cache key")
+		t.Fatal("one-parameter arch twins share a content-hash cache key")
 	}
 
 	a1, err := e1.AnalyzeCtx(context.Background(), "scale.c", scaleSrc)
@@ -47,8 +47,8 @@ func TestArchContentKeyPartitionsCaches(t *testing.T) {
 	if k1, k2 := a1.FuncKeys["scale"], a2.FuncKeys["scale"]; k1 == "" || k1 == k2 {
 		t.Errorf("function keys %q vs %q: arch twins must not share per-function entries", k1, k2)
 	}
-	if store.Len() != 2 {
-		t.Errorf("shared store holds %d whole-source entries, want 2 (one per arch)", store.Len())
+	if store.FuncLen() != 2 {
+		t.Errorf("shared store holds %d entries, want 2 (one per arch)", store.FuncLen())
 	}
 
 	env := expr.EnvFromInts(map[string]int64{"n": 1000})
@@ -66,11 +66,15 @@ func TestArchContentKeyPartitionsCaches(t *testing.T) {
 	// shared store — the partition is by content, not by engine — and
 	// the warm path writes no third entry.
 	e3 := engine.New(engine.Options{Core: core.Options{Arch: d1}, Store: store})
-	if _, err := e3.AnalyzeCtx(context.Background(), "scale.c", scaleSrc); err != nil {
+	a3, err := e3.AnalyzeCtx(context.Background(), "scale.c", scaleSrc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != 2 {
-		t.Errorf("store holds %d entries after a warm restart, want 2 still", store.Len())
+	if d := a3.Delta(); d == nil || len(d.Compiled) != 0 {
+		t.Errorf("warm restart delta %+v, want every function restored from the store", d)
+	}
+	if store.FuncLen() != 2 {
+		t.Errorf("store holds %d entries after a warm restart, want 2 still", store.FuncLen())
 	}
 }
 

@@ -9,25 +9,25 @@ import (
 	"mira/internal/engine"
 )
 
-// blockingStore is a CacheStore whose Load parks until released — a
-// deterministic way to hold an analysis in-flight (and its worker slot
+// blockingStore is a CacheStore whose LoadFunc parks until released —
+// a deterministic way to hold an analysis in-flight (and its worker slot
 // occupied) while a test cancels other callers.
 type blockingStore struct {
-	entered chan string   // receives the key of each Load call
-	release chan struct{} // closed to let all Loads proceed (as misses)
+	entered chan string   // receives the key of each LoadFunc call
+	release chan struct{} // closed to let all LoadFuncs proceed (as misses)
 }
 
 func newBlockingStore() *blockingStore {
 	return &blockingStore{entered: make(chan string, 16), release: make(chan struct{})}
 }
 
-func (s *blockingStore) Load(key string) (*engine.Entry, bool) {
+func (s *blockingStore) LoadFunc(key string) (*engine.FuncEntry, bool) {
 	s.entered <- key
 	<-s.release
 	return nil, false
 }
 
-func (s *blockingStore) Store(string, *engine.Entry) error { return nil }
+func (s *blockingStore) StoreFunc(string, *engine.FuncEntry) error { return nil }
 
 // await fails the test if ch doesn't deliver within a generous bound —
 // "promptly" for a cancellation that should take microseconds.

@@ -10,11 +10,11 @@
 //     generated model is kept under its function-content key
 //     (core.FuncKeys), so analyzing an *edited* source recompiles only
 //     the functions whose key changed and reuses everything else,
-//   - a pluggable persistent CacheStore beneath the live caches: compiled
-//     artifacts survive the process, and a warm restart decodes the
-//     stored object file (or per-function fragments, for stores that
-//     implement FuncStore) instead of recompiling (see cachestore for the
-//     content-addressed on-disk implementation), and
+//   - a pluggable persistent CacheStore beneath the function memo:
+//     compiled per-function object fragments survive the process, and a
+//     warm restart decodes each stored fragment instead of recompiling
+//     that function (see cachestore for the content-addressed on-disk
+//     implementation), and
 //   - a memoized evaluation layer (Analysis) keyed on (function-content
 //     key, env) that makes repeated model queries O(map lookup) — across
 //     source versions, since the memo cells live under function keys.
@@ -48,7 +48,7 @@ import (
 
 // CacheFormatVersion is the cache-key format version shared by every
 // caching layer (see core.CacheFormatVersion): it is mixed into the
-// engine's whole-source keys and into every function-content key, and
+// engine's content-hash keys and into every function-content key, and
 // the cachestore derives its on-disk magic from it. Entries written
 // under another version read as clean misses everywhere.
 const CacheFormatVersion = core.CacheFormatVersion
@@ -66,24 +66,25 @@ type Options struct {
 	// inject the loaded registry here. The registry must not be mutated
 	// after the engine is built.
 	Registry *arch.Registry
-	// Store, when non-nil, persists compiled artifacts across engines
-	// (and, with a disk-backed store, across process restarts): a live-
-	// cache miss consults the store and rebuilds from the stored object
-	// file instead of recompiling.
+	// Store, when non-nil, persists compiled per-function units across
+	// engines (and, with a disk-backed store, across process restarts):
+	// a function that misses the live function memo is restored from the
+	// store instead of recompiled.
 	Store CacheStore
 	// MaxResident bounds the number of entries (successes and cached
 	// failures) the live cache keeps; zero means unlimited. When the
 	// bound is exceeded, completed entries are evicted arbitrarily —
 	// callers holding an evicted Analysis keep a fully usable (immutable)
-	// object, and re-analyzing the same source recompiles or restores
-	// from the Store. A network-facing service must set this: untrusted
-	// clients can otherwise grow the cache without limit.
+	// object, and re-analyzing the same source reuses the function memo
+	// or restores from the Store. A network-facing service must set
+	// this: untrusted clients can otherwise grow the cache without
+	// limit.
 	MaxResident int
 	// MaxResidentFuncs bounds the number of per-function memo cells (the
 	// compiled units, generated models, and evaluation memos kept under
 	// function-content keys); zero means unlimited. Like MaxResident,
 	// victims are arbitrary and eviction is safe: an evicted function's
-	// next appearance recompiles (or restores from a FuncStore), and any
+	// next appearance recompiles (or restores from the Store), and any
 	// analysis still holding the cell keeps a fully usable object.
 	MaxResidentFuncs int
 	// Obs receives the engine's metrics (cache hit/miss counters,
@@ -105,7 +106,7 @@ type Engine struct {
 
 	// registry resolves architecture names; archKey is the content key
 	// of the engine's own architecture (Options.Core.Arch), precomputed
-	// once — it is mixed into every whole-source cache key.
+	// once — it is mixed into every content-hash cache key.
 	registry *arch.Registry
 	archKey  string
 
@@ -208,10 +209,11 @@ func (e *Engine) funcCell(key string) *funcEntry {
 }
 
 // lookupFuncArtifact serves core.AnalyzeIncrementalContext's per-function
-// cache probe: the live memo first, then a FuncStore-capable persistent
-// store (decoding the stored unit; a corrupt fragment counts as a store
-// error and degrades to a recompile of that one function).
-func (e *Engine) lookupFuncArtifact(key string) (*core.FuncArtifact, bool) {
+// cache probe: the live memo first, then the persistent store (decoding
+// the stored unit; a corrupt fragment, or a unit compiled from another
+// function than qname, counts as a store error and degrades to a
+// recompile of that one function).
+func (e *Engine) lookupFuncArtifact(key, qname string) (*core.FuncArtifact, bool) {
 	e.funcMu.Lock()
 	fe := e.funcs[key]
 	e.funcMu.Unlock()
@@ -220,21 +222,26 @@ func (e *Engine) lookupFuncArtifact(key string) (*core.FuncArtifact, bool) {
 			return art, true
 		}
 	}
-	if fs, ok := e.store.(FuncStore); ok {
-		if ent, ok := fs.LoadFunc(key); ok && ent != nil {
-			u, err := core.DecodeUnit(ent.Unit)
-			if err == nil {
-				return &core.FuncArtifact{Key: key, Name: ent.Name, Unit: u}, true
-			}
-			e.met.storeErrors.Inc()
-		}
+	if e.store == nil {
+		return nil, false
 	}
-	return nil, false
+	ent, ok := e.store.LoadFunc(key)
+	if !ok || ent == nil {
+		e.met.storeMisses.Inc()
+		return nil, false
+	}
+	u, err := core.DecodeUnit(ent.Unit)
+	if err != nil || u.Name != qname {
+		e.met.storeErrors.Inc()
+		return nil, false
+	}
+	e.met.storeHits.Inc()
+	return &core.FuncArtifact{Key: key, Name: ent.Name, Unit: u}, true
 }
 
 // adoptArtifacts installs an incremental build's complete artifact set
 // into the function memo (model-carrying artifacts never downgrade) and
-// persists the newly compiled units to a FuncStore-capable store.
+// persists the newly compiled units to the store.
 func (e *Engine) adoptArtifacts(res *core.IncrementalResult) {
 	compiled := make(map[string]bool, len(res.Delta.Compiled))
 	for _, q := range res.Delta.Compiled {
@@ -251,15 +258,14 @@ func (e *Engine) adoptArtifacts(res *core.IncrementalResult) {
 	}
 	e.evictFuncsLocked()
 	e.funcMu.Unlock()
-	fs, ok := e.store.(FuncStore)
-	if !ok {
+	if e.store == nil {
 		return
 	}
 	for _, art := range res.Artifacts {
 		if !compiled[art.Name] {
 			continue
 		}
-		if err := fs.StoreFunc(art.Key, &FuncEntry{Name: art.Name, Unit: core.EncodeUnit(art.Unit)}); err != nil {
+		if err := e.store.StoreFunc(art.Key, &FuncEntry{Name: art.Name, Unit: core.EncodeUnit(art.Unit)}); err != nil {
 			e.met.storeErrors.Inc()
 		}
 	}
@@ -302,11 +308,11 @@ func (e *Engine) funcMemoStats() (cells, entries int) {
 // AnalyzeCtx runs the full pipeline on source, or returns the cached
 // Analysis if the same content (under the same options) was already
 // analyzed. Concurrent requests for the same content are deduplicated:
-// exactly one does the work. On a live-cache miss, a configured
-// CacheStore is consulted first: a stored artifact is decoded and the
-// model regenerated, skipping the compiler entirely. Failures are cached
-// too — the pipeline is deterministic, so retrying identical input
-// cannot succeed.
+// exactly one does the work. On a live-cache miss, each function is
+// served from the live function memo or, failing that, from a
+// configured CacheStore; only functions missing from both recompile.
+// Failures are cached too — the pipeline is deterministic, so retrying
+// identical input cannot succeed.
 //
 // Cancellation is honored at every wait point: a
 // caller abandoning a duplicate-key wait returns ctx.Err() immediately
@@ -401,39 +407,14 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// build produces the Analysis for one live-cache miss: try the
-// persistent store's whole-source artifact (warm path: decode + model
-// regeneration, no compiler), fall back to the function-granular
-// incremental pipeline — which consults the function memo and any
-// FuncStore so only changed functions recompile — and persist the fresh
-// artifacts (whole-source and per-function) for the next process. All
-// paths are panic-guarded — expr constructor contract violations
+// build produces the Analysis for one live-cache miss: the
+// function-granular incremental pipeline, which consults the function
+// memo and the store so only functions missing from both recompile,
+// then persists the freshly compiled units for the next process. The
+// build is panic-guarded — expr constructor contract violations
 // reachable through hostile source must surface as errors at this
 // boundary, not kill a resident server.
 func (e *Engine) build(ctx context.Context, name, source, key string) (*Analysis, error) {
-	if e.store != nil {
-		if ent, ok := e.store.Load(key); ok {
-			// Trust nothing: the entry must be for this exact source.
-			if ent.Source == source {
-				start := time.Now()
-				p, err := safely("rebuild", func() (*core.Pipeline, error) {
-					return core.AnalyzeFromObjectContext(ctx, name, source, ent.Object, e.opts.Core)
-				})
-				if isCancellation(err) {
-					return nil, err
-				}
-				if err == nil {
-					e.met.rebuild.Observe(time.Since(start).Seconds())
-					e.met.storeHits.Inc()
-					return e.newAnalysis(p, key), nil
-				}
-			}
-			// Corrupt, stale, or mismatched entry: degrade to recompile.
-			e.met.storeErrors.Inc()
-		} else {
-			e.met.storeMisses.Inc()
-		}
-	}
 	start := time.Now()
 	res, err := safely("analysis", func() (*core.IncrementalResult, error) {
 		return core.AnalyzeIncrementalContext(ctx, name, source, e.opts.Core, e.lookupFuncArtifact)
@@ -445,15 +426,6 @@ func (e *Engine) build(ctx context.Context, name, source, key string) (*Analysis
 	e.met.incrHits.Add(int64(len(res.Delta.Reused)))
 	e.met.incrMisses.Add(int64(len(res.Delta.Compiled)))
 	e.adoptArtifacts(res)
-	if e.store != nil {
-		if object, encErr := res.Pipeline.EncodeObject(); encErr == nil {
-			if err := e.store.Store(key, &Entry{Name: name, Source: source, Object: object}); err != nil {
-				e.met.storeErrors.Inc()
-			}
-		} else {
-			e.met.storeErrors.Inc()
-		}
-	}
 	a := e.newAnalysis(res.Pipeline, key)
 	a.delta = &res.Delta
 	return a, nil

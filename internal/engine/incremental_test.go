@@ -108,10 +108,9 @@ func TestMemoryStoreFuncRoundTrip(t *testing.T) {
 	}
 
 	// A second engine over the same store, analyzing the source with a
-	// trailing newline added: the whole-source key changes (so neither
-	// the live cache nor the whole-source entry can serve it) while
-	// every function-content key stays identical — each function must
-	// come from the per-function store.
+	// trailing newline added: the content-hash key changes (so the live
+	// cache cannot serve it) while every function-content key stays
+	// identical — each function must come from the per-function store.
 	e2 := engine.New(engine.Options{Store: store, Workers: 1})
 	a, err := e2.AnalyzeCtx(context.Background(), "minife.c", benchprogs.MiniFE+"\n")
 	if err != nil {

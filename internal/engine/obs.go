@@ -11,11 +11,11 @@ import (
 // Exposed series, in OpenMetrics terms:
 //
 //	mira_pipeline_cache_hits/misses_total   live (in-process) cache
-//	mira_store_hits/misses/errors_total     persistent CacheStore
+//	mira_store_hits/misses/errors_total     persistent CacheStore, per
+//	                                        function after a memo miss
 //	mira_incremental_hits/misses_total      function-granular reuse
 //	mira_eval_memo_hits/misses_total        (function, env) memo
-//	mira_analyze_seconds                    cold compile latency (summary)
-//	mira_rebuild_seconds                    warm store-rebuild latency
+//	mira_analyze_seconds                    pipeline analysis latency
 //	mira_eval_seconds                       model evaluation latency
 //	mira_compile_seconds                    symbolic compilation latency
 //	mira_sweep_seconds                      whole-sweep latency
@@ -39,7 +39,6 @@ type metricsSet struct {
 	sweepPoints *obs.Counter
 
 	analyze *obs.Summary
-	rebuild *obs.Summary
 	eval    *obs.Summary
 	compile *obs.Summary
 	sweep   *obs.Summary
@@ -51,17 +50,16 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 	return &metricsSet{
 		pipeHits:    r.Counter("mira_pipeline_cache_hits", "analyses served from the live content-hash cache"),
 		pipeMisses:  r.Counter("mira_pipeline_cache_misses", "analyses that missed the live cache"),
-		storeHits:   r.Counter("mira_store_hits", "analyses rebuilt from the persistent cache store"),
-		storeMisses: r.Counter("mira_store_misses", "persistent-store lookups that missed"),
+		storeHits:   r.Counter("mira_store_hits", "functions restored from the persistent cache store after a function-memo miss"),
+		storeMisses: r.Counter("mira_store_misses", "per-function persistent-store lookups that missed"),
 		storeErrors: r.Counter("mira_store_errors", "persistent-store entries that failed to load, verify, or save"),
-		incrHits:    r.Counter("mira_incremental_hits", "functions reused from the function memo during incremental analysis"),
+		incrHits:    r.Counter("mira_incremental_hits", "functions reused from the function memo or the store during incremental analysis"),
 		incrMisses:  r.Counter("mira_incremental_misses", "functions recompiled during incremental analysis"),
 		evalHits:    r.Counter("mira_eval_memo_hits", "model evaluations served from the (function, env) memo"),
 		evalMisses:  r.Counter("mira_eval_memo_misses", "model evaluations that walked the model"),
 		evictions:   r.Counter("mira_cache_evictions", "live-cache entries evicted under the MaxResident bound"),
 		sweepPoints: r.Counter("mira_sweep_points", "grid points evaluated by compiled sweeps"),
-		analyze:     r.Summary("mira_analyze_seconds", "cold pipeline analysis latency"),
-		rebuild:     r.Summary("mira_rebuild_seconds", "warm rebuild-from-store latency"),
+		analyze:     r.Summary("mira_analyze_seconds", "pipeline analysis latency (live-cache misses)"),
 		eval:        r.Summary("mira_eval_seconds", "model evaluation latency (memo misses)"),
 		compile:     r.Summary("mira_compile_seconds", "symbolic model compilation latency"),
 		sweep:       r.Summary("mira_sweep_seconds", "whole-sweep latency (grid expansion through last point)"),

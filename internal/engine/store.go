@@ -2,30 +2,6 @@ package engine
 
 import "sync"
 
-// Entry is one persisted analysis artifact: the inputs plus the encoded
-// object file — enough for a later process to rebuild the pipeline with
-// core.AnalyzeFromObject instead of recompiling. Source rides along even
-// though the cache key already fingerprints it: a self-contained entry
-// lets stores verify integrity and the engine cross-check that a loaded
-// entry really belongs to the request before trusting it.
-type Entry struct {
-	Name   string
-	Source string
-	Object []byte
-}
-
-// CacheStore persists compiled artifacts keyed by the engine's content
-// hash. Implementations must be safe for concurrent use and must treat
-// unreadable or corrupt entries as misses (Load ok=false), never as
-// errors — a damaged cache degrades to a recompile, it does not take the
-// service down. Store errors are reported so callers can count them, but
-// the engine treats a failed Store as advisory: the analysis it just
-// built is still served.
-type CacheStore interface {
-	Load(key string) (*Entry, bool)
-	Store(key string, e *Entry) error
-}
-
 // FuncEntry is one persisted per-function artifact: a compiled unit (an
 // object-file fragment with unresolved, name-based call sites) in its
 // portable encoding, stored under the function-content key computed by
@@ -36,48 +12,32 @@ type FuncEntry struct {
 	Unit []byte
 }
 
-// FuncStore is the optional function-granular extension of CacheStore:
-// per-function object fragments keyed by function-content hash, so an
-// edit to one function re-persists one small entry instead of the whole
-// artifact, and unchanged functions restore across processes and across
-// *different* source files sharing code. The corruption contract matches
-// CacheStore: a damaged entry is a miss (that one function recompiles),
-// never an error, and never affects sibling entries.
-type FuncStore interface {
+// CacheStore persists per-function object fragments keyed by
+// function-content hash, so an edit to one function re-persists one
+// small entry, and unchanged functions restore across processes and
+// across *different* source files sharing code. Implementations must be
+// safe for concurrent use and must treat unreadable or corrupt entries
+// as misses (LoadFunc ok=false), never as errors — a damaged entry
+// recompiles that one function and never affects sibling entries.
+// StoreFunc errors are reported so callers can count them, but the
+// engine treats a failed store as advisory: the analysis it just built
+// is still served.
+type CacheStore interface {
 	LoadFunc(key string) (*FuncEntry, bool)
 	StoreFunc(key string, e *FuncEntry) error
 }
 
-// MemoryStore is the in-process CacheStore: a mutex-guarded map, the
-// persistence shape the engine's live cache had before the interface was
-// extracted. It buys nothing over the engine's own singleflight map for
-// a single engine, but gives tests and multi-engine setups a shared
-// store with zero I/O. It also implements FuncStore.
+// MemoryStore is the in-process CacheStore: a mutex-guarded map. It
+// buys nothing over the engine's own function memo for a single engine,
+// but gives tests and multi-engine setups a shared store with zero I/O.
 type MemoryStore struct {
 	mu    sync.Mutex
-	m     map[string]*Entry
 	funcs map[string]*FuncEntry
 }
 
 // NewMemoryStore returns an empty in-memory store.
 func NewMemoryStore() *MemoryStore {
-	return &MemoryStore{m: map[string]*Entry{}, funcs: map[string]*FuncEntry{}}
-}
-
-// Load returns the entry stored under key.
-func (s *MemoryStore) Load(key string) (*Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[key]
-	return e, ok
-}
-
-// Store saves e under key.
-func (s *MemoryStore) Store(key string, e *Entry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[key] = e
-	return nil
+	return &MemoryStore{funcs: map[string]*FuncEntry{}}
 }
 
 // LoadFunc returns the per-function entry stored under key.
@@ -94,13 +54,6 @@ func (s *MemoryStore) StoreFunc(key string, e *FuncEntry) error {
 	defer s.mu.Unlock()
 	s.funcs[key] = e
 	return nil
-}
-
-// Len reports the number of stored whole-source entries.
-func (s *MemoryStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
 }
 
 // FuncLen reports the number of stored per-function entries.

@@ -1,12 +1,14 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"mira/internal/core"
 	"mira/internal/engine"
 	"mira/internal/expr"
 	"mira/internal/obs"
@@ -28,7 +30,8 @@ func scrape(t *testing.T, e *engine.Engine) map[string]float64 {
 
 // TestCacheStoreWarmRestart simulates a process restart: a second engine
 // sharing the first's CacheStore must serve the same source from the
-// stored artifact (a store hit, no recompile) and evaluate identically.
+// stored per-function unit (a store hit, no recompile) and evaluate
+// identically.
 func TestCacheStoreWarmRestart(t *testing.T) {
 	store := engine.NewMemoryStore()
 	env := expr.EnvFromInts(map[string]int64{"n": 500})
@@ -42,16 +45,16 @@ func TestCacheStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != 1 {
-		t.Fatalf("store has %d entries after cold analyze, want 1", store.Len())
+	if store.FuncLen() != 1 {
+		t.Fatalf("store has %d entries after cold analyze, want 1", store.FuncLen())
 	}
 	s := scrape(t, cold)
 	if s["mira_store_misses_total"] != 1 || s["mira_store_hits_total"] != 0 {
 		t.Errorf("cold engine store counters = misses %v hits %v, want 1/0",
 			s["mira_store_misses_total"], s["mira_store_hits_total"])
 	}
-	if s["mira_analyze_seconds_count"] != 1 {
-		t.Errorf("cold engine analyze count = %v, want 1", s["mira_analyze_seconds_count"])
+	if s["mira_incremental_misses_total"] != 1 {
+		t.Errorf("cold engine compiled %v functions, want 1", s["mira_incremental_misses_total"])
 	}
 
 	warm := engine.New(engine.Options{Store: store})
@@ -70,29 +73,42 @@ func TestCacheStoreWarmRestart(t *testing.T) {
 	if s["mira_store_hits_total"] != 1 {
 		t.Errorf("warm engine store hits = %v, want 1", s["mira_store_hits_total"])
 	}
-	if s["mira_analyze_seconds_count"] != 0 {
-		t.Errorf("warm engine ran the compiler %v times, want 0 (rebuild path)",
-			s["mira_analyze_seconds_count"])
+	if s["mira_store_misses_total"] != 0 {
+		t.Errorf("warm engine store misses = %v, want 0", s["mira_store_misses_total"])
 	}
-	if s["mira_rebuild_seconds_count"] != 1 {
-		t.Errorf("warm engine rebuild count = %v, want 1", s["mira_rebuild_seconds_count"])
+	if s["mira_incremental_misses_total"] != 0 {
+		t.Errorf("warm engine compiled %v functions, want 0 (store restore)",
+			s["mira_incremental_misses_total"])
 	}
+}
+
+// unitOf compiles src alone and returns the encoded unit of fn and its
+// function-content key under default options.
+func unitOf(t *testing.T, src, fn string) (key string, unit []byte) {
+	t.Helper()
+	res, err := core.AnalyzeIncremental("probe.c", src, core.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := res.Artifacts[fn]
+	return art.Key, core.EncodeUnit(art.Unit)
 }
 
 // TestCacheStoreCorruptEntryDegrades plants damaged artifacts and checks
 // the engine recompiles instead of failing or crashing.
 func TestCacheStoreCorruptEntryDegrades(t *testing.T) {
 	store := engine.NewMemoryStore()
-	probe := engine.New(engine.Options{})
-	key := probe.Key(scaleSrc)
+	key, good := unitOf(t, scaleSrc, "scale")
+	_, other := unitOf(t, axpySrc, "axpy")
 
-	cases := []*engine.Entry{
-		{Name: "scale.c", Source: scaleSrc, Object: []byte("not an object file")},
-		{Name: "scale.c", Source: scaleSrc, Object: nil},
-		{Name: "scale.c", Source: "something else entirely", Object: []byte{1, 2, 3}},
+	cases := []*engine.FuncEntry{
+		{Name: "scale", Unit: []byte("not a unit")},
+		{Name: "scale", Unit: nil},
+		{Name: "scale", Unit: good[:len(good)/2]},
+		{Name: "scale", Unit: other}, // a well-formed unit of another function
 	}
 	for i, ent := range cases {
-		if err := store.Store(key, ent); err != nil {
+		if err := store.StoreFunc(key, ent); err != nil {
 			t.Fatal(err)
 		}
 		e := engine.New(engine.Options{Store: store})
@@ -111,8 +127,8 @@ func TestCacheStoreCorruptEntryDegrades(t *testing.T) {
 			t.Errorf("case %d: corrupt entry counted as hit", i)
 		}
 		// The recompile must repair the store in place.
-		fixed, ok := store.Load(key)
-		if !ok || len(fixed.Object) == 0 || fixed.Source != scaleSrc {
+		fixed, ok := store.LoadFunc(key)
+		if !ok || !bytes.Equal(fixed.Unit, good) {
 			t.Errorf("case %d: store not repaired after recompile", i)
 		}
 	}
@@ -120,7 +136,7 @@ func TestCacheStoreCorruptEntryDegrades(t *testing.T) {
 
 // TestCacheStoreConcurrentRoundTrip hammers one shared store from many
 // goroutines across two engines — the -race gate checks the store and
-// the rebuild path are sound under contention.
+// the restore path are sound under contention.
 func TestCacheStoreConcurrentRoundTrip(t *testing.T) {
 	store := engine.NewMemoryStore()
 	engines := []*engine.Engine{
@@ -153,8 +169,8 @@ func TestCacheStoreConcurrentRoundTrip(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if store.Len() != 1 {
-		t.Errorf("store holds %d entries, want 1", store.Len())
+	if store.FuncLen() != 1 {
+		t.Errorf("store holds %d entries, want 1", store.FuncLen())
 	}
 }
 
@@ -184,10 +200,11 @@ func TestLookupByKey(t *testing.T) {
 // TestMaxResidentEviction bounds the live cache: a flood of distinct
 // sources must not grow it past the bound, evicted programs must still
 // re-analyze (via the store, no recompile), and holders of evicted
-// analyses must keep working.
+// analyses must keep working. The function memo keeps one cell, so
+// re-analyses reach the store.
 func TestMaxResidentEviction(t *testing.T) {
 	store := engine.NewMemoryStore()
-	e := engine.New(engine.Options{Store: store, MaxResident: 3})
+	e := engine.New(engine.Options{Store: store, MaxResident: 3, MaxResidentFuncs: 1})
 	env := expr.EnvFromInts(map[string]int64{"n": 9})
 
 	src := func(i int) string {
@@ -213,20 +230,24 @@ func TestMaxResidentEviction(t *testing.T) {
 	if _, err := first.StaticMetrics("f", env); err != nil {
 		t.Errorf("evicted analysis unusable: %v", err)
 	}
-	// Re-requesting an evicted program restores from the store, not the
+	// Re-requesting evicted programs restores from the store, not the
 	// compiler: every one of the 10 sources was persisted exactly once.
-	if store.Len() != 10 {
-		t.Fatalf("store has %d entries, want 10", store.Len())
+	// At most 3 re-requests are live-cache hits and at most one finds
+	// its function in the one-cell memo, so the rest must hit the store.
+	if store.FuncLen() != 10 {
+		t.Fatalf("store has %d entries, want 10", store.FuncLen())
 	}
-	before := s["mira_analyze_seconds_count"]
-	if _, err := e.AnalyzeCtx(context.Background(), "p0.c", src(0)); err != nil {
-		t.Fatal(err)
+	before := s["mira_incremental_misses_total"]
+	for i := 0; i < 10; i++ {
+		if _, err := e.AnalyzeCtx(context.Background(), fmt.Sprintf("p%d.c", i), src(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s = scrape(t, e)
-	if s["mira_analyze_seconds_count"] != before {
+	if s["mira_incremental_misses_total"] != before {
 		t.Error("re-analysis of an evicted program recompiled instead of restoring")
 	}
-	if s["mira_store_hits_total"] == 0 {
-		t.Error("no store hit recorded for the evicted program")
+	if s["mira_store_hits_total"] < 6 {
+		t.Errorf("store hits = %v for the evicted programs, want >= 6", s["mira_store_hits_total"])
 	}
 }

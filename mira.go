@@ -161,8 +161,8 @@ func (r *Result) Pipeline() *core.Pipeline { return r.p }
 // Delta reports which functions the incremental analysis reused from the
 // function memo versus recompiled, in link order. Nil when the Result
 // was not produced incrementally — standalone Analyze calls and
-// Engine results served from the whole-source cache (where nothing ran
-// at all) have no delta.
+// Engine results served from the live content-hash cache (where nothing
+// ran at all) have no delta.
 type Delta = core.Delta
 
 // Delta returns the Result's incremental-analysis delta, if any.
