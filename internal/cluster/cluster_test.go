@@ -123,8 +123,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-func TestWireFuncEntryRoundTrip(t *testing.T) {
-	key := testKeys(2)[1]
+func TestWireEntryRoundTrip(t *testing.T) {
+	key := testKeys(1)[0]
 	raw := EncodeFuncEntry(key, &testFuncEntry)
 	got, err := DecodeFuncEntry(key, raw)
 	if err != nil {
@@ -148,6 +148,18 @@ func TestWireFuncEntryRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeFuncEntry(key, []byte("not a frame at all")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+func TestWireFuncEntryRoundTrip(t *testing.T) {
+	key := testKeys(2)[1]
+	raw := EncodeFuncEntry(key, &testFuncEntry)
+	got, err := DecodeFuncEntry(key, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != testFuncEntry.Name || string(got.Unit) != string(testFuncEntry.Unit) {
+		t.Errorf("round trip mismatch: %+v", got)
 	}
 	// A store entry is not a peer payload: same frame, other magic.
 	store := cachestore.EncodeFrame(fmt.Sprintf("MIRACS%d\n", engine.CacheFormatVersion),
