@@ -71,10 +71,10 @@ bench-baseline:
 	@grep -o '"Output":".*rows/s[^"]*"' $(BENCH_BASELINE_OUT) | tail -1
 
 # bench-compare gates on benchmark regressions: a fresh baseline against
-# the committed previous one, host-normalized (the two may come from
-# different machines), failing on >15% relative slowdowns in benchmarks
-# above the 100µs noise floor.
-BENCH_COMPARE_OLD ?= BENCH_7.json
+# the newest committed one (the highest numeric BENCH_<n>.json suffix),
+# host-normalized (the two may come from different machines), failing on
+# >15% relative slowdowns in benchmarks above the 100µs noise floor.
+BENCH_COMPARE_OLD ?= $(shell ls BENCH_*.json | grep -E '^BENCH_[0-9]+\.json$$' | sort -t_ -k2 -n | tail -n 1)
 bench-compare:
 	$(GO) test -json -run xxx -benchtime 5x \
 		-bench '$(BENCH_SET)' \

@@ -322,19 +322,20 @@ func BenchmarkEngineEval_ColdVsWarm(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := a.Pipeline.StaticMetrics("cg_solve", env); err != nil {
+			if _, err := a.Model.Evaluate("cg_solve", env); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		if _, err := a.StaticMetrics("cg_solve", env); err != nil {
-			b.Fatal(err)
+		q := engine.Query{Fn: "cg_solve", Env: env, Kind: engine.KindStatic}
+		if r := a.RunOne(context.Background(), q); r.Err != nil {
+			b.Fatal(r.Err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := a.StaticMetrics("cg_solve", env); err != nil {
-				b.Fatal(err)
+			if r := a.RunOne(context.Background(), q); r.Err != nil {
+				b.Fatal(r.Err)
 			}
 		}
 	})
@@ -434,7 +435,7 @@ func BenchmarkSweep_CompiledVsTreeWalk(b *testing.B) {
 	// separately timed steady-state passes for the speedup artifact.
 	walkOnce := func() {
 		for _, n := range sizes {
-			if _, err := a.Pipeline.StaticMetrics("stream", expr.EnvFromInts(map[string]int64{"n": n})); err != nil {
+			if _, err := a.Model.Evaluate("stream", expr.EnvFromInts(map[string]int64{"n": n})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -455,7 +456,7 @@ func BenchmarkSweep_CompiledVsTreeWalk(b *testing.B) {
 	res := sweepOnce(a)
 	// The two paths must agree point for point before speed means anything.
 	for i, n := range sizes[:100] {
-		want, err := a.Pipeline.StaticMetrics("stream", expr.EnvFromInts(map[string]int64{"n": n}))
+		want, err := a.Model.Evaluate("stream", expr.EnvFromInts(map[string]int64{"n": n}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -610,11 +611,11 @@ func BenchmarkPublicEngineAPI(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := expr.EnvFromInts(map[string]int64{"n": 1_000_000})
+	queries := []mira.Query{{Fn: "stream", Env: expr.EnvFromInts(map[string]int64{"n": 1_000_000}), Kind: mira.KindStatic}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := res.Static("stream", env); err != nil {
-			b.Fatal(err)
+		if r := res.Run(context.Background(), queries); r[0].Err != nil {
+			b.Fatal(r[0].Err)
 		}
 	}
 }

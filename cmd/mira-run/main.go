@@ -178,7 +178,7 @@ func runWatch(ctx context.Context, eng *mira.Engine, paths []string, interval ti
 				fmt.Fprintf(os.Stderr, "mira-run: %s: %v\n", path, err)
 				continue
 			}
-			printDelta(path, res)
+			printDelta(ctx, path, res)
 		}
 		select {
 		case <-ctx.Done():
@@ -192,7 +192,7 @@ func runWatch(ctx context.Context, eng *mira.Engine, paths []string, interval ti
 // functions the incremental analysis actually recompiled. Closed-form
 // functions show their evaluated instruction counts; parametric ones
 // list the parameters a later query must bind.
-func printDelta(path string, res *mira.Result) {
+func printDelta(ctx context.Context, path string, res *mira.Result) {
 	now := time.Now().Format("15:04:05")
 	d := res.Delta()
 	if d == nil {
@@ -208,11 +208,12 @@ func printDelta(path string, res *mira.Result) {
 		case len(f.FreeParams()) > 0:
 			fmt.Printf("  ~ %s (parametric: %s)\n", fn, strings.Join(f.FreeParams(), ", "))
 		default:
-			met, err := res.Static(fn, nil)
-			if err != nil {
-				fmt.Printf("  ~ %s (unevaluated: %v)\n", fn, err)
+			r := res.Run(ctx, []mira.Query{{Fn: fn, Kind: mira.KindStatic}})[0]
+			if r.Err != nil {
+				fmt.Printf("  ~ %s (unevaluated: %v)\n", fn, r.Err)
 				continue
 			}
+			met := r.Metrics
 			fmt.Printf("  ~ %s instrs=%d flops=%d fpi=%d\n", fn, met.Instrs, met.Flops, met.FPI())
 		}
 	}

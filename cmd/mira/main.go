@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -85,18 +86,20 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		met, err := res.Static(*fn, env)
-		if err != nil {
-			fatal(err)
+		out := res.Run(context.Background(), []mira.Query{
+			{Fn: *fn, Env: env, Kind: mira.KindStatic},
+			{Fn: *fn, Env: env, Kind: mira.KindCategories},
+		})
+		for _, r := range out {
+			if r.Err != nil {
+				fatal(r.Err)
+			}
 		}
+		met, cats := out[0].Metrics, out[1].Categories
 		fmt.Printf("Static metrics for %s (%s):\n", *fn, bindingString(*args))
 		fmt.Printf("  %-40s %d\n", "Total instructions", met.Instrs)
 		fmt.Printf("  %-40s %d\n", "Floating-point instructions (FPI)", met.FPI())
 		fmt.Printf("  %-40s %d\n", "Floating-point operations", met.Flops)
-		cats, err := res.CategoryCounts(*fn, env)
-		if err != nil {
-			fatal(err)
-		}
 		names := make([]string, 0, len(cats))
 		for c := range cats {
 			names = append(names, c)

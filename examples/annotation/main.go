@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,12 +57,14 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, trips := range []int64{3, 5, 8} {
-		met, err := res.Static("kernel", mira.IntArgs(map[string]int64{"inner_trips": trips}))
-		if err != nil {
-			log.Fatal(err)
+		r := res.Run(context.Background(), []mira.Query{
+			{Fn: "kernel", Env: mira.IntArgs(map[string]int64{"inner_trips": trips}), Kind: mira.KindStatic},
+		})[0]
+		if r.Err != nil {
+			log.Fatal(r.Err)
 		}
 		fmt.Printf("inner_trips=%d -> predicted FPI %d (5 outer iterations x %d)\n",
-			trips, met.FPI(), trips)
+			trips, r.Metrics.FPI(), trips)
 	}
 
 	fmt.Println("\nGenerated Python model:")

@@ -1,4 +1,4 @@
-// Querybatch: the v2 query API. One analysis, one batched Run call
+// Querybatch: the query API. One analysis, one batched Run call
 // evaluating a whole query matrix — static FPI across problem sizes,
 // Table II categories, a roofline placement, and the PBound source-only
 // baseline — with per-query errors and a cancellable context.
@@ -68,14 +68,6 @@ func main() {
 				r.PBound.Flops, r.PBound.Loads, r.PBound.Stores)
 		}
 	}
-
-	// The legacy helpers are one-cell wrappers over the same core, so
-	// mixing styles is safe.
-	met, err := res.Static("smooth", env(1_000))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nLegacy Static agrees: FPI=%d\n", met.FPI())
 }
 
 func archOf(q mira.Query) string {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,14 +29,19 @@ func main() {
 	}
 
 	// The model is parametric in n: evaluating it needs no execution and
-	// is O(1) in the problem size.
+	// is O(1) in the problem size. Result.Run evaluates a batch of query
+	// cells, one per problem size here.
 	fmt.Println("Static FPI prediction for axpy:")
-	for _, n := range []int64{1000, 1_000_000, 100_000_000} {
-		met, err := res.Static("axpy", mira.IntArgs(map[string]int64{"n": n}))
-		if err != nil {
-			log.Fatal(err)
+	sizes := []int64{1000, 1_000_000, 100_000_000}
+	var queries []mira.Query
+	for _, n := range sizes {
+		queries = append(queries, mira.Query{Fn: "axpy", Env: mira.IntArgs(map[string]int64{"n": n}), Kind: mira.KindStatic})
+	}
+	for i, r := range res.Run(context.Background(), queries) {
+		if r.Err != nil {
+			log.Fatal(r.Err)
 		}
-		fmt.Printf("  n=%-12d FPI=%-12d total instructions=%d\n", n, met.FPI(), met.Instrs)
+		fmt.Printf("  n=%-12d FPI=%-12d total instructions=%d\n", sizes[i], r.Metrics.FPI(), r.Metrics.Instrs)
 	}
 
 	// Validate one size dynamically: run the same compiled binary.
@@ -51,7 +57,13 @@ func main() {
 		log.Fatal(err)
 	}
 	st, _ := m.FuncStatsByName("axpy")
-	met, _ := res.Static("axpy", mira.IntArgs(map[string]int64{"n": n}))
+	r := res.Run(context.Background(), []mira.Query{
+		{Fn: "axpy", Env: mira.IntArgs(map[string]int64{"n": n}), Kind: mira.KindStatic},
+	})[0]
+	if r.Err != nil {
+		log.Fatal(r.Err)
+	}
+	met := r.Metrics
 	fmt.Printf("\nValidation at n=%d: measured FPI=%d, predicted FPI=%d (exact match: %t)\n",
 		n, st.FPIInclusive(), met.FPI(), int64(st.FPIInclusive()) == met.FPI())
 }

@@ -61,7 +61,7 @@ func TestListingsExecuteAndValidate(t *testing.T) {
 		// Static FPI equals the dynamic count exactly (one ADDSD per visit
 		// is the only FP arithmetic).
 		st, _ := m.FuncStatsByName(c.entry)
-		met, err := p.StaticMetrics(c.entry, nil)
+		met, err := p.Model.Evaluate(c.entry, nil)
 		if err != nil {
 			t.Fatalf("%s static: %v", c.name, err)
 		}
@@ -89,7 +89,7 @@ func TestFig5PythonArtifact(t *testing.T) {
 	}
 	// The annotated model evaluates with y2 supplied (paper: "y_16 ...
 	// specified by users during model evaluation").
-	met, err := p.StaticMetrics("A::foo", expr.EnvFromInts(map[string]int64{"y2": 15}))
+	met, err := p.Model.Evaluate("A::foo", expr.EnvFromInts(map[string]int64{"y2": 15}))
 	if err != nil {
 		t.Fatal(err)
 	}

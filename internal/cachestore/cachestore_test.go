@@ -222,7 +222,7 @@ func analyzeAndEval(e *engine.Engine, env expr.Env) (any, error) {
 			defer wg.Done()
 			a, err := e.AnalyzeCtx(context.Background(), "kernel.c", kernelSrc)
 			if err == nil {
-				_, _ = a.StaticMetrics("kernel", env)
+				_ = a.RunOne(context.Background(), engine.Query{Fn: "kernel", Env: env})
 			}
 		}()
 	}
@@ -231,7 +231,11 @@ func analyzeAndEval(e *engine.Engine, env expr.Env) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.StaticMetrics("kernel", env)
+	r := a.RunOne(context.Background(), engine.Query{Fn: "kernel", Env: env})
+	if r.Err != nil {
+		return nil, r.Err
+	}
+	return *r.Metrics, nil
 }
 
 // BenchmarkColdVsWarmRestart measures what the persistent cache buys a

@@ -12,7 +12,6 @@ import (
 	"mira/internal/arch"
 	"mira/internal/ast"
 	"mira/internal/disasm"
-	"mira/internal/expr"
 	"mira/internal/ir"
 	"mira/internal/model"
 	"mira/internal/objfile"
@@ -67,16 +66,6 @@ func AnalyzeContext(ctx context.Context, name, source string, opts Options) (*Pi
 	return res.Pipeline, nil
 }
 
-// StaticMetrics evaluates the model of fn (inclusive) under env.
-func (p *Pipeline) StaticMetrics(fn string, env expr.Env) (model.Metrics, error) {
-	return p.Model.Evaluate(fn, env)
-}
-
-// StaticMetricsExclusive evaluates body-only metrics.
-func (p *Pipeline) StaticMetricsExclusive(fn string, env expr.Env) (model.Metrics, error) {
-	return p.Model.EvaluateExclusive(fn, env)
-}
-
 // NewMachine returns a fresh VM over the compiled binary for dynamic
 // validation runs.
 func (p *Pipeline) NewMachine() *vm.Machine { return vm.New(p.Obj) }
@@ -105,29 +94,9 @@ func (p *Pipeline) BinaryDot(fn string) (string, error) {
 	return disasm.Dot(disasm.DisassembleFunc(p.Obj, sym)), nil
 }
 
-// FineCategoryCounts buckets fn's static per-opcode counts into the
-// architecture description's fine-grained (64-way) categories.
-func (p *Pipeline) FineCategoryCounts(fn string, env expr.Env) (map[string]int64, error) {
-	ops, err := p.Model.EvaluateOpcodes(fn, env)
-	if err != nil {
-		return nil, err
-	}
-	return BucketFine(p.Arch, ops), nil
-}
-
-// TableIICounts aggregates fn's static metrics into the seven rows the
-// paper's Table II reports.
-func (p *Pipeline) TableIICounts(fn string, env expr.Env) (map[string]int64, error) {
-	ops, err := p.Model.EvaluateOpcodes(fn, env)
-	if err != nil {
-		return nil, err
-	}
-	return BucketTableII(ops), nil
-}
-
 // BucketTableII aggregates per-opcode counts into the paper's Table II
-// categories. Shared by every evaluation path (pipeline and the cached
-// engine layer) so the bucketing cannot drift.
+// categories. Shared by every evaluation path (queries and sweeps) so the
+// bucketing cannot drift.
 func BucketTableII(ops map[ir.Op]int64) map[string]int64 {
 	out := map[string]int64{}
 	for op, n := range ops {

@@ -30,7 +30,7 @@ func TestAnalyzePipelineEndToEnd(t *testing.T) {
 	if p.File == nil || p.Prog == nil || p.Obj == nil || p.Model == nil {
 		t.Fatal("pipeline stage missing")
 	}
-	met, err := p.StaticMetrics("kernel", expr.EnvFromInts(map[string]int64{"n": 100}))
+	met, err := p.Model.Evaluate("kernel", expr.EnvFromInts(map[string]int64{"n": 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +80,15 @@ func TestCategoryAPIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := expr.EnvFromInts(map[string]int64{"n": 10})
-	fine, err := p.FineCategoryCounts("kernel", env)
+	ops, err := p.Model.EvaluateOpcodes("kernel", env)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fine := core.BucketFine(p.Arch, ops)
 	if fine["SSE2 packed arithmetic"] != 10 {
 		t.Errorf("fine = %v", fine)
 	}
-	t2, err := p.TableIICounts("kernel", env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t2 := core.BucketTableII(ops)
 	if t2["SSE2 packed arithmetic instruction"] != 10 {
 		t.Errorf("table II = %v", t2)
 	}
@@ -98,7 +96,7 @@ func TestCategoryAPIs(t *testing.T) {
 	for _, n := range t2 {
 		sum += n
 	}
-	met, _ := p.StaticMetrics("kernel", env)
+	met, _ := p.Model.Evaluate("kernel", env)
 	if sum != met.Instrs {
 		t.Errorf("category sum %d != total %d", sum, met.Instrs)
 	}

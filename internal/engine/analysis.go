@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -322,154 +323,106 @@ func envFingerprint(env expr.Env) string {
 	return sb.String()
 }
 
-// StaticMetrics evaluates fn (inclusive) under env, memoized.
-func (a *Analysis) StaticMetrics(fn string, env expr.Env) (model.Metrics, error) {
-	return a.cachedMetrics(fn, env, false)
+// memo is the one lookup/compute/store routine behind every query kind:
+// a hit in table (one of fe's memo maps, guarded by fe.mu) is counted and
+// served; a miss runs compute and stores its result. Errors are not
+// cached: they are rare (bad function name or an unbound parameter) and
+// carry no reuse value. A leaf kind's compute counts its own miss (see
+// evaluate); a kind derived from another memo's entry leaves the count
+// to that nested lookup.
+func memo[K comparable, V any](a *Analysis, fe *funcEntry, table map[K]V, key K, compute func() (V, error)) (V, error) {
+	fe.mu.RLock()
+	v, ok := table[key]
+	fe.mu.RUnlock()
+	if ok {
+		a.observeEval(true, 0)
+		return v, nil
+	}
+	v, err := compute()
+	if err != nil {
+		return v, err
+	}
+	fe.mu.Lock()
+	table[key] = v
+	fe.mu.Unlock()
+	return v, nil
 }
 
-// StaticMetricsExclusive evaluates body-only metrics, memoized.
-func (a *Analysis) StaticMetricsExclusive(fn string, env expr.Env) (model.Metrics, error) {
-	return a.cachedMetrics(fn, env, true)
+// evaluate runs one leaf evaluation — a model walk or a PBound count —
+// panic-guarded, and counts it as a memo miss with its duration.
+func evaluate[V any](a *Analysis, what string, f func() (V, error)) (V, error) {
+	start := time.Now()
+	v, err := safely(what, f)
+	a.observeEval(false, time.Since(start).Seconds())
+	return v, err
 }
 
-func (a *Analysis) cachedMetrics(fn string, env expr.Env, exclusive bool) (model.Metrics, error) {
+// metrics evaluates fn's inclusive or body-only metrics under env.
+func (a *Analysis) metrics(fn string, env expr.Env, exclusive bool) (model.Metrics, error) {
 	fe := a.memoFor(fn)
 	key := fevalKey{env: envFingerprint(env), exclusive: exclusive}
-	fe.mu.RLock()
-	met, ok := fe.metrics[key]
-	fe.mu.RUnlock()
-	if ok {
-		a.observeEval(true, 0)
-		return met, nil
-	}
-	start := time.Now()
-	met, err := safely("evaluation", func() (model.Metrics, error) {
-		if exclusive {
-			return a.Pipeline.StaticMetricsExclusive(fn, env)
+	return memo(a, fe, fe.metrics, key, func() (model.Metrics, error) {
+		return evaluate(a, "evaluation", func() (model.Metrics, error) {
+			if exclusive {
+				return a.Model.EvaluateExclusive(fn, env)
+			}
+			return a.Model.Evaluate(fn, env)
+		})
+	})
+}
+
+// opcodes evaluates fn's inclusive per-opcode counts under env. The map
+// is the memo's own: callers bucket it and never mutate it.
+func (a *Analysis) opcodes(fn string, env expr.Env) (map[ir.Op]int64, error) {
+	fe := a.memoFor(fn)
+	return memo(a, fe, fe.opcodes, fevalKey{env: envFingerprint(env)}, func() (map[ir.Op]int64, error) {
+		return evaluate(a, "evaluation", func() (map[ir.Op]int64, error) {
+			return a.Model.EvaluateOpcodes(fn, env)
+		})
+	})
+}
+
+// fineCats buckets fn's counts into d's fine categories, memoized under
+// (env, d's content key). archKey must be d.ContentKey() — callers pass
+// it precomputed so a memo probe never re-hashes the description. The
+// returned map is a fresh copy the caller may mutate.
+func (a *Analysis) fineCats(fn string, env expr.Env, d *arch.Description, archKey string) (map[string]int64, error) {
+	fe := a.memoFor(fn)
+	key := archPointKey{env: envFingerprint(env), arch: archKey}
+	cats, err := memo(a, fe, fe.finecats, key, func() (map[string]int64, error) {
+		ops, err := a.opcodes(fn, env)
+		if err != nil {
+			return nil, err
 		}
-		return a.Pipeline.StaticMetrics(fn, env)
+		return core.BucketFine(d, ops), nil
 	})
-	a.observeEval(false, time.Since(start).Seconds())
-	if err != nil {
-		// Errors are not cached: they are rare (bad function name or an
-		// unbound parameter) and carry no reuse value.
-		return met, err
-	}
-	fe.mu.Lock()
-	fe.metrics[key] = met
-	fe.mu.Unlock()
-	return met, nil
-}
-
-// EvaluateOpcodes returns fn's inclusive per-opcode counts under env,
-// memoized. The returned map is a fresh copy the caller may mutate.
-func (a *Analysis) EvaluateOpcodes(fn string, env expr.Env) (map[ir.Op]int64, error) {
-	fe := a.memoFor(fn)
-	key := fevalKey{env: envFingerprint(env)}
-	fe.mu.RLock()
-	ops, ok := fe.opcodes[key]
-	fe.mu.RUnlock()
-	if ok {
-		a.observeEval(true, 0)
-		return copyOps(ops), nil
-	}
-	start := time.Now()
-	ops, err := safely("evaluation", func() (map[ir.Op]int64, error) {
-		return a.Model.EvaluateOpcodes(fn, env)
-	})
-	a.observeEval(false, time.Since(start).Seconds())
 	if err != nil {
 		return nil, err
 	}
-	fe.mu.Lock()
-	fe.opcodes[key] = ops
-	fe.mu.Unlock()
-	return copyOps(ops), nil
+	return maps.Clone(cats), nil
 }
 
-func copyOps(ops map[ir.Op]int64) map[ir.Op]int64 {
-	out := make(map[ir.Op]int64, len(ops))
-	for op, n := range ops {
-		out[op] = n
-	}
-	return out
-}
-
-// TableIICounts aggregates fn's counts into the paper's Table II rows,
-// served from the opcode memo.
-func (a *Analysis) TableIICounts(fn string, env expr.Env) (map[string]int64, error) {
-	ops, err := a.EvaluateOpcodes(fn, env)
-	if err != nil {
-		return nil, err
-	}
-	return core.BucketTableII(ops), nil
-}
-
-// FineCategoryCounts buckets fn's counts into the architecture
-// description's fine-grained categories, memoized under the analysis's
-// own architecture.
-func (a *Analysis) FineCategoryCounts(fn string, env expr.Env) (map[string]int64, error) {
-	return a.cachedFineCats(fn, env, a.Arch, a.archKey)
-}
-
-// cachedFineCats buckets fn's counts into d's fine categories, memoized
-// under (env, d's content key). archKey must be d.ContentKey() — callers
-// pass it precomputed so a memo probe never re-hashes the description.
-// The returned map is a fresh copy the caller may mutate.
-func (a *Analysis) cachedFineCats(fn string, env expr.Env, d *arch.Description, archKey string) (map[string]int64, error) {
+// rooflineFor computes fn's roofline assessment against d, memoized under
+// (env, d's content key) like fineCats. The memo stores the analysis by
+// value; callers get a private copy.
+func (a *Analysis) rooflineFor(fn string, env expr.Env, d *arch.Description, archKey string) (*roofline.Analysis, error) {
 	fe := a.memoFor(fn)
 	key := archPointKey{env: envFingerprint(env), arch: archKey}
-	fe.mu.RLock()
-	cats, ok := fe.finecats[key]
-	fe.mu.RUnlock()
-	if ok {
-		a.observeEval(true, 0)
-		return copyCats(cats), nil
-	}
-	ops, err := a.EvaluateOpcodes(fn, env)
+	roof, err := memo(a, fe, fe.rooflines, key, func() (roofline.Analysis, error) {
+		met, err := a.metrics(fn, env, false)
+		if err != nil {
+			return roofline.Analysis{}, err
+		}
+		r, err := roofline.Analyze(fn, met, d)
+		if err != nil {
+			return roofline.Analysis{}, err
+		}
+		return *r, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	cats = core.BucketFine(d, ops)
-	fe.mu.Lock()
-	fe.finecats[key] = cats
-	fe.mu.Unlock()
-	return copyCats(cats), nil
-}
-
-func copyCats(cats map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(cats))
-	for c, n := range cats {
-		out[c] = n
-	}
-	return out
-}
-
-// cachedRoofline computes fn's roofline assessment against d, memoized
-// under (env, d's content key) like cachedFineCats. The memo stores the
-// analysis by value; callers get a private copy.
-func (a *Analysis) cachedRoofline(fn string, env expr.Env, d *arch.Description, archKey string) (*roofline.Analysis, error) {
-	fe := a.memoFor(fn)
-	key := archPointKey{env: envFingerprint(env), arch: archKey}
-	fe.mu.RLock()
-	roof, ok := fe.rooflines[key]
-	fe.mu.RUnlock()
-	if ok {
-		a.observeEval(true, 0)
-		return &roof, nil
-	}
-	met, err := a.cachedMetrics(fn, env, false)
-	if err != nil {
-		return nil, err
-	}
-	r, err := roofline.Analyze(fn, met, d)
-	if err != nil {
-		return nil, err
-	}
-	fe.mu.Lock()
-	fe.rooflines[key] = *r
-	fe.mu.Unlock()
-	return r, nil
+	return &roof, nil
 }
 
 // pboundReport lazily builds (once per content hash) the source-only
@@ -485,36 +438,21 @@ func (a *Analysis) pboundReport() (*pbound.Report, error) {
 	return sh.pb, sh.pbErr
 }
 
-// PBoundCounts evaluates the source-only PBound bounds of fn under env,
-// memoized like every other query point. The memo cell is the function's
-// content key, so the counts — a pure function of fn's source subtree
-// and callee closure — survive edits elsewhere in the file.
-func (a *Analysis) PBoundCounts(fn string, env expr.Env) (pbound.Counts, error) {
+// pboundCounts evaluates the source-only PBound bounds of fn under env. The
+// memo cell is the function's content key, so the counts — a pure
+// function of fn's source subtree and callee closure — survive edits
+// elsewhere in the file.
+func (a *Analysis) pboundCounts(fn string, env expr.Env) (pbound.Counts, error) {
 	rep, err := a.pboundReport()
 	if err != nil {
 		return pbound.Counts{}, err
 	}
 	fe := a.memoFor(fn)
-	key := fevalKey{env: envFingerprint(env)}
-	fe.mu.RLock()
-	c, ok := fe.pbounds[key]
-	fe.mu.RUnlock()
-	if ok {
-		a.observeEval(true, 0)
-		return c, nil
-	}
-	start := time.Now()
-	c, err = safely("pbound evaluation", func() (pbound.Counts, error) {
-		return rep.EvalCounts(fn, env)
+	return memo(a, fe, fe.pbounds, fevalKey{env: envFingerprint(env)}, func() (pbound.Counts, error) {
+		return evaluate(a, "pbound evaluation", func() (pbound.Counts, error) {
+			return rep.EvalCounts(fn, env)
+		})
 	})
-	a.observeEval(false, time.Since(start).Seconds())
-	if err != nil {
-		return pbound.Counts{}, err
-	}
-	fe.mu.Lock()
-	fe.pbounds[key] = c
-	fe.mu.Unlock()
-	return c, nil
 }
 
 // EvalStats reports this analysis's memoized-evaluation hit/miss

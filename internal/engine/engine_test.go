@@ -13,6 +13,7 @@ import (
 	"mira/internal/core"
 	"mira/internal/engine"
 	"mira/internal/expr"
+	"mira/internal/model"
 )
 
 const scaleSrc = `
@@ -57,10 +58,10 @@ func TestAnalyzeContentDedup(t *testing.T) {
 	// Shared memo: an evaluation through one view is a hit through the
 	// other.
 	env := expr.EnvFromInts(map[string]int64{"n": 7})
-	if _, err := a1.StaticMetrics("scale", env); err != nil {
+	if _, err := static(a1, "scale", env); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a2.StaticMetrics("scale", env); err != nil {
+	if _, err := static(a2, "scale", env); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := a2.EvalStats(); hits != 1 || misses != 1 {
@@ -157,7 +158,7 @@ func TestConcurrentBatchAndEvalMatchesSerial(t *testing.T) {
 		tr := truth{metrics: map[int64]int64{}, ops: map[int64]int64{}}
 		for _, n := range ns {
 			env := expr.EnvFromInts(map[string]int64{"n": n})
-			met, err := p.StaticMetrics(fns[name], env)
+			met, err := p.Model.Evaluate(fns[name], env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +210,7 @@ func TestConcurrentBatchAndEvalMatchesSerial(t *testing.T) {
 				go func(a *engine.Analysis, n int64) {
 					defer wg.Done()
 					env := expr.EnvFromInts(map[string]int64{"n": n})
-					met, err := a.StaticMetrics(fn, env)
+					met, err := static(a, fn, env)
 					if err != nil {
 						report(err)
 						return
@@ -217,21 +218,23 @@ func TestConcurrentBatchAndEvalMatchesSerial(t *testing.T) {
 					if met.FPI() != tr.metrics[n] {
 						report(fmt.Errorf("%s n=%d: FPI %d != serial %d", fn, n, met.FPI(), tr.metrics[n]))
 					}
-					ops, err := a.EvaluateOpcodes(fn, env)
-					if err != nil {
-						report(err)
+					// Table II buckets every opcode once: their sum is
+					// the opcode total.
+					r := a.RunOne(context.Background(), engine.Query{Fn: fn, Env: env, Kind: engine.KindCategories})
+					if r.Err != nil {
+						report(r.Err)
 						return
 					}
 					var total int64
-					for _, c := range ops {
+					for _, c := range r.Categories {
 						total += c
 					}
 					if total != tr.ops[n] {
 						report(fmt.Errorf("%s n=%d: opcode total %d != serial %d", fn, n, total, tr.ops[n]))
 					}
 					// Mutating the returned copy must not poison the memo.
-					for op := range ops {
-						ops[op] = -1
+					for c := range r.Categories {
+						r.Categories[c] = -1
 					}
 				}(r.Analysis, n)
 			}
@@ -257,6 +260,15 @@ func TestConcurrentBatchAndEvalMatchesSerial(t *testing.T) {
 	}
 }
 
+// static evaluates one KindStatic cell through RunOne.
+func static(a *engine.Analysis, fn string, env expr.Env) (model.Metrics, error) {
+	r := a.RunOne(context.Background(), engine.Query{Fn: fn, Env: env, Kind: engine.KindStatic})
+	if r.Err != nil {
+		return model.Metrics{}, r.Err
+	}
+	return *r.Metrics, nil
+}
+
 func TestEnvFingerprintOrderIndependent(t *testing.T) {
 	e := engine.New(engine.Options{})
 	a, err := e.AnalyzeCtx(context.Background(), "axpy.c", axpySrc)
@@ -271,10 +283,10 @@ func TestEnvFingerprintOrderIndependent(t *testing.T) {
 	e2 := expr.Env{}
 	e2["a"] = expr.EnvFromInts(map[string]int64{"a": 3})["a"]
 	e2["n"] = expr.EnvFromInts(map[string]int64{"n": 64})["n"]
-	if _, err := a.StaticMetrics("axpy", e1); err != nil {
+	if _, err := static(a, "axpy", e1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.StaticMetrics("axpy", e2); err != nil {
+	if _, err := static(a, "axpy", e2); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := a.EvalStats()

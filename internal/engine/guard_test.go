@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -42,16 +43,17 @@ func TestEvalPanicBecomesError(t *testing.T) {
 	a := e.newAnalysis(panicPipeline(), "")
 	env := expr.EnvFromInts(map[string]int64{"n": 7})
 
-	if _, err := a.StaticMetrics("boom", env); err == nil {
+	ctx := context.Background()
+	if err := a.RunOne(ctx, Query{Fn: "boom", Env: env}).Err; err == nil {
 		t.Fatal("eval panic not converted to error")
 	} else if !strings.Contains(err.Error(), "panicked") {
 		t.Errorf("err = %v, want panic conversion", err)
 	}
-	if _, err := a.EvaluateOpcodes("boom", env); err == nil {
+	if err := a.RunOne(ctx, Query{Fn: "boom", Env: env, Kind: KindCategories}).Err; err == nil {
 		t.Fatal("opcode eval panic not converted to error")
 	}
 	// The analysis must remain usable after a panic (no poisoned locks).
-	if _, err := a.StaticMetrics("missing", env); err == nil || strings.Contains(err.Error(), "panicked") {
+	if err := a.RunOne(ctx, Query{Fn: "missing", Env: env}).Err; err == nil || strings.Contains(err.Error(), "panicked") {
 		t.Errorf("post-panic query err = %v, want ordinary lookup error", err)
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 
 	"mira/internal/arch"
+	"mira/internal/core"
 	"mira/internal/expr"
+	"mira/internal/ir"
 	"mira/internal/model"
 	"mira/internal/pbound"
 	"mira/internal/roofline"
@@ -66,8 +68,7 @@ func ParseKind(s string) (QueryKind, error) {
 }
 
 // Query is one cell of a query matrix: evaluate Kind for function Fn
-// under Env. The zero Kind is KindStatic, so the legacy one-metric calls
-// are literally one-element queries.
+// under Env. The zero Kind is KindStatic.
 type Query struct {
 	Fn   string
 	Env  expr.Env
@@ -109,61 +110,46 @@ func (a *Analysis) Run(ctx context.Context, queries []Query) []QueryResult {
 	return out
 }
 
-// RunOne evaluates a single query cell, honoring ctx.
+// RunOne evaluates a single query cell, honoring ctx. It is the one
+// query entry: every kind is served through the analysis's memo.
 func (a *Analysis) RunOne(ctx context.Context, q Query) QueryResult {
 	r := QueryResult{Query: q}
 	if err := ctx.Err(); err != nil {
 		r.Err = err
 		return r
 	}
+	var err error
 	switch q.Kind {
 	case KindStatic, KindStaticExclusive:
-		met, err := a.cachedMetrics(q.Fn, q.Env, q.Kind == KindStaticExclusive)
-		if err != nil {
-			r.Err = err
-			return r
-		}
+		var met model.Metrics
+		met, err = a.metrics(q.Fn, q.Env, q.Kind == KindStaticExclusive)
 		r.Metrics = &met
 	case KindCategories:
-		cats, err := a.TableIICounts(q.Fn, q.Env)
-		if err != nil {
-			r.Err = err
-			return r
+		var ops map[ir.Op]int64
+		if ops, err = a.opcodes(q.Fn, q.Env); err == nil {
+			r.Categories = core.BucketTableII(ops)
 		}
-		r.Categories = cats
 	case KindFineCategories:
-		d, key, err := a.queryArch(q)
-		if err != nil {
-			r.Err = err
-			return r
+		var d *arch.Description
+		var key string
+		if d, key, err = a.queryArch(q); err == nil {
+			r.Categories, err = a.fineCats(q.Fn, q.Env, d, key)
 		}
-		cats, err := a.cachedFineCats(q.Fn, q.Env, d, key)
-		if err != nil {
-			r.Err = err
-			return r
-		}
-		r.Categories = cats
 	case KindRoofline:
-		d, key, err := a.queryArch(q)
-		if err != nil {
-			r.Err = err
-			return r
+		var d *arch.Description
+		var key string
+		if d, key, err = a.queryArch(q); err == nil {
+			r.Roofline, err = a.rooflineFor(q.Fn, q.Env, d, key)
 		}
-		roof, err := a.cachedRoofline(q.Fn, q.Env, d, key)
-		if err != nil {
-			r.Err = err
-			return r
-		}
-		r.Roofline = roof
 	case KindPBound:
-		c, err := a.PBoundCounts(q.Fn, q.Env)
-		if err != nil {
-			r.Err = err
-			return r
-		}
+		var c pbound.Counts
+		c, err = a.pboundCounts(q.Fn, q.Env)
 		r.PBound = &c
 	default:
-		r.Err = fmt.Errorf("engine: unknown query kind %d", q.Kind)
+		err = fmt.Errorf("engine: unknown query kind %d", q.Kind)
+	}
+	if err != nil {
+		return QueryResult{Query: q, Err: err}
 	}
 	return r
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mira/internal/arch"
+	"mira/internal/core"
 	"mira/internal/engine"
 	"mira/internal/expr"
 	"mira/internal/parser"
@@ -40,8 +41,10 @@ func TestQueryKindNames(t *testing.T) {
 	}
 }
 
-// TestRunMatchesDirectMethods: every query kind returns exactly what the
-// corresponding direct method returns, evaluated as one batch.
+// TestRunMatchesDirectMethods: every query kind, evaluated as one batch,
+// returns exactly what a direct model walk returns (bucketed through
+// core for the category kinds), and PBound what a hand-rolled
+// source-only pipeline returns.
 func TestRunMatchesDirectMethods(t *testing.T) {
 	e := engine.New(engine.Options{})
 	a, err := e.AnalyzeCtx(context.Background(), "scale.c", scaleSrc)
@@ -63,19 +66,20 @@ func TestRunMatchesDirectMethods(t *testing.T) {
 		}
 	}
 
-	met, _ := a.StaticMetrics("scale", env)
+	met, _ := a.Model.Evaluate("scale", env)
 	if *results[0].Metrics != met {
 		t.Errorf("static: %+v != %+v", *results[0].Metrics, met)
 	}
-	excl, _ := a.StaticMetricsExclusive("scale", env)
+	excl, _ := a.Model.EvaluateExclusive("scale", env)
 	if *results[1].Metrics != excl {
 		t.Errorf("exclusive: %+v != %+v", *results[1].Metrics, excl)
 	}
-	cats, _ := a.TableIICounts("scale", env)
+	ops, _ := a.Model.EvaluateOpcodes("scale", env)
+	cats := core.BucketTableII(ops)
 	if !reflect.DeepEqual(results[2].Categories, cats) {
 		t.Errorf("categories: %v != %v", results[2].Categories, cats)
 	}
-	fine, _ := a.FineCategoryCounts("scale", env)
+	fine := core.BucketFine(a.Arch, ops)
 	if !reflect.DeepEqual(results[3].Categories, fine) {
 		t.Errorf("fine: %v != %v", results[3].Categories, fine)
 	}

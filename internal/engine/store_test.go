@@ -41,7 +41,7 @@ func TestCacheStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := a1.StaticMetrics("scale", env)
+	m1, err := static(a1, "scale", env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCacheStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := a2.StaticMetrics("scale", env)
+	m2, err := static(a2, "scale", env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCacheStoreCorruptEntryDegrades(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: corrupt store entry broke analysis: %v", i, err)
 		}
-		if _, err := a.StaticMetrics("scale", expr.EnvFromInts(map[string]int64{"n": 10})); err != nil {
+		if _, err := static(a, "scale", expr.EnvFromInts(map[string]int64{"n": 10})); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		s := scrape(t, e)
@@ -157,7 +157,7 @@ func TestCacheStoreConcurrentRoundTrip(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := a.StaticMetrics("scale", env); err != nil {
+				if _, err := static(a, "scale", env); err != nil {
 					errs <- err
 					return
 				}
@@ -227,7 +227,7 @@ func TestMaxResidentEviction(t *testing.T) {
 		t.Errorf("evictions = %v, want >= 7", s["mira_cache_evictions_total"])
 	}
 	// An evicted Analysis held by a caller stays fully usable.
-	if _, err := first.StaticMetrics("f", env); err != nil {
+	if _, err := static(first, "f", env); err != nil {
 		t.Errorf("evicted analysis unusable: %v", err)
 	}
 	// Re-requesting evicted programs restores from the store, not the

@@ -45,7 +45,7 @@ func TestSweepStaticMatchesTreeWalk(t *testing.T) {
 		if p.Env["n"] != n {
 			t.Fatalf("point %d env = %v, want n=%d (grid order)", i, p.Env, n)
 		}
-		want, err := a.Pipeline.StaticMetrics("stream", expr.EnvFromInts(map[string]int64{"n": n}))
+		want, err := a.Model.Evaluate("stream", expr.EnvFromInts(map[string]int64{"n": n}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,10 +193,11 @@ func TestSweepKindsMatchQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCats, err := a.TableIICounts("dgemm_bench", exprEnv)
-	if err != nil {
-		t.Fatal(err)
+	want := a.RunOne(context.Background(), engine.Query{Fn: "dgemm_bench", Env: exprEnv, Kind: engine.KindCategories})
+	if want.Err != nil {
+		t.Fatal(want.Err)
 	}
+	wantCats := want.Categories
 	if fmt.Sprint(res.Points[0].Categories) != fmt.Sprint(wantCats) {
 		t.Fatalf("categories sweep %v != query %v", res.Points[0].Categories, wantCats)
 	}
@@ -233,10 +234,11 @@ func TestSweepKindsMatchQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPB, err := a.PBoundCounts("dgemm", exprEnv)
-	if err != nil {
-		t.Fatal(err)
+	want = a.RunOne(context.Background(), engine.Query{Fn: "dgemm", Env: exprEnv, Kind: engine.KindPBound})
+	if want.Err != nil {
+		t.Fatal(want.Err)
 	}
+	wantPB := *want.PBound
 	if res.Points[0].Err != nil || *res.Points[0].PBound != wantPB {
 		t.Fatalf("pbound sweep %+v (err %v) != query %+v", res.Points[0].PBound, res.Points[0].Err, wantPB)
 	}

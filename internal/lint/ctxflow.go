@@ -8,10 +8,10 @@ import (
 // the request-path packages (engine, report, the serve daemon), minting
 // a fresh context with context.Background()/context.TODO() severs the
 // caller's cancellation — a dropped client keeps burning workers. The
-// context must arrive as a parameter and be forwarded. Allowed escapes:
-// func main (the process root owns the root context), and functions
-// documented "Deprecated:" (ctx-free compatibility shims over the Ctx
-// variants). It also enforces context-first parameter order on exported
+// context must arrive as a parameter and be forwarded. The one allowed
+// escape is func main (the process root owns the root context); a
+// ctx-free compatibility shim is flagged like any other function. It
+// also enforces context-first parameter order on exported
 // functions, so call sites read uniformly.
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
@@ -42,9 +42,6 @@ func runCtxflow(pass *Pass) error {
 			checkCtxFirst(pass, fd)
 			if fd.Name.Name == "main" && fd.Recv == nil && pass.Pkg.Name() == "main" {
 				continue // the process root mints the root context
-			}
-			if docContains(fd.Doc, "Deprecated:") {
-				continue // sanctioned ctx-free compatibility shim
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)

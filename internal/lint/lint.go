@@ -329,9 +329,3 @@ func isInt64(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Int64
 }
-
-// docContains reports whether the declaration's doc comment contains the
-// given marker (e.g. "Deprecated:").
-func docContains(doc *ast.CommentGroup, marker string) bool {
-	return doc != nil && strings.Contains(doc.Text(), marker)
-}

@@ -27,10 +27,10 @@ func Evaluate(name string, ctx context.Context) error { // want "context.Context
 	return analyzeCtx(ctx, name)
 }
 
-// Deprecated: use AnalyzeCtx so callers can cancel; this ctx-free shim
-// is the sanctioned escape for callers with no lifecycle.
+// Deprecated: use AnalyzeCtx so callers can cancel. A deprecation
+// notice is no exemption: the ctx-free shim still severs cancellation.
 func AnalyzeCompat(name string) error {
-	return analyzeCtx(context.Background(), name)
+	return analyzeCtx(context.Background(), name) // want "context.Background() inside a request path"
 }
 
 func analyzeCtx(ctx context.Context, name string) error {

@@ -2,12 +2,12 @@
 // closed form (paper Sec. IV-D1: "the model ... can be evaluated at low
 // computational cost").
 //
-// The tree walkers in model.go re-walk every function body, re-copy every
-// callee environment, and re-evaluate every multiplicity on each query.
-// That is fine for one point, and the engine memoizes repeated points —
-// but a parameter sweep visits each point exactly once, so the memo never
-// hits and a 10k-point grid costs 10k full tree walks. Compile does the
-// walk once, symbolically:
+// The tree walker in model.go re-walks every function body, re-copies
+// every callee environment, and re-evaluates every multiplicity on each
+// query. That is fine for one point, and the engine memoizes repeated
+// points — but a parameter sweep visits each point exactly once, so the
+// memo never hits and a 10k-point grid costs 10k full tree walks.
+// Compile does the walk once, symbolically:
 //
 //   - callee models are inlined through the same argument-binding rules
 //     as bindEnv, with the whole binding environment substituted
@@ -23,15 +23,16 @@
 // flat pass over terms, each term a handful of int64 multiplies against
 // per-point values of the interned expressions.
 //
-// Fidelity contract: CompiledModel.Eval returns exactly Evaluate's
-// metrics (and EvalOps exactly EvaluateOpcodes'), including the walkers'
-// per-level round-to-nearest of each multiplicity, the skip of a subtree
+// Fidelity contract: CompiledModel.Eval returns exactly the walker's
+// metrics and EvalOps exactly its per-opcode counts, for inclusive and
+// exclusive compilations alike, including the walker's per-level
+// round-to-nearest of each multiplicity, the skip of a subtree
 // whose call multiplicity rounds to zero, ErrOverflow on counts that
 // leave int64, and bindEnv's runtime fallback from an uncomputable
 // derived argument to its mangled environment binding (expr.Fallback
-// carries that behavior into the compiled form). The two paths succeed
-// together with equal values or fail together; only error wording may
-// differ.
+// carries that behavior into the compiled form). A point the flat pass
+// cannot evaluate is re-run through the walker, so the two paths succeed
+// together with equal values or fail together with the same error.
 package model
 
 import (
@@ -43,13 +44,9 @@ import (
 	"mira/internal/rational"
 )
 
-// maxCompileDepth mirrors the walkers' recursion bound (defensive; sema
-// rejects recursive programs).
-const maxCompileDepth = 64
-
 // chainElem is one link of a term's multiplicity chain: an index into
 // the compiled model's interned expressions. A probe element reproduces
-// the walkers' eager argument evaluation in bindEnv — it is evaluated
+// the walker's eager argument evaluation in bindEnv — it is evaluated
 // for its error (an unbound parameter must fail the query exactly where
 // the tree walk fails it) but its value never enters the product.
 type chainElem struct {
@@ -60,7 +57,7 @@ type chainElem struct {
 // term is one merged group of sites sharing a multiplicity chain. Counts
 // are pre-scaled by every constant multiplicity folded at compile time;
 // the chain holds only the symbolic remainder, outermost first, each
-// element rounded independently per point exactly as the walkers round
+// element rounded independently per point exactly as the walker rounds
 // each level of the call tree. cats is the sparse form of counts
 // (nonzero categories only), derived once at the end of compilation —
 // the per-point hot loop iterates it instead of the dense vector.
@@ -192,7 +189,7 @@ func appendElem(chain []chainElem, idx int, probe bool) []chainElem {
 
 // foldMult handles one substituted multiplicity: a constant rounds and
 // folds into the running constant factor (a zero prunes the whole
-// subtree, matching the walkers' skip), anything symbolic — including a
+// subtree, matching the walker's skip), anything symbolic — including a
 // constant whose rounding overflows, which must only fail queries that
 // actually reach it — extends the chain. The returned prune flag means
 // the multiplicity is constant zero.
@@ -215,8 +212,8 @@ func (c *compiler) foldMult(me expr.Expr, chain []chainElem, constMult int64) (_
 // term per reached site. chain and constMult carry the multiplicities
 // accumulated from the root down to this function.
 func (c *compiler) inline(name string, sym map[string]expr.Expr, chain []chainElem, constMult int64, exclusive bool, depth int) error {
-	if depth > maxCompileDepth {
-		return fmt.Errorf("model: call depth exceeds %d at %q", maxCompileDepth, name)
+	if depth > maxCallDepth {
+		return fmt.Errorf("model: call depth exceeds %d at %q", maxCallDepth, name)
 	}
 	f, ok := c.m.Funcs[name]
 	if !ok {
@@ -240,7 +237,7 @@ func (c *compiler) inline(name string, sym map[string]expr.Expr, chain []chainEl
 	for _, call := range f.Calls {
 		cChain, cConst, prune := c.foldMult(expr.SubstituteAll(call.Mult, sym), chain, constMult)
 		if prune {
-			continue // the walkers skip a zero-multiplicity call entirely
+			continue // the walker skips a zero-multiplicity call entirely
 		}
 		childSym := make(map[string]expr.Expr, len(sym)+len(call.Args))
 		for k, v := range sym {
@@ -259,7 +256,7 @@ func (c *compiler) inline(name string, sym map[string]expr.Expr, chain []chainEl
 			if _, isConst := expr.ConstVal(se); !isConst {
 				// bindEnv evaluates every derived argument eagerly, even
 				// ones the callee never reads; probe it so an argument
-				// the walkers cannot resolve fails the flat pass too
+				// the walker cannot resolve fails the flat pass too
 				// (which then defers to the walker — see Eval — for
 				// bindEnv's mangled-name fallback and error wording).
 				cChain = appendElem(cChain, c.intern(se), true)
@@ -272,7 +269,7 @@ func (c *compiler) inline(name string, sym map[string]expr.Expr, chain []chainEl
 		}
 		if len(c.cm.terms) == before && len(cChain) > len(chain) {
 			// The callee contributed nothing countable (extern, empty, or
-			// fully merged) but the walkers still evaluate this call's
+			// fully merged) but the walker still evaluates this call's
 			// multiplicity and arguments: keep a zero-count guard term so
 			// their runtime errors surface identically.
 			if err := c.emit(cChain, 1, nil); err != nil {
@@ -497,7 +494,7 @@ func (sc *scratch) roundedValue(idx int) (int64, error) {
 // chainMult evaluates a term's multiplicity chain left to right —
 // outermost first, exactly the order the tree walk encounters them — and
 // returns the product of the rounded values. A zero short-circuits
-// before any later element is touched (the walkers skip the subtree),
+// before any later element is touched (the walker skips the subtree),
 // and probes are evaluated for effect only.
 func (sc *scratch) chainMult(chain []chainElem) (int64, error) {
 	mult := int64(1)
@@ -540,7 +537,7 @@ func (cm *CompiledModel) Eval(env expr.Env) (Metrics, error) {
 		t := &cm.terms[i]
 		mult, err := sc.chainMult(t.chain)
 		if err != nil {
-			return cm.walkMetrics(env)
+			return cm.model.metrics(cm.fn, env, cm.exclusive)
 		}
 		if mult == 0 {
 			continue
@@ -555,34 +552,19 @@ func (cm *CompiledModel) Eval(env expr.Env) (Metrics, error) {
 			}
 		}
 		if !ok || !accumInto(&out.Flops, t.flops, mult) || !accumInto(&out.Instrs, t.instrs, mult) {
-			return cm.walkMetrics(env)
+			return cm.model.metrics(cm.fn, env, cm.exclusive)
 		}
 	}
 	return out, nil
 }
 
-// walkMetrics is Eval's failure path: the tree walk owns the full
-// runtime semantics (mangled-name argument fallback, error wording).
-func (cm *CompiledModel) walkMetrics(env expr.Env) (Metrics, error) {
-	if cm.exclusive {
-		return cm.model.EvaluateExclusive(cm.fn, env)
-	}
-	return cm.model.Evaluate(cm.fn, env)
-}
-
 // EvalOps computes the compiled per-opcode counts under env, identical
-// to the tree-walk EvaluateOpcodes (with the same walker failure path
-// as Eval; an exclusive compilation has no opcode walker counterpart,
-// so its rare failures surface directly). The returned map is fresh.
+// to the walker's per-opcode view of the same compilation (inclusive or
+// exclusive), with the same walker failure path as Eval. The returned
+// map is fresh.
 func (cm *CompiledModel) EvalOps(env expr.Env) (map[ir.Op]int64, error) {
 	out := map[ir.Op]int64{}
 	sc := cm.newScratch(env)
-	walk := func(flatErr error) (map[ir.Op]int64, error) {
-		if cm.exclusive {
-			return nil, fmt.Errorf("model: compiled %s: %w", cm.fn, flatErr)
-		}
-		return cm.model.EvaluateOpcodes(cm.fn, env)
-	}
 	for i := range cm.terms {
 		t := &cm.terms[i]
 		if len(t.ops) == 0 && len(t.chain) == 0 {
@@ -590,14 +572,14 @@ func (cm *CompiledModel) EvalOps(env expr.Env) (map[ir.Op]int64, error) {
 		}
 		mult, err := sc.chainMult(t.chain)
 		if err != nil {
-			return walk(err)
+			return cm.model.opcodes(cm.fn, env, cm.exclusive)
 		}
 		if mult == 0 {
 			continue
 		}
 		for op, n := range t.ops {
 			if err := accumOp(out, op, n, mult); err != nil {
-				return walk(err)
+				return cm.model.opcodes(cm.fn, env, cm.exclusive)
 			}
 		}
 	}

@@ -50,29 +50,6 @@ func TestCompileMatchesWalker(t *testing.T) {
 	}
 }
 
-func TestCompileExclusiveMatchesWalker(t *testing.T) {
-	m := buildModel()
-	env := expr.EnvFromInts(map[string]int64{"n": 9})
-	cm, err := m.CompileExclusive("outer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.EvaluateExclusive("outer", env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cm.Eval(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("exclusive: walker %+v != compiled %+v", want, got)
-	}
-	if got.FPI() != 0 {
-		t.Fatalf("exclusive outer should have no FPI (all in callee), got %d", got.FPI())
-	}
-}
-
 func TestCompileUnknownFunction(t *testing.T) {
 	m := buildModel()
 	if _, err := m.Compile("nope"); err == nil {
@@ -238,7 +215,7 @@ func TestCompileOverflow(t *testing.T) {
 	if _, err := cm.Eval(env); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("compiled overflow err = %v, want ErrOverflow", err)
 	}
-	if err := m.evalOpcodes("outer", env, 0, map[ir.Op]int64{}); !errors.Is(err, ErrOverflow) {
+	if _, err := m.EvaluateOpcodes("outer", env); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("opcode walker overflow err = %v, want ErrOverflow", err)
 	}
 	if _, err := cm.EvalOps(env); !errors.Is(err, ErrOverflow) {

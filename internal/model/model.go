@@ -24,8 +24,8 @@ import (
 	"mira/internal/rational"
 )
 
-// ErrOverflow is the typed error every evaluation path (tree walkers and
-// the compiled path) returns when an instruction count or multiplicity
+// ErrOverflow is the typed error every evaluation path (the tree walker
+// and the compiled path) returns when an instruction count or multiplicity
 // no longer fits in int64. At sweep-scale sizes (dgemm n^3 flops) raw
 // accumulation silently wraps negative and poisons every cache built on
 // top; check with errors.Is.
@@ -91,7 +91,7 @@ func (m *Metrics) Add(other Metrics, mult int64) error {
 }
 
 // accumInto adds n*mult into *dst, reporting overflow instead of
-// wrapping. The one accumulation primitive shared by the tree walkers
+// wrapping. The one accumulation primitive shared by the tree walker
 // and the compiled path — their overflow policies must never diverge.
 func accumInto(dst *int64, n, mult int64) bool {
 	p, ok := mulChecked(n, mult)
@@ -191,9 +191,10 @@ func (f *Func) FreeParams() []string {
 }
 
 // roundMult converts an evaluated multiplicity to an integer count.
-// Fractional multiplicities arise from br_frac annotations; every model
-// walker must round identically — to nearest, ties up — or the per-opcode
-// view (Table II, the fine categories) silently drifts from Evaluate.
+// Fractional multiplicities arise from br_frac annotations; every
+// evaluation path must round identically — to nearest, ties up — or the
+// per-opcode view (Table II, the fine categories) silently drifts from
+// Evaluate.
 // A multiplicity whose rounded value leaves int64 range is ErrOverflow
 // (it used to silently become whatever big.Int.Int64 truncates to).
 var oneHalf = rational.FromFrac(1, 2)
@@ -217,10 +218,11 @@ func roundMult(mult rational.Rat) (int64, error) {
 // name is also unbound, a nil argument deletes the parameter so the callee
 // reports it unbound, while an uncomputable expression is a hard error.
 // unresolved lists the mangled names the environment did not supply, for
-// diagnostics on callee failure. Both model walkers must build callee
-// environments through this one helper — a caller-scope binding leaking
-// through for one walker but not the other evaluates the same program in
-// two different environments.
+// diagnostics on callee failure. The walker builds every callee
+// environment through this one helper, for the metric and the per-opcode
+// view alike, and the compiler inlines by the same rules — a caller-scope
+// binding leaking through for one view but not the other would evaluate
+// the same program in two different environments.
 func (c *Call) bindEnv(env expr.Env) (childEnv expr.Env, unresolved []string, err error) {
 	childEnv = make(expr.Env, len(env)+len(c.Args))
 	for k, v := range env {
@@ -258,106 +260,95 @@ func (c *Call) bindEnv(env expr.Env) (childEnv expr.Env, unresolved []string, er
 	return childEnv, unresolved, nil
 }
 
-// EvalOptions tunes evaluation.
-type EvalOptions struct {
-	// Exclusive skips callee contributions.
-	Exclusive bool
-	// MaxDepth bounds call recursion (defensive; sema rejects recursion).
-	MaxDepth int
-}
+// maxCallDepth bounds call recursion in the walker and the compiler
+// alike (defensive; sema rejects recursion).
+const maxCallDepth = 64
 
 // Evaluate computes the inclusive metrics of function name under the given
 // parameter environment. Callee environments inherit the caller's and are
 // overridden by statically derived argument bindings; unresolved arguments
 // are looked up under their mangled names.
 func (m *Model) Evaluate(name string, env expr.Env) (Metrics, error) {
-	return m.eval(name, env, EvalOptions{MaxDepth: 64}, 0)
+	return m.metrics(name, env, false)
 }
 
 // EvaluateExclusive computes body-only metrics.
 func (m *Model) EvaluateExclusive(name string, env expr.Env) (Metrics, error) {
-	return m.eval(name, env, EvalOptions{Exclusive: true, MaxDepth: 64}, 0)
-}
-
-func (m *Model) eval(name string, env expr.Env, opts EvalOptions, depth int) (Metrics, error) {
-	var out Metrics
-	if depth > opts.MaxDepth {
-		return out, fmt.Errorf("model: call depth exceeds %d at %q", opts.MaxDepth, name)
-	}
-	f, ok := m.Funcs[name]
-	if !ok {
-		return out, fmt.Errorf("model: no function %q", name)
-	}
-	if f.Extern {
-		return out, nil // invisible to static analysis (paper Sec. IV-D1)
-	}
-	for _, s := range f.Sites {
-		mult, err := expr.Eval(s.Mult, env)
-		if err != nil {
-			return out, fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
-		}
-		mi, err := roundMult(mult)
-		if err != nil {
-			return out, fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
-		}
-		if err := out.Add(Metrics{ByCategory: s.Counts, Flops: s.Flops, Instrs: s.Instrs}, mi); err != nil {
-			return out, fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
-		}
-	}
-	if opts.Exclusive {
-		return out, nil
-	}
-	for _, call := range f.Calls {
-		mult, err := expr.Eval(call.Mult, env)
-		if err != nil {
-			return out, fmt.Errorf("model: %s call to %s at line %d: %w", name, call.Callee, call.Line, err)
-		}
-		mi, err := roundMult(mult)
-		if err != nil {
-			return out, fmt.Errorf("model: %s call to %s at line %d: %w", name, call.Callee, call.Line, err)
-		}
-		if mi == 0 {
-			continue
-		}
-		childEnv, unresolved, err := call.bindEnv(env)
-		if err != nil {
-			return out, fmt.Errorf("model: %s: %w", name, err)
-		}
-		sub, err := m.eval(call.Callee, childEnv, opts, depth+1)
-		if err != nil {
-			if len(unresolved) > 0 {
-				return out, fmt.Errorf("%w (call at line %d has statically unresolved arguments; "+
-					"bind them in the environment as %v — the paper's y_16 convention)",
-					err, call.Line, unresolved)
-			}
-			return out, err
-		}
-		if err := out.Add(sub, mi); err != nil {
-			return out, fmt.Errorf("model: %s call to %s at line %d: %w", name, call.Callee, call.Line, err)
-		}
-	}
-	return out, nil
+	return m.metrics(name, env, true)
 }
 
 // EvaluateOpcodes computes inclusive per-opcode counts of function name
 // under env — the granularity the architecture description file's 64
 // categories (and Table II / Fig. 6) consume.
 func (m *Model) EvaluateOpcodes(name string, env expr.Env) (map[ir.Op]int64, error) {
-	out := map[ir.Op]int64{}
-	err := m.evalOpcodes(name, env, 0, out)
+	return m.opcodes(name, env, false)
+}
+
+func (m *Model) metrics(name string, env expr.Env, exclusive bool) (Metrics, error) {
+	var out Metrics
+	err := walk(m, name, env, exclusive, 0, &out)
 	return out, err
 }
 
-func (m *Model) evalOpcodes(name string, env expr.Env, depth int, acc map[ir.Op]int64) error {
-	if depth > 64 {
-		return fmt.Errorf("model: call depth exceeded at %q", name)
+func (m *Model) opcodes(name string, env expr.Env, exclusive bool) (map[ir.Op]int64, error) {
+	out := opCounts{}
+	err := walk(m, name, env, exclusive, 0, out)
+	return out, err
+}
+
+// accumulator is what a walk sums into: *Metrics for the metric view,
+// opCounts for the per-opcode view. The walker rounds multiplicities and
+// binds call arguments once for both views; an accumulator only adds,
+// through the checked accumulation (Metrics.Add, accumOp).
+type accumulator[A any] interface {
+	// addSite adds one site's counts times its rounded multiplicity.
+	addSite(s *Site, mult int64) error
+	// addCallee adds a callee's completed walk times the call's
+	// rounded multiplicity.
+	addCallee(sub A, mult int64) error
+	// fresh returns an empty accumulator for a callee's walk.
+	fresh() A
+}
+
+func (m *Metrics) addSite(s *Site, mult int64) error {
+	return m.Add(Metrics{ByCategory: s.Counts, Flops: s.Flops, Instrs: s.Instrs}, mult)
+}
+
+func (m *Metrics) addCallee(sub *Metrics, mult int64) error { return m.Add(*sub, mult) }
+
+func (m *Metrics) fresh() *Metrics { return new(Metrics) }
+
+// opCounts is the per-opcode accumulator.
+type opCounts map[ir.Op]int64
+
+func (acc opCounts) addSite(s *Site, mult int64) error { return acc.addCallee(s.Ops, mult) }
+
+func (acc opCounts) addCallee(sub opCounts, mult int64) error {
+	for op, n := range sub {
+		if err := accumOp(acc, op, n, mult); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (opCounts) fresh() opCounts { return opCounts{} }
+
+// walk is the model's one recursive evaluator: it adds function name's
+// sites, and unless exclusive its callees' walks, under env into acc.
+// Each site and call multiplicity rounds through roundMult at its own
+// level, a call whose multiplicity rounds to zero is skipped without
+// binding its arguments, and callee environments come from bindEnv.
+func walk[A accumulator[A]](m *Model, name string, env expr.Env, exclusive bool, depth int, acc A) error {
+	if depth > maxCallDepth {
+		return fmt.Errorf("model: call depth exceeds %d at %q", maxCallDepth, name)
 	}
 	f, ok := m.Funcs[name]
 	if !ok {
 		return fmt.Errorf("model: no function %q", name)
 	}
 	if f.Extern {
-		return nil
+		return nil // invisible to static analysis (paper Sec. IV-D1)
 	}
 	for _, s := range f.Sites {
 		mult, err := expr.Eval(s.Mult, env)
@@ -368,11 +359,12 @@ func (m *Model) evalOpcodes(name string, env expr.Env, depth int, acc map[ir.Op]
 		if err != nil {
 			return fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
 		}
-		for op, n := range s.Ops {
-			if err := accumOp(acc, op, n, mi); err != nil {
-				return fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
-			}
+		if err := acc.addSite(s, mi); err != nil {
+			return fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
 		}
+	}
+	if exclusive {
+		return nil
 	}
 	for _, call := range f.Calls {
 		mult, err := expr.Eval(call.Mult, env)
@@ -390,8 +382,8 @@ func (m *Model) evalOpcodes(name string, env expr.Env, depth int, acc map[ir.Op]
 		if err != nil {
 			return fmt.Errorf("model: %s: %w", name, err)
 		}
-		sub := map[ir.Op]int64{}
-		if err := m.evalOpcodes(call.Callee, childEnv, depth+1, sub); err != nil {
+		sub := acc.fresh()
+		if err := walk(m, call.Callee, childEnv, false, depth+1, sub); err != nil {
 			if len(unresolved) > 0 {
 				return fmt.Errorf("%w (call at line %d has statically unresolved arguments; "+
 					"bind them in the environment as %v — the paper's y_16 convention)",
@@ -399,10 +391,8 @@ func (m *Model) evalOpcodes(name string, env expr.Env, depth int, acc map[ir.Op]
 			}
 			return err
 		}
-		for op, n := range sub {
-			if err := accumOp(acc, op, n, mi); err != nil {
-				return fmt.Errorf("model: %s call to %s at line %d: %w", name, call.Callee, call.Line, err)
-			}
+		if err := acc.addCallee(sub, mi); err != nil {
+			return fmt.Errorf("model: %s call to %s at line %d: %w", name, call.Callee, call.Line, err)
 		}
 	}
 	return nil

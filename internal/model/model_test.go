@@ -306,8 +306,8 @@ func fracModel() *Model {
 }
 
 // TestFractionalMultiplicityAgreement is the regression test for the
-// rounding divergence: evalOpcodes used to truncate fractional
-// multiplicities where eval rounded to nearest, so Table II totals
+// rounding divergence: the opcode walk used to truncate fractional
+// multiplicities where the metric walk rounded to nearest, so Table II totals
 // disagreed with Evaluate on br_frac-annotated programs.
 func TestFractionalMultiplicityAgreement(t *testing.T) {
 	m := fracModel()
@@ -346,7 +346,7 @@ func TestFractionalMultiplicityAgreement(t *testing.T) {
 
 // bindModel builds a caller whose argument expression is not computable
 // (it references an unbound name) while the caller's own scope binds the
-// callee's parameter name — the shape where evalOpcodes used to leak the
+// callee's parameter name — the shape where the opcode walk used to leak the
 // stale caller binding into the callee instead of applying the
 // mangled-name fallback.
 func bindModel() *Model {

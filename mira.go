@@ -19,8 +19,15 @@
 //
 //	res, err := mira.Analyze("kernel.c", src, mira.Options{})
 //	if err != nil { ... }
-//	met, err := res.Static("kernel", mira.IntArgs(map[string]int64{"n": 1 << 20}))
-//	fmt.Println(met.FPI()) // predicted floating-point instructions
+//	env := mira.IntArgs(map[string]int64{"n": 1 << 20})
+//	out := res.Run(ctx, []mira.Query{{Fn: "kernel", Env: env, Kind: mira.KindStatic}})
+//	if out[0].Err != nil { ... }
+//	fmt.Println(out[0].Metrics.FPI()) // predicted floating-point instructions
+//
+// [Result.Run] is the one query entry: a batch of (function, env, kind)
+// cells — static metrics, Table II or fine categories, roofline, PBound —
+// evaluated through a memoized (function, env) layer with per-query
+// errors.
 //
 // The same Result can replay the binary on the built-in virtual machine —
 // the reproduction's stand-in for TAU/PAPI measurements — to validate
@@ -60,9 +67,10 @@ type Options struct {
 }
 
 // Result is an analyzed program: the parametric model plus the compiled
-// binary it was derived from. Evaluation queries go through a memoized
-// (function, env) layer, so repeating a query costs one map lookup;
-// Engine-produced Results additionally share that memo across callers.
+// binary it was derived from. Evaluation queries ([Result.Run]) go
+// through a memoized (function, env) layer, so repeating a query costs
+// one map lookup; Engine-produced Results additionally share that memo
+// across callers.
 type Result struct {
 	p *core.Pipeline
 	a *engine.Analysis
@@ -99,40 +107,6 @@ func AnalyzeContext(ctx context.Context, name, source string, opts Options) (*Re
 
 // IntArgs builds an evaluation environment from integer parameter values.
 func IntArgs(m map[string]int64) Env { return expr.EnvFromInts(m) }
-
-// Static evaluates the model of fn (inclusive of callees) under env.
-//
-// Deprecated: Static is a one-element KindStatic batch; new code should
-// batch queries through [Result.Run], which adds cancellation and
-// per-query errors. Retained as a thin wrapper over the same core.
-func (r *Result) Static(fn string, env Env) (Metrics, error) {
-	return onlyMetrics(r.a.RunOne(context.Background(), Query{Fn: fn, Env: env, Kind: KindStatic}))
-}
-
-// StaticExclusive evaluates fn's body-only metrics.
-//
-// Deprecated: equivalent to a KindStaticExclusive query via [Result.Run].
-func (r *Result) StaticExclusive(fn string, env Env) (Metrics, error) {
-	return onlyMetrics(r.a.RunOne(context.Background(), Query{Fn: fn, Env: env, Kind: KindStaticExclusive}))
-}
-
-// CategoryCounts returns fn's counts bucketed by the paper's Table II
-// aggregate categories.
-//
-// Deprecated: equivalent to a KindCategories query via [Result.Run].
-func (r *Result) CategoryCounts(fn string, env Env) (map[string]int64, error) {
-	res := r.a.RunOne(context.Background(), Query{Fn: fn, Env: env, Kind: KindCategories})
-	return res.Categories, res.Err
-}
-
-// FineCategoryCounts buckets fn's counts by the architecture description
-// file's fine-grained (64-way) instruction categories.
-//
-// Deprecated: equivalent to a KindFineCategories query via [Result.Run].
-func (r *Result) FineCategoryCounts(fn string, env Env) (map[string]int64, error) {
-	res := r.a.RunOne(context.Background(), Query{Fn: fn, Env: env, Kind: KindFineCategories})
-	return res.Categories, res.Err
-}
 
 // PythonModel emits the generated model as Python source, the artifact
 // style shown in the paper's Fig. 5.

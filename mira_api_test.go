@@ -19,23 +19,37 @@ double scale(double *x, int n, double a) {
 	return x[0];
 }`
 
+// query evaluates one cell through Result.Run.
+func query(res *mira.Result, fn string, env mira.Env, kind mira.QueryKind) mira.QueryResult {
+	return res.Run(context.Background(), []mira.Query{{Fn: fn, Env: env, Kind: kind}})[0]
+}
+
+// static evaluates fn's inclusive metrics through Result.Run.
+func static(res *mira.Result, fn string, env mira.Env) (mira.Metrics, error) {
+	r := query(res, fn, env, mira.KindStatic)
+	if r.Err != nil {
+		return mira.Metrics{}, r.Err
+	}
+	return *r.Metrics, nil
+}
+
 func TestPublicAPIRoundTrip(t *testing.T) {
 	res, err := mira.Analyze("s.c", apiSrc, mira.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	met, err := res.Static("scale", mira.IntArgs(map[string]int64{"n": 1000}))
+	met, err := static(res, "scale", mira.IntArgs(map[string]int64{"n": 1000}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if met.FPI() != 1000 {
 		t.Errorf("FPI = %d", met.FPI())
 	}
-	excl, err := res.StaticExclusive("scale", mira.IntArgs(map[string]int64{"n": 1000}))
-	if err != nil {
-		t.Fatal(err)
+	r := query(res, "scale", mira.IntArgs(map[string]int64{"n": 1000}), mira.KindStaticExclusive)
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	if excl.FPI() != met.FPI() {
+	if excl := r.Metrics; excl.FPI() != met.FPI() {
 		t.Errorf("leaf function: exclusive %d != inclusive %d", excl.FPI(), met.FPI())
 	}
 
@@ -59,17 +73,19 @@ func TestPublicAPICategoriesAndArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := mira.IntArgs(map[string]int64{"n": 8})
-	cats, err := res.CategoryCounts("scale", env)
-	if err != nil {
-		t.Fatal(err)
+	r := query(res, "scale", env, mira.KindCategories)
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
+	cats := r.Categories
 	if cats["SSE2 packed arithmetic instruction"] != 8 {
 		t.Errorf("cats = %v", cats)
 	}
-	fine, err := res.FineCategoryCounts("scale", env)
-	if err != nil {
-		t.Fatal(err)
+	r = query(res, "scale", env, mira.KindFineCategories)
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
+	fine := r.Categories
 	if fine["System: 64-bit mode (movsxd)"] == 0 {
 		t.Errorf("fine = %v", fine)
 	}
@@ -115,17 +131,17 @@ func TestPublicAPIEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wmet, err := want.Static("scale", env)
+	wmet, err := static(want, "scale", env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range results[:2] {
-		met, err := r.Result.Static("scale", env)
+		met, err := static(r.Result, "scale", env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Second identical query per Result hits the memo.
-		again, err := r.Result.Static("scale", env)
+		again, err := static(r.Result, "scale", env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,9 +184,9 @@ double f(double *x, int n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := res.Static("f", mira.IntArgs(map[string]int64{"n": 4}))
+	a, _ := static(res, "f", mira.IntArgs(map[string]int64{"n": 4}))
 	_ = a
-	m0, err := resO0.Static("scale", mira.IntArgs(map[string]int64{"n": 4}))
+	m0, err := static(resO0, "scale", mira.IntArgs(map[string]int64{"n": 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +220,7 @@ func TestPublicAPISweep(t *testing.T) {
 		if p.Err != nil {
 			t.Fatalf("n=%d: %v", n, p.Err)
 		}
-		want, err := res.Static("scale", mira.IntArgs(map[string]int64{"n": n}))
+		want, err := static(res, "scale", mira.IntArgs(map[string]int64{"n": n}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +240,7 @@ func TestPublicAPISweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := res.Static("scale", mira.IntArgs(map[string]int64{"n": 77}))
+	want, err := static(res, "scale", mira.IntArgs(map[string]int64{"n": 77}))
 	if err != nil {
 		t.Fatal(err)
 	}

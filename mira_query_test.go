@@ -9,6 +9,7 @@ import (
 
 	"mira"
 	"mira/internal/benchprogs"
+	"mira/internal/core"
 )
 
 // goldenPrograms is every embedded benchprogs workload.
@@ -42,16 +43,18 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// TestRunGoldenEquivalence proves the batched query API byte-equals the
-// legacy per-method calls — values and errors both — for every modeled
-// function of every benchprogs program.
+// TestRunGoldenEquivalence proves the batched query API byte-equals a
+// direct evaluation — the model walker, bucketed through core for the
+// category kinds, with no engine memo in between — values and errors
+// both, for every modeled function of every benchprogs program.
 func TestRunGoldenEquivalence(t *testing.T) {
 	for name, src := range goldenPrograms {
 		res, err := mira.Analyze(name+".c", src, mira.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		model := res.Pipeline().Model
+		p := res.Pipeline()
+		model := p.Model
 		for _, fn := range model.Order {
 			f := model.Funcs[fn]
 			if f.Extern {
@@ -65,10 +68,13 @@ func TestRunGoldenEquivalence(t *testing.T) {
 			}
 			env := mira.IntArgs(args)
 
-			legacyMet, legacyMetErr := res.Static(fn, env)
-			legacyExcl, legacyExclErr := res.StaticExclusive(fn, env)
-			legacyCats, legacyCatsErr := res.CategoryCounts(fn, env)
-			legacyFine, legacyFineErr := res.FineCategoryCounts(fn, env)
+			directMet, directMetErr := model.Evaluate(fn, env)
+			directExcl, directExclErr := model.EvaluateExclusive(fn, env)
+			ops, opsErr := model.EvaluateOpcodes(fn, env)
+			var directCats, directFine map[string]int64
+			if opsErr == nil {
+				directCats, directFine = core.BucketTableII(ops), core.BucketFine(p.Arch, ops)
+			}
 
 			batch := res.Run(context.Background(), []mira.Query{
 				{Fn: fn, Env: env, Kind: mira.KindStatic},
@@ -78,29 +84,29 @@ func TestRunGoldenEquivalence(t *testing.T) {
 			})
 
 			type cell struct {
-				legacy    any
-				legacyErr error
+				direct    any
+				directErr error
 				batched   any
 				batchErr  error
 			}
 			cells := map[string]cell{
-				"static":           {legacyMet, legacyMetErr, batch[0].Metrics, batch[0].Err},
-				"static_exclusive": {legacyExcl, legacyExclErr, batch[1].Metrics, batch[1].Err},
-				"categories":       {legacyCats, legacyCatsErr, batch[2].Categories, batch[2].Err},
-				"fine_categories":  {legacyFine, legacyFineErr, batch[3].Categories, batch[3].Err},
+				"static":           {directMet, directMetErr, batch[0].Metrics, batch[0].Err},
+				"static_exclusive": {directExcl, directExclErr, batch[1].Metrics, batch[1].Err},
+				"categories":       {directCats, opsErr, batch[2].Categories, batch[2].Err},
+				"fine_categories":  {directFine, opsErr, batch[3].Categories, batch[3].Err},
 			}
 			for kind, c := range cells {
-				if errString(c.legacyErr) != errString(c.batchErr) {
-					t.Errorf("%s/%s %s: error mismatch: legacy=%q batched=%q",
-						name, fn, kind, errString(c.legacyErr), errString(c.batchErr))
+				if errString(c.directErr) != errString(c.batchErr) {
+					t.Errorf("%s/%s %s: error mismatch: direct=%q batched=%q",
+						name, fn, kind, errString(c.directErr), errString(c.batchErr))
 					continue
 				}
-				if c.legacyErr != nil {
+				if c.directErr != nil {
 					continue
 				}
-				if lb, bb := mustJSON(t, c.legacy), mustJSON(t, c.batched); !bytes.Equal(lb, bb) {
-					t.Errorf("%s/%s %s: batched result diverges:\nlegacy:  %s\nbatched: %s",
-						name, fn, kind, lb, bb)
+				if db, bb := mustJSON(t, c.direct), mustJSON(t, c.batched); !bytes.Equal(db, bb) {
+					t.Errorf("%s/%s %s: batched result diverges:\ndirect:  %s\nbatched: %s",
+						name, fn, kind, db, bb)
 				}
 			}
 		}
@@ -136,24 +142,30 @@ func TestRunCancellation(t *testing.T) {
 }
 
 // TestPromotedKinds: roofline and pbound are reachable from the public
-// surface, both batched and via the convenience helpers.
+// surface, and a repeated batch (served from the memo) returns the same
+// values.
 func TestPromotedKinds(t *testing.T) {
 	res, err := mira.Analyze("stream.c", benchprogs.Stream, mira.Options{Arch: "arya"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := mira.IntArgs(map[string]int64{"n": 1000})
-	roof, err := res.Roofline("stream", env)
-	if err != nil {
-		t.Fatal(err)
+	queries := []mira.Query{
+		{Fn: "stream", Env: env, Kind: mira.KindRoofline},
+		{Fn: "stream", Env: env, Kind: mira.KindPBound},
 	}
+	first := res.Run(context.Background(), queries)
+	if first[0].Err != nil {
+		t.Fatal(first[0].Err)
+	}
+	roof := first[0].Roofline
 	if roof.Function != "stream" || roof.AttainableGFlops <= 0 {
 		t.Errorf("roofline: %+v", roof)
 	}
-	pb, err := res.PBound("stream", env)
-	if err != nil {
-		t.Fatal(err)
+	if first[1].Err != nil {
+		t.Fatal(first[1].Err)
 	}
+	pb := first[1].PBound
 	// STREAM performs 4n FP source ops per NTIMES pass; the bound must
 	// at least cover the measured 40n FPI.
 	if pb.Flops < 40*1000 {
@@ -162,10 +174,7 @@ func TestPromotedKinds(t *testing.T) {
 	if pb.Loads <= 0 || pb.Stores <= 0 {
 		t.Errorf("pbound loads/stores: %+v", pb)
 	}
-	batch := res.Run(context.Background(), []mira.Query{
-		{Fn: "stream", Env: env, Kind: mira.KindRoofline},
-		{Fn: "stream", Env: env, Kind: mira.KindPBound},
-	})
+	batch := res.Run(context.Background(), queries)
 	if batch[0].Err != nil || *batch[0].Roofline != *roof {
 		t.Errorf("batched roofline diverges: %+v vs %+v (%v)", batch[0].Roofline, roof, batch[0].Err)
 	}

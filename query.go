@@ -2,38 +2,35 @@ package mira
 
 import (
 	"context"
-	"fmt"
 
 	"mira/internal/engine"
 	"mira/internal/pbound"
 	"mira/internal/roofline"
 )
 
-// This file is the v2 query surface: one batched, cancellable request
-// shape spanning every metric kind the paper's evaluation reports. A
-// [Query] names a (function, env, kind) cell; [Result.Run] evaluates a
-// whole matrix of them in one pass with shared (function, env)
-// memoization and per-query errors; [Engine.RunAll] does the same across
-// many programs at once through the engine's worker pool and content-
-// hash cache. The legacy per-metric helpers (Static, CategoryCounts, …)
-// are thin wrappers over this core.
+// This file is the query surface: one batched, cancellable request shape
+// spanning every metric kind the paper's evaluation reports. A [Query]
+// names a (function, env, kind) cell; [Result.Run] evaluates a whole
+// matrix of them in one pass with shared (function, env) memoization and
+// per-query errors; [Engine.RunAll] does the same across many programs at
+// once through the engine's worker pool and content-hash cache. A single
+// evaluation is a one-cell Run.
 
 // QueryKind selects what a Query evaluates.
 type QueryKind = engine.QueryKind
 
-// The query kinds. KindRoofline and KindPBound promote the Sec. IV-D2
-// roofline assessment and the PBound source-only baseline — previously
-// internal-only — to the public surface.
+// The query kinds. KindRoofline and KindPBound cover the Sec. IV-D2
+// roofline assessment and the PBound source-only baseline.
 const (
-	// KindStatic evaluates fn's inclusive static metrics (Static).
+	// KindStatic evaluates fn's inclusive static metrics (Metrics).
 	KindStatic = engine.KindStatic
-	// KindStaticExclusive evaluates body-only metrics (StaticExclusive).
+	// KindStaticExclusive evaluates body-only metrics (Metrics).
 	KindStaticExclusive = engine.KindStaticExclusive
 	// KindCategories buckets counts into the paper's Table II rows
-	// (CategoryCounts).
+	// (Categories).
 	KindCategories = engine.KindCategories
 	// KindFineCategories buckets counts into the architecture
-	// description's fine-grained categories (FineCategoryCounts).
+	// description's fine-grained categories (Categories).
 	KindFineCategories = engine.KindFineCategories
 	// KindRoofline computes arithmetic intensity and the roofline
 	// attainable-performance bound.
@@ -71,20 +68,6 @@ func (r *Result) Run(ctx context.Context, queries []Query) []QueryResult {
 	return r.a.Run(ctx, queries)
 }
 
-// Roofline computes fn's roofline assessment on the Result's
-// architecture description — the batched KindRoofline query, unbatched.
-func (r *Result) Roofline(fn string, env Env) (*Roofline, error) {
-	res := r.a.RunOne(context.Background(), Query{Fn: fn, Env: env, Kind: KindRoofline})
-	return res.Roofline, res.Err
-}
-
-// PBound evaluates fn's PBound source-only bounds — the batched
-// KindPBound query, unbatched.
-func (r *Result) PBound(fn string, env Env) (*PBoundCounts, error) {
-	res := r.a.RunOne(context.Background(), Query{Fn: fn, Env: env, Kind: KindPBound})
-	return res.PBound, res.Err
-}
-
 // QueryJob is one cell of an engine-level query matrix: a program
 // (inline Source, or the Key of an already-analyzed one) plus the query
 // to evaluate against it.
@@ -106,14 +89,3 @@ func (e *Engine) RunAll(ctx context.Context, jobs []QueryJob) []QueryJobResult {
 // QueryJob (or a mira-serve client) can use to reference an analyzed
 // program without resending its text.
 func (e *Engine) Key(source string) string { return e.e.Key(source) }
-
-// onlyMetrics unwraps a metrics-kind result for the legacy helpers.
-func onlyMetrics(res QueryResult) (Metrics, error) {
-	if res.Err != nil {
-		return Metrics{}, res.Err
-	}
-	if res.Metrics == nil {
-		return Metrics{}, fmt.Errorf("mira: query kind %s carries no metrics", res.Query.Kind)
-	}
-	return *res.Metrics, nil
-}
