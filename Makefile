@@ -58,13 +58,14 @@ bench:
 # (compiled-vs-treewalk), cache (cold-vs-warm), incremental-edit, and
 # report-path (suite -> engine sweeps -> typed report -> JSON)
 # benchmarks as a test2json event stream. -benchtime 5x keeps each
-# sample cheap while giving -compare a median to stand on. CI compares
+# sample cheap; -count 5 records five samples per benchmark, so
+# -compare's per-benchmark median stands on more than one number. CI compares
 # a fresh run against the committed previous baseline (gating, see
 # bench-compare) and uploads the file as an artifact.
 BENCH_BASELINE_OUT ?= BENCH_8.json
 BENCH_SET = BenchmarkSweep_CompiledVsTreeWalk|BenchmarkSweep_CompileOnce|BenchmarkEngineEval_ColdVsWarm|BenchmarkReport_SuitePath|BenchmarkIncrementalEdit|BenchmarkCrossArchSweep|BenchmarkCluster_
 bench-baseline:
-	$(GO) test -json -run xxx -benchtime 5x \
+	$(GO) test -json -run xxx -benchtime 5x -count 5 \
 		-bench '$(BENCH_SET)' \
 		. > $(BENCH_BASELINE_OUT)
 	@grep -o '"Output":".*speedup-x[^"]*"' $(BENCH_BASELINE_OUT) | tail -2
@@ -73,10 +74,11 @@ bench-baseline:
 # bench-compare gates on benchmark regressions: a fresh baseline against
 # the newest committed one (the highest numeric BENCH_<n>.json suffix),
 # host-normalized (the two may come from different machines), failing on
-# >15% relative slowdowns in benchmarks above the 100µs noise floor.
+# >15% relative slowdowns of the per-benchmark median over five samples
+# in benchmarks above the 100µs noise floor.
 BENCH_COMPARE_OLD ?= $(shell ls BENCH_*.json | grep -E '^BENCH_[0-9]+\.json$$' | sort -t_ -k2 -n | tail -n 1)
 bench-compare:
-	$(GO) test -json -run xxx -benchtime 5x \
+	$(GO) test -json -run xxx -benchtime 5x -count 5 \
 		-bench '$(BENCH_SET)' \
 		. > BENCH_ci_fresh.json
 	$(GO) run ./cmd/mira-bench -compare -normalize -threshold 15 \

@@ -23,6 +23,7 @@ import (
 	"mira/internal/experiments"
 	"mira/internal/expr"
 	"mira/internal/report"
+	"mira/internal/roofline"
 )
 
 // printOnce keys the regenerated artifacts so each prints exactly once
@@ -222,17 +223,24 @@ func BenchmarkFig7_ValidationSeries(b *testing.B) {
 // prediction (paper: instruction-based AI of cg_solve = 0.53).
 func BenchmarkPrediction_ArithmeticIntensity(b *testing.B) {
 	s := experiments.MiniFESizes{NX: 30, NY: 30, NZ: 30, MaxIter: 20, NnzRowAnnotation: 25}
-	an, err := experiments.Prediction(bctx(), benchEng, s, arch.Arya())
-	if err != nil {
-		b.Fatal(err)
+	q := engine.Query{Fn: "cg_solve", Env: s.MiniFEEnv(), Kind: engine.KindRoofline, ArchDesc: arch.Arya()}
+	predict := func() *roofline.Analysis {
+		p, err := experiments.MiniFEPipeline(bctx(), benchEng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := p.RunOne(bctx(), q)
+		if res.Err != nil {
+			b.Fatal(res.Err)
+		}
+		return res.Roofline
 	}
+	an := predict()
 	printArtifact("prediction",
 		fmt.Sprintf("Prediction (paper: AI = 1.93E8/3.67E8 = 0.53):\n%s", an))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Prediction(bctx(), benchEng, s, arch.Arya()); err != nil {
-			b.Fatal(err)
-		}
+		predict()
 	}
 	b.ReportMetric(an.InstrAI, "instr-AI")
 }

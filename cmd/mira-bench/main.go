@@ -4,10 +4,9 @@
 //
 // Usage:
 //
-//	mira-bench [-suite names] [-table I|II|III|IV|V] [-figure 6|7]
-//	           [-prediction] [-ablation] [-all]
+//	mira-bench -suite name[,name...] | -all | -list
 //	           [-format table|json|csv|markdown]
-//	           [-scaled] [-paper-sizes] [-j n]
+//	           [-scaled] [-paper-sizes] [-j n] [-arch name|file]
 //	mira-bench -serve-stats http://host:7319
 //	mira-bench -compare [-threshold pct] [-normalize] OLD.json NEW.json
 //	mira-bench -load -targets URL[,URL...] [-rps r] [-c n] [-duration d]
@@ -29,9 +28,11 @@
 // gate (noise). CI runs this against the committed baseline.
 //
 // Every experiment is a named report suite (internal/experiments over
-// internal/report): the engine and the signal context are injected
-// explicitly, -j bounds the worker pool (0 = GOMAXPROCS, 1 = serial),
-// and ^C cancels a long regeneration at the next size boundary.
+// internal/report), selected by -suite or -all; -list prints each
+// suite's name and title (table_ii also produces Fig. 6). The engine
+// and the signal context are injected explicitly, -j bounds the worker
+// pool (0 = GOMAXPROCS, 1 = serial), and ^C cancels a long
+// regeneration at the next size boundary.
 // -format selects the encoding: "table" is the paper's ASCII style
 // (with per-suite banners); json/csv/markdown emit machine-readable
 // artifacts with no banners, so output can pipe straight into a file.
@@ -76,11 +77,7 @@ import (
 func main() {
 	suiteList := flag.String("suite", "", "comma-separated report suites to run (see -list)")
 	list := flag.Bool("list", false, "list the named suites and exit")
-	table := flag.String("table", "", "table to regenerate: I, II, III, IV, V")
-	figure := flag.String("figure", "", "figure to regenerate: 6, 7")
-	prediction := flag.Bool("prediction", false, "arithmetic-intensity prediction (Sec. IV-D2)")
-	ablation := flag.Bool("ablation", false, "PBound vs Mira ablation")
-	all := flag.Bool("all", false, "everything")
+	all := flag.Bool("all", false, "run every named suite")
 	format := flag.String("format", "table", "output encoding: table, json, csv, markdown")
 	scaled := flag.Bool("scaled", false, "run dynamic columns at the scaled (seconds-fast) sizes")
 	paperSizes := flag.Bool("paper-sizes", false, "also evaluate the static model at the paper's full sizes")
@@ -177,13 +174,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mira-bench: -paper-sizes requires -format table")
 		os.Exit(2)
 	}
-	names, err := selectSuites(cfg, *suiteList, *table, *figure, *prediction, *ablation, *all)
+	names, err := selectSuites(cfg, *suiteList, *all)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mira-bench: %v\n", err)
 		os.Exit(2)
 	}
 	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "nothing selected; use -all, -suite, or see -help and -list")
+		fmt.Fprintln(os.Stderr, "nothing selected; use -suite or -all (see -list)")
 		os.Exit(2)
 	}
 	suites := experiments.SuiteMap(cfg)
@@ -243,60 +240,28 @@ func main() {
 	}
 }
 
-// selectSuites maps the legacy table/figure flags and the -suite list
-// to suite names, in the paper's presentation order. Invalid flag
-// values and unknown suite names error here, before any suite runs — a
-// typo must fail fast, not after minutes of VM work have streamed.
-func selectSuites(cfg experiments.SuiteConfig, suiteList, table, figure string, prediction, ablation, all bool) ([]string, error) {
+// selectSuites maps the -suite list (or -all) to suite names, in the
+// paper's presentation order. Unknown names error here, before any suite
+// runs — a typo must fail fast, not after minutes of VM work have
+// streamed.
+func selectSuites(cfg experiments.SuiteConfig, suiteList string, all bool) ([]string, error) {
 	known := experiments.SuiteNames(cfg)
-	isKnown := map[string]bool{}
-	for _, n := range known {
-		isKnown[n] = true
-	}
 	want := map[string]bool{}
-	if all {
-		for _, n := range known {
-			want[n] = true
-		}
+	for _, n := range known {
+		want[n] = false
 	}
 	for _, n := range strings.Split(suiteList, ",") {
 		if n = strings.TrimSpace(n); n == "" {
 			continue
-		} else if !isKnown[n] {
-			return nil, fmt.Errorf("unknown suite %q (see -list)", n)
-		} else {
-			want[n] = true
 		}
-	}
-	byFlag := map[string]string{
-		"I": "table_i", "II": "table_ii", "III": "table_iii",
-		"IV": "table_iv", "V": "table_v",
-	}
-	switch {
-	case table == "":
-	case byFlag[table] != "":
-		want[byFlag[table]] = true
-	default:
-		return nil, fmt.Errorf("unknown table %q (tables: I, II, III, IV, V)", table)
-	}
-	switch figure {
-	case "":
-	case "6":
-		want["table_ii"] = true // Fig. 6 is Table II's distribution column
-	case "7":
-		want["fig7"] = true
-	default:
-		return nil, fmt.Errorf("unknown figure %q (figures: 6, 7)", figure)
-	}
-	if prediction {
-		want["prediction"] = true
-	}
-	if ablation {
-		want["ablation"] = true
+		if _, ok := want[n]; !ok {
+			return nil, fmt.Errorf("unknown suite %q (see -list)", n)
+		}
+		want[n] = true
 	}
 	var out []string
 	for _, n := range known {
-		if want[n] {
+		if all || want[n] {
 			out = append(out, n)
 		}
 	}

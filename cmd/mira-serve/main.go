@@ -1,20 +1,22 @@
 // Command mira-serve is a long-running HTTP/JSON analysis service over
-// the Mira pipeline: POST MiniC source, get back the parametric model
-// summary and instruction-category predictions, with every layer of
-// caching the engine has — singleflight compile dedup, memoized
-// (function, env) evaluation, and (with -cache-dir) a content-addressed
-// on-disk store of per-function object fragments that survives
-// restarts: a rebooted daemon decodes each stored function instead of
-// recompiling it.
+// the Mira pipeline: POST MiniC source, get back a content key and the
+// parametric model summary, then evaluate it by key through /query,
+// /sweep, or /report, with every layer of caching the engine has —
+// singleflight compile dedup, memoized (function, env) evaluation, and
+// (with -cache-dir) a content-addressed on-disk store of per-function
+// object fragments that survives restarts: a rebooted daemon decodes
+// each stored function instead of recompiling it.
 //
 // Endpoints:
 //
-//	POST /analyze   {"name","source"[,"fn","env"]}  -> model summary (+ Table II)
-//	POST /eval      {"key"|"source","fn","env"[,"exclusive"]} -> metrics
+//	POST /analyze   {"name","source"} -> content key + model summary
 //	POST /query     {"key"|"source","queries":[{"fn","env","kind"[,"arch"]}]}
 //	                -> batched per-query results (kinds: static,
 //	                static_exclusive, categories, fine_categories,
-//	                roofline, pbound)
+//	                roofline, pbound); one evaluation is a one-cell batch
+//	POST /sweep     {"key"|"source","fn","kind","axes"|"points"[,"base","archs"]}
+//	                -> a parameter grid through the compiled model,
+//	                streamed with per-point errors
 //	POST /report    {"suite":name} | {"spec":{...}} [+"format"] -> a typed
 //	                report (the paper's tables/figures by name, or an
 //	                inline workload x grid x kind spec) as JSON, CSV,

@@ -207,8 +207,9 @@ func TestStatusForCancellation(t *testing.T) {
 		{context.Canceled, http.StatusServiceUnavailable},
 		{context.DeadlineExceeded, http.StatusServiceUnavailable},
 		{fmt.Errorf("identical content to a.c: %w", context.Canceled), http.StatusServiceUnavailable},
-		{fmt.Errorf("engine: analysis panicked: boom"), http.StatusBadRequest},
+		{fmt.Errorf("engine: analysis %w: boom", engine.ErrPanicked), http.StatusBadRequest},
 		{fmt.Errorf("model: no function %q", "f"), http.StatusUnprocessableEntity},
+		{fmt.Errorf("model: no function %q", "panicked"), http.StatusUnprocessableEntity},
 	}
 	for i, c := range cases {
 		if got := statusFor(c.err); got != c.want {

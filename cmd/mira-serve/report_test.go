@@ -307,3 +307,25 @@ func TestReportObsSeries(t *testing.T) {
 		}
 	}
 }
+
+// TestSuitesDeterministicAcrossWorkers: every named suite encodes to the
+// same text whether its engine runs serially or with four workers, so
+// the worker bound (mira-bench -j, mira-serve -j) never changes a
+// published number or its row order.
+func TestSuitesDeterministicAcrossWorkers(t *testing.T) {
+	serial := report.NewRunner(engine.New(engine.Options{Workers: 1}))
+	parallel := report.NewRunner(engine.New(engine.Options{Workers: 4}))
+	for name, suite := range testSuites() {
+		var texts [2]string
+		for i, r := range []*report.Runner{serial, parallel} {
+			rep, err := r.Run(context.Background(), suite)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			texts[i] = rep.Text()
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s: -j 1 and -j 4 encode differently:\n-j 1:\n%s\n-j 4:\n%s", name, texts[0], texts[1])
+		}
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"mira/internal/cluster"
 	"mira/internal/engine"
 	"mira/internal/expr"
-	"mira/internal/model"
 	"mira/internal/obs"
 	"mira/internal/pbound"
 	"mira/internal/report"
@@ -59,7 +58,6 @@ type server struct {
 	handler http.Handler
 
 	reqAnalyze   *obs.Counter
-	reqEval      *obs.Counter
 	reqQuery     *obs.Counter
 	reqSweep     *obs.Counter
 	reqReport    *obs.Counter
@@ -85,7 +83,6 @@ func newServer(eng *engine.Engine, reg *obs.Registry, suites map[string]report.S
 		start:        time.Now(),
 		node:         node,
 		reqAnalyze:   reg.Counter("mira_http_analyze_requests", "POST /analyze requests"),
-		reqEval:      reg.Counter("mira_http_eval_requests", "POST /eval requests"),
 		reqQuery:     reg.Counter("mira_http_query_requests", "POST /query requests"),
 		reqSweep:     reg.Counter("mira_http_sweep_requests", "POST /sweep requests"),
 		reqReport:    reg.Counter("mira_http_report_requests", "POST /report requests"),
@@ -99,7 +96,6 @@ func newServer(eng *engine.Engine, reg *obs.Registry, suites map[string]report.S
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /eval", s.handleEval)
 	mux.HandleFunc("POST /query", s.handleQuery)
 	mux.HandleFunc("POST /sweep", s.handleSweep)
 	mux.HandleFunc("POST /report", s.handleReport)
@@ -196,17 +192,12 @@ type funcSummary struct {
 type analyzeRequest struct {
 	Name   string `json:"name"`
 	Source string `json:"source"`
-	// Fn plus Env optionally ask for an immediate evaluation of one
-	// function in the same round trip.
-	Fn  string           `json:"fn,omitempty"`
-	Env map[string]int64 `json:"env,omitempty"`
 }
 
 type metricsPayload struct {
-	Instrs     int64            `json:"instrs"`
-	Flops      int64            `json:"flops"`
-	FPI        int64            `json:"fpi"`
-	Categories map[string]int64 `json:"categories,omitempty"`
+	Instrs int64 `json:"instrs"`
+	Flops  int64 `json:"flops"`
+	FPI    int64 `json:"fpi"`
 }
 
 // incrementalInfo reports the delta of a function-granular incremental
@@ -220,12 +211,10 @@ type incrementalInfo struct {
 }
 
 type analyzeResponse struct {
-	Key       string           `json:"key"`
-	Name      string           `json:"name"`
-	Warnings  []string         `json:"warnings,omitempty"`
-	Functions []funcSummary    `json:"functions"`
-	TableII   map[string]int64 `json:"table_ii,omitempty"`
-	Metrics   *metricsPayload  `json:"metrics,omitempty"`
+	Key       string        `json:"key"`
+	Name      string        `json:"name"`
+	Warnings  []string      `json:"warnings,omitempty"`
+	Functions []funcSummary `json:"functions"`
 	// Incremental is present when this analysis ran the incremental
 	// pipeline (absent for live-cache hits, where nothing ran).
 	Incremental *incrementalInfo `json:"incremental,omitempty"`
@@ -233,16 +222,17 @@ type analyzeResponse struct {
 
 // statusFor maps an analysis/evaluation failure to an HTTP status:
 // everything deterministic about the input is the client's fault (4xx).
-// Inputs that drove the analyzer into a guarded panic are flagged as
-// plain bad requests. Cancellation errors are the one exception — a
-// waiter sharing a singleflight slot whose owner hung up inherits the
-// owner's context error for that round even though its own input is
-// fine, so it gets a retryable 503, never a 4xx.
+// Inputs that drove the analyzer into a guarded panic
+// (engine.ErrPanicked) are flagged as plain bad requests. Cancellation
+// errors are the one exception — a waiter sharing a singleflight slot
+// whose owner hung up inherits the owner's context error for that round
+// even though its own input is fine, so it gets a retryable 503, never a
+// 4xx.
 func statusFor(err error) int {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusServiceUnavailable
 	}
-	if strings.Contains(err.Error(), "panicked") {
+	if errors.Is(err, engine.ErrPanicked) {
 		return http.StatusBadRequest
 	}
 	return http.StatusUnprocessableEntity
@@ -304,52 +294,12 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			Extern:      f.Extern,
 		})
 	}
-	if req.Fn != "" {
-		env := expr.EnvFromInts(req.Env)
-		res := a.Run(r.Context(), []engine.Query{
-			{Fn: req.Fn, Env: env, Kind: engine.KindStatic},
-			{Fn: req.Fn, Env: env, Kind: engine.KindCategories},
-		})
-		if clientGone(r) {
-			return
-		}
-		if res[0].Err != nil {
-			s.apiError(w, statusFor(res[0].Err), "evaluate %s: %v", req.Fn, res[0].Err)
-			return
-		}
-		if res[1].Err != nil {
-			s.apiError(w, statusFor(res[1].Err), "table II for %s: %v", req.Fn, res[1].Err)
-			return
-		}
-		resp.TableII = res[1].Categories
-		resp.Metrics = toPayload(*res[0].Metrics, res[1].Categories)
-	}
 	s.writeJSON(w, resp)
-}
-
-type evalRequest struct {
-	// Key references a previously analyzed program; Source (with
-	// optional Name) analyzes on the fly — through the cache, so a
-	// resend of known text costs one map lookup.
-	Key       string           `json:"key,omitempty"`
-	Name      string           `json:"name,omitempty"`
-	Source    string           `json:"source,omitempty"`
-	Fn        string           `json:"fn"`
-	Env       map[string]int64 `json:"env,omitempty"`
-	Exclusive bool             `json:"exclusive,omitempty"`
-}
-
-type evalResponse struct {
-	Key     string           `json:"key"`
-	Fn      string           `json:"fn"`
-	Metrics *metricsPayload  `json:"metrics"`
-	TableII map[string]int64 `json:"table_ii"`
-	Fine    map[string]int64 `json:"fine_categories,omitempty"`
 }
 
 // resolveAnalysis locates the program a request evaluates against: by
 // cache key, or by (re)analyzing inline source through the content-hash
-// cache. Shared by /eval and /query. A false return means the response
+// cache. Shared by /query and /sweep. A false return means the response
 // was already written (or the client is gone).
 func (s *server) resolveAnalysis(w http.ResponseWriter, r *http.Request, key, name, source string) (*engine.Analysis, bool) {
 	switch {
@@ -386,67 +336,6 @@ func (s *server) resolveAnalysis(w http.ResponseWriter, r *http.Request, key, na
 		s.apiError(w, http.StatusBadRequest, "need key or source")
 		return nil, false
 	}
-}
-
-func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
-	s.reqEval.Inc()
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req evalRequest
-	if !s.parseJSON(w, body, &req) {
-		return
-	}
-	if req.Fn == "" {
-		s.apiError(w, http.StatusBadRequest, "missing fn")
-		return
-	}
-	if s.forward(w, r, s.routeKey(req.Key, req.Source), body) {
-		return
-	}
-	a, ok := s.resolveAnalysis(w, r, req.Key, req.Name, req.Source)
-	if !ok {
-		return
-	}
-	key := req.Key
-	if key == "" {
-		key = a.Key()
-	}
-	// The legacy single-function endpoint is a fixed three-cell batch
-	// over the v2 query core.
-	env := expr.EnvFromInts(req.Env)
-	metKind := engine.KindStatic
-	if req.Exclusive {
-		metKind = engine.KindStaticExclusive
-	}
-	res := a.Run(r.Context(), []engine.Query{
-		{Fn: req.Fn, Env: env, Kind: metKind},
-		{Fn: req.Fn, Env: env, Kind: engine.KindCategories},
-		{Fn: req.Fn, Env: env, Kind: engine.KindFineCategories},
-	})
-	if clientGone(r) {
-		return
-	}
-	if res[0].Err != nil {
-		s.apiError(w, statusFor(res[0].Err), "evaluate %s: %v", req.Fn, res[0].Err)
-		return
-	}
-	if res[1].Err != nil {
-		s.apiError(w, statusFor(res[1].Err), "table II for %s: %v", req.Fn, res[1].Err)
-		return
-	}
-	if res[2].Err != nil {
-		s.apiError(w, statusFor(res[2].Err), "fine categories for %s: %v", req.Fn, res[2].Err)
-		return
-	}
-	s.writeJSON(w, evalResponse{
-		Key:     key,
-		Fn:      req.Fn,
-		Metrics: toPayload(*res[0].Metrics, res[1].Categories),
-		TableII: res[1].Categories,
-		Fine:    res[2].Categories,
-	})
 }
 
 // wireQuery is one /query cell as it appears on the wire.
@@ -845,15 +734,6 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := rep.Encode(w, format); err != nil {
 		log.Printf("mira-serve: write report: %v", err)
-	}
-}
-
-func toPayload(met model.Metrics, tab map[string]int64) *metricsPayload {
-	return &metricsPayload{
-		Instrs:     met.Instrs,
-		Flops:      met.Flops,
-		FPI:        met.FPI(),
-		Categories: tab,
 	}
 }
 

@@ -79,14 +79,27 @@ func get(h http.Handler, path string) *httptest.ResponseRecorder {
 	return w
 }
 
+// query posts one /query batch and decodes the 200 response.
+func query(t *testing.T, h http.Handler, body map[string]any) queryResponse {
+	t.Helper()
+	w := postJSON(t, h, "/query", body)
+	if w.Code != 200 {
+		t.Fatalf("query status %d: %s", w.Code, w.Body)
+	}
+	var resp queryResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(body["queries"].([]map[string]any)); len(resp.Results) != want {
+		t.Fatalf("got %d results for %d queries", len(resp.Results), want)
+	}
+	return resp
+}
+
 func TestAnalyzeAndEvalFlow(t *testing.T) {
 	h := newTestServer(t, "")
 
-	// Analyze with an inline evaluation request.
-	w := postJSON(t, h, "/analyze", map[string]any{
-		"name": "kernel.c", "source": kernelSrc,
-		"fn": "kernel", "env": map[string]int64{"n": 1000},
-	})
+	w := postJSON(t, h, "/analyze", map[string]any{"name": "kernel.c", "source": kernelSrc})
 	if w.Code != 200 {
 		t.Fatalf("analyze status %d: %s", w.Code, w.Body)
 	}
@@ -97,47 +110,45 @@ func TestAnalyzeAndEvalFlow(t *testing.T) {
 	if ar.Key == "" || len(ar.Functions) != 1 || ar.Functions[0].Name != "kernel" {
 		t.Fatalf("analyze response %+v", ar)
 	}
-	if ar.Metrics == nil || ar.Metrics.FPI != 2000 {
-		t.Fatalf("metrics %+v, want FPI 2000 (add + mul per iteration)", ar.Metrics)
+
+	// Evaluate by key — no source resend.
+	resp := query(t, h, map[string]any{"key": ar.Key, "queries": []map[string]any{
+		{"fn": "kernel", "env": map[string]int64{"n": 1000}, "kind": "static"},
+		{"fn": "kernel", "env": map[string]int64{"n": 10}, "kind": "static"},
+		{"fn": "kernel", "env": map[string]int64{"n": 10}, "kind": "categories"},
+		{"fn": "kernel", "env": map[string]int64{"n": 10}, "kind": "fine_categories"},
+	}})
+	if r := resp.Results[0]; r.Error != "" || r.Metrics == nil || r.Metrics.FPI != 2000 {
+		t.Fatalf("n=1000: %+v (err %q), want FPI 2000 (add + mul per iteration)", r.Metrics, r.Error)
+	}
+	if r := resp.Results[1]; r.Error != "" || r.Metrics == nil || r.Metrics.FPI != 20 {
+		t.Errorf("n=10: %+v (err %q), want FPI 20", r.Metrics, r.Error)
+	}
+	if len(resp.Results[2].Categories) == 0 || len(resp.Results[3].Categories) == 0 {
+		t.Errorf("missing category tables: %+v", resp.Results[2:])
 	}
 
-	// Eval by key — no source resend.
-	w = postJSON(t, h, "/eval", map[string]any{
-		"key": ar.Key, "fn": "kernel", "env": map[string]int64{"n": 10},
-	})
-	if w.Code != 200 {
-		t.Fatalf("eval status %d: %s", w.Code, w.Body)
-	}
-	var er evalResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Metrics.FPI != 20 {
-		t.Errorf("eval FPI = %d, want 20", er.Metrics.FPI)
-	}
-	if len(er.TableII) == 0 || len(er.Fine) == 0 {
-		t.Errorf("eval response missing category tables: %+v", er)
-	}
-
-	// Eval by source (cache hit on identical text).
-	w = postJSON(t, h, "/eval", map[string]any{
-		"source": kernelSrc, "fn": "kernel", "env": map[string]int64{"n": 10}, "exclusive": true,
-	})
-	if w.Code != 200 {
-		t.Fatalf("eval-by-source status %d: %s", w.Code, w.Body)
+	// Evaluate by source (cache hit on identical text).
+	resp = query(t, h, map[string]any{"source": kernelSrc, "queries": []map[string]any{
+		{"fn": "kernel", "env": map[string]int64{"n": 10}, "kind": "static_exclusive"},
+	}})
+	if r := resp.Results[0]; resp.Key != ar.Key || r.Error != "" || r.Metrics == nil {
+		t.Errorf("static_exclusive by source: key %s, cell %+v", resp.Key, r)
 	}
 
 	// Unknown key is a 404.
-	if w := postJSON(t, h, "/eval", map[string]any{
-		"key": strings.Repeat("ee", 32), "fn": "kernel",
+	if w := postJSON(t, h, "/query", map[string]any{
+		"key":     strings.Repeat("ee", 32),
+		"queries": []map[string]any{{"fn": "kernel", "kind": "static"}},
 	}); w.Code != http.StatusNotFound {
 		t.Errorf("unknown key status %d", w.Code)
 	}
 }
 
 // TestHostileRequestsGet4xxNotACrash sends every malformed and hostile
-// shape at a resident server and checks each is answered with a 4xx and
-// the daemon keeps serving afterwards.
+// shape at a resident server and checks each is answered with a 4xx (or,
+// for a bad cell in a well-formed batch, a per-cell error) and the daemon
+// keeps serving afterwards.
 func TestHostileRequestsGet4xxNotACrash(t *testing.T) {
 	h := newTestServer(t, "")
 	hostile := []struct {
@@ -148,10 +159,8 @@ func TestHostileRequestsGet4xxNotACrash(t *testing.T) {
 		{"/analyze", `{"source":""}`},
 		{"/analyze", `{"source":"int f( {"}`},
 		{"/analyze", `{"source":"double f(double *x, int n) { double s; int i; s = 0.0; for (i = 0; i < n; i = i + 0) { s = s + x[i]; } return s; }"}`},
-		{"/eval", `{"fn":"kernel"}`},
-		{"/eval", `{"source":` + mustQuote(kernelSrc) + `,"fn":"nosuchfunction","env":{"n":5}}`},
-		{"/eval", `{"source":` + mustQuote(kernelSrc) + `,"fn":"kernel"}`}, // n unbound
-		{"/eval", `{"source":` + mustQuote(sumBombSrc) + `,"fn":"f","env":{"n":2000000000}}`},
+		{"/query", `{"queries":[{"fn":"kernel","kind":"static"}]}`},
+		{"/sweep", `{"source":` + mustQuote(kernelSrc) + `,"fn":"nosuchfunction","points":[{"n":5}]}`},
 	}
 	for i, c := range hostile {
 		req := httptest.NewRequest("POST", c.path, strings.NewReader(c.body))
@@ -161,15 +170,29 @@ func TestHostileRequestsGet4xxNotACrash(t *testing.T) {
 			t.Errorf("hostile %d (%s %s): status %d, want 4xx; body %s", i, c.path, c.body, w.Code, w.Body)
 		}
 	}
+	cells := []struct {
+		source string
+		cell   map[string]any
+	}{
+		{kernelSrc, map[string]any{"fn": "nosuchfunction", "env": map[string]int64{"n": 5}, "kind": "static"}},
+		{kernelSrc, map[string]any{"fn": "kernel", "kind": "static"}}, // n unbound
+		{sumBombSrc, map[string]any{"fn": "f", "env": map[string]int64{"n": 2000000000}, "kind": "static"}},
+	}
+	for i, c := range cells {
+		resp := query(t, h, map[string]any{"source": c.source, "queries": []map[string]any{c.cell}})
+		if resp.Results[0].Error == "" {
+			t.Errorf("hostile cell %d (%v): no per-cell error: %+v", i, c.cell, resp.Results[0])
+		}
+	}
 	// The daemon must still be healthy and able to do real work.
 	if w := get(h, "/livez"); w.Code != 200 {
 		t.Fatalf("livez after hostile traffic: %d", w.Code)
 	}
-	w := postJSON(t, h, "/eval", map[string]any{
-		"source": kernelSrc, "fn": "kernel", "env": map[string]int64{"n": 4},
-	})
-	if w.Code != 200 {
-		t.Fatalf("server wedged after hostile traffic: %d: %s", w.Code, w.Body)
+	resp := query(t, h, map[string]any{"source": kernelSrc, "queries": []map[string]any{
+		{"fn": "kernel", "env": map[string]int64{"n": 4}, "kind": "static"},
+	}})
+	if r := resp.Results[0]; r.Error != "" || r.Metrics == nil || r.Metrics.FPI != 8 {
+		t.Fatalf("server wedged after hostile traffic: %+v", r)
 	}
 }
 
@@ -203,8 +226,8 @@ func TestPanicInsideHandlerIsContained(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := engine.New(engine.Options{Obs: reg})
 	s := &server{eng: eng, reg: reg,
-		reqAnalyze: reg.Counter("a", ""), reqEval: reg.Counter("b", ""),
-		reqErrors: reg.Counter("c", ""), httpLat: reg.Summary("d", "")}
+		reqAnalyze: reg.Counter("a", ""),
+		reqErrors:  reg.Counter("c", ""), httpLat: reg.Summary("d", "")}
 	h := s.instrument(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
 	}))
@@ -224,8 +247,11 @@ func TestPanicInsideHandlerIsContained(t *testing.T) {
 func TestMetricsOpenMetricsLint(t *testing.T) {
 	h := newTestServer(t, "")
 	postJSON(t, h, "/analyze", map[string]any{"source": kernelSrc})
-	postJSON(t, h, "/eval", map[string]any{"source": kernelSrc, "fn": "kernel", "env": map[string]int64{"n": 3}})
-	postJSON(t, h, "/eval", map[string]any{"source": kernelSrc, "fn": "kernel", "env": map[string]int64{"n": 3}})
+	for range 2 {
+		query(t, h, map[string]any{"source": kernelSrc, "queries": []map[string]any{
+			{"fn": "kernel", "env": map[string]int64{"n": 3}, "kind": "static"},
+		}})
+	}
 
 	w := get(h, "/metrics")
 	if w.Code != 200 {
@@ -253,10 +279,10 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 		}
 	}
 	if exp.Value("mira_eval_memo_hits_total") == 0 {
-		t.Error("repeated eval did not hit the memo")
+		t.Error("repeated query did not hit the memo")
 	}
-	if exp.Value("mira_http_eval_requests_total") != 2 {
-		t.Errorf("eval request counter = %v, want 2", exp.Value("mira_http_eval_requests_total"))
+	if exp.Value("mira_http_query_requests_total") != 2 {
+		t.Errorf("query request counter = %v, want 2", exp.Value("mira_http_query_requests_total"))
 	}
 }
 
@@ -283,21 +309,14 @@ double twice(double *x, int n) {
 
 	// "Restart": an entirely new engine + handler over the same dir.
 	second := newTestServer(t, dir)
-	w = postJSON(t, second, "/eval", map[string]any{
-		"source": src, "fn": "kernel", "env": map[string]int64{"n": 1000},
-	})
-	if w.Code != 200 {
-		t.Fatalf("second process eval: %d: %s", w.Code, w.Body)
+	warm := query(t, second, map[string]any{"source": src, "queries": []map[string]any{
+		{"fn": "kernel", "env": map[string]int64{"n": 1000}, "kind": "static"},
+	}})
+	if warm.Key != cold.Key {
+		t.Errorf("content key changed across restart: %s vs %s", warm.Key, cold.Key)
 	}
-	var er evalResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Key != cold.Key {
-		t.Errorf("content key changed across restart: %s vs %s", er.Key, cold.Key)
-	}
-	if er.Metrics.FPI != 2000 {
-		t.Errorf("warm FPI = %d, want 2000", er.Metrics.FPI)
+	if r := warm.Results[0]; r.Error != "" || r.Metrics == nil || r.Metrics.FPI != 2000 {
+		t.Errorf("warm cell %+v (err %q), want FPI 2000", r.Metrics, r.Error)
 	}
 
 	exp, err := obs.Parse(get(second, "/metrics").Body.String())
@@ -339,7 +358,7 @@ func TestLivez(t *testing.T) {
 	}
 }
 
-// TestMethodRouting rejects wrong verbs.
+// TestMethodRouting rejects wrong verbs, and the retired POST /eval.
 func TestMethodRouting(t *testing.T) {
 	h := newTestServer(t, "")
 	for _, c := range []struct{ method, path string }{
@@ -350,6 +369,9 @@ func TestMethodRouting(t *testing.T) {
 		if w.Code != http.StatusMethodNotAllowed && w.Code != http.StatusNotFound {
 			t.Errorf("%s %s: status %d", c.method, c.path, w.Code)
 		}
+	}
+	if w := postJSON(t, h, "/eval", map[string]any{"source": kernelSrc, "fn": "kernel"}); w.Code != http.StatusNotFound {
+		t.Errorf("retired POST /eval answered %d, want 404", w.Code)
 	}
 }
 

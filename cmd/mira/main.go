@@ -10,7 +10,9 @@
 //	-fn name        function to evaluate/inspect (default: main)
 //	-args k=v,...   integer parameter bindings for evaluation
 //	-emit kind      python | dot-src | dot-bin | asm | model (default model)
-//	-arch name      arya | frankenstein | generic
+//	-arch name      a registered machine (arya, frankenstein, generic,
+//	                graviton2, graviton3, icelake, knl, skylake, volta,
+//	                zen2) or a JSON description file
 //	-lenient        downgrade unanalyzable branches to warnings
 //	-no-opt         compile without optimizations
 //

@@ -21,23 +21,25 @@ func main() {
 	ctx := context.Background()
 	eng := engine.New(engine.Options{})
 	s := experiments.MiniFESizes{NX: 10, NY: 10, NZ: 10, MaxIter: 10, NnzRowAnnotation: 19}
+	p, err := experiments.MiniFEPipeline(ctx, eng)
+	if err != nil {
+		log.Fatal(err)
+	}
 
+	// One roofline cell per machine, the description carried as a
+	// per-query override.
 	for _, d := range []*arch.Description{arch.Arya(), arch.Frankenstein()} {
-		an, err := experiments.Prediction(ctx, eng, s, d)
-		if err != nil {
-			log.Fatal(err)
+		res := p.RunOne(ctx, engine.Query{Fn: "cg_solve", Env: s.MiniFEEnv(), Kind: engine.KindRoofline, ArchDesc: d})
+		if res.Err != nil {
+			log.Fatal(res.Err)
 		}
 		fmt.Printf("%s (peak %.0f GF/s, bw %.0f GB/s):\n  %s\n\n",
-			d.Name, d.PeakGFlops(), d.MemBandwidthGBs, an)
+			d.Name, d.PeakGFlops(), d.MemBandwidthGBs, res.Roofline)
 	}
 
 	// The hardware-counter angle: on arya (Haswell-like) PAPI_FP_INS does
 	// not exist, so a dynamic profiler cannot produce the number the
 	// static model just did.
-	p, err := experiments.MiniFEPipeline(ctx, eng)
-	if err != nil {
-		log.Fatal(err)
-	}
 	prof := dynamic.New(vm.New(p.Obj), arch.Arya())
 	if _, err := prof.Read("cg_solve", dynamic.PAPI_FP_INS); err != nil {
 		fmt.Printf("Dynamic measurement on arya fails as the paper describes:\n  %v\n", err)

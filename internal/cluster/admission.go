@@ -8,7 +8,7 @@ import (
 	"mira/internal/obs"
 )
 
-// Class is a request's QoS class. Interactive traffic (/query, /eval,
+// Class is a request's QoS class. Interactive traffic (/query,
 // /analyze) is latency-sensitive and small; bulk traffic (/sweep,
 // /report) is throughput work that can retry. Control traffic
 // (metrics, health, the peer protocol) is never limited or shed — a
@@ -35,7 +35,7 @@ func (c Class) String() string {
 // ClassOf maps a request path to its QoS class.
 func ClassOf(path string) Class {
 	switch path {
-	case "/query", "/eval", "/analyze":
+	case "/query", "/analyze":
 		return ClassInteractive
 	case "/sweep", "/report":
 		return ClassBulk

@@ -230,7 +230,6 @@ func TestAdmissionSaturation(t *testing.T) {
 func TestClassOf(t *testing.T) {
 	for path, want := range map[string]Class{
 		"/query":             ClassInteractive,
-		"/eval":              ClassInteractive,
 		"/analyze":           ClassInteractive,
 		"/sweep":             ClassBulk,
 		"/report":            ClassBulk,

@@ -431,15 +431,20 @@ func (e *Engine) build(ctx context.Context, name, source, key string) (*Analysis
 	return a, nil
 }
 
-// safely converts a panic from fn into an error. The expr package's
-// constructors enforce contracts by panicking (zero floor-div divisors,
-// non-positive loop steps); hostile inputs to a resident service can
-// reach them, and the engine boundary is where they become 4xx material
-// instead of a dead process.
+// ErrPanicked marks an error that safely converted from a panic (check
+// with errors.Is): the input drove the analyzer or evaluator into a
+// contract violation, which serving layers answer as a bad request.
+var ErrPanicked = errors.New("panicked")
+
+// safely converts a panic from fn into an error wrapping ErrPanicked.
+// The expr package's constructors enforce contracts by panicking (zero
+// floor-div divisors, non-positive loop steps); hostile inputs to a
+// resident service can reach them, and the engine boundary is where they
+// become 4xx material instead of a dead process.
 func safely[T any](what string, fn func() (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: %s panicked: %v", what, r)
+			err = fmt.Errorf("engine: %s %w: %v", what, ErrPanicked, r)
 		}
 	}()
 	return fn()
@@ -468,8 +473,8 @@ func (e *Engine) evictLocked() {
 }
 
 // Key returns the content-hash cache key Analyze would use for source —
-// the handle mira-serve hands to clients so /eval can reference an
-// already-analyzed program without resending its text.
+// the handle mira-serve hands to clients so /query, /sweep and /report
+// can reference an already-analyzed program without resending its text.
 func (e *Engine) Key(source string) string { return e.cacheKey(source) }
 
 // Lookup returns the completed Analysis cached under key, if any.

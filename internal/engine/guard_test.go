@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func panicPipeline() *core.Pipeline {
 
 // TestEvalPanicBecomesError checks the engine boundary converts eval-time
 // panics (the ISSUE's floor-division-by-zero case) into errors on both
-// evaluation paths, so a hostile /eval request gets a 4xx instead of
+// evaluation paths, so a hostile /query request gets a 4xx instead of
 // killing the daemon.
 func TestEvalPanicBecomesError(t *testing.T) {
 	e := New(Options{})
@@ -46,7 +47,7 @@ func TestEvalPanicBecomesError(t *testing.T) {
 	ctx := context.Background()
 	if err := a.RunOne(ctx, Query{Fn: "boom", Env: env}).Err; err == nil {
 		t.Fatal("eval panic not converted to error")
-	} else if !strings.Contains(err.Error(), "panicked") {
+	} else if !errors.Is(err, ErrPanicked) || !strings.Contains(err.Error(), "panicked") {
 		t.Errorf("err = %v, want panic conversion", err)
 	}
 	if err := a.RunOne(ctx, Query{Fn: "boom", Env: env, Kind: KindCategories}).Err; err == nil {

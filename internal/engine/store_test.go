@@ -174,7 +174,7 @@ func TestCacheStoreConcurrentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLookupByKey covers the /eval-by-key handle: present after a
+// TestLookupByKey covers the /query-by-key handle: present after a
 // completed analysis, absent before, absent for failures.
 func TestLookupByKey(t *testing.T) {
 	e := engine.New(engine.Options{})

@@ -53,24 +53,6 @@ func (r ValidationRow) ErrorPct() (float64, bool) {
 	return d, true
 }
 
-// SignedErrorPct keeps the sign (negative = static undercounts), with
-// the same definedness rule as ErrorPct.
-func (r ValidationRow) SignedErrorPct() (float64, bool) {
-	if r.Dynamic == 0 {
-		return 0, false
-	}
-	return float64(r.Static-r.Dynamic) / float64(r.Dynamic) * 100, true
-}
-
-func (r ValidationRow) String() string {
-	err := "n/a"
-	if pct, ok := r.ErrorPct(); ok {
-		err = fmt.Sprintf("%.3f%%", pct)
-	}
-	return fmt.Sprintf("%-14s %-28s TAU=%-14.4g Mira=%-14.4g err=%s",
-		r.Label, r.Function, float64(r.Dynamic), float64(r.Static), err)
-}
-
 // errCell converts the row's relative error to a report cell: the
 // percentage, or null when undefined.
 func (r ValidationRow) errCell() report.Value {

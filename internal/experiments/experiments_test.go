@@ -137,14 +137,13 @@ func TestValidationRowFormatting(t *testing.T) {
 	if pct, ok := r.ErrorPct(); !ok || pct != 1.0 {
 		t.Errorf("ErrorPct = %g, %v", pct, ok)
 	}
-	if pct, ok := r.SignedErrorPct(); !ok || pct != -1.0 {
-		t.Errorf("SignedErrorPct = %g, %v", pct, ok)
+	tab := ValidationTable("t", "Table X", []ValidationRow{r})
+	if tab.Name != "t" {
+		t.Errorf("table name = %q", tab.Name)
 	}
-	if got := ValidationTable("t", "Table X", []ValidationRow{r}).Name; got != "t" {
-		t.Errorf("table name = %q", got)
-	}
-	if s := r.String(); !strings.Contains(s, "1.000%") {
-		t.Errorf("String() = %q", s)
+	rep := report.Report{Tables: []report.Table{tab}}
+	if s := rep.Text(); !strings.Contains(s, "1.000%") {
+		t.Errorf("table text = %q", s)
 	}
 }
 
@@ -161,12 +160,6 @@ func TestValidationRowZeroDynamic(t *testing.T) {
 	for _, r := range rows[:2] {
 		if _, ok := r.ErrorPct(); ok {
 			t.Errorf("%s: ErrorPct defined for zero dynamic", r.Function)
-		}
-		if _, ok := r.SignedErrorPct(); ok {
-			t.Errorf("%s: SignedErrorPct defined for zero dynamic", r.Function)
-		}
-		if s := r.String(); !strings.Contains(s, "err=n/a") {
-			t.Errorf("%s: String() = %q, want err=n/a", r.Function, s)
 		}
 	}
 

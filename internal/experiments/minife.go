@@ -37,8 +37,8 @@ func (s MiniFESizes) TrueNNZ() int64 {
 }
 
 // MiniFEPoint builds the configuration's parameter bindings in sweep
-// point form — what a declarative grid section or PredictionSweep feeds
-// the engine.
+// point form — what a declarative grid section (the prediction suite)
+// feeds the engine.
 func (s MiniFESizes) MiniFEPoint() map[string]int64 {
 	return map[string]int64{
 		"nx": s.NX, "ny": s.NY, "nz": s.NZ,

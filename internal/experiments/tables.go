@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"sort"
 
-	"mira/internal/arch"
 	"mira/internal/benchprogs"
 	"mira/internal/engine"
 	"mira/internal/expr"
 	"mira/internal/loopcov"
 	"mira/internal/parser"
 	"mira/internal/report"
-	"mira/internal/roofline"
 	"mira/internal/synth"
 	"mira/internal/vm"
 )
@@ -153,23 +151,6 @@ func TableIITable(rows []CategoryRow) report.Table {
 	return t
 }
 
-// Fine64Categories evaluates cg_solve against the architecture description
-// file's full fine-grained categorization — a KindFineCategories query
-// carrying the caller's description as a per-query override.
-func Fine64Categories(ctx context.Context, eng *engine.Engine, s MiniFESizes, d *arch.Description) (map[string]int64, error) {
-	p, err := MiniFEPipeline(ctx, eng)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runQueries(ctx, p, []engine.Query{
-		{Fn: "cg_solve", Env: s.MiniFEEnv(), Kind: engine.KindFineCategories, ArchDesc: d},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Categories, nil
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 7: validation series
 
@@ -280,61 +261,6 @@ func Fig7Tables(series []Fig7Series) []report.Table {
 		out[si] = t
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Prediction (Sec. IV-D2): arithmetic intensity
-
-// Prediction computes cg_solve's instruction-based arithmetic intensity
-// and roofline assessment on an architecture description — a single
-// KindRoofline query carrying the caller's description as a per-query
-// override.
-func Prediction(ctx context.Context, eng *engine.Engine, s MiniFESizes, d *arch.Description) (*roofline.Analysis, error) {
-	p, err := MiniFEPipeline(ctx, eng)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runQueries(ctx, p, []engine.Query{
-		{Fn: "cg_solve", Env: s.MiniFEEnv(), Kind: engine.KindRoofline, ArchDesc: d},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Roofline, nil
-}
-
-// PredictionSweep extends the Sec. IV-D2 prediction into a scaling
-// study: cg_solve's roofline assessment at every configuration in
-// sizes, on one architecture description, evaluated as a single
-// compiled sweep over explicit points (the miniFE parameters move
-// together — n = nx*ny*nz — so the grid is a point list, not a cross
-// product). Results come back in sizes order.
-func PredictionSweep(ctx context.Context, eng *engine.Engine, sizes []MiniFESizes, d *arch.Description) ([]*roofline.Analysis, error) {
-	p, err := MiniFEPipeline(ctx, eng)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]map[string]int64, len(sizes))
-	for i, s := range sizes {
-		points[i] = s.MiniFEPoint()
-	}
-	res, err := p.Sweep(ctx, engine.SweepSpec{
-		Fn:       "cg_solve",
-		Kind:     engine.KindRoofline,
-		Points:   points,
-		ArchDesc: d,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*roofline.Analysis, len(res.Points))
-	for i := range res.Points {
-		if err := res.Points[i].Err; err != nil {
-			return nil, fmt.Errorf("prediction sweep %dx%dx%d: %w", sizes[i].NX, sizes[i].NY, sizes[i].NZ, err)
-		}
-		out[i] = res.Points[i].Roofline
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mira/internal/arch"
+	"mira/internal/engine"
 	"mira/internal/report"
 )
 
@@ -84,13 +85,25 @@ func TestTableIICategoriesAndFig6(t *testing.T) {
 	}
 }
 
-func TestFine64Categories(t *testing.T) {
-	s := MiniFESizes{NX: 5, NY: 5, NZ: 5, MaxIter: 4, NnzRowAnnotation: 18}
-	d := arch.Arya()
-	fine, err := Fine64Categories(bg(), testEng, s, d)
+// cgSolveQuery evaluates one cg_solve cell of kind on the miniFE
+// configuration s against the description d.
+func cgSolveQuery(t *testing.T, s MiniFESizes, kind engine.QueryKind, d *arch.Description) engine.QueryResult {
+	t.Helper()
+	p, err := MiniFEPipeline(bg(), testEng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := p.RunOne(bg(), engine.Query{Fn: "cg_solve", Env: s.MiniFEEnv(), Kind: kind, ArchDesc: d})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	return res
+}
+
+func TestFine64Categories(t *testing.T) {
+	s := MiniFESizes{NX: 5, NY: 5, NZ: 5, MaxIter: 4, NnzRowAnnotation: 18}
+	d := arch.Arya()
+	fine := cgSolveQuery(t, s, engine.KindFineCategories, d).Categories
 	for _, cat := range []string{
 		"SSE2 packed arithmetic", "SSE2 data movement",
 		"GP data transfer: mov", "GP control transfer: jcc",
@@ -150,10 +163,7 @@ func TestFig7Series(t *testing.T) {
 
 func TestPredictionArithmeticIntensity(t *testing.T) {
 	s := MiniFESizes{NX: 6, NY: 6, NZ: 6, MaxIter: 8, NnzRowAnnotation: 19}
-	an, err := Prediction(bg(), testEng, s, arch.Arya())
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := cgSolveQuery(t, s, engine.KindRoofline, arch.Arya()).Roofline
 	// The paper computes 0.53 for cg_solve; our compiled binary's ratio
 	// must land in the same regime (an FP-arithmetic-per-FP-move ratio
 	// well below 1: CG is memory bound).
@@ -168,29 +178,36 @@ func TestPredictionArithmeticIntensity(t *testing.T) {
 	}
 }
 
-// TestPredictionSweepMatchesPointQueries: the batched prediction sweep
-// (compiled roofline over explicit miniFE points) returns exactly what
-// the one-point Prediction queries return, in order.
+// TestPredictionSweepMatchesPointQueries: a compiled roofline sweep
+// over explicit miniFE points (the prediction suite's grid form) returns
+// exactly what the one-point roofline queries return, in order.
 func TestPredictionSweepMatchesPointQueries(t *testing.T) {
 	sizes := []MiniFESizes{
 		{NX: 5, NY: 5, NZ: 5, MaxIter: 6, NnzRowAnnotation: 19},
 		{NX: 6, NY: 6, NZ: 6, MaxIter: 8, NnzRowAnnotation: 19},
 		{NX: 7, NY: 6, NZ: 5, MaxIter: 8, NnzRowAnnotation: 19},
 	}
-	got, err := PredictionSweep(bg(), testEng, sizes, arch.Arya())
+	points := make([]map[string]int64, len(sizes))
+	for i, s := range sizes {
+		points[i] = s.MiniFEPoint()
+	}
+	p, err := MiniFEPipeline(bg(), testEng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(sizes) {
-		t.Fatalf("rooflines = %d, want %d", len(got), len(sizes))
+	got, err := p.Sweep(bg(), engine.SweepSpec{
+		Fn: "cg_solve", Kind: engine.KindRoofline, Points: points, ArchDesc: arch.Arya(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Points) != len(sizes) {
+		t.Fatalf("rooflines = %d, want %d", len(got.Points), len(sizes))
 	}
 	for i, s := range sizes {
-		want, err := Prediction(bg(), testEng, s, arch.Arya())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got[i] != *want {
-			t.Errorf("size %dx%dx%d: sweep %+v != query %+v", s.NX, s.NY, s.NZ, got[i], want)
+		want := cgSolveQuery(t, s, engine.KindRoofline, arch.Arya()).Roofline
+		if pt := got.Points[i]; pt.Err != nil || *pt.Roofline != *want {
+			t.Errorf("size %dx%dx%d: sweep %+v (err %v) != query %+v", s.NX, s.NY, s.NZ, pt.Roofline, pt.Err, want)
 		}
 	}
 }

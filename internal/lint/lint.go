@@ -1,5 +1,5 @@
-// Package lint is mira-vet's analysis framework and analyzer suite: six
-// custom static analyses, each encoding an invariant this repository
+// Package lint is mira-vet's analysis framework and analyzer suite:
+// eleven custom static analyses, each encoding an invariant this repository
 // learned the hard way (see README "Static analysis" and the per-analyzer
 // docs). The framework mirrors the golang.org/x/tools/go/analysis API
 // shape — Analyzer, Pass, Reportf — but is built entirely on the standard

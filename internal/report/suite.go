@@ -29,9 +29,9 @@ type Suite struct {
 }
 
 // Section is one suite entry. Implementations: GridSection (declarative
-// workload × grid × kind, compiled to an engine sweep), FuncSection
-// (custom rows under a declared schema), SectionFunc (free-form,
-// multi-table — the Fig. 7 series).
+// workload × grid × kind, compiled to an engine sweep), CompareSection
+// (one point ranked across architectures), SectionFunc (free-form,
+// multi-table — the VM-validated tables and the Fig. 7 series).
 type Section interface {
 	// Tables produces the section's tables. An error here is a spec
 	// problem (unknown workload, function, or kind; an over-limit
@@ -119,26 +119,6 @@ type SectionFunc func(ctx context.Context, r *Runner) ([]Table, error)
 
 // Tables implements Section.
 func (f SectionFunc) Tables(ctx context.Context, r *Runner) ([]Table, error) { return f(ctx, r) }
-
-// FuncSection is one table with a declared schema whose rows come from
-// custom code — the escape hatch for tables the declarative grid cannot
-// express (VM-validated columns, the loop-coverage survey).
-type FuncSection struct {
-	Name    string
-	Caption string
-	Indent  int
-	Columns []Column
-	Rows    func(ctx context.Context, r *Runner) ([]Row, error)
-}
-
-// Tables implements Section.
-func (s FuncSection) Tables(ctx context.Context, r *Runner) ([]Table, error) {
-	rows, err := s.Rows(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	return []Table{{Name: s.Name, Caption: s.Caption, Indent: s.Indent, Columns: s.Columns, Rows: rows}}, nil
-}
 
 // GridSection is the declarative section: one workload, one function,
 // one query kind, a scenario grid (axes crossed rightmost-fastest, or

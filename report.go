@@ -38,9 +38,6 @@ type GridSection = report.GridSection
 // empty Archs means every entry in the engine's registry.
 type CompareSection = report.CompareSection
 
-// FuncSection is a custom-rows section under a declared column schema.
-type FuncSection = report.FuncSection
-
 // SectionFunc adapts a function to a free-form, multi-table section.
 type SectionFunc = report.SectionFunc
 
@@ -97,7 +94,7 @@ func Workloads() []Workload { return report.Workloads() }
 func LookupWorkload(name string) (Workload, bool) { return report.LookupWorkload(name) }
 
 // NewReportRunner builds a suite runner over the engine — use it to run
-// many suites, or when a FuncSection needs the runner injected.
+// many suites, or when a SectionFunc needs the runner injected.
 func (e *Engine) NewReportRunner() *ReportRunner { return report.NewRunner(e.e) }
 
 // Report runs a suite against the engine: sections compile down to
