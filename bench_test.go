@@ -50,8 +50,43 @@ func tablesText(tables ...report.Table) string {
 	return rep.Text()
 }
 
+// validationSection returns section i of the named suite under c.
+func validationSection(b *testing.B, c experiments.SuiteConfig, suite string, i int) report.ValidationSection {
+	b.Helper()
+	sec, ok := experiments.SuiteMap(c)[suite].Sections[i].(report.ValidationSection)
+	if !ok {
+		b.Fatalf("%s section %d is not a validation section", suite, i)
+	}
+	return sec
+}
+
+// measure runs a validation section's static and dynamic columns.
+func measure(b *testing.B, sec report.ValidationSection) []report.ValidationRow {
+	b.Helper()
+	rows, err := sec.Rows(bctx(), report.NewRunner(benchEng))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows
+}
+
+// staticFPI evaluates one KindStatic cell of a registry workload, the
+// analysis resolved through the engine's content-hash cache.
+func staticFPI(b *testing.B, workload, fn string, env map[string]int64) int64 {
+	b.Helper()
+	a, err := report.NewRunner(benchEng).Analyze(bctx(), report.WorkloadRef{Name: workload})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := a.RunOne(bctx(), engine.Query{Fn: fn, Env: expr.EnvFromInts(env), Kind: engine.KindStatic})
+	if res.Err != nil {
+		b.Fatal(res.Err)
+	}
+	return res.Metrics.FPI()
+}
+
 // maxErrPct folds validation rows to their largest defined error.
-func maxErrPct(rows []experiments.ValidationRow) float64 {
+func maxErrPct(rows []report.ValidationRow) float64 {
 	maxErr := 0.0
 	for _, r := range rows {
 		if e, ok := r.ErrorPct(); ok && e > maxErr {
@@ -127,22 +162,17 @@ func BenchmarkFig6_InstructionDistribution(b *testing.B) {
 // measures the static model evaluation, which is the paper's headline
 // cost advantage.
 func BenchmarkTableIII_StreamFPI(b *testing.B) {
-	rows, err := experiments.TableIII(bctx(), benchEng, []int64{2_000_000, 5_000_000, 10_000_000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	static100M, err := experiments.StreamStaticFPI(bctx(), benchEng, 100_000_000)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sec := validationSection(b, experiments.PaperConfig(), "table_iii", 0)
+	sec.Caption = "Table III: STREAM FPI (paper err: 0.19-0.47%)"
+	rows := measure(b, sec)
+	paper := map[string]int64{"n": 100_000_000}
+	static100M := staticFPI(b, "stream", "stream", paper)
 	printArtifact("tableIII",
-		tablesText(experiments.ValidationTable("table_iii", "Table III: STREAM FPI (paper err: 0.19-0.47%)", rows))+
+		tablesText(sec.Table(rows))+
 			fmt.Sprintf("static-only at paper size 100M: %.4g (paper: 2.050E10)\n", float64(static100M)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.StreamStaticFPI(bctx(), benchEng, 100_000_000); err != nil {
-			b.Fatal(err)
-		}
+		staticFPI(b, "stream", "stream", paper)
 	}
 	b.ReportMetric(maxErrPct(rows), "max-err-%")
 }
@@ -150,22 +180,17 @@ func BenchmarkTableIII_StreamFPI(b *testing.B) {
 // BenchmarkTableIV_DgemmFPI regenerates the DGEMM validation (paper Table
 // IV: error <= 0.05%; ours exact).
 func BenchmarkTableIV_DgemmFPI(b *testing.B) {
-	rows, err := experiments.TableIV(bctx(), benchEng, []int64{64, 96, 128}, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	static1024, err := experiments.DgemmStaticFPI(bctx(), benchEng, 1024, 30)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sec := validationSection(b, experiments.PaperConfig(), "table_iv", 0)
+	sec.Caption = "Table IV: DGEMM FPI (paper err: 0.0012-0.05%)"
+	rows := measure(b, sec)
+	paper := map[string]int64{"n": 1024, "nrep": 30}
+	static1024 := staticFPI(b, "dgemm", "dgemm_bench", paper)
 	printArtifact("tableIV",
-		tablesText(experiments.ValidationTable("table_iv", "Table IV: DGEMM FPI (paper err: 0.0012-0.05%)", rows))+
+		tablesText(sec.Table(rows))+
 			fmt.Sprintf("static-only at paper size 1024 (nrep=30): %.5g (paper: 6.4519E10)\n", float64(static1024)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DgemmStaticFPI(bctx(), benchEng, 1024, 30); err != nil {
-			b.Fatal(err)
-		}
+		staticFPI(b, "dgemm", "dgemm_bench", paper)
 	}
 	b.ReportMetric(maxErrPct(rows), "max-err-%")
 }
@@ -176,20 +201,25 @@ func BenchmarkTableIV_DgemmFPI(b *testing.B) {
 // static model undercounts data-dependent row lengths and invisible
 // library bodies; the reproduction shows the same direction and growth.
 func BenchmarkTableV_MiniFEFPI(b *testing.B) {
-	sizes := []experiments.MiniFESizes{
-		{NX: 30, NY: 30, NZ: 30, MaxIter: 20, NnzRowAnnotation: 25},
-		{NX: 35, NY: 40, NZ: 45, MaxIter: 20, NnzRowAnnotation: 25},
-	}
-	rows, err := experiments.TableV(bctx(), benchEng, sizes)
+	c := experiments.PaperConfig()
+	sec := validationSection(b, c, "table_v", 0)
+	sec.Caption = "Table V: miniFE FPI (paper err: 0.011-3.08%, growing with size)"
+	rows := measure(b, sec)
+	printArtifact("tableV", tablesText(sec.Table(rows)))
+	a, err := report.NewRunner(benchEng).Analyze(bctx(), sec.Workload)
 	if err != nil {
 		b.Fatal(err)
 	}
-	printArtifact("tableV",
-		tablesText(experiments.ValidationTable("table_v", "Table V: miniFE FPI (paper err: 0.011-3.08%, growing with size)", rows)))
+	var queries []engine.Query
+	for _, f := range sec.Funcs {
+		queries = append(queries, engine.Query{Fn: f.Fn, Env: c.MiniSmall.MiniFEEnv(), Kind: engine.KindStatic})
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MiniFEStatic(bctx(), benchEng, sizes[0]); err != nil {
-			b.Fatal(err)
+		for _, r := range a.Run(bctx(), queries) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
 		}
 	}
 	b.ReportMetric(maxErrPct(rows), "max-err-%")
@@ -197,24 +227,18 @@ func BenchmarkTableV_MiniFEFPI(b *testing.B) {
 
 // BenchmarkFig7_ValidationSeries regenerates the four validation panels.
 func BenchmarkFig7_ValidationSeries(b *testing.B) {
-	series, err := experiments.Fig7(bctx(), benchEng,
-		[]int64{1_000_000, 2_000_000, 5_000_000},
-		[]int64{48, 64, 96}, 4,
-		[]experiments.MiniFESizes{
-			{NX: 10, NY: 10, NZ: 10, MaxIter: 10, NnzRowAnnotation: 19},
-			{NX: 12, NY: 14, NZ: 16, MaxIter: 10, NnzRowAnnotation: 22},
-		},
-	)
+	c := experiments.PaperConfig()
+	c.MiniSmall = experiments.MiniFESizes{NX: 10, NY: 10, NZ: 10, MaxIter: 10, NnzRowAnnotation: 19}
+	c.MiniLarge = experiments.MiniFESizes{NX: 12, NY: 14, NZ: 16, MaxIter: 10, NnzRowAnnotation: 22}
+	rep, err := report.NewRunner(benchEng).Run(bctx(), experiments.SuiteMap(c)["fig7"])
 	if err != nil {
 		b.Fatal(err)
 	}
-	printArtifact("fig7", tablesText(experiments.Fig7Tables(series)...))
+	printArtifact("fig7", rep.Text())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, n := range []int64{1_000_000, 2_000_000, 5_000_000} {
-			if _, err := experiments.StreamStaticFPI(bctx(), benchEng, n); err != nil {
-				b.Fatal(err)
-			}
+		for _, n := range c.Fig7Stream {
+			staticFPI(b, "stream", "stream", map[string]int64{"n": n})
 		}
 	}
 }
@@ -225,7 +249,7 @@ func BenchmarkPrediction_ArithmeticIntensity(b *testing.B) {
 	s := experiments.MiniFESizes{NX: 30, NY: 30, NZ: 30, MaxIter: 20, NnzRowAnnotation: 25}
 	q := engine.Query{Fn: "cg_solve", Env: s.MiniFEEnv(), Kind: engine.KindRoofline, ArchDesc: arch.Arya()}
 	predict := func() *roofline.Analysis {
-		p, err := experiments.MiniFEPipeline(bctx(), benchEng)
+		p, err := report.NewRunner(benchEng).Analyze(bctx(), report.WorkloadRef{Name: "minife"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -250,19 +274,20 @@ func BenchmarkPrediction_ArithmeticIntensity(b *testing.B) {
 // smoothing kernel, PBound overcounts FPI by >70% while the binary-aware
 // model is exact.
 func BenchmarkAblation_PBoundVsMira(b *testing.B) {
-	rows, err := experiments.Ablation(bctx(), benchEng, []int64{1024, 4096, 16384})
-	if err != nil {
-		b.Fatal(err)
-	}
-	printArtifact("ablation", tablesText(experiments.AblationTable(rows)))
+	sec := validationSection(b, experiments.PaperConfig(), "ablation", 0)
+	rows := measure(b, sec)
+	printArtifact("ablation", tablesText(sec.Table(rows)))
+	one := sec
+	one.Points = sec.Points[:1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablation(bctx(), benchEng, []int64{1024}); err != nil {
-			b.Fatal(err)
-		}
+		measure(b, one)
 	}
-	b.ReportMetric(rows[len(rows)-1].PBoundErrPct, "pbound-err-%")
-	b.ReportMetric(rows[len(rows)-1].MiraErrPct, "mira-err-%")
+	last := rows[len(rows)-1]
+	pbound, _ := report.ValidationRow{Dynamic: last.Dynamic, Static: last.PBound}.ErrorPct()
+	mira, _ := last.ErrorPct()
+	b.ReportMetric(pbound, "pbound-err-%")
+	b.ReportMetric(mira, "mira-err-%")
 }
 
 // BenchmarkFig5_PythonModelGeneration times end-to-end model generation
@@ -289,17 +314,17 @@ func BenchmarkFig5_PythonModelGeneration(b *testing.B) {
 // custom metric reports the dynamic/static cost ratio at STREAM n=1M.
 func BenchmarkStaticVsDynamicCost(b *testing.B) {
 	n := int64(1_000_000)
+	c := experiments.PaperConfig()
+	c.StreamSizes = []int64{n}
+	sec := validationSection(b, c, "table_iii", 0)
 	t0 := time.Now()
-	if _, err := experiments.StreamDynamicFPI(bctx(), benchEng, n); err != nil {
-		b.Fatal(err)
-	}
+	measure(b, sec)
 	dynDur := time.Since(t0)
+	env := map[string]int64{"n": n}
 	t0 = time.Now()
 	const staticReps = 100
 	for i := 0; i < staticReps; i++ {
-		if _, err := experiments.StreamStaticFPI(bctx(), benchEng, n); err != nil {
-			b.Fatal(err)
-		}
+		staticFPI(b, "stream", "stream", env)
 	}
 	staticDur := time.Since(t0) / staticReps
 	ratio := float64(dynDur) / float64(staticDur)
@@ -308,9 +333,7 @@ func BenchmarkStaticVsDynamicCost(b *testing.B) {
 		dynDur, staticDur, ratio))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.StreamStaticFPI(bctx(), benchEng, n); err != nil {
-			b.Fatal(err)
-		}
+		staticFPI(b, "stream", "stream", env)
 	}
 	b.ReportMetric(ratio, "dyn/static-x")
 }
@@ -321,7 +344,7 @@ func BenchmarkStaticVsDynamicCost(b *testing.B) {
 // walks the model's call tree and polyhedral multiplicities every
 // iteration (the raw pipeline); "warm" is the engine's memo hit.
 func BenchmarkEngineEval_ColdVsWarm(b *testing.B) {
-	a, err := experiments.MiniFEPipeline(bctx(), benchEng)
+	a, err := report.NewRunner(benchEng).Analyze(bctx(), report.WorkloadRef{Name: "minife"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -515,7 +538,7 @@ func BenchmarkSweep_CompiledVsTreeWalk(b *testing.B) {
 // cost a sweep amortizes (miniFE's cg_solve, the deepest call tree in
 // the suite).
 func BenchmarkSweep_CompileOnce(b *testing.B) {
-	a, err := experiments.MiniFEPipeline(bctx(), benchEng)
+	a, err := report.NewRunner(benchEng).Analyze(bctx(), report.WorkloadRef{Name: "minife"})
 	if err != nil {
 		b.Fatal(err)
 	}

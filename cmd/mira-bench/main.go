@@ -70,6 +70,7 @@ import (
 	"mira/internal/core"
 	"mira/internal/engine"
 	"mira/internal/experiments"
+	"mira/internal/expr"
 	"mira/internal/obs"
 	"mira/internal/report"
 )
@@ -212,13 +213,13 @@ func main() {
 		}
 		if banners {
 			if name == "table_iii" && *paperSizes {
-				if err := paperSizeLines(ctx, eng, "stream"); err != nil {
+				if err := paperSizeLines(ctx, runner, "stream"); err != nil {
 					fmt.Fprintf(os.Stderr, "mira-bench: %v\n", err)
 					os.Exit(1)
 				}
 			}
 			if name == "table_iv" && *paperSizes {
-				if err := paperSizeLines(ctx, eng, "dgemm"); err != nil {
+				if err := paperSizeLines(ctx, runner, "dgemm"); err != nil {
 					fmt.Fprintf(os.Stderr, "mira-bench: %v\n", err)
 					os.Exit(1)
 				}
@@ -271,25 +272,36 @@ func selectSuites(cfg experiments.SuiteConfig, suiteList string, all bool) ([]st
 // paperSizeLines prints the static-only evaluations at the paper's full
 // problem sizes (closed-form, instant) with the paper's reference
 // values.
-func paperSizeLines(ctx context.Context, eng *engine.Engine, workload string) error {
+func paperSizeLines(ctx context.Context, runner *report.Runner, workload string) error {
+	a, err := runner.Analyze(ctx, report.WorkloadRef{Name: workload})
+	if err != nil {
+		return err
+	}
+	fpi := func(fn string, env map[string]int64) (float64, error) {
+		res := a.RunOne(ctx, engine.Query{Fn: fn, Env: expr.EnvFromInts(env), Kind: engine.KindStatic})
+		if res.Err != nil {
+			return 0, res.Err
+		}
+		return float64(res.Metrics.FPI()), nil
+	}
 	switch workload {
 	case "stream":
 		for _, n := range []int64{2_000_000, 50_000_000, 100_000_000} {
-			static, err := experiments.StreamStaticFPI(ctx, eng, n)
+			static, err := fpi("stream", map[string]int64{"n": n})
 			if err != nil {
 				return err
 			}
 			fmt.Printf("static-only at paper size %-12d Mira=%.4g (paper Mira: 8.20E7 / 4.100E9 / 2.050E10)\n",
-				n, float64(static))
+				n, static)
 		}
 	case "dgemm":
 		for _, n := range []int64{256, 512, 1024} {
-			static, err := experiments.DgemmStaticFPI(ctx, eng, n, 30)
+			static, err := fpi("dgemm_bench", map[string]int64{"n": n, "nrep": 30})
 			if err != nil {
 				return err
 			}
 			fmt.Printf("static-only at paper size %-6d (nrep=30) Mira=%.5g (paper Mira: 1.0125E9 / 8.0769E9 / 6.4519E10)\n",
-				n, float64(static))
+				n, static)
 		}
 	}
 	return nil

@@ -18,32 +18,23 @@ import (
 
 func main() {
 	ctx := context.Background()
-	eng := engine.New(engine.Options{})
+	runner := report.NewRunner(engine.New(engine.Options{}))
 
-	s := experiments.MiniFESizes{NX: 10, NY: 10, NZ: 10, MaxIter: 10}
-	s.NnzRowAnnotation = (s.TrueNNZ() + s.Rows()/2) / s.Rows() // best user estimate
-
-	// Table II + Fig. 6.
-	rows, err := experiments.TableII(ctx, eng, s)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Validation (Table V shape).
-	vrows, err := experiments.TableV(ctx, eng, []experiments.MiniFESizes{s})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep := report.Report{Tables: []report.Table{
-		experiments.TableIITable(rows),
-		experiments.ValidationTable("table_v", "miniFE validation", vrows),
-	}}
-	if err := rep.EncodeText(os.Stdout); err != nil {
-		log.Fatal(err)
+	// Table II + Fig. 6, then the Table V validation against dynamic
+	// runs, both at the scaled miniFE bricks.
+	suites := experiments.SuiteMap(experiments.ScaledConfig())
+	for _, name := range []string{"table_ii", "table_v"} {
+		rep, err := runner.Run(ctx, suites[name])
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := rep.EncodeText(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// The generated Python model (paper Fig. 5 artifact) for waxpby.
-	p, err := experiments.MiniFEPipeline(ctx, eng)
+	p, err := runner.Analyze(ctx, report.WorkloadRef{Name: "minife"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"mira/internal/dynamic"
 	"mira/internal/engine"
 	"mira/internal/experiments"
+	"mira/internal/report"
 	"mira/internal/vm"
 )
 
@@ -21,7 +22,7 @@ func main() {
 	ctx := context.Background()
 	eng := engine.New(engine.Options{})
 	s := experiments.MiniFESizes{NX: 10, NY: 10, NZ: 10, MaxIter: 10, NnzRowAnnotation: 19}
-	p, err := experiments.MiniFEPipeline(ctx, eng)
+	p, err := report.NewRunner(eng).Analyze(ctx, report.WorkloadRef{Name: "minife"})
 	if err != nil {
 		log.Fatal(err)
 	}

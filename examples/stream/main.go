@@ -13,36 +13,41 @@ import (
 
 	"mira/internal/engine"
 	"mira/internal/experiments"
+	"mira/internal/expr"
 	"mira/internal/report"
 )
 
 func main() {
 	ctx := context.Background()
-	eng := engine.New(engine.Options{})
+	runner := report.NewRunner(engine.New(engine.Options{}))
 
-	// Paired static/dynamic validation at a VM-friendly size.
-	rows, err := experiments.TableIII(ctx, eng, []int64{2_000_000})
+	// Paired static/dynamic validation at a VM-friendly size: the
+	// table_iii suite at one size.
+	cfg := experiments.PaperConfig()
+	cfg.StreamSizes = []int64{2_000_000}
+	rep, err := runner.Run(ctx, experiments.SuiteMap(cfg)["table_iii"])
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := report.Report{Tables: []report.Table{
-		experiments.ValidationTable("table_iii", "STREAM validation (Table III row)", rows),
-	}}
 	if err := rep.EncodeText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
 	// Static-only evaluation at the paper's sizes.
+	a, err := runner.Analyze(ctx, report.WorkloadRef{Name: "stream"})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nStatic model at the paper's sizes (Table III 'Mira' column):")
 	for _, n := range []int64{2_000_000, 50_000_000, 100_000_000} {
 		start := time.Now()
-		fpi, err := experiments.StreamStaticFPI(ctx, eng, n)
-		if err != nil {
-			log.Fatal(err)
+		res := a.RunOne(ctx, engine.Query{Fn: "stream", Env: expr.EnvFromInts(map[string]int64{"n": n}), Kind: engine.KindStatic})
+		if res.Err != nil {
+			log.Fatal(res.Err)
 		}
-		fmt.Printf("  n=%-12d FPI=%-14.4g evaluated in %v\n", n, float64(fpi), time.Since(start))
+		fmt.Printf("  n=%-12d FPI=%-14.4g evaluated in %v\n", n, float64(res.Metrics.FPI()), time.Since(start))
 	}
 	fmt.Println("\nPaper's Mira column: 8.20E7 (2M), 4.100E9 (50M), 2.050E10 (100M).")
 	fmt.Println("Our STREAM source performs 40 FPI/element (4 kernels x 10 iterations);")
-	fmt.Println("see EXPERIMENTS.md for the per-kernel accounting difference.")
+	fmt.Println("see the internal/experiments package doc for the per-kernel accounting difference.")
 }

@@ -30,13 +30,13 @@ func legacyErrPct(dyn, static int64) float64 {
 }
 
 // legacyFormatTable is the deleted experiments.FormatTable, verbatim.
-func legacyFormatTable(caption string, rows []ValidationRow) string {
+func legacyFormatTable(caption string, rows []report.ValidationRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", caption)
 	fmt.Fprintf(&sb, "%-14s %-28s %-14s %-14s %s\n", "Size", "Function", "TAU", "Mira", "Error")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "%-14s %-28s %-14.4g %-14.4g %.3f%%\n",
-			r.Label, r.Function, float64(r.Dynamic), float64(r.Static), legacyErrPct(r.Dynamic, r.Static))
+			r.Label.String(), r.Function, float64(r.Dynamic), float64(r.Static), legacyErrPct(r.Dynamic, r.Static))
 	}
 	return sb.String()
 }
@@ -65,15 +65,21 @@ func legacyFormatTableII(rows []CategoryRow) string {
 	return sb.String()
 }
 
-// legacyFormatFig7 is the deleted experiments.FormatFig7, verbatim.
-func legacyFormatFig7(series []Fig7Series) string {
+// legacyFormatFig7 is the deleted experiments.FormatFig7, verbatim, over
+// one validation section's rows per panel. A panel's x label is the
+// point label, or the function name for a one-point miniFE panel.
+func legacyFormatFig7(panels []report.ValidationSection, rows [][]report.ValidationRow) string {
 	var sb strings.Builder
-	for _, s := range series {
-		sb.WriteString(s.Title + "\n")
+	for pi, s := range panels {
+		sb.WriteString(s.Caption + "\n")
 		fmt.Fprintf(&sb, "  %-24s %-14s %-14s %s\n", "x", "TAU", "Mira", "err")
-		for i := range s.Labels {
+		for _, r := range rows[pi] {
+			x := r.Label.String()
+			if r.Label.IsNull() {
+				x = r.Function
+			}
 			fmt.Fprintf(&sb, "  %-24s %-14.4g %-14.4g %.3f%%\n",
-				s.Labels[i], float64(s.TAU[i]), float64(s.Mira[i]), legacyErrPct(s.TAU[i], s.Mira[i]))
+				x, float64(r.Dynamic), float64(r.Static), legacyErrPct(r.Dynamic, r.Static))
 		}
 	}
 	return sb.String()
@@ -134,43 +140,36 @@ func TestGoldenTableII(t *testing.T) {
 // rows at scaled sizes.
 func TestGoldenValidationTables(t *testing.T) {
 	c := ScaledConfig()
-	iii, err := TableIII(bg(), testEng, c.StreamSizes[:2])
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		what, suite, caption string
+		points               int
+	}{
+		{"table III", "table_iii", "", 2},
+		{"table IV", "table_iv", "DGEMM validation", 2},
+		{"table V", "table_v", "", 1},
+	} {
+		sec := validation(t, c, tc.suite, 0)
+		sec.Points = sec.Points[:tc.points]
+		if tc.caption != "" {
+			sec.Caption = tc.caption
+		}
+		rows := measure(t, sec)
+		diffGolden(t, tc.what, encodeTables(t, sec.Table(rows)), legacyFormatTable(sec.Caption, rows))
 	}
-	diffGolden(t, "table III",
-		encodeTables(t, ValidationTable("table_iii", "STREAM validation (dynamic at scaled sizes)", iii)),
-		legacyFormatTable("STREAM validation (dynamic at scaled sizes)", iii))
-
-	iv, err := TableIV(bg(), testEng, c.DgemmSizes[:2], c.DgemmReps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffGolden(t, "table IV",
-		encodeTables(t, ValidationTable("table_iv", "DGEMM validation", iv)),
-		legacyFormatTable("DGEMM validation", iv))
-
-	v, err := TableV(bg(), testEng, []MiniFESizes{c.MiniSmall})
-	if err != nil {
-		t.Fatal(err)
-	}
-	caption := fmt.Sprintf("miniFE validation (nnz_row annotation = %d)", c.MiniSmall.NnzRowAnnotation)
-	diffGolden(t, "table V",
-		encodeTables(t, ValidationTable("table_v", caption, v)),
-		legacyFormatTable(caption, v))
 }
 
 // TestGoldenFig7: the four-panel series block — tables with the Fig. 7
 // indent, concatenated with no separators, exactly like the legacy
 // renderer.
 func TestGoldenFig7(t *testing.T) {
-	series, err := Fig7(bg(), testEng,
-		[]int64{1000, 2000},
-		[]int64{8, 12}, 2,
-		[]MiniFESizes{{NX: 5, NY: 5, NZ: 5, MaxIter: 4, NnzRowAnnotation: 18}},
-	)
-	if err != nil {
-		t.Fatal(err)
+	c := fig7Config()
+	var panels []report.ValidationSection
+	var rows [][]report.ValidationRow
+	var tables []report.Table
+	for i := 0; i < 3; i++ {
+		sec := validation(t, c, "fig7", i)
+		r := measure(t, sec)
+		panels, rows, tables = append(panels, sec), append(rows, r), append(tables, sec.Table(r))
 	}
-	diffGolden(t, "fig 7", encodeTables(t, Fig7Tables(series)...), legacyFormatFig7(series))
+	diffGolden(t, "fig 7", encodeTables(t, tables...), legacyFormatFig7(panels, rows))
 }

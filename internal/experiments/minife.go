@@ -1,30 +1,19 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"mira/internal/benchprogs"
-	"mira/internal/engine"
 	"mira/internal/expr"
+	"mira/internal/report"
 	"mira/internal/vm"
 )
-
-// MiniFEPipeline analyzes the miniFE workload.
-func MiniFEPipeline(ctx context.Context, eng *engine.Engine) (*engine.Analysis, error) {
-	return analyzed(ctx, eng, "minife.c", benchprogs.MiniFE)
-}
 
 // MiniFESizes describes one miniFE configuration.
 type MiniFESizes struct {
 	NX, NY, NZ int64
 	MaxIter    int64
-	// NnzRowAnnotation is the lp_iter value the user supplies for the
-	// CSR matvec inner loop. The paper-faithful choice is the interior
-	// estimate 25 (see EXPERIMENTS.md): the true average row length
-	// approaches 27 from below as the grid grows, which is what makes the
-	// static estimate undercount more at larger sizes, matching Table V's
-	// error growth.
+	// NnzRowAnnotation is the nnz_row value the user supplies for the
+	// CSR matvec inner loop (see the package doc for the choice).
 	NnzRowAnnotation int64
 }
 
@@ -36,9 +25,17 @@ func (s MiniFESizes) TrueNNZ() int64 {
 	return (3*s.NX - 2) * (3*s.NY - 2) * (3*s.NZ - 2)
 }
 
+// Label renders the brick as the paper's tables do ("30x30x30").
+func (s MiniFESizes) Label() string { return fmt.Sprintf("%dx%dx%d", s.NX, s.NY, s.NZ) }
+
+// point is the brick as a labelled validation point.
+func (s MiniFESizes) point() report.ValidationPoint {
+	return report.ValidationPoint{Label: report.Str(s.Label()), Env: s.MiniFEPoint()}
+}
+
 // MiniFEPoint builds the configuration's parameter bindings in sweep
-// point form — what a declarative grid section (the prediction suite)
-// feeds the engine.
+// point form — what the prediction grid and the validation sections
+// feed the engine, and what minifeArgs stages on the VM.
 func (s MiniFESizes) MiniFEPoint() map[string]int64 {
 	return map[string]int64{
 		"nx": s.NX, "ny": s.NY, "nz": s.NZ,
@@ -53,125 +50,25 @@ func (s MiniFESizes) MiniFEEnv() expr.Env {
 	return expr.EnvFromInts(s.MiniFEPoint())
 }
 
-// MiniFEDynamic executes miniFE on the VM and returns per-function
-// inclusive FPI for the three functions Table V reports. waxpby and the
-// matvec operator are reported per single invocation (total / calls),
-// matching the paper's per-call magnitudes.
-func MiniFEDynamic(ctx context.Context, eng *engine.Engine, s MiniFESizes) (map[string]int64, error) {
-	p, err := MiniFEPipeline(ctx, eng)
-	if err != nil {
-		return nil, err
-	}
-	m := p.NewMachine()
-	n := s.Rows()
+// minifeArgs stages miniFE's CSR matrix object (nrows, row_start, cols,
+// vals, room for 27 nonzeros per row) and its five vector objects
+// (length, coefficients).
+func minifeArgs(m *vm.Machine, p map[string]int64) []vm.Value {
+	n := p["n"]
 	maxNNZ := uint64(27 * n)
-
-	rowStart := m.Alloc(uint64(n + 1))
-	cols := m.Alloc(maxNNZ)
-	vals := m.Alloc(maxNNZ)
-
-	// CSRMatrix object: fields nrows, row_start, cols, vals.
+	rowStart, cols, vals := m.Alloc(uint64(n+1)), m.Alloc(maxNNZ), m.Alloc(maxNNZ)
 	A := m.Alloc(4)
 	m.SetI(A+0, n)
 	m.SetI(A+1, int64(rowStart))
 	m.SetI(A+2, int64(cols))
 	m.SetI(A+3, int64(vals))
-
-	mkVec := func() uint64 {
+	args := []vm.Value{vm.Int(p["nx"]), vm.Int(p["ny"]), vm.Int(p["nz"]), vm.Int(p["max_iter"]), vm.Int(int64(A))}
+	for i := 0; i < 5; i++ { // b, x, r, p, Ap
 		coefs := m.Alloc(uint64(n))
 		v := m.Alloc(2)
 		m.SetI(v+0, n)
 		m.SetI(v+1, int64(coefs))
-		return v
+		args = append(args, vm.Int(int64(v)))
 	}
-	b, x, r, pp, ap := mkVec(), mkVec(), mkVec(), mkVec(), mkVec()
-
-	if _, err := m.Run("minife",
-		vm.Int(s.NX), vm.Int(s.NY), vm.Int(s.NZ), vm.Int(s.MaxIter),
-		vm.Int(int64(A)), vm.Int(int64(b)), vm.Int(int64(x)),
-		vm.Int(int64(r)), vm.Int(int64(pp)), vm.Int(int64(ap))); err != nil {
-		return nil, err
-	}
-
-	out := map[string]int64{}
-	for _, fn := range tableVFuncs {
-		st, ok := m.FuncStatsByName(fn)
-		if !ok {
-			return nil, fmt.Errorf("no stats for %s", fn)
-		}
-		fpi := int64(st.FPIInclusive())
-		switch fn {
-		case "waxpby", "MatVec::operator()":
-			if st.Calls > 0 {
-				fpi /= int64(st.Calls)
-			}
-		}
-		out[fn] = fpi
-	}
-	return out, nil
-}
-
-// MiniFEStatic evaluates the static model for the same three functions.
-// Per-invocation functions are evaluated with their own parameters bound
-// the way cg_solve binds them. The whole per-function column is one
-// query batch sharing the (function, env) memo.
-func MiniFEStatic(ctx context.Context, eng *engine.Engine, s MiniFESizes) (map[string]int64, error) {
-	p, err := MiniFEPipeline(ctx, eng)
-	if err != nil {
-		return nil, err
-	}
-	env := s.MiniFEEnv()
-	queries := make([]engine.Query, len(tableVFuncs))
-	for i, fn := range tableVFuncs {
-		queries[i] = engine.Query{Fn: fn, Env: env, Kind: engine.KindStatic}
-	}
-	results, err := runQueries(ctx, p, queries)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]int64{}
-	for i, fn := range tableVFuncs {
-		out[fn] = results[i].Metrics.FPI()
-	}
-	return out, nil
-}
-
-// tableVFuncs are the functions Table V reports (dot is included for the
-// Fig. 7 call-tree context). Evaluating assemble's boundary-guarded
-// six-deep nest is supported but slow (parametric Sum enumeration), so the
-// per-table path sticks to the solver chain.
-var tableVFuncs = []string{"waxpby", "MatVec::operator()", "cg_solve", "dot"}
-
-// TableV reproduces the miniFE per-function FPI validation rows. The
-// sizes are independent (one VM run plus one set of model queries each),
-// so the sweep fans out across the engine's worker bound.
-func TableV(ctx context.Context, eng *engine.Engine, sizes []MiniFESizes) ([]ValidationRow, error) {
-	perSize := make([][]ValidationRow, len(sizes))
-	err := engine.ForEachCtx(ctx, eng.Workers(), len(sizes), func(i int) error {
-		s := sizes[i]
-		dyn, err := MiniFEDynamic(ctx, eng, s)
-		if err != nil {
-			return err
-		}
-		static, err := MiniFEStatic(ctx, eng, s)
-		if err != nil {
-			return err
-		}
-		label := fmt.Sprintf("%dx%dx%d", s.NX, s.NY, s.NZ)
-		for _, fn := range []string{"waxpby", "MatVec::operator()", "cg_solve"} {
-			perSize[i] = append(perSize[i], ValidationRow{
-				Label: label, Function: fn,
-				Dynamic: dyn[fn], Static: static[fn],
-			})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []ValidationRow
-	for _, r := range perSize {
-		rows = append(rows, r...)
-	}
-	return rows, nil
+	return args
 }

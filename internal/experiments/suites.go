@@ -48,8 +48,8 @@ func PaperConfig() SuiteConfig {
 	}
 }
 
-// ScaledConfig is the proportionally scaled configuration (see
-// EXPERIMENTS.md): every suite completes in seconds, so a resident
+// ScaledConfig is the proportionally scaled configuration (see the
+// package doc): every suite completes in seconds, so a resident
 // daemon can serve POST /report without holding a connection for
 // minutes. The miniFE annotations bind the rounded true average row
 // length, the best value a careful user could supply at these sizes.
@@ -72,10 +72,24 @@ func ScaledConfig() SuiteConfig {
 }
 
 // Suites returns the named paper suites under c, in the paper's
-// presentation order. Each suite is a thin declarative wrapper over the
-// experiment functions: the engine and context are injected by the
-// report runner, never held in package state.
+// presentation order. Tables I and II wrap their experiment functions;
+// every other suite is a declarative section. The engine and context
+// are injected by the report runner, never held in package state.
 func Suites(c SuiteConfig) []report.Suite {
+	// Each workload's VM side; the sections below add points and a layout.
+	stream := report.ValidationSection{Workload: report.WorkloadRef{Name: "stream"},
+		Funcs: []report.ValidationFunc{{Fn: "stream"}}, Entry: "stream", Args: streamArgs}
+	dgemm := report.ValidationSection{Workload: report.WorkloadRef{Name: "dgemm"},
+		Funcs: []report.ValidationFunc{{Fn: "dgemm_bench", Display: "dgemm"}}, Entry: "dgemm_bench", Args: dgemmArgs}
+	// waxpby and the matvec operator are reported per invocation,
+	// matching the paper's per-call magnitudes.
+	minife := report.ValidationSection{Workload: report.WorkloadRef{Name: "minife"},
+		Funcs: []report.ValidationFunc{
+			{Fn: "waxpby", PerCall: true}, {Fn: "MatVec::operator()", PerCall: true}, {Fn: "cg_solve"},
+		}, Entry: "minife", Args: minifeArgs}
+	smooth := report.ValidationSection{Workload: report.WorkloadRef{Name: "ablation"},
+		Funcs: []report.ValidationFunc{{Fn: "smooth"}}, Entry: "smooth", Args: smoothArgs}
+	dgemmBase := map[string]int64{"nrep": c.DgemmReps}
 	return []report.Suite{
 		{
 			Name:  "table_i",
@@ -102,49 +116,38 @@ func Suites(c SuiteConfig) []report.Suite {
 		{
 			Name:  "table_iii",
 			Title: "Table III: STREAM FPI (paper: err <= 0.47%)",
-			Sections: []report.Section{report.SectionFunc(func(ctx context.Context, r *report.Runner) ([]report.Table, error) {
-				rows, err := TableIII(ctx, r.Engine(), c.StreamSizes)
-				if err != nil {
-					return nil, err
-				}
-				return []report.Table{ValidationTable("table_iii", "STREAM validation (dynamic at scaled sizes)", rows)}, nil
-			})},
+			Sections: []report.Section{validate(stream, report.LayoutRows, "table_iii",
+				"STREAM validation (dynamic at scaled sizes)", sizePoints(c.StreamSizes, nil, sizeLabel))},
 		},
 		{
 			Name:  "table_iv",
 			Title: "Table IV: DGEMM FPI (paper: err <= 0.05%)",
-			Sections: []report.Section{report.SectionFunc(func(ctx context.Context, r *report.Runner) ([]report.Table, error) {
-				rows, err := TableIV(ctx, r.Engine(), c.DgemmSizes, c.DgemmReps)
-				if err != nil {
-					return nil, err
-				}
-				caption := fmt.Sprintf("DGEMM validation (dynamic at scaled sizes, nrep=%d)", c.DgemmReps)
-				return []report.Table{ValidationTable("table_iv", caption, rows)}, nil
-			})},
+			Sections: []report.Section{validate(dgemm, report.LayoutRows, "table_iv",
+				fmt.Sprintf("DGEMM validation (dynamic at scaled sizes, nrep=%d)", c.DgemmReps),
+				sizePoints(c.DgemmSizes, dgemmBase, plainLabel))},
 		},
 		{
 			Name:  "table_v",
 			Title: "Table V: miniFE per-function FPI (paper: err 0.011% - 3.08%)",
-			Sections: []report.Section{report.SectionFunc(func(ctx context.Context, r *report.Runner) ([]report.Table, error) {
-				rows, err := TableV(ctx, r.Engine(), []MiniFESizes{c.MiniSmall, c.MiniLarge})
-				if err != nil {
-					return nil, err
-				}
-				caption := fmt.Sprintf("miniFE validation (nnz_row annotation = %d)", c.MiniSmall.NnzRowAnnotation)
-				return []report.Table{ValidationTable("table_v", caption, rows)}, nil
-			})},
+			Sections: []report.Section{validate(minife, report.LayoutRows, "table_v",
+				fmt.Sprintf("miniFE validation (nnz_row annotation = %d)", c.MiniSmall.NnzRowAnnotation),
+				[]report.ValidationPoint{c.MiniSmall.point(), c.MiniLarge.point()})},
 		},
 		{
 			Name:  "fig7",
 			Title: "Fig. 7: validation series",
-			Sections: []report.Section{report.SectionFunc(func(ctx context.Context, r *report.Runner) ([]report.Table, error) {
-				series, err := Fig7(ctx, r.Engine(), c.Fig7Stream, c.Fig7Dgemm, c.DgemmReps,
-					[]MiniFESizes{c.MiniSmall, c.MiniLarge})
-				if err != nil {
-					return nil, err
-				}
-				return Fig7Tables(series), nil
-			})},
+			// The miniFE panels' points carry no label, so their x
+			// column names the functions.
+			Sections: []report.Section{
+				validate(stream, report.LayoutPanel, "fig7_0", "Fig 7(a): STREAM FPI",
+					sizePoints(c.Fig7Stream, nil, plainLabel)),
+				validate(dgemm, report.LayoutPanel, "fig7_1", "Fig 7(b): DGEMM FPI",
+					sizePoints(c.Fig7Dgemm, dgemmBase, plainLabel)),
+				validate(minife, report.LayoutPanel, "fig7_2", "Fig 7(c): miniFE FPI "+c.MiniSmall.Label(),
+					[]report.ValidationPoint{{Env: c.MiniSmall.MiniFEPoint()}}),
+				validate(minife, report.LayoutPanel, "fig7_3", "Fig 7(d): miniFE FPI "+c.MiniLarge.Label(),
+					[]report.ValidationPoint{{Env: c.MiniLarge.MiniFEPoint()}}),
+			},
 		},
 		{
 			Name:  "prediction",
@@ -182,13 +185,12 @@ func Suites(c SuiteConfig) []report.Suite {
 		{
 			Name:  "ablation",
 			Title: "Ablation: PBound (source-only) vs Mira (source+binary)",
-			Sections: []report.Section{report.SectionFunc(func(ctx context.Context, r *report.Runner) ([]report.Table, error) {
-				rows, err := Ablation(ctx, r.Engine(), c.AblationSizes)
-				if err != nil {
-					return nil, err
-				}
-				return []report.Table{AblationTable(rows)}, nil
-			})},
+			// The smooth kernel carries constant-foldable and loop-invariant
+			// FP subexpressions: source-only counting (PBound) overestimates
+			// what the optimized binary executes, while Mira tracks it.
+			Sections: []report.Section{validate(smooth, report.LayoutAblation, "ablation",
+				"Ablation: source-only (PBound) vs source+binary (Mira) FPI estimates",
+				sizePoints(c.AblationSizes, nil, report.Int))},
 		},
 	}
 }
@@ -210,4 +212,10 @@ func SuiteNames(c SuiteConfig) []string {
 		names[i] = s.Name
 	}
 	return names
+}
+
+// validate specializes a workload's validation section.
+func validate(w report.ValidationSection, layout report.ValidationLayout, name, caption string, points []report.ValidationPoint) report.ValidationSection {
+	w.Layout, w.Name, w.Caption, w.Points = layout, name, caption, points
+	return w
 }

@@ -89,7 +89,7 @@ func TestTableIICategoriesAndFig6(t *testing.T) {
 // configuration s against the description d.
 func cgSolveQuery(t *testing.T, s MiniFESizes, kind engine.QueryKind, d *arch.Description) engine.QueryResult {
 	t.Helper()
-	p, err := MiniFEPipeline(bg(), testEng)
+	p, err := report.NewRunner(testEng).Analyze(bg(), report.WorkloadRef{Name: "minife"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,34 +128,38 @@ func TestFine64Categories(t *testing.T) {
 	}
 }
 
+// fig7Config is a small Fig. 7 configuration: two STREAM and two DGEMM
+// points and one miniFE brick (panels a–c).
+func fig7Config() SuiteConfig {
+	c := ScaledConfig()
+	c.Fig7Stream, c.Fig7Dgemm, c.DgemmReps = []int64{1000, 2000}, []int64{8, 12}, 2
+	c.MiniSmall = MiniFESizes{NX: 5, NY: 5, NZ: 5, MaxIter: 4, NnzRowAnnotation: 18}
+	return c
+}
+
 func TestFig7Series(t *testing.T) {
-	series, err := Fig7(bg(), testEng,
-		[]int64{1000, 2000},
-		[]int64{8, 12}, 2,
-		[]MiniFESizes{{NX: 5, NY: 5, NZ: 5, MaxIter: 4, NnzRowAnnotation: 18}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 3 {
-		t.Fatalf("got %d series", len(series))
-	}
-	for _, s := range series {
-		if len(s.TAU) != len(s.Mira) || len(s.TAU) == 0 {
-			t.Errorf("%s: bad series lengths", s.Title)
+	c := fig7Config()
+	suite := SuiteMap(c)["fig7"]
+	suite.Sections = suite.Sections[:3]
+	for i := range suite.Sections {
+		sec := validation(t, c, "fig7", i)
+		rows := measure(t, sec)
+		if len(rows) == 0 {
+			t.Errorf("%s: bad series lengths", sec.Caption)
 		}
-		for i := range s.TAU {
-			r := ValidationRow{Dynamic: s.TAU[i], Static: s.Mira[i]}
+		for _, r := range rows {
 			if pct, ok := r.ErrorPct(); !ok || pct > 10 {
-				t.Errorf("%s[%s]: error %.2f%% (ok=%v)", s.Title, s.Labels[i], pct, ok)
+				t.Errorf("%s[%s]: error %.2f%% (ok=%v)", sec.Caption, r.Function, pct, ok)
 			}
 		}
 	}
-	tables := Fig7Tables(series)
-	if len(tables) != 3 {
-		t.Fatalf("got %d tables", len(tables))
+	rep, err := report.NewRunner(testEng).Run(bg(), suite)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rep := report.Report{Tables: tables}
+	if len(rep.Tables) != 3 {
+		t.Fatalf("got %d tables", len(rep.Tables))
+	}
 	if out := rep.Text(); !strings.Contains(out, "Fig 7(a)") {
 		t.Errorf("format missing panels:\n%s", out)
 	}
@@ -191,7 +195,7 @@ func TestPredictionSweepMatchesPointQueries(t *testing.T) {
 	for i, s := range sizes {
 		points[i] = s.MiniFEPoint()
 	}
-	p, err := MiniFEPipeline(bg(), testEng)
+	p, err := report.NewRunner(testEng).Analyze(bg(), report.WorkloadRef{Name: "minife"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,25 +217,27 @@ func TestPredictionSweepMatchesPointQueries(t *testing.T) {
 }
 
 func TestAblationPBoundVsMira(t *testing.T) {
-	rows, err := Ablation(bg(), testEng, []int64{64, 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	c := ScaledConfig()
+	c.AblationSizes = []int64{64, 256}
+	sec := validation(t, c, "ablation", 0)
+	rows := measure(t, sec)
+	for i, r := range rows {
+		n := c.AblationSizes[i]
 		// Mira (binary-aware) must be exact: the kernel is affine.
-		if r.Mira != r.Dynamic {
-			t.Errorf("n=%d: Mira=%d dynamic=%d, want exact", r.N, r.Mira, r.Dynamic)
+		if r.Static != r.Dynamic {
+			t.Errorf("n=%d: Mira=%d dynamic=%d, want exact", n, r.Static, r.Dynamic)
 		}
 		// PBound must overestimate: it counts the folded constants and
 		// hoisted invariants every iteration.
 		if r.PBound <= r.Dynamic {
-			t.Errorf("n=%d: PBound=%d not an overestimate of %d", r.N, r.PBound, r.Dynamic)
+			t.Errorf("n=%d: PBound=%d not an overestimate of %d", n, r.PBound, r.Dynamic)
 		}
-		if r.PBoundErrPct < 10 {
-			t.Errorf("n=%d: PBound error only %.1f%%; optimization gap not visible", r.N, r.PBoundErrPct)
+		pbound, _ := report.ValidationRow{Dynamic: r.Dynamic, Static: r.PBound}.ErrorPct()
+		if pbound < 10 {
+			t.Errorf("n=%d: PBound error only %.1f%%; optimization gap not visible", n, pbound)
 		}
 	}
-	if out := tableText(t, AblationTable(rows)); !strings.Contains(out, "PBound") {
+	if out := tableText(t, sec.Table(rows)); !strings.Contains(out, "PBound") {
 		t.Errorf("format broken:\n%s", out)
 	}
 }

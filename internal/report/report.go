@@ -136,6 +136,10 @@ func (v Value) render(col Column) string {
 	return v.renderRaw()
 }
 
+// String formats the cell with full precision and no schema, as CSV
+// does ("" for null).
+func (v Value) String() string { return v.renderRaw() }
+
 // renderRaw formats the cell with full precision and no schema — the
 // CSV form, where consumers parse values instead of reading them.
 func (v Value) renderRaw() string {

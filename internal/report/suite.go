@@ -30,13 +30,14 @@ type Suite struct {
 
 // Section is one suite entry. Implementations: GridSection (declarative
 // workload × grid × kind, compiled to an engine sweep), CompareSection
-// (one point ranked across architectures), SectionFunc (free-form,
-// multi-table — the VM-validated tables and the Fig. 7 series).
+// (one point ranked across architectures), ValidationSection (static
+// model against VM measurement: Tables III–V, Fig. 7, the ablation),
+// SectionFunc (free-form, multi-table: Tables I and II).
 type Section interface {
 	// Tables produces the section's tables. An error here is a spec
 	// problem (unknown workload, function, or kind; an over-limit
-	// grid) and fails the suite; per-point evaluation failures land in
-	// row errors instead.
+	// grid) and fails the suite; a grid's per-point evaluation failures
+	// land in row errors instead (a ValidationSection fails on any).
 	Tables(ctx context.Context, r *Runner) ([]Table, error)
 }
 
@@ -72,8 +73,8 @@ func (r *Runner) WithObs(reg *obs.Registry) *Runner {
 	return r
 }
 
-// Engine returns the injected engine, for sections that fan out VM runs
-// across its worker bound.
+// Engine returns the injected engine, for free-form sections
+// (SectionFunc) that call experiment code directly.
 func (r *Runner) Engine() *engine.Engine { return r.eng }
 
 // Analyze resolves a workload reference through the engine's
