@@ -25,12 +25,12 @@ func (s MiniFESizes) TrueNNZ() int64 {
 	return (3*s.NX - 2) * (3*s.NY - 2) * (3*s.NZ - 2)
 }
 
-// Label renders the brick as the paper's tables do ("30x30x30").
-func (s MiniFESizes) Label() string { return fmt.Sprintf("%dx%dx%d", s.NX, s.NY, s.NZ) }
+// label renders the brick as the paper's tables do ("30x30x30").
+func (s MiniFESizes) label() string { return fmt.Sprintf("%dx%dx%d", s.NX, s.NY, s.NZ) }
 
 // point is the brick as a labelled validation point.
 func (s MiniFESizes) point() report.ValidationPoint {
-	return report.ValidationPoint{Label: report.Str(s.Label()), Env: s.MiniFEPoint()}
+	return report.ValidationPoint{Label: report.Str(s.label()), Env: s.MiniFEPoint()}
 }
 
 // MiniFEPoint builds the configuration's parameter bindings in sweep

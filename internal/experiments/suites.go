@@ -143,9 +143,9 @@ func Suites(c SuiteConfig) []report.Suite {
 					sizePoints(c.Fig7Stream, nil, plainLabel)),
 				validate(dgemm, report.LayoutPanel, "fig7_1", "Fig 7(b): DGEMM FPI",
 					sizePoints(c.Fig7Dgemm, dgemmBase, plainLabel)),
-				validate(minife, report.LayoutPanel, "fig7_2", "Fig 7(c): miniFE FPI "+c.MiniSmall.Label(),
+				validate(minife, report.LayoutPanel, "fig7_2", "Fig 7(c): miniFE FPI "+c.MiniSmall.label(),
 					[]report.ValidationPoint{{Env: c.MiniSmall.MiniFEPoint()}}),
-				validate(minife, report.LayoutPanel, "fig7_3", "Fig 7(d): miniFE FPI "+c.MiniLarge.Label(),
+				validate(minife, report.LayoutPanel, "fig7_3", "Fig 7(d): miniFE FPI "+c.MiniLarge.label(),
 					[]report.ValidationPoint{{Env: c.MiniLarge.MiniFEPoint()}}),
 			},
 		},
