@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check fmt-check vet lint staticcheck govulncheck fuzz-smoke build test race bench bench-baseline bench-compare cluster-smoke serve examples clean
+.PHONY: all check fmt-check vet lint perfbench staticcheck govulncheck fuzz-smoke build test race bench bench-baseline bench-compare cluster-smoke serve examples clean
 
 all: check
 
-check: fmt-check vet lint build race examples
+check: fmt-check vet lint build race examples perfbench
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -23,6 +23,13 @@ vet:
 # scrapes (mira_vet_findings_total, per-analyzer wall time).
 lint:
 	$(GO) run ./cmd/mira-vet ./...
+
+# perfbench is the benchmark's own module (perfbench/go.mod, outside
+# ./...): it compiles against the engine's query and sweep types, and
+# TestWorkloads checks every workload's premises against a live daemon.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # staticcheck and govulncheck are pinned by version and fetched on
 # demand via `go run pkg@version`, so they need network access: they run

@@ -358,17 +358,34 @@ type queryRequest struct {
 	Queries []wireQuery `json:"queries"`
 }
 
-// queryCell is one evaluated /query cell; exactly one value field is set
-// on success, and Error carries per-query failures without failing the
-// batch.
-type queryCell struct {
-	Fn         string             `json:"fn"`
-	Kind       string             `json:"kind"`
+// wireValue is one evaluated cell on the wire: exactly one value field
+// is set on success, and Error carries a per-cell failure without
+// failing the batch or the sweep.
+type wireValue struct {
 	Error      string             `json:"error,omitempty"`
 	Metrics    *metricsPayload    `json:"metrics,omitempty"`
 	Categories map[string]int64   `json:"categories,omitempty"`
 	Roofline   *roofline.Analysis `json:"roofline,omitempty"`
 	PBound     *pbound.Counts     `json:"pbound,omitempty"`
+}
+
+// toWire converts an engine cell value (or its error) to its wire form.
+func toWire(v engine.Value, err error) wireValue {
+	if err != nil {
+		return wireValue{Error: err.Error()}
+	}
+	w := wireValue{Categories: v.Categories, Roofline: v.Roofline, PBound: v.PBound}
+	if m := v.Metrics; m != nil {
+		w.Metrics = &metricsPayload{Instrs: m.Instrs, Flops: m.Flops, FPI: m.FPI()}
+	}
+	return w
+}
+
+// queryCell is one evaluated /query cell.
+type queryCell struct {
+	Fn   string `json:"fn"`
+	Kind string `json:"kind"`
+	wireValue
 }
 
 type queryResponse struct {
@@ -432,23 +449,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	for k, res := range a.Run(r.Context(), queries) {
-		cell := &cells[qIdx[k]]
-		switch {
-		case res.Err != nil:
-			cell.Error = res.Err.Error()
-		case res.Metrics != nil:
-			cell.Metrics = &metricsPayload{
-				Instrs: res.Metrics.Instrs,
-				Flops:  res.Metrics.Flops,
-				FPI:    res.Metrics.FPI(),
-			}
-		case res.Categories != nil:
-			cell.Categories = res.Categories
-		case res.Roofline != nil:
-			cell.Roofline = res.Roofline
-		case res.PBound != nil:
-			cell.PBound = res.PBound
-		}
+		cells[qIdx[k]].wireValue = toWire(res.Value, res.Err)
 	}
 	if clientGone(r) {
 		return
@@ -474,17 +475,11 @@ type sweepRequest struct {
 	Archs  []string           `json:"archs,omitempty"`
 }
 
-// sweepPointCell is one grid cell on the wire; exactly one value field
-// is set on success, and Error carries per-point failures (an
-// overflowing size, a cancelled evaluation) without failing the sweep.
+// sweepPointCell is one grid cell on the wire.
 type sweepPointCell struct {
-	Env        map[string]int64   `json:"env"`
-	Arch       string             `json:"arch,omitempty"`
-	Error      string             `json:"error,omitempty"`
-	Metrics    *metricsPayload    `json:"metrics,omitempty"`
-	Categories map[string]int64   `json:"categories,omitempty"`
-	Roofline   *roofline.Analysis `json:"roofline,omitempty"`
-	PBound     *pbound.Counts     `json:"pbound,omitempty"`
+	Env  map[string]int64 `json:"env"`
+	Arch string           `json:"arch,omitempty"`
+	wireValue
 }
 
 // sweepFlushEvery bounds how many points are buffered before the
@@ -560,34 +555,13 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			_, _ = io.WriteString(w, ",")
 		}
-		_ = enc.Encode(sweepCell(&res.Points[i]))
+		p := &res.Points[i]
+		_ = enc.Encode(sweepPointCell{Env: p.Env, Arch: p.Arch, wireValue: toWire(p.Value, p.Err)})
 		if flusher != nil && (i+1)%sweepFlushEvery == 0 {
 			flusher.Flush()
 		}
 	}
 	_, _ = io.WriteString(w, "]}\n")
-}
-
-// sweepCell converts an engine sweep point to its wire form.
-func sweepCell(p *engine.SweepPoint) sweepPointCell {
-	cell := sweepPointCell{Env: p.Env, Arch: p.Arch}
-	switch {
-	case p.Err != nil:
-		cell.Error = p.Err.Error()
-	case p.Metrics != nil:
-		cell.Metrics = &metricsPayload{
-			Instrs: p.Metrics.Instrs,
-			Flops:  p.Metrics.Flops,
-			FPI:    p.Metrics.FPI(),
-		}
-	case p.Categories != nil:
-		cell.Categories = p.Categories
-	case p.Roofline != nil:
-		cell.Roofline = p.Roofline
-	case p.PBound != nil:
-		cell.PBound = p.PBound
-	}
-	return cell
 }
 
 // workloadInfo is one GET /workloads entry: the registry metadata plus

@@ -15,9 +15,13 @@
 //     warm restart decodes each stored fragment instead of recompiling
 //     that function (see cachestore for the content-addressed on-disk
 //     implementation), and
-//   - a memoized evaluation layer (Analysis) keyed on (function-content
-//     key, env) that makes repeated model queries O(map lookup) — across
+//   - a memoized evaluation layer (Analysis): the leaf evaluations every
+//     query kind derives from — metrics, per-opcode counts, PBound counts
+//     — are memoized under (function-content key, env), so a repeated
+//     query costs one map lookup plus its derivation (category
+//     bucketing, the roofline against the query's architecture), across
 //     source versions, since the memo cells live under function keys.
+//     Sweeps derive the same kinds from the compiled model instead.
 //
 // Every layer reports into an obs.Registry — cache hits and misses,
 // per-stage latency, in-flight analyses, memo sizes — which mira-serve

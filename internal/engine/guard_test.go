@@ -30,8 +30,9 @@ func panicPipeline() *core.Pipeline {
 		}},
 	}
 	return &core.Pipeline{
-		Name:  "boom.c",
-		Model: &model.Model{SourceName: "boom.c", Order: []string{"boom"}, Funcs: map[string]*model.Func{"boom": f}},
+		Name:     "boom.c",
+		Model:    &model.Model{SourceName: "boom.c", Order: []string{"boom"}, Funcs: map[string]*model.Func{"boom": f}},
+		FuncKeys: map[string]string{"boom": "boom-key"},
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 //	mira_store_hits/misses/errors_total     persistent CacheStore, per
 //	                                        function after a memo miss
 //	mira_incremental_hits/misses_total      function-granular reuse
-//	mira_eval_memo_hits/misses_total        (function, env) memo
+//	mira_eval_memo_hits/misses_total        (function, env) leaf memos
 //	mira_analyze_seconds                    pipeline analysis latency
 //	mira_eval_seconds                       model evaluation latency
 //	mira_compile_seconds                    symbolic compilation latency
@@ -23,7 +23,10 @@ import (
 //	mira_analyses_inflight                  gauge
 //	mira_resident_analyses                  gauge (scrape-computed)
 //	mira_function_memo_entries              gauge (scrape-computed)
-//	mira_eval_memo_entries                  gauge (scrape-computed)
+//	mira_eval_memo_entries                  gauge (scrape-computed): leaf
+//	                                        entries (metrics, opcodes,
+//	                                        PBound counts); derived kinds
+//	                                        are never memoized
 //	mira_arch_registry_entries              gauge (scrape-computed)
 type metricsSet struct {
 	pipeHits    *obs.Counter
@@ -77,7 +80,7 @@ func registerEngineGauges(r *obs.Registry, e *Engine) {
 		cells, _ := e.funcMemoStats()
 		return float64(cells)
 	})
-	r.GaugeFunc("mira_eval_memo_entries", "total memoized evaluation entries across the function memo", func() float64 {
+	r.GaugeFunc("mira_eval_memo_entries", "total memoized leaf evaluations (metrics, opcodes, PBound counts) across the function memo", func() float64 {
 		_, entries := e.funcMemoStats()
 		return float64(entries)
 	})

@@ -56,6 +56,18 @@ func (k QueryKind) String() string {
 	return kindNames[k]
 }
 
+// check reports a kind outside the enum.
+func (k QueryKind) check() error {
+	if k < 0 || k >= numQueryKinds {
+		return fmt.Errorf("engine: unknown query kind %d", k)
+	}
+	return nil
+}
+
+// usesArch reports whether the kind depends on the architecture
+// description.
+func (k QueryKind) usesArch() bool { return k == KindRoofline || k == KindFineCategories }
+
 // ParseKind maps a wire name back to its QueryKind.
 func ParseKind(s string) (QueryKind, error) {
 	for k, name := range kindNames {
@@ -85,22 +97,27 @@ type Query struct {
 	ArchDesc *arch.Description
 }
 
+// Value is one evaluated cell's payload. Exactly one field is set,
+// matching the query kind.
+type Value struct {
+	Metrics    *model.Metrics     `json:"metrics,omitempty"`    // KindStatic, KindStaticExclusive
+	Categories map[string]int64   `json:"categories,omitempty"` // KindCategories, KindFineCategories
+	Roofline   *roofline.Analysis `json:"roofline,omitempty"`   // KindRoofline
+	PBound     *pbound.Counts     `json:"pbound,omitempty"`     // KindPBound
+}
+
 // QueryResult is one evaluated cell. Err is per-query: a failed cell
-// never aborts the rest of its batch. Exactly one of the value fields is
-// set on success, matching Query.Kind.
+// never aborts the rest of its batch, and leaves Value empty.
 type QueryResult struct {
-	Query      Query
-	Metrics    *model.Metrics     // KindStatic, KindStaticExclusive
-	Categories map[string]int64   // KindCategories, KindFineCategories
-	Roofline   *roofline.Analysis // KindRoofline
-	PBound     *pbound.Counts     // KindPBound
-	Err        error
+	Query Query
+	Value
+	Err error
 }
 
 // Run evaluates an entire query matrix in one pass with per-query
-// errors. Every cell shares the analysis's (function, env) memo, so a
-// matrix that sweeps kinds over few evaluation points costs few model
-// walks. Cancelling ctx makes the remaining cells return ctx.Err()
+// errors. Every cell shares the analysis's (function, env) leaf memos,
+// so a matrix that sweeps kinds over few evaluation points costs few
+// model walks. Cancelling ctx makes the remaining cells return ctx.Err()
 // immediately; cells already evaluated keep their results.
 func (a *Analysis) Run(ctx context.Context, queries []Query) []QueryResult {
 	out := make([]QueryResult, len(queries))
@@ -111,65 +128,99 @@ func (a *Analysis) Run(ctx context.Context, queries []Query) []QueryResult {
 }
 
 // RunOne evaluates a single query cell, honoring ctx. It is the one
-// query entry: every kind is served through the analysis's memo.
+// query entry: every kind is derived from the analysis's leaf memos.
 func (a *Analysis) RunOne(ctx context.Context, q Query) QueryResult {
-	r := QueryResult{Query: q}
-	if err := ctx.Err(); err != nil {
-		r.Err = err
-		return r
-	}
-	var err error
-	switch q.Kind {
-	case KindStatic, KindStaticExclusive:
-		var met model.Metrics
-		met, err = a.metrics(q.Fn, q.Env, q.Kind == KindStaticExclusive)
-		r.Metrics = &met
-	case KindCategories:
-		var ops map[ir.Op]int64
-		if ops, err = a.opcodes(q.Fn, q.Env); err == nil {
-			r.Categories = core.BucketTableII(ops)
-		}
-	case KindFineCategories:
-		var d *arch.Description
-		var key string
-		if d, key, err = a.queryArch(q); err == nil {
-			r.Categories, err = a.fineCats(q.Fn, q.Env, d, key)
-		}
-	case KindRoofline:
-		var d *arch.Description
-		var key string
-		if d, key, err = a.queryArch(q); err == nil {
-			r.Roofline, err = a.rooflineFor(q.Fn, q.Env, d, key)
-		}
-	case KindPBound:
-		var c pbound.Counts
-		c, err = a.pboundCounts(q.Fn, q.Env)
-		r.PBound = &c
-	default:
-		err = fmt.Errorf("engine: unknown query kind %d", q.Kind)
-	}
+	v, err := a.query(ctx, q)
 	if err != nil {
 		return QueryResult{Query: q, Err: err}
 	}
-	return r
+	return QueryResult{Query: q, Value: v}
 }
 
-// queryArch resolves the query's architecture description and its
-// content key: the in-process override first, then the registry-resolved
-// name, then the analysis's own. Registry and analysis keys are
-// precomputed; only ad-hoc ArchDesc overrides hash here.
-func (a *Analysis) queryArch(q Query) (*arch.Description, string, error) {
-	if q.ArchDesc != nil {
-		return q.ArchDesc, q.ArchDesc.ContentKey(), nil
+// query resolves q's architecture (for the kinds that use one) and
+// function cell, then derives its value from the cell's leaf memos.
+func (a *Analysis) query(ctx context.Context, q Query) (Value, error) {
+	if err := ctx.Err(); err != nil {
+		return Value{}, err
 	}
-	if q.Arch == "" {
-		return a.Arch, a.archKey, nil
+	if err := q.Kind.check(); err != nil {
+		return Value{}, err
 	}
-	e, err := a.registry().LookupEntry(q.Arch)
+	var d *arch.Description
+	if q.Kind.usesArch() {
+		var err error
+		if d, err = a.resolveArch(q.ArchDesc, q.Arch); err != nil {
+			return Value{}, err
+		}
+	}
+	fe, err := a.cell(q.Fn)
 	if err != nil {
-		return nil, "", err
+		return Value{}, err
 	}
-	return e.Desc, e.Key, nil
+	return value(q.Kind, q.Fn, d, memoLeaves{a: a, fe: fe, fn: q.Fn, env: q.Env})
+}
+
+// leaves evaluates the leaf counts of one (function, env) point that
+// every query kind derives from: the memoized tree walk for queries
+// (memoLeaves), the compiled model for sweeps (compiledLeaves).
+type leaves interface {
+	metrics(exclusive bool) (model.Metrics, error)
+	opcodes() (map[ir.Op]int64, error)
+	pbound() (pbound.Counts, error)
+}
+
+// value derives kind's answer for fn from l, against d for the
+// architecture-dependent kinds. It is the one place that knows what a
+// kind computes. (Generic rather than interface-typed so the per-point
+// leaves value is not boxed.)
+func value[L leaves](kind QueryKind, fn string, d *arch.Description, l L) (Value, error) {
+	switch kind {
+	case KindStatic, KindStaticExclusive:
+		met, err := l.metrics(kind == KindStaticExclusive)
+		if err != nil {
+			return Value{}, err
+		}
+		return Value{Metrics: &met}, nil
+	case KindCategories, KindFineCategories:
+		ops, err := l.opcodes()
+		if err != nil {
+			return Value{}, err
+		}
+		if kind == KindFineCategories {
+			return Value{Categories: core.BucketFine(d, ops)}, nil
+		}
+		return Value{Categories: core.BucketTableII(ops)}, nil
+	case KindRoofline:
+		met, err := l.metrics(false)
+		if err != nil {
+			return Value{}, err
+		}
+		roof, err := roofline.Analyze(fn, met, d)
+		if err != nil {
+			return Value{}, err
+		}
+		return Value{Roofline: roof}, nil
+	case KindPBound:
+		c, err := l.pbound()
+		if err != nil {
+			return Value{}, err
+		}
+		return Value{PBound: &c}, nil
+	}
+	return Value{}, kind.check()
+}
+
+// resolveArch resolves an architecture override: the in-process
+// description first, then the registry-resolved name, then the
+// analysis's own.
+func (a *Analysis) resolveArch(desc *arch.Description, name string) (*arch.Description, error) {
+	switch {
+	case desc != nil:
+		return desc, nil
+	case name == "":
+		return a.Arch, nil
+	}
+	return a.eng.registry.Lookup(name)
 }
 
 // QueryJob is one cell of an engine-level query matrix: a program

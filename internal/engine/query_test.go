@@ -3,7 +3,9 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -240,5 +242,45 @@ func TestRunAllQueryMatrix(t *testing.T) {
 	// scaleSrc appeared under seed.c, a.c, and b.c: one compile total.
 	if _, misses := e.Stats(); misses != 3 { // seed + axpy + bad
 		t.Errorf("misses = %d, want 3 (scale compiled once, axpy once, bad once)", misses)
+	}
+}
+
+// TestUnknownFunctionNamesDoNotGrowHeap: a query or sweep naming a
+// function the program does not define fails with the model's lookup
+// error and retains nothing — a client naming random functions (one
+// /query cell or /sweep spec each) cannot grow a resident engine.
+func TestUnknownFunctionNamesDoNotGrowHeap(t *testing.T) {
+	e := engine.New(engine.Options{})
+	a, err := e.AnalyzeCtx(context.Background(), "scale.c", scaleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	env := expr.EnvFromInts(map[string]int64{"n": 8})
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < 100_000; i++ {
+		fn := fmt.Sprintf("nosuch_%d", i)
+		r := a.RunOne(ctx, engine.Query{Fn: fn, Env: env, Kind: engine.QueryKind(i % 6)})
+		if want := fmt.Sprintf("model: no function %q", fn); r.Err == nil || r.Err.Error() != want {
+			t.Fatalf("RunOne(%s) err = %v, want %s", fn, r.Err, want)
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		fn := fmt.Sprintf("nosweep_%d", i)
+		_, err := a.Sweep(ctx, engine.SweepSpec{Fn: fn, Base: map[string]int64{"n": 8}})
+		if want := fmt.Sprintf("model: no function %q", fn); err == nil || err.Error() != want {
+			t.Fatalf("Sweep(%s) err = %v, want %s", fn, err, want)
+		}
+	}
+	after := heap()
+	runtime.KeepAlive(a)
+	if grown := int64(after) - int64(before); grown > 2<<20 {
+		t.Errorf("110k unknown-function calls grew the heap by %.1f MiB, want < 2 MiB", float64(grown)/(1<<20))
 	}
 }

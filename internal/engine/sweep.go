@@ -8,11 +8,10 @@ import (
 	"time"
 
 	"mira/internal/arch"
-	"mira/internal/core"
 	"mira/internal/expr"
+	"mira/internal/ir"
 	"mira/internal/model"
 	"mira/internal/pbound"
-	"mira/internal/roofline"
 )
 
 // MaxSweepPoints bounds one sweep's expanded grid (axes × explicit
@@ -69,13 +68,10 @@ type SweepSpec struct {
 // sweep. Exactly one value field is set on success, matching the
 // sweep's kind.
 type SweepPoint struct {
-	Env        map[string]int64   `json:"env"`
-	Arch       string             `json:"arch,omitempty"`
-	Metrics    *model.Metrics     `json:"metrics,omitempty"`
-	Categories map[string]int64   `json:"categories,omitempty"`
-	Roofline   *roofline.Analysis `json:"roofline,omitempty"`
-	PBound     *pbound.Counts     `json:"pbound,omitempty"`
-	Err        error              `json:"-"`
+	Env  map[string]int64 `json:"env"`
+	Arch string           `json:"arch,omitempty"`
+	Value
+	Err error `json:"-"`
 }
 
 // SweepResult is a completed sweep: every grid point in expansion order
@@ -100,17 +96,18 @@ func (r *SweepResult) Errs() []error {
 // Sweep evaluates spec's grid against the analysis. The function's
 // model is compiled to closed form once (cached per content hash) and
 // each point is then a flat expression evaluation — no tree walk, no
-// (function, env) memo churn — fanned out over the worker bound in
-// chunks. The error return covers the spec itself (unknown function or
-// kind, bad grid, too many points): bad-request material. Everything
+// (function, env) memo churn — from which the kind's value is derived
+// exactly as a query's is, fanned out over the worker bound in chunks.
+// The error return covers the spec itself (unknown function or kind,
+// bad grid, too many points): bad-request material. Everything
 // per-point, including cancellation of ctx, lands in SweepPoint.Err;
 // points not yet evaluated when ctx dies carry ctx.Err().
 func (a *Analysis) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 	if spec.Fn == "" {
 		return nil, fmt.Errorf("engine: sweep needs a function")
 	}
-	if spec.Kind < 0 || spec.Kind >= numQueryKinds {
-		return nil, fmt.Errorf("engine: unknown query kind %d", spec.Kind)
+	if err := spec.Kind.check(); err != nil {
+		return nil, err
 	}
 	envs, err := expandSweepGrid(spec)
 	if err != nil {
@@ -126,7 +123,14 @@ func (a *Analysis) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, err
 			total, len(envs), len(archs), MaxSweepPoints, ErrSweepTooLarge)
 	}
 
-	ev, err := a.sweepEvaluator(spec)
+	// The once-per-sweep work: the symbolic compilation the kind
+	// evaluates, or the PBound report.
+	base := compiledLeaves{fn: spec.Fn}
+	if spec.Kind == KindPBound {
+		base.rep, err = a.pboundReport()
+	} else {
+		base.cm, err = a.Compiled(spec.Fn, spec.Kind == KindStaticExclusive)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +145,7 @@ func (a *Analysis) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, err
 		}
 	}
 	chunks := (total + sweepChunk - 1) / sweepChunk
-	_ = ForEachCtx(ctx, a.workers, chunks, func(ci int) error {
+	_ = ForEachCtx(ctx, a.eng.workers, chunks, func(ci int) error {
 		lo, hi := ci*sweepChunk, (ci+1)*sweepChunk
 		if hi > total {
 			hi = total
@@ -152,7 +156,9 @@ func (a *Analysis) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, err
 				continue
 			}
 			p := &res.Points[i]
-			ev(p, archs[i/len(envs)].desc)
+			l := base
+			l.env = expr.EnvFromInts(p.Env)
+			p.Value, p.Err = value(spec.Kind, spec.Fn, archs[i/len(envs)].desc, l)
 		}
 		return nil // per-point errors never abort the sweep
 	})
@@ -167,10 +173,8 @@ func (a *Analysis) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, err
 			}
 		}
 	}
-	if a.met != nil {
-		a.met.sweepPoints.Add(int64(total))
-		a.met.sweep.Observe(time.Since(start).Seconds())
-	}
+	a.eng.met.sweepPoints.Add(int64(total))
+	a.eng.met.sweep.Observe(time.Since(start).Seconds())
 	return res, nil
 }
 
@@ -180,24 +184,24 @@ type sweepArch struct {
 	desc *arch.Description
 }
 
-// sweepArchs resolves the architecture cells of a sweep against the
-// analysis's registry.
+// sweepArchs resolves the architecture cells of a sweep: the one
+// in-process description, else every named one, else the analysis's own.
 func (a *Analysis) sweepArchs(spec SweepSpec) ([]sweepArch, error) {
-	usesArch := spec.Kind == KindRoofline || spec.Kind == KindFineCategories
-	if !usesArch && (len(spec.Archs) > 1 || (len(spec.Archs) == 1 && spec.ArchDesc != nil)) {
+	if !spec.Kind.usesArch() && (len(spec.Archs) > 1 || (len(spec.Archs) == 1 && spec.ArchDesc != nil)) {
 		return nil, fmt.Errorf("engine: kind %s does not vary by architecture; drop the archs axis", spec.Kind)
 	}
-	if spec.ArchDesc != nil {
-		return []sweepArch{{name: spec.ArchDesc.Name, desc: spec.ArchDesc}}, nil
+	names := spec.Archs
+	if spec.ArchDesc != nil || len(names) == 0 {
+		names = []string{""}
 	}
-	if len(spec.Archs) == 0 {
-		return []sweepArch{{desc: a.Arch}}, nil
-	}
-	out := make([]sweepArch, len(spec.Archs))
-	for i, name := range spec.Archs {
-		d, err := a.registry().Lookup(name)
+	out := make([]sweepArch, len(names))
+	for i, name := range names {
+		d, err := a.resolveArch(spec.ArchDesc, name)
 		if err != nil {
 			return nil, err
+		}
+		if spec.ArchDesc != nil {
+			name = d.Name
 		}
 		out[i] = sweepArch{name: name, desc: d}
 	}
@@ -281,82 +285,24 @@ func mergeEnv(base, point map[string]int64) map[string]int64 {
 	return out
 }
 
-// pointEvaluator computes one grid cell in place.
-type pointEvaluator func(p *SweepPoint, d *arch.Description)
+// compiledLeaves evaluates one sweep point's leaves: the compiled model
+// (already specialized to the sweep's exclusivity) or the PBound report,
+// with no memo and no tree walk.
+type compiledLeaves struct {
+	cm  *model.CompiledModel
+	rep *pbound.Report
+	fn  string
+	env expr.Env
+}
 
-// sweepEvaluator prepares the per-point evaluation for the spec's kind,
-// doing every once-per-sweep step (symbolic compilation, the PBound
-// report) up front.
-func (a *Analysis) sweepEvaluator(spec SweepSpec) (pointEvaluator, error) {
-	fn := spec.Fn
-	switch spec.Kind {
-	case KindStatic, KindStaticExclusive:
-		cm, err := a.Compiled(fn, spec.Kind == KindStaticExclusive)
-		if err != nil {
-			return nil, err
-		}
-		return func(p *SweepPoint, _ *arch.Description) {
-			met, err := cm.Eval(expr.EnvFromInts(p.Env))
-			if err != nil {
-				p.Err = err
-				return
-			}
-			p.Metrics = &met
-		}, nil
-	case KindRoofline:
-		cm, err := a.Compiled(fn, false)
-		if err != nil {
-			return nil, err
-		}
-		return func(p *SweepPoint, d *arch.Description) {
-			met, err := cm.Eval(expr.EnvFromInts(p.Env))
-			if err != nil {
-				p.Err = err
-				return
-			}
-			roof, err := roofline.Analyze(fn, met, d)
-			if err != nil {
-				p.Err = err
-				return
-			}
-			p.Roofline = roof
-		}, nil
-	case KindCategories, KindFineCategories:
-		cm, err := a.Compiled(fn, false)
-		if err != nil {
-			return nil, err
-		}
-		fine := spec.Kind == KindFineCategories
-		return func(p *SweepPoint, d *arch.Description) {
-			ops, err := cm.EvalOps(expr.EnvFromInts(p.Env))
-			if err != nil {
-				p.Err = err
-				return
-			}
-			if fine {
-				p.Categories = core.BucketFine(d, ops)
-			} else {
-				p.Categories = core.BucketTableII(ops)
-			}
-		}, nil
-	case KindPBound:
-		rep, err := a.pboundReport()
-		if err != nil {
-			return nil, err
-		}
-		return func(p *SweepPoint, _ *arch.Description) {
-			c, err := safely("pbound evaluation", func() (pbound.Counts, error) {
-				return rep.EvalCounts(fn, expr.EnvFromInts(p.Env))
-			})
-			if err != nil {
-				p.Err = err
-				return
-			}
-			p.PBound = &c
-		}, nil
-	default:
-		return nil, fmt.Errorf("engine: unknown query kind %d", spec.Kind)
-	}
+func (l compiledLeaves) metrics(bool) (model.Metrics, error) { return l.cm.Eval(l.env) }
+
+func (l compiledLeaves) opcodes() (map[ir.Op]int64, error) { return l.cm.EvalOps(l.env) }
+
+func (l compiledLeaves) pbound() (pbound.Counts, error) {
+	return safely("pbound evaluation", func() (pbound.Counts, error) {
+		return l.rep.EvalCounts(l.fn, l.env)
+	})
 }
 
 // SweepSeries extracts one int64 series from a sweep's points (FPI,

@@ -26,8 +26,8 @@
 //
 // [Result.Run] is the one query entry: a batch of (function, env, kind)
 // cells — static metrics, Table II or fine categories, roofline, PBound —
-// evaluated through a memoized (function, env) layer with per-query
-// errors.
+// each derived from memoized (function, env) leaf evaluations, with
+// per-query errors.
 //
 // The same Result can replay the binary on the built-in virtual machine —
 // the reproduction's stand-in for TAU/PAPI measurements — to validate
@@ -67,12 +67,11 @@ type Options struct {
 }
 
 // Result is an analyzed program: the parametric model plus the compiled
-// binary it was derived from. Evaluation queries ([Result.Run]) go
-// through a memoized (function, env) layer, so repeating a query costs
-// one map lookup; Engine-produced Results additionally share that memo
-// across callers.
+// binary it was derived from. Every query kind ([Result.Run]) is derived
+// from memoized (function, env) leaf evaluations — the metrics and the
+// per-opcode counts — so repeating a query costs one map lookup plus the
+// derivation; Results from one Engine share those memos across callers.
 type Result struct {
-	p *core.Pipeline
 	a *engine.Analysis
 }
 
@@ -88,21 +87,14 @@ func Analyze(name, source string, opts Options) (*Result, error) {
 }
 
 // AnalyzeContext is Analyze honoring cancellation: the pipeline aborts
-// at the next stage boundary once ctx is done, returning ctx.Err().
+// at the next stage boundary once ctx is done, returning ctx.Err(). It
+// runs through a private one-shot [Engine].
 func AnalyzeContext(ctx context.Context, name, source string, opts Options) (*Result, error) {
-	a, err := arch.Resolve(opts.Arch)
+	e, err := NewEngine(0, opts)
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.AnalyzeContext(ctx, name, source, core.Options{
-		DisableOpt: opts.Unoptimized,
-		Lenient:    opts.Lenient,
-		Arch:       a,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{p: p, a: engine.NewAnalysis(p)}, nil
+	return e.AnalyzeCtx(ctx, name, source)
 }
 
 // IntArgs builds an evaluation environment from integer parameter values.
@@ -110,33 +102,32 @@ func IntArgs(m map[string]int64) Env { return expr.EnvFromInts(m) }
 
 // PythonModel emits the generated model as Python source, the artifact
 // style shown in the paper's Fig. 5.
-func (r *Result) PythonModel() string { return r.p.PythonModel() }
+func (r *Result) PythonModel() string { return r.a.PythonModel() }
 
 // Machine returns a fresh virtual machine over the compiled binary, for
 // dynamic validation runs (the reproduction's TAU/PAPI substitute).
-func (r *Result) Machine() *vm.Machine { return r.p.NewMachine() }
+func (r *Result) Machine() *vm.Machine { return r.a.NewMachine() }
 
 // Disassembly returns an objdump-style listing of fn.
-func (r *Result) Disassembly(fn string) (string, error) { return r.p.Disassembly(fn) }
+func (r *Result) Disassembly(fn string) (string, error) { return r.a.Disassembly(fn) }
 
 // SourceDot renders the source AST as Graphviz dot (paper Fig. 2).
-func (r *Result) SourceDot() string { return r.p.SourceDot() }
+func (r *Result) SourceDot() string { return r.a.SourceDot() }
 
 // BinaryDot renders fn's binary AST as Graphviz dot (paper Fig. 3).
-func (r *Result) BinaryDot(fn string) (string, error) { return r.p.BinaryDot(fn) }
+func (r *Result) BinaryDot(fn string) (string, error) { return r.a.BinaryDot(fn) }
 
 // Warnings returns analysis warnings (lenient-mode branch downgrades).
-func (r *Result) Warnings() []string { return r.p.Warnings }
+func (r *Result) Warnings() []string { return r.a.Warnings }
 
 // Pipeline exposes the underlying pipeline for advanced use (experiments,
 // benches).
-func (r *Result) Pipeline() *core.Pipeline { return r.p }
+func (r *Result) Pipeline() *core.Pipeline { return r.a.Pipeline }
 
 // Delta reports which functions the incremental analysis reused from the
-// function memo versus recompiled, in link order. Nil when the Result
-// was not produced incrementally — standalone Analyze calls and
-// Engine results served from the live content-hash cache (where nothing
-// ran at all) have no delta.
+// function memo versus recompiled, in link order. A standalone Analyze
+// compiles every function; Engine results served from the live
+// content-hash cache (where nothing ran at all) have no delta.
 type Delta = core.Delta
 
 // Delta returns the Result's incremental-analysis delta, if any.
@@ -184,7 +175,7 @@ func (e *Engine) AnalyzeCtx(ctx context.Context, name, source string) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{p: a.Pipeline, a: a}, nil
+	return &Result{a: a}, nil
 }
 
 // BatchJob names one source text for batch analysis.
@@ -219,7 +210,7 @@ func (e *Engine) AnalyzeAllCtx(ctx context.Context, jobs []BatchJob) []BatchResu
 	for i, r := range e.e.AnalyzeAll(ctx, ejobs) {
 		out[i] = BatchResult{Job: jobs[i], Err: r.Err}
 		if r.Err == nil {
-			out[i].Result = &Result{p: r.Analysis.Pipeline, a: r.Analysis}
+			out[i].Result = &Result{a: r.Analysis}
 		}
 	}
 	return out

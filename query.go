@@ -11,10 +11,10 @@ import (
 // This file is the query surface: one batched, cancellable request shape
 // spanning every metric kind the paper's evaluation reports. A [Query]
 // names a (function, env, kind) cell; [Result.Run] evaluates a whole
-// matrix of them in one pass with shared (function, env) memoization and
-// per-query errors; [Engine.RunAll] does the same across many programs at
-// once through the engine's worker pool and content-hash cache. A single
-// evaluation is a one-cell Run.
+// matrix of them in one pass, deriving every kind from shared (function,
+// env) leaf memos, with per-query errors; [Engine.RunAll] does the same
+// across many programs at once through the engine's worker pool and
+// content-hash cache. A single evaluation is a one-cell Run.
 
 // QueryKind selects what a Query evaluates.
 type QueryKind = engine.QueryKind
@@ -61,9 +61,10 @@ type Roofline = roofline.Analysis
 // baseline).
 type PBoundCounts = pbound.Counts
 
-// Run evaluates an entire query matrix in one pass: every cell shares
-// the Result's (function, env) memo, errors are per-query, and a
-// cancelled ctx makes the remaining cells return ctx.Err() immediately.
+// Run evaluates an entire query matrix in one pass: every cell derives
+// from the Result's (function, env) leaf memos, errors are per-query,
+// and a cancelled ctx makes the remaining cells return ctx.Err()
+// immediately.
 func (r *Result) Run(ctx context.Context, queries []Query) []QueryResult {
 	return r.a.Run(ctx, queries)
 }
