@@ -293,7 +293,7 @@ func (e *Engine) evictFuncsLocked() {
 }
 
 // funcMemoStats reports the number of resident function cells and the
-// total memoized evaluation entries across them. Cells are snapshotted
+// total memoized leaf evaluations across them. Cells are snapshotted
 // under funcMu and walked outside it, so a scrape never blocks a build.
 func (e *Engine) funcMemoStats() (cells, entries int) {
 	e.funcMu.Lock()
