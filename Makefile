@@ -43,11 +43,14 @@ govulncheck:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
 # fuzz-smoke runs the three-way evaluator divergence fuzzer (tree walker
-# vs compiled model vs VM over synthesized programs) for a bounded slice;
-# CI runs it on every push, so the generators stay continuously fuzzed.
+# vs compiled model vs VM over synthesized programs), then the frame
+# decoder fuzzer (the only decoder of untrusted store and peer bytes),
+# each for FUZZTIME; CI runs it on every push, so both stay continuously
+# fuzzed.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzThreeWayEvaluators -fuzztime $(FUZZTIME) ./internal/synth
+	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/cachestore
 
 build:
 	$(GO) build ./...

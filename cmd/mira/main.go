@@ -26,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -84,35 +85,50 @@ func main() {
 		}
 		fmt.Print(out)
 	case "model":
-		env, err := parseArgs(*args)
-		if err != nil {
+		if err := writeModel(os.Stdout, res, *fn, *args); err != nil {
 			fatal(err)
-		}
-		out := res.Run(context.Background(), []mira.Query{
-			{Fn: *fn, Env: env, Kind: mira.KindStatic},
-			{Fn: *fn, Env: env, Kind: mira.KindCategories},
-		})
-		for _, r := range out {
-			if r.Err != nil {
-				fatal(r.Err)
-			}
-		}
-		met, cats := out[0].Metrics, out[1].Categories
-		fmt.Printf("Static metrics for %s (%s):\n", *fn, bindingString(*args))
-		fmt.Printf("  %-40s %d\n", "Total instructions", met.Instrs)
-		fmt.Printf("  %-40s %d\n", "Floating-point instructions (FPI)", met.FPI())
-		fmt.Printf("  %-40s %d\n", "Floating-point operations", met.Flops)
-		names := make([]string, 0, len(cats))
-		for c := range cats {
-			names = append(names, c)
-		}
-		sort.Slice(names, func(i, j int) bool { return cats[names[i]] > cats[names[j]] })
-		for _, c := range names {
-			fmt.Printf("  %-40s %d\n", c, cats[c])
 		}
 	default:
 		fatal(fmt.Errorf("unknown -emit kind %q", *emit))
 	}
+}
+
+// writeModel prints fn's static metrics and Table II categories under
+// the bindings args. Categories are count-descending with a name
+// tiebreak, so tied rows print in the same order on every run.
+func writeModel(w io.Writer, res *mira.Result, fn, args string) error {
+	env, err := parseArgs(args)
+	if err != nil {
+		return err
+	}
+	out := res.Run(context.Background(), []mira.Query{
+		{Fn: fn, Env: env, Kind: mira.KindStatic},
+		{Fn: fn, Env: env, Kind: mira.KindCategories},
+	})
+	for _, r := range out {
+		if r.Err != nil {
+			return r.Err
+		}
+	}
+	met, cats := out[0].Metrics, out[1].Categories
+	fmt.Fprintf(w, "Static metrics for %s (%s):\n", fn, bindingString(args))
+	fmt.Fprintf(w, "  %-40s %d\n", "Total instructions", met.Instrs)
+	fmt.Fprintf(w, "  %-40s %d\n", "Floating-point instructions (FPI)", met.FPI())
+	fmt.Fprintf(w, "  %-40s %d\n", "Floating-point operations", met.Flops)
+	names := make([]string, 0, len(cats))
+	for c := range cats {
+		names = append(names, c)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if ci, cj := cats[names[i]], cats[names[j]]; ci != cj {
+			return ci > cj
+		}
+		return names[i] < names[j]
+	})
+	for _, c := range names {
+		fmt.Fprintf(w, "  %-40s %d\n", c, cats[c])
+	}
+	return nil
 }
 
 func parseArgs(s string) (mira.Env, error) {

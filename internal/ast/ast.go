@@ -69,11 +69,6 @@ func (t Type) String() string {
 	return base + strings.Repeat("*", t.Ptr)
 }
 
-// IsNumeric reports whether the type is a scalar number.
-func (t Type) IsNumeric() bool {
-	return t.Ptr == 0 && (t.Kind == Int || t.Kind == Double || t.Kind == Bool)
-}
-
 // IsPointer reports whether the type has pointer indirection.
 func (t Type) IsPointer() bool { return t.Ptr > 0 }
 
@@ -97,6 +92,15 @@ var (
 
 // ---------------------------------------------------------------------------
 // Declarations
+
+// Source is a declaration's exact source text, from its first token
+// through its last (comments inside included), anchored at the position
+// of that first token. The anchor and the text fix every token and every
+// position in the declaration. Text is a substring of the parsed source.
+type Source struct {
+	Pos  token.Pos
+	Text string
+}
 
 // File is a parsed translation unit.
 type File struct {
@@ -147,6 +151,7 @@ type FuncDecl struct {
 	IsExtern   bool       // extern library function: body invisible to static analysis
 	IsOperator bool
 	FuncPos    token.Pos
+	Src        Source // set by the parser
 }
 
 func (d *FuncDecl) Pos() token.Pos { return d.FuncPos }
@@ -180,6 +185,7 @@ type VarDecl struct {
 	Names   []*Declarator
 	Annot   *Annotation
 	DeclPos token.Pos
+	Src     Source // set by the parser
 }
 
 func (d *VarDecl) Pos() token.Pos { return d.DeclPos }

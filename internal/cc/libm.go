@@ -112,8 +112,3 @@ func libBody(name string) ([]ir.Instr, bool) {
 	}
 	return nil, false
 }
-
-// LibraryFunctions lists the extern names the builtin library provides.
-func LibraryFunctions() []string {
-	return []string{"sqrt", "fabs", "min", "max", "fmin", "fmax", "exit"}
-}

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"net/http"
-	"strconv"
-	"time"
 
 	"mira/internal/obs"
 )
@@ -55,9 +53,11 @@ type AdmissionOptions struct {
 	// of them is how a replica OOMs. Excess bulk load is shed with
 	// Retry-After instead.
 	BulkSlots int
-	// RetryAfter is the hint sent with shed responses (default 1s).
-	RetryAfter time.Duration
 }
+
+// shedRetryAfter is the Retry-After hint, in seconds, of every shed
+// response.
+const shedRetryAfter = "1"
 
 func (o AdmissionOptions) withDefaults() AdmissionOptions {
 	if o.InteractiveSlots <= 0 {
@@ -65,9 +65,6 @@ func (o AdmissionOptions) withDefaults() AdmissionOptions {
 	}
 	if o.BulkSlots <= 0 {
 		o.BulkSlots = 4
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	return o
 }
@@ -78,7 +75,6 @@ func (o AdmissionOptions) withDefaults() AdmissionOptions {
 // Retry-After hint — rather than queued; queued bulk work is memory
 // waiting to OOM, and a shed is a signal the client can act on.
 type Admission struct {
-	opts        AdmissionOptions
 	interactive *classGate
 	bulk        *classGate
 }
@@ -94,7 +90,6 @@ type classGate struct {
 func newAdmission(opts AdmissionOptions, met *metricsSet) *Admission {
 	opts = opts.withDefaults()
 	return &Admission{
-		opts: opts,
 		interactive: &classGate{
 			slots:    make(chan struct{}, opts.InteractiveSlots),
 			admitted: met.interAdmitted,
@@ -148,7 +143,7 @@ func (a *Admission) Admit(class Class) (release func(), ok bool) {
 // Retry-After hint, the contract a cluster front-end and a well-
 // behaved client both understand.
 func (a *Admission) Shed(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(a.opts.RetryAfter.Seconds())))
+	w.Header().Set("Retry-After", shedRetryAfter)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	// Best-effort: the 503 status is the contract; the body is a hint.

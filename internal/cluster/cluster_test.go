@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -224,6 +226,23 @@ func TestAdmissionSaturation(t *testing.T) {
 	rel()
 	if a.Saturated() {
 		t.Fatal("released admission still saturated")
+	}
+}
+
+// TestAdmissionShedResponse pins the shed response bytes: 503, a
+// one-second Retry-After hint, and a JSON error body.
+func TestAdmissionShedResponse(t *testing.T) {
+	a := newAdmission(AdmissionOptions{}, newMetricsSet(obs.NewRegistry()))
+	w := httptest.NewRecorder()
+	a.Shed(w)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Errorf("status %d, want 503", w.Code)
+	}
+	if got := w.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After %q, want \"1\"", got)
+	}
+	if got, want := w.Body.String(), `{"error":"overloaded, retry later"}`+"\n"; got != want {
+		t.Errorf("body %q, want %q", got, want)
 	}
 }
 

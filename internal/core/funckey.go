@@ -17,7 +17,11 @@ import (
 // on-disk magic. Bump it whenever the meaning of a key changes (hash
 // inputs, artifact encoding, model semantics) so that stale artifacts in
 // every layer — live caches, per-function store entries — become clean
-// misses at once, never mismatches.
+// misses at once, never mismatches. A change confined to function keys
+// may instead change FuncKeys' domain tag: engine content keys stay put,
+// and per-function entries stored under the old tag become unreachable
+// rather than mis-served (the tag went from "mira-funckey" to
+// "mira-funckey-src" when keys moved from AST encodings to source text).
 //
 // Version history:
 //
@@ -31,7 +35,7 @@ const CacheFormatVersion = 3
 //
 // The key of a function f is a Merkle-style hash over
 //
-//	version ‖ options ‖ globals ‖ AST(f) ‖ key(callee₁) ‖ key(callee₂) …
+//	version ‖ options ‖ globals ‖ name(f) ‖ src(f) ‖ key(callee₁) ‖ key(callee₂) …
 //
 // with callees in sema's sorted order. Including the callee closure makes
 // the key the identity of f's *inclusive* analysis artifacts: editing a
@@ -40,18 +44,24 @@ const CacheFormatVersion = 3
 // call graph is acyclic — sema rejects recursion — so the recursion
 // terminates.)
 //
-// AST(f) is the position-sensitive encoding of ast.HashNode: model sites
+// src(f) is f's anchored source text (ast.Source): the position of its
+// first token, the text's length, then the exact text. Model sites
 // attach to (line, col) pairs and loop parameters are mangled with their
 // declaration line, so layout is semantically significant and must be
-// part of the identity. The globals hash covers every global variable
-// declaration and every class's field layout (positions included):
-// global layout, folded constants, and field offsets feed every
-// function's compilation. The architecture contributes its content key,
-// not its name: two descriptions differing in any parameter produce
-// disjoint function keys, so cached artifacts can never cross archs.
+// part of the identity; the anchor plus the text fix every token and
+// every position in f. Comments inside f are part of its text, so
+// editing one recompiles f and its callers; comments outside every
+// declaration leave every key alone as long as no declaration moves.
+// The globals hash covers every global variable declaration and every
+// class's name, position and field declarations, each field and global
+// as anchored text: global layout, folded constants, field offsets and
+// which class names parse as types feed every function's compilation.
+// The architecture contributes its content key, not its name: two
+// descriptions differing in any parameter produce disjoint function
+// keys, so cached artifacts can never cross archs.
 func FuncKeys(prog *sema.Program, opts Options) map[string]string {
 	base := sha256.New()
-	fmt.Fprintf(base, "mira-funckey v%d opt=%t lenient=%t arch=%s\x00",
+	fmt.Fprintf(base, "mira-funckey-src v%d opt=%t lenient=%t arch=%s\x00",
 		CacheFormatVersion, opts.DisableOpt, opts.Lenient, arch.KeyOf(opts.Arch))
 	writeGlobalsHash(base, prog)
 	prefix := base.Sum(nil)
@@ -65,7 +75,7 @@ func FuncKeys(prog *sema.Program, opts Options) map[string]string {
 		fi := prog.Funcs[q]
 		h := sha256.New()
 		h.Write(prefix)
-		ast.HashNode(h, fi.Decl)
+		writeSrc(h, q, fi.Decl.Src)
 		for _, c := range fi.Callees {
 			io.WriteString(h, keyOf(c))
 		}
@@ -81,24 +91,29 @@ func FuncKeys(prog *sema.Program, opts Options) map[string]string {
 
 // writeGlobalsHash hashes the whole-file context every function compiles
 // against: global variable declarations (in declaration order — order
-// determines the .data layout) and class field lists (field offsets feed
-// member access in every method and caller).
+// determines the .data layout), class names and positions (a name
+// declared before a function parses as a type in it) and class field
+// lists (field offsets feed member access in every method and caller).
 func writeGlobalsHash(w io.Writer, prog *sema.Program) {
 	for _, name := range prog.GlobalOrder {
-		gi := prog.Globals[name]
-		io.WriteString(w, "G")
-		io.WriteString(w, name)
-		ast.HashNode(w, gi.Decl)
+		writeSrc(w, "G"+name, prog.Globals[name].Decl.Src)
 	}
 	for _, d := range prog.File.Decls {
 		cd, ok := d.(*ast.ClassDecl)
 		if !ok {
 			continue
 		}
-		io.WriteString(w, "C")
-		io.WriteString(w, cd.Name)
+		fmt.Fprintf(w, "C%s\x00%d:%d\x00", cd.Name, cd.ClassPos.Line, cd.ClassPos.Col)
 		for _, f := range cd.Fields {
-			ast.HashNode(w, f)
+			writeSrc(w, "F", f.Src)
 		}
 	}
+}
+
+// writeSrc writes one declaration's key material: a name, then its
+// anchored source text as the first token's (line, col), the text's
+// length and the text.
+func writeSrc(w io.Writer, name string, src ast.Source) {
+	fmt.Fprintf(w, "%s\x00%d:%d:%d\x00", name, src.Pos.Line, src.Pos.Col, len(src.Text))
+	io.WriteString(w, src.Text)
 }

@@ -94,17 +94,38 @@ func sameResult(t *testing.T, what string, got, want *core.Pipeline) {
 }
 
 // shiftLine inserts two spaces at the start of the 1-based line, a
-// column-only mutation: it always lexes, and with position-sensitive
-// AST hashing it changes the content of exactly the tokens on that
-// line.
+// column-only mutation: it always lexes, and since function keys hash
+// each declaration's text anchored at its first token, it changes the
+// positions of exactly the tokens on that line.
 func shiftLine(src string, line int) string {
 	lines := strings.Split(src, "\n")
 	lines[line-1] = "  " + lines[line-1]
 	return strings.Join(lines, "\n")
 }
 
-// mutationLine picks the line to shift for a function: the first body
-// statement when there is one, else the body's opening brace.
+// appendComment appends a block comment to the 1-based line: it moves
+// no token, yet it changes the source text of the declaration the line
+// lies inside, and so that declaration's key.
+func appendComment(src string, line int) string {
+	lines := strings.Split(src, "\n")
+	lines[line-1] += " /* */"
+	return strings.Join(lines, "\n")
+}
+
+// mutations are the one-line edits the incremental property is checked
+// under.
+var mutations = []struct {
+	name  string
+	apply func(src string, line int) string
+}{
+	{"shift", shiftLine},
+	{"comment", appendComment},
+}
+
+// mutationLine picks the line to mutate for a function: the first body
+// statement when there is one, else the body's opening brace. It is
+// never the line of the closing brace in the benchmark programs, so an
+// appended comment lands inside the function.
 func mutationLine(fi *sema.FuncInfo) int {
 	if len(fi.Decl.Body.Stmts) > 0 {
 		return fi.Decl.Body.Stmts[0].Pos().Line
@@ -147,13 +168,13 @@ func sortedSet(m map[string]bool) []string {
 }
 
 // TestIncrementalMutationProperty is the correctness property of the
-// incremental pipeline: for every benchmark program and every defined
-// function, mutating that one function and re-analyzing against the
+// incremental pipeline: for every benchmark program, every defined
+// function and every mutation (a column shift, or a comment that moves
+// no token), mutating that one function and re-analyzing against the
 // artifacts of the original source must (a) produce byte-identical
 // results to the whole-program reference analysis of the mutated
-// source, and (b) recompile
-// exactly the mutated function plus its transitive callers, reusing
-// everything else.
+// source, and (b) recompile exactly the mutated function plus its
+// transitive callers, reusing everything else.
 func TestIncrementalMutationProperty(t *testing.T) {
 	opts := core.Options{Lenient: true}
 	for _, tc := range incrPrograms {
@@ -181,38 +202,41 @@ func TestIncrementalMutationProperty(t *testing.T) {
 				if fi.Decl.IsExtern {
 					continue
 				}
-				mutated := shiftLine(tc.src, mutationLine(fi))
-				if mutated == tc.src {
-					t.Fatalf("%s: mutation did not change the source", target)
-				}
-				expected := reverseClosure(prog, target)
-
-				incr, err := core.AnalyzeIncremental(tc.name, mutated, opts, lookup)
-				if err != nil {
-					t.Fatalf("%s: incremental analyze: %v", target, err)
-				}
-				// (a) Byte-identical results.
-				sameResult(t, target, incr.Pipeline, reference(t, tc.name, mutated, opts))
-
-				// (b) Recompiled exactly the reverse closure.
-				gotCompiled := append([]string{}, incr.Delta.Compiled...)
-				sort.Strings(gotCompiled)
-				if want := sortedSet(expected); !equalStrings(gotCompiled, want) {
-					t.Errorf("%s: recompiled %v, want %v", target, gotCompiled, want)
-				}
-				if got, want := len(incr.Delta.Reused)+len(incr.Delta.Compiled), len(prog.FuncOrder); got != want {
-					t.Errorf("%s: delta covers %d functions, program has %d", target, got, want)
-				}
-
-				// Keys of untouched functions are stable; keys inside the
-				// closure must change (that is what invalidates them).
-				for _, q := range prog.FuncOrder {
-					same := incr.Pipeline.FuncKeys[q] == orig.Pipeline.FuncKeys[q]
-					if expected[q] && same {
-						t.Errorf("%s: key of %s unchanged by mutation", target, q)
+				for _, mut := range mutations {
+					what := target + "/" + mut.name
+					mutated := mut.apply(tc.src, mutationLine(fi))
+					if mutated == tc.src {
+						t.Fatalf("%s: mutation did not change the source", what)
 					}
-					if !expected[q] && !same {
-						t.Errorf("%s: key of untouched %s changed", target, q)
+					expected := reverseClosure(prog, target)
+
+					incr, err := core.AnalyzeIncremental(tc.name, mutated, opts, lookup)
+					if err != nil {
+						t.Fatalf("%s: incremental analyze: %v", what, err)
+					}
+					// (a) Byte-identical results.
+					sameResult(t, what, incr.Pipeline, reference(t, tc.name, mutated, opts))
+
+					// (b) Recompiled exactly the reverse closure.
+					gotCompiled := append([]string{}, incr.Delta.Compiled...)
+					sort.Strings(gotCompiled)
+					if want := sortedSet(expected); !equalStrings(gotCompiled, want) {
+						t.Errorf("%s: recompiled %v, want %v", what, gotCompiled, want)
+					}
+					if got, want := len(incr.Delta.Reused)+len(incr.Delta.Compiled), len(prog.FuncOrder); got != want {
+						t.Errorf("%s: delta covers %d functions, program has %d", what, got, want)
+					}
+
+					// Keys of untouched functions are stable; keys inside the
+					// closure must change (that is what invalidates them).
+					for _, q := range prog.FuncOrder {
+						same := incr.Pipeline.FuncKeys[q] == orig.Pipeline.FuncKeys[q]
+						if expected[q] && same {
+							t.Errorf("%s: key of %s unchanged by mutation", what, q)
+						}
+						if !expected[q] && !same {
+							t.Errorf("%s: key of untouched %s changed", what, q)
+						}
 					}
 				}
 			}

@@ -160,15 +160,6 @@ func EvalInt64(e Expr, env Env) (int64, error) {
 	return n, nil
 }
 
-// EvalFloat evaluates e and returns the nearest float64.
-func EvalFloat(e Expr, env Env) (float64, error) {
-	v, err := Eval(e, env)
-	if err != nil {
-		return 0, err
-	}
-	return v.Float64(), nil
-}
-
 // EnvFromInts builds an Env from an int64-valued map.
 func EnvFromInts(m map[string]int64) Env {
 	env := make(Env, len(m))

@@ -121,9 +121,16 @@ func (l *Lexer) skipSpace() {
 	}
 }
 
-// Next returns the next token.
+// Next returns the next token, stamped with its byte offsets.
 func (l *Lexer) Next() token.Token {
 	l.skipSpace()
+	off := l.off
+	t := l.scan()
+	t.Off, t.End = off, l.off
+	return t
+}
+
+func (l *Lexer) scan() token.Token {
 	pos := l.pos()
 	c := l.peek()
 	switch {

@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"strings"
 	"testing"
 
 	"mira/internal/token"
@@ -57,6 +58,18 @@ func TestPositions(t *testing.T) {
 	}
 	if yTok.Pos.Line != 2 || yTok.Pos.Col != 3 {
 		t.Errorf("y at %v, want 2:3", yTok.Pos)
+	}
+}
+
+func TestOffsets(t *testing.T) {
+	src := "x += 1.5e3; /* c */ #pragma @A\n}"
+	var got []string
+	for _, tk := range scanAll(t, src) {
+		got = append(got, src[tk.Off:tk.End])
+	}
+	want := []string{"x", "+=", "1.5e3", ";", "#pragma @A", "}", ""}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("token spans = %q, want %q", got, want)
 	}
 }
 

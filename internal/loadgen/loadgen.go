@@ -102,15 +102,6 @@ func (r *Result) TotalSent() int64 {
 	return n
 }
 
-// TotalOK sums 2xx responses across classes.
-func (r *Result) TotalOK() int64 {
-	var n int64
-	for _, c := range r.Classes {
-		n += c.OK
-	}
-	return n
-}
-
 // Throughput reports completed requests (any outcome) per second.
 func (r *Result) Throughput() float64 {
 	if r.Elapsed <= 0 {

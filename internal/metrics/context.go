@@ -68,17 +68,6 @@ func (c Context) Scale(f rational.Rat) Context {
 	return c.WithGuards([]polyhedra.Guard{{Kind: polyhedra.Scale, Frac: f}})
 }
 
-// Collapse folds the context into a plain multiplier. Used when an
-// annotation (br_count, lp_iter on an unanalyzable loop) severs the
-// dependence on enclosing loop variables.
-func (c Context) Collapse() (Context, error) {
-	count, err := c.Count()
-	if err != nil {
-		return Context{}, err
-	}
-	return Context{mult: count, terms: []ctxTerm{{sign: 1}}}, nil
-}
-
 // Override replaces the context count with an absolute expression
 // (br_count annotations).
 func Override(count expr.Expr) Context {

@@ -22,6 +22,7 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 type parser struct {
+	src     string
 	toks    []token.Token
 	i       int
 	file    *ast.File
@@ -35,7 +36,7 @@ func ParseFile(name, src string) (*ast.File, error) {
 	if errs := lx.Errors(); len(errs) > 0 {
 		return nil, errs[0]
 	}
-	p := &parser{toks: toks, classes: map[string]bool{}}
+	p := &parser{src: src, toks: toks, classes: map[string]bool{}}
 	p.file = &ast.File{Name: name, FilePos: token.Pos{Line: 1, Col: 1}}
 	var perr error
 	func() {
@@ -92,6 +93,12 @@ func (p *parser) expect(k token.Kind) token.Token {
 	return p.next()
 }
 
+// source returns the text from token first through the last token
+// consumed, anchored at first.
+func (p *parser) source(first token.Token) ast.Source {
+	return ast.Source{Pos: first.Pos, Text: p.src[first.Off:p.toks[p.i-1].End]}
+}
+
 // ---------------------------------------------------------------------------
 // Declarations
 
@@ -125,6 +132,7 @@ func (p *parser) parseExtern() ast.Decl {
 	fd.Params = p.parseParams()
 	p.expect(token.RPAREN)
 	p.expect(token.SEMI)
+	fd.Src = p.source(kw)
 	return fd
 }
 
@@ -157,6 +165,7 @@ func (p *parser) parseClass() *ast.ClassDecl {
 // parseFuncOrVar parses either a function/method definition or a variable
 // declaration; className is non-empty when parsing inside a class body.
 func (p *parser) parseFuncOrVar(className string) ast.Decl {
+	first := p.cur()
 	isConst := p.accept(token.KWCONST)
 	p.accept(token.KWSTATIC)
 	if !isConst {
@@ -182,6 +191,7 @@ func (p *parser) parseFuncOrVar(className string) ast.Decl {
 		p.expect(token.RPAREN)
 		p.accept(token.KWCONST)
 		fd.Body = p.parseBlock()
+		fd.Src = p.source(first)
 		return fd
 	}
 
@@ -211,9 +221,11 @@ func (p *parser) parseFuncOrVar(className string) ast.Decl {
 		if p.accept(token.SEMI) {
 			// Forward declaration; treat as extern-like prototype only if no
 			// definition follows. The sema layer resolves duplicates.
+			fd.Src = p.source(first)
 			return fd
 		}
 		fd.Body = p.parseBlock()
+		fd.Src = p.source(first)
 		return fd
 	}
 
@@ -225,6 +237,7 @@ func (p *parser) parseFuncOrVar(className string) ast.Decl {
 		vd.Names = append(vd.Names, p.parseDeclarator(n))
 	}
 	p.expect(token.SEMI)
+	vd.Src = p.source(first)
 	return vd
 }
 

@@ -177,6 +177,46 @@ double V::get(int i) {
 	}
 }
 
+func TestDeclSource(t *testing.T) {
+	src := "extern double sqrt(double x);\n" +
+		"const static int N = 4; // after\n" +
+		"class A { public: double f; double operator()(int i) const { return f; } };\n" +
+		"double g(double a);\n" +
+		"  double g(double a) { /* in */ return a; }\n"
+	f := parse(t, src)
+	lines := strings.SplitAfter(src, "\n")
+	var got []string
+	add := func(s ast.Source) {
+		anchor := len(strings.Join(lines[:s.Pos.Line-1], "")) + s.Pos.Col - 1
+		if !strings.HasPrefix(src[anchor:], s.Text) {
+			t.Errorf("source %q is not anchored at %v", s.Text, s.Pos)
+		}
+		got = append(got, s.Pos.String()+" "+s.Text)
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			add(d.Src)
+		case *ast.VarDecl:
+			add(d.Src)
+		case *ast.ClassDecl:
+			add(d.Fields[0].Src)
+			add(d.Methods[0].Src)
+		}
+	}
+	want := []string{
+		"1:1 extern double sqrt(double x);",
+		"2:1 const static int N = 4;",
+		"3:19 double f;",
+		"3:29 double operator()(int i) const { return f; }",
+		"4:1 double g(double a);",
+		"5:3 double g(double a) { /* in */ return a; }",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("sources:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestParseExtern(t *testing.T) {
 	f := parse(t, `extern double sqrt(double x);`)
 	fd := f.Funcs()[0]

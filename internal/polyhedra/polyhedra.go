@@ -112,18 +112,6 @@ func (n Nest) Loops() []*Loop {
 	return out
 }
 
-// Depth returns the number of loop levels.
-func (n Nest) Depth() int { return len(n.Loops()) }
-
-// Vars returns the loop variable names in nest order.
-func (n Nest) Vars() []string {
-	var out []string
-	for _, l := range n.Loops() {
-		out = append(out, l.Var)
-	}
-	return out
-}
-
 // checkConvex rejects min() in lower bounds and max() in upper bounds —
 // those describe unions of polyhedra, which break convexity (Listing 3 /
 // Fig. 4d). max() in a lower bound and min() in an upper bound are fine

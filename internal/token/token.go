@@ -169,6 +169,9 @@ type Token struct {
 	Kind Kind
 	Lit  string // literal text for IDENT, literals, and PRAGMA payloads
 	Pos  Pos
+	// Off and End are the byte offsets of the token's first byte and one
+	// past its last in the scanned source.
+	Off, End int
 }
 
 func (t Token) String() string {
