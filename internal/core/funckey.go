@@ -17,11 +17,11 @@ import (
 // on-disk magic. Bump it whenever the meaning of a key changes (hash
 // inputs, artifact encoding, model semantics) so that stale artifacts in
 // every layer — live caches, per-function store entries — become clean
-// misses at once, never mismatches. A change confined to function keys
-// may instead change FuncKeys' domain tag: engine content keys stay put,
-// and per-function entries stored under the old tag become unreachable
-// rather than mis-served (the tag went from "mira-funckey" to
-// "mira-funckey-src" when keys moved from AST encodings to source text).
+// misses at once, never mismatches. Function keys moved from AST
+// encodings to source text without a bump: their domain tag went from
+// "mira-funckey" to "mira-funckey-src", which leaves engine content keys
+// as they were and makes per-function entries stored under the old tag
+// unreachable, never mis-served.
 //
 // Version history:
 //
