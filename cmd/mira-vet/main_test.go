@@ -169,6 +169,57 @@ func TestSelfLint(t *testing.T) {
 	}
 }
 
+// TestFactFlowAcrossPackages pins cross-package facts in the
+// standalone loader: vetting only the engine-scoped package loads its
+// in-module dependency FactsOnly, whose LifecycleBound fact on
+// DrainLoop must reach the engine package through the shared fact
+// store, so only the unbound spawn of Fire is reported.
+func TestFactFlowAcrossPackages(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module mira\n\ngo 1.24\n")
+	write("internal/bg/bg.go", `package bg
+
+func DrainLoop() {
+	done := make(chan struct{})
+	<-done
+}
+
+func Fire() {
+	println("fired")
+}
+`)
+	write("internal/engine/engine.go", `package engine
+
+import "mira/internal/bg"
+
+func Spawn() {
+	go bg.DrainLoop()
+	go bg.Fire()
+}
+`)
+
+	code, stdout, stderr := vet("-C", dir, "./internal/engine")
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1 (the unbound spawn is a finding)\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "goroutine runs Fire") {
+		t.Errorf("missing the goroleak finding for the unbound spawn:\n%s", stdout)
+	}
+	if strings.Contains(stdout, "DrainLoop") {
+		t.Errorf("DrainLoop was reported: its LifecycleBound fact did not reach the importer:\n%s", stdout)
+	}
+}
+
 // TestVetToolFactFlow drives cross-package facts through the real
 // `go vet -vettool` vetx protocol: a module named mira with a
 // dependency package whose lifecycle-bound function is spawned from an
