@@ -1,24 +1,18 @@
 // Command mira-vet runs Mira's custom static-analysis suite
 // (internal/lint): eleven analyzers, each encoding an invariant derived
-// from a real historical bug in this repository. It runs two ways:
-//
-// Standalone (the `make lint` / CI path):
+// from a real historical bug in this repository. It is what `make lint`
+// and CI run:
 //
 //	mira-vet ./...                 # vet the whole module, exit 1 on findings
 //	mira-vet -list                 # describe the analyzers
 //	mira-vet -json ./...           # findings + metrics as JSON on stdout
-//	mira-vet -detorder=false ./... # disable one analyzer
 //	mira-vet -C /path/to/mod ./...
 //
-// As a vet tool, speaking the unitchecker .cfg protocol the go command
-// uses to drive custom vet binaries:
-//
-//	go vet -vettool=$(which mira-vet) ./...
-//
-// In both modes cross-package facts flow to importers: standalone runs
-// share an in-memory store over the dependency-ordered package list;
-// unit runs serialize the store into the .vetx file the go command
-// passes between units.
+// Packages are loaded in dependency order; in-module dependencies the
+// patterns did not match are loaded facts-only, so cross-package facts
+// reach their importers through one in-memory store. Test files are not
+// vetted. Findings are suppressed only in the source, with a reason
+// (//lint:ignore mira/<name> <reason>); there is no global off switch.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or load failure.
 package main
@@ -27,24 +21,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"mira/internal/lint"
 )
-
-// version is the vet-tool fingerprint the go command caches vetx files
-// under. Bumped to 2 when the fact protocol replaced the dummy vetx
-// payload, so stale version-1 files are never decoded as fact stores.
-const version = "mira-vet version 2"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -58,35 +40,11 @@ func outf(w io.Writer, format string, args ...any) {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// Vet-tool protocol: the go command probes with -V=full for a cache
-	// fingerprint, then invokes the tool once per package with a single
-	// .cfg argument.
-	if len(args) == 1 {
-		if strings.HasPrefix(args[0], "-V") {
-			outf(stdout, "%s\n", version)
-			return 0
-		}
-		if args[0] == "-flags" {
-			// The go command asks which analyzer flags it may forward;
-			// mira-vet keeps the unit path flagless (suppressions are
-			// in-source directives), so the answer is none.
-			outf(stdout, "[]\n")
-			return 0
-		}
-		if strings.HasSuffix(args[0], ".cfg") {
-			return runUnit(args[0], stderr)
-		}
-	}
-
 	fs := flag.NewFlagSet("mira-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("C", ".", "module directory to vet in")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	asJSON := fs.Bool("json", false, "emit findings and metrics as JSON on stdout")
-	enabled := map[string]*bool{}
-	for _, a := range lint.All() {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the mira/"+a.Name+" analyzer")
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -98,12 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	var active []*lint.Analyzer
-	for _, a := range analyzers {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -114,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outf(stderr, "mira-vet: %v\n", err)
 		return 2
 	}
-	runner := lint.NewRunner(active)
+	runner := lint.NewRunner(analyzers)
 	var all []lint.Diagnostic
 	for _, pkg := range pkgs {
 		diags, err := runner.RunPackage(pkg)
@@ -143,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // jsonReport is the -json output shape: the findings plus the metric
-// series CI scrapes (mira_vet_findings_total and per-analyzer cost).
+// series (mira_vet_findings_total and per-analyzer cost).
 type jsonReport struct {
 	Findings []jsonFinding          `json:"findings"`
 	Metrics  jsonMetrics            `json:"metrics"`
@@ -190,118 +142,4 @@ func writeJSONReport(w io.Writer, runner *lint.Runner, diags []lint.Diagnostic) 
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// vetConfig is the subset of the go command's unitchecker .cfg payload
-// mira-vet needs to type-check one package unit and exchange facts.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit analyzes one package unit described by a go vet .cfg file.
-// Facts arrive through the PackageVetx files of the unit's imports and
-// leave through VetxOutput; a VetxOnly unit (a dependency of the vetted
-// targets) runs only the fact-producing analyzers and reports nothing.
-func runUnit(cfgPath string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		outf(stderr, "mira-vet: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		outf(stderr, "mira-vet: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, gf := range cfg.GoFiles {
-		if !filepath.IsAbs(gf) {
-			gf = filepath.Join(cfg.Dir, gf)
-		}
-		f, err := parser.ParseFile(fset, gf, nil, parser.ParseComments)
-		if err != nil {
-			outf(stderr, "mira-vet: %v\n", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		f, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(f)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		outf(stderr, "mira-vet: %v\n", err)
-		return 2
-	}
-
-	runner := lint.NewRunner(lint.All())
-	for _, vetx := range cfg.PackageVetx {
-		payload, err := os.ReadFile(vetx)
-		if err != nil {
-			continue // missing import facts: analyze with what we have
-		}
-		// Undecodable payloads (another tool's vetx, a pre-fact
-		// mira-vet) mean "no facts", not failure.
-		_ = runner.Facts.Decode(payload)
-	}
-
-	pkg := &lint.Package{
-		Path: cfg.ImportPath, Fset: fset, Files: files,
-		Types: tpkg, TypesInfo: info,
-		FactsOnly: cfg.VetxOnly,
-	}
-	diags, err := runner.RunPackage(pkg)
-	if err != nil {
-		outf(stderr, "mira-vet: %v\n", err)
-		return 2
-	}
-	if cfg.VetxOutput != "" {
-		payload, err := runner.Facts.Encode()
-		if err != nil {
-			outf(stderr, "mira-vet: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(cfg.VetxOutput, payload, 0o666); err != nil {
-			outf(stderr, "mira-vet: %v\n", err)
-			return 2
-		}
-	}
-	for _, d := range diags {
-		// file:line:col: message — the diagnostic shape go vet relays.
-		outf(stderr, "%s: [mira/%s] %s\n", d.Pos, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -90,14 +89,6 @@ func TestExitCodeLoadFailure(t *testing.T) {
 	}
 }
 
-func TestDisableFlag(t *testing.T) {
-	dir := writeModule(t, dirtyFile)
-	code, stdout, _ := vet("-C", dir, "-detorder=false", "./...")
-	if code != 0 {
-		t.Fatalf("exit = %d with detorder disabled, want 0\nstdout: %s", code, stdout)
-	}
-}
-
 func TestListDescribesSuite(t *testing.T) {
 	code, stdout, _ := vet("-list")
 	if code != 0 {
@@ -111,7 +102,7 @@ func TestListDescribesSuite(t *testing.T) {
 	}
 }
 
-// TestJSONReport pins the -json contract CI scrapes: the findings
+// TestJSONReport pins the -json contract: the findings
 // list, the mira_vet_findings_total metric, and per-analyzer findings
 // and wall time.
 func TestJSONReport(t *testing.T) {
@@ -217,107 +208,5 @@ func Spawn() {
 	}
 	if strings.Contains(stdout, "DrainLoop") {
 		t.Errorf("DrainLoop was reported: its LifecycleBound fact did not reach the importer:\n%s", stdout)
-	}
-}
-
-// TestVetToolFactFlow drives cross-package facts through the real
-// `go vet -vettool` vetx protocol: a module named mira with a
-// dependency package whose lifecycle-bound function is spawned from an
-// engine-scoped package. The LifecycleBound fact must travel through
-// the dependency unit's VetxOutput into the engine unit's PackageVetx,
-// so only the unbound spawn is reported.
-func TestVetToolFactFlow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and shells out to go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "mira-vet")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building mira-vet: %v\n%s", err, out)
-	}
-
-	dir := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		path := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module mira\n\ngo 1.24\n")
-	write("internal/bg/bg.go", `package bg
-
-func DrainLoop() {
-	done := make(chan struct{})
-	<-done
-}
-
-func Fire() {
-	println("fired")
-}
-`)
-	write("internal/engine/engine.go", `package engine
-
-import "mira/internal/bg"
-
-func Spawn() {
-	go bg.DrainLoop()
-	go bg.Fire()
-}
-`)
-
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet passed; the unbound spawn should be a finding:\n%s", out)
-	}
-	if !strings.Contains(string(out), "goroutine runs Fire") {
-		t.Errorf("missing the goroleak finding for the unbound spawn:\n%s", out)
-	}
-	if strings.Contains(string(out), "DrainLoop") {
-		t.Errorf("DrainLoop was reported: its LifecycleBound fact did not cross the vetx boundary:\n%s", out)
-	}
-}
-
-func TestVersionProbe(t *testing.T) {
-	code, stdout, _ := vet("-V=full")
-	if code != 0 || !strings.Contains(stdout, "mira-vet version") {
-		t.Fatalf("-V=full: exit %d, output %q", code, stdout)
-	}
-}
-
-// TestVetToolProtocol drives the real `go vet -vettool` path end to
-// end: the go command probes -V=full, then feeds mira-vet a .cfg per
-// package and relays its stderr diagnostics.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and shells out to go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "mira-vet")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building mira-vet: %v\n%s", err, out)
-	}
-
-	dir := writeModule(t, dirtyFile)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet passed on a module with a violation:\n%s", out)
-	}
-	if !strings.Contains(string(out), "[mira/detorder]") {
-		t.Errorf("go vet output missing the relayed diagnostic:\n%s", out)
-	}
-
-	clean := writeModule(t, cleanFile)
-	cmd = exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = clean
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet failed on a clean module: %v\n%s", err, out)
 	}
 }

@@ -224,7 +224,7 @@ func (s *PeerStore) fetch(key string) ([]byte, bool) {
 
 // roundTrip performs one GET against owner's peer endpoint.
 func (s *PeerStore) roundTrip(owner, key string) ([]byte, int, error) {
-	//lint:ignore mira/ctxflow the engine's CacheStore interface is ctx-free; the client timeout bounds the trip
+	// The engine's CacheStore interface is ctx-free; the client timeout bounds the trip.
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.Timeout)
 	defer cancel()
 	start := s.opts.Clock()
@@ -326,7 +326,7 @@ func (s *PeerStore) ship(job replJob) {
 }
 
 func (s *PeerStore) put(job replJob) error {
-	//lint:ignore mira/ctxflow write-behind replication runs on background workers with no request lifecycle
+	// Write-behind replication runs on background workers with no request lifecycle.
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut,

@@ -113,7 +113,7 @@ func (l *RateLimiter) evictLocked(now time.Time) {
 	cutoff := 500 * time.Millisecond
 	for len(l.buckets) > target {
 		evicted := false
-		//lint:ignore mira/detorder eviction victims are chosen by idle time, not map order
+		// Eviction victims are chosen by idle time, not map order.
 		for key, b := range l.buckets {
 			if now.Sub(b.last) >= cutoff {
 				delete(l.buckets, key)
@@ -127,7 +127,6 @@ func (l *RateLimiter) evictLocked(now time.Time) {
 			cutoff /= 2
 			if cutoff <= 0 {
 				// Everything is brand-new: drop arbitrarily.
-				//lint:ignore mira/detorder bounded-memory fallback; victim choice is irrelevant
 				for key := range l.buckets {
 					delete(l.buckets, key)
 					if len(l.buckets) <= target {

@@ -3,27 +3,21 @@ package lint
 // facts.go is the cross-package side of the dataflow engine: an
 // analyzer running on package P can attach a Fact to one of P's
 // exported objects, and an analyzer running on a package that imports P
-// can read it back. In standalone mode (make lint, linttest) facts flow
-// through an in-memory store shared across the dependency-ordered
-// package walk; under `go vet -vettool` they ride the unitchecker
-// protocol — gob-encoded into the .vetx file mira-vet writes for each
-// unit and read back from the PackageVetx files of the unit's imports.
-// The design mirrors x/tools/go/analysis object facts, minus package
-// facts (nothing here needs them).
+// can read it back. Facts live in one in-memory store that a Runner
+// shares across the dependency-ordered package walk (mira-vet's Load
+// order, linttest's fixture order), so a dependency's facts exist before
+// its importers are analyzed. The design mirrors x/tools/go/analysis
+// object facts, minus package facts (nothing here needs them).
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is an analyzer-defined datum attached to a types.Object and
-// visible to downstream packages. Implementations must be gob-encodable
-// and should be declared with pointer receivers so the concrete type
-// round-trips through the store.
+// visible to downstream packages. Implementations should be declared
+// with pointer receivers so the concrete type round-trips through the
+// store.
 type Fact interface {
 	// AFact is a marker method: it makes fact types self-describing and
 	// keeps arbitrary values out of the store.
@@ -100,71 +94,6 @@ func (fs *Facts) get(obj types.Object, fact Fact) bool {
 	}
 	dv.Elem().Set(sv.Elem())
 	return true
-}
-
-// wireFact is the gob wire form of one stored fact. Fact is an
-// interface field, so every concrete fact type must be registered with
-// gob before Encode/Decode — RegisterFactTypes does that from the
-// analyzers' FactTypes declarations.
-type wireFact struct {
-	Pkg  string
-	Obj  string
-	Fact Fact
-}
-
-// RegisterFactTypes registers every fact type the given analyzers
-// declare with gob, so fact stores round-trip through vetx files.
-// Idempotent: registering the same type twice is a no-op.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
-}
-
-// Encode serializes the whole store. The record order is made
-// deterministic so vetx files are byte-stable for identical inputs.
-func (fs *Facts) Encode() ([]byte, error) {
-	records := make([]wireFact, 0, len(fs.m))
-	for k, f := range fs.m {
-		records = append(records, wireFact{Pkg: k.pkg, Obj: k.obj, Fact: f})
-	}
-	sort.Slice(records, func(i, j int) bool {
-		a, b := records[i], records[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		return reflect.TypeOf(a.Fact).String() < reflect.TypeOf(b.Fact).String()
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(records); err != nil {
-		return nil, fmt.Errorf("encoding facts: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode merges an encoded store (one import's vetx payload) into fs.
-// Payloads written by tools that predate the fact protocol (or by other
-// vet tools) fail gob decoding; the caller treats that as "no facts".
-func (fs *Facts) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var records []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&records); err != nil {
-		return fmt.Errorf("decoding facts: %w", err)
-	}
-	for _, r := range records {
-		if r.Fact == nil {
-			continue
-		}
-		fs.m[factKey{pkg: r.Pkg, obj: r.Obj, typ: reflect.TypeOf(r.Fact)}] = r.Fact
-	}
-	return nil
 }
 
 // Len reports the number of stored facts (used by tests and metrics).

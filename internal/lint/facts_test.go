@@ -1,19 +1,19 @@
 package lint
 
 import (
-	"encoding/gob"
 	"go/token"
 	"go/types"
 	"testing"
 )
 
-// tfact is a throwaway fact type for the round-trip tests.
+// tfact is a throwaway fact type for the store tests.
 type tfact struct{ N int }
 
 func (*tfact) AFact() {}
 
+// TestFactsRoundTrip: a fact set on an object is read back by get
+// into a value of the same concrete type.
 func TestFactsRoundTrip(t *testing.T) {
-	gob.Register(&tfact{})
 	pkg := types.NewPackage("example.com/p", "p")
 	obj := types.NewVar(token.NoPos, pkg, "V", types.Typ[types.Int])
 
@@ -22,40 +22,9 @@ func TestFactsRoundTrip(t *testing.T) {
 	if fs.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", fs.Len())
 	}
-	raw, err := fs.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fs2 := NewFacts()
-	if err := fs2.Decode(raw); err != nil {
-		t.Fatal(err)
-	}
 	var got tfact
-	if !fs2.get(obj, &got) || got.N != 7 {
-		t.Fatalf("decoded fact = %+v (found=%v), want N=7", got, fs2.get(obj, &got))
-	}
-
-	// Encoding must be deterministic: vetx files are cache-keyed bytes.
-	raw2, err := fs.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != string(raw2) {
-		t.Error("Encode is not byte-stable for identical stores")
-	}
-}
-
-// TestFactsDecodeGarbage: an undecodable payload (another tool's vetx,
-// a pre-fact mira-vet) must report an error and leave the store empty —
-// callers treat it as "no facts", never as corruption.
-func TestFactsDecodeGarbage(t *testing.T) {
-	fs := NewFacts()
-	if err := fs.Decode([]byte("not a fact store")); err == nil {
-		t.Error("Decode accepted garbage")
-	}
-	if fs.Len() != 0 {
-		t.Errorf("garbage decode left %d entries in the store", fs.Len())
+	if !fs.get(obj, &got) || got.N != 7 {
+		t.Fatalf("stored fact = %+v, want N=7", got)
 	}
 }
 

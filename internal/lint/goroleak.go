@@ -19,7 +19,7 @@ import (
 // A `go s.worker()` is judged by the callee: if the callee's body shows
 // lifecycle evidence, the analyzer exports a LifecycleBound fact on it,
 // so spawns of functions defined in dependency packages are checked
-// across package boundaries through the vetx fact store.
+// across package boundaries through the shared fact store.
 var Goroleak = &Analyzer{
 	Name: "goroleak",
 	Doc: "go statements in engine/cluster/serve not tied to a ctx, WaitGroup, " +

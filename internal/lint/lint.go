@@ -13,7 +13,8 @@
 //	//lint:ignore mira/<name> <reason>
 //
 // placed on the flagged line or the line directly above it. A directive
-// without a reason is itself a finding — suppressions must say why.
+// without a reason is itself a finding — suppressions must say why — and
+// so is one that suppresses nothing.
 package lint
 
 import (
@@ -41,10 +42,9 @@ type Analyzer struct {
 	// Run performs the analysis.
 	Run func(*Pass) error
 	// FactTypes lists a zero value of each Fact type this analyzer
-	// exports or imports. Declaring a type here registers it for gob
-	// serialization and marks the analyzer as needing to run on
-	// dependency packages (facts-only, diagnostics discarded) so its
-	// facts exist before the packages that import them are analyzed.
+	// exports or imports. Declaring one marks the analyzer as needing to
+	// run on dependency packages (facts-only, diagnostics discarded) so
+	// its facts exist before the packages that import them are analyzed.
 	FactTypes []Fact
 }
 
@@ -166,21 +166,14 @@ type Runner struct {
 	Analyzers []*Analyzer
 	Facts     *Facts
 	Stats     map[string]*AnalyzerStat
-
-	// Now supplies timestamps for the per-analyzer wall-time stats;
-	// NewRunner defaults it to time.Now.
-	Now func() time.Time
 }
 
-// NewRunner builds a Runner with a fresh fact store and registers the
-// analyzers' fact types for vetx serialization.
+// NewRunner builds a Runner with a fresh fact store.
 func NewRunner(analyzers []*Analyzer) *Runner {
-	RegisterFactTypes(analyzers)
 	r := &Runner{
 		Analyzers: analyzers,
 		Facts:     NewFacts(),
 		Stats:     map[string]*AnalyzerStat{},
-		Now:       time.Now,
 	}
 	for _, a := range analyzers {
 		r.Stats[a.Name] = &AnalyzerStat{}
@@ -191,7 +184,6 @@ func NewRunner(analyzers []*Analyzer) *Runner {
 // TotalFindings sums findings across analyzers (mira_vet_findings_total).
 func (r *Runner) TotalFindings() int {
 	total := 0
-	//lint:ignore mira/detorder the sum is order-independent
 	for _, s := range r.Stats {
 		total += s.Findings
 	}
@@ -200,7 +192,9 @@ func (r *Runner) TotalFindings() int {
 
 // RunPackage runs the suite over one loaded package, applies suppression
 // directives, and returns the surviving findings sorted by position.
-// Directives missing a reason surface as findings themselves. For a
+// Directives missing a reason surface as findings themselves, and so do
+// reasoned directives for an analyzer in the suite that suppressed no
+// finding: an exemption must not outlive the code it excused. For a
 // FactsOnly package only fact-producing analyzers run and diagnostics
 // are discarded — the package is a dependency being mined for facts,
 // not a vetting target.
@@ -219,10 +213,10 @@ func (r *Runner) RunPackage(pkg *Package) ([]Diagnostic, error) {
 			facts:     r.Facts,
 			report:    func(d Diagnostic) { diags = append(diags, d) },
 		}
-		start := r.Now()
+		start := time.Now()
 		err := a.Run(pass)
 		if st := r.Stats[a.Name]; st != nil {
-			st.Seconds += r.Now().Sub(start).Seconds()
+			st.Seconds += time.Since(start).Seconds()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("mira/%s on %s: %w", a.Name, pkg.Path, err)
@@ -233,20 +227,32 @@ func (r *Runner) RunPackage(pkg *Package) ([]Diagnostic, error) {
 	}
 
 	sups := suppressions(pkg.Fset, pkg.Files)
+	used := make([]bool, len(sups))
 	kept := diags[:0]
 	for _, d := range diags {
-		if !suppressed(sups, d) {
+		if !suppress(sups, used, d) {
 			kept = append(kept, d)
 		}
 	}
-	for _, s := range sups {
-		if s.reason == "" {
-			kept = append(kept, Diagnostic{
-				Analyzer: s.analyzer,
-				Pos:      token.Position{Filename: s.file, Line: s.line, Column: 1},
-				Message:  "lint:ignore directive needs a reason (//lint:ignore mira/" + s.analyzer + " <why>)",
-			})
+	ran := map[string]bool{}
+	for _, a := range r.Analyzers {
+		ran[a.Name] = true
+	}
+	for i, s := range sups {
+		var msg string
+		switch {
+		case s.reason == "":
+			msg = "lint:ignore directive needs a reason (//lint:ignore mira/" + s.analyzer + " <why>)"
+		case !used[i] && ran[s.analyzer]:
+			msg = "lint:ignore directive suppresses nothing (no mira/" + s.analyzer + " finding on this line or the next); delete it"
+		default:
+			continue
 		}
+		kept = append(kept, Diagnostic{
+			Analyzer: s.analyzer,
+			Pos:      token.Position{Filename: s.file, Line: s.line, Column: 1},
+			Message:  msg,
+		})
 	}
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i], kept[j]
@@ -276,18 +282,21 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return NewRunner(analyzers).RunPackage(pkg)
 }
 
-// suppressed reports whether a reasoned directive on the finding's line,
-// or on the line directly above it, names the finding's analyzer.
-func suppressed(sups []suppression, d Diagnostic) bool {
-	for _, s := range sups {
+// suppress reports whether a reasoned directive on the finding's line,
+// or on the line directly above it, names the finding's analyzer, and
+// marks every such directive used.
+func suppress(sups []suppression, used []bool, d Diagnostic) bool {
+	hit := false
+	for i, s := range sups {
 		if s.analyzer != d.Analyzer || s.reason == "" || s.file != d.Pos.Filename {
 			continue
 		}
 		if s.line == d.Pos.Line || s.line == d.Pos.Line-1 {
-			return true
+			used[i] = true
+			hit = true
 		}
 	}
-	return false
+	return hit
 }
 
 // ---------------------------------------------------------------------------

@@ -126,6 +126,31 @@ func TestSuppressionWithoutReason(t *testing.T) {
 	}
 }
 
+// TestSuppressionStale asserts that a reasoned directive which
+// suppresses nothing is a finding, so exemptions cannot outlive the code
+// they excused. Only directives naming an analyzer that ran are judged:
+// the fixture's detorder directive stays quiet under noglobals alone.
+func TestSuppressionStale(t *testing.T) {
+	root := linttest.ModuleRoot(t)
+	dir := filepath.Join(root, "internal", "lint", "testdata", "src", "suppress_stale")
+	pkg, err := lint.LoadDir(root, dir, "mira/internal/suppress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := lint.RunPackage(pkg, []*lint.Analyzer{lint.Noglobals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 {
+		t.Fatalf("got %d findings, want 1 (the stale directive):\n%v", len(diags), diags)
+	}
+	d := diags[0]
+	if d.Analyzer != "noglobals" || d.Pos.Line != 15 ||
+		!strings.Contains(d.Message, "lint:ignore directive suppresses nothing") {
+		t.Errorf("finding = %s, want the stale noglobals directive at line 15", d)
+	}
+}
+
 // TestScopedAnalyzersRespectImportPath re-type-checks the multovf
 // fixture under an out-of-scope import path: the same bug-shaped code
 // must produce zero findings, proving scoping is by package, not by

@@ -76,8 +76,8 @@ type Pkg struct {
 // RunMulti loads several fixture packages — listed dependencies first —
 // and runs the analyzers over each through one shared runner, so object
 // facts exported while analyzing an early package are importable while
-// analyzing a later one, exactly as unitchecker threads .vetx files
-// between compilation units. Findings from every package are diffed
+// analyzing a later one, exactly as mira-vet threads its fact store
+// through the dependency-ordered package list. Findings from every package are diffed
 // against the union of // want expectations across every fixture
 // directory. Fixture import paths shadow real packages: a fixture
 // impersonating mira/internal/core is what later fixtures' imports of

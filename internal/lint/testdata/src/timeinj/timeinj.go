@@ -52,9 +52,3 @@ func newBreaker(cooldown time.Duration) *breaker {
 // backoff really sleeps: time.Sleep is deliberately unflagged — retry
 // backoff waits for real even under a fake decision clock.
 func backoff() { time.Sleep(time.Millisecond) }
-
-// startStamp documents a measured exception.
-func startStamp() time.Time {
-	//lint:ignore mira/timeinj process start stamp, never compared against the injected clock
-	return time.Now()
-}

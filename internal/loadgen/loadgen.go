@@ -227,7 +227,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		// Merge into name-keyed aggregates; output order is sorted
 		// below, not map order.
-		//lint:ignore mira/detorder merged is keyed aggregation; output is sorted afterwards
 		for class, st := range stats {
 			m := merged[class]
 			if m == nil {
