@@ -15,6 +15,9 @@ import (
 //	                                        function after a memo miss
 //	mira_incremental_hits/misses_total      function-granular reuse
 //	mira_eval_memo_hits/misses_total        (function, env) leaf memos
+//	mira_cache_evictions_total              live-cache entries (MaxResident)
+//	                                        plus function-memo cells
+//	                                        (MaxResidentFuncs) evicted
 //	mira_analyze_seconds                    pipeline analysis latency
 //	mira_eval_seconds                       model evaluation latency
 //	mira_compile_seconds                    symbolic compilation latency
@@ -60,7 +63,7 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 		incrMisses:  r.Counter("mira_incremental_misses", "functions recompiled during incremental analysis"),
 		evalHits:    r.Counter("mira_eval_memo_hits", "model evaluations served from the (function, env) memo"),
 		evalMisses:  r.Counter("mira_eval_memo_misses", "model evaluations that walked the model"),
-		evictions:   r.Counter("mira_cache_evictions", "live-cache entries evicted under the MaxResident bound"),
+		evictions:   r.Counter("mira_cache_evictions", "live-cache entries evicted under the MaxResident bound plus function-memo cells evicted under the MaxResidentFuncs bound"),
 		sweepPoints: r.Counter("mira_sweep_points", "grid points evaluated by compiled sweeps"),
 		analyze:     r.Summary("mira_analyze_seconds", "pipeline analysis latency (live-cache misses)"),
 		eval:        r.Summary("mira_eval_seconds", "model evaluation latency (memo misses)"),
