@@ -141,11 +141,18 @@ func parseArgs(s string) (mira.Env, error) {
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("bad binding %q (want name=value)", kv)
 		}
+		name := parts[0]
+		if name == "" {
+			return nil, fmt.Errorf("empty parameter name in %q", kv)
+		}
+		if _, dup := vals[name]; dup {
+			return nil, fmt.Errorf("parameter %q bound twice", name)
+		}
 		v, err := strconv.ParseInt(parts[1], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad value in %q: %v", kv, err)
 		}
-		vals[parts[0]] = v
+		vals[name] = v
 	}
 	return mira.IntArgs(vals), nil
 }

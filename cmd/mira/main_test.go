@@ -46,3 +46,43 @@ func TestWriteModelTiedCategories(t *testing.T) {
 		t.Errorf("integer arithmetic count is not the tied 201:\n%s", first)
 	}
 }
+
+// TestParseArgs pins the -args grammar: comma-separated name=value
+// bindings, each name bound once and non-empty, each value an integer.
+func TestParseArgs(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    map[string]string // name -> bound value; nil on error
+		wantErr string
+	}{
+		{in: "", want: map[string]string{}},
+		{in: "n=5", want: map[string]string{"n": "5"}},
+		{in: "n=5, m=-7", want: map[string]string{"n": "5", "m": "-7"}},
+		{in: "n=5,n=7", wantErr: `parameter "n" bound twice`},
+		{in: "=5", wantErr: "empty parameter name"},
+		{in: "n=5,=7", wantErr: "empty parameter name"},
+		{in: "n=x", wantErr: "bad value"},
+		{in: "n", wantErr: "want name=value"},
+	}
+	for _, c := range cases {
+		env, err := parseArgs(c.in)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("parseArgs(%q) error = %v, want one containing %q", c.in, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("parseArgs(%q): %v", c.in, err)
+			continue
+		}
+		if len(env) != len(c.want) {
+			t.Errorf("parseArgs(%q) bound %d names, want %d", c.in, len(env), len(c.want))
+		}
+		for name, v := range c.want {
+			if got, ok := env[name]; !ok || got.String() != v {
+				t.Errorf("parseArgs(%q)[%q] = %v (bound %v), want %s", c.in, name, got, ok, v)
+			}
+		}
+	}
+}
