@@ -18,9 +18,10 @@ vet:
 # eleven checks — six syntactic, five dataflow/interprocedural — each
 # encoding an invariant a past PR paid for. The ./... target includes
 # internal/lint and cmd/mira-vet themselves (the linter lints itself).
-# Gating in CI; suppress a finding in-source with
-# `//lint:ignore mira/<name> reason`. Use `-json` for the metrics CI
-# scrapes (mira_vet_findings_total, per-analyzer wall time).
+# CI runs this target as is and fails on any finding; suppress a finding
+# in-source with `//lint:ignore mira/<name> reason`. For findings as JSON
+# plus mira_vet_findings_total and per-analyzer wall time, run
+# `go run ./cmd/mira-vet -json ./...`.
 lint:
 	$(GO) run ./cmd/mira-vet ./...
 

@@ -125,6 +125,7 @@ type suppression struct {
 	file     string
 	line     int
 	reason   string
+	used     bool // suppressed at least one finding
 }
 
 // suppressions collects every directive in the package's files.
@@ -227,10 +228,9 @@ func (r *Runner) RunPackage(pkg *Package) ([]Diagnostic, error) {
 	}
 
 	sups := suppressions(pkg.Fset, pkg.Files)
-	used := make([]bool, len(sups))
 	kept := diags[:0]
 	for _, d := range diags {
-		if !suppress(sups, used, d) {
+		if !suppress(sups, d) {
 			kept = append(kept, d)
 		}
 	}
@@ -238,12 +238,12 @@ func (r *Runner) RunPackage(pkg *Package) ([]Diagnostic, error) {
 	for _, a := range r.Analyzers {
 		ran[a.Name] = true
 	}
-	for i, s := range sups {
+	for _, s := range sups {
 		var msg string
 		switch {
 		case s.reason == "":
 			msg = "lint:ignore directive needs a reason (//lint:ignore mira/" + s.analyzer + " <why>)"
-		case !used[i] && ran[s.analyzer]:
+		case !s.used && ran[s.analyzer]:
 			msg = "lint:ignore directive suppresses nothing (no mira/" + s.analyzer + " finding on this line or the next); delete it"
 		default:
 			continue
@@ -285,14 +285,14 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // suppress reports whether a reasoned directive on the finding's line,
 // or on the line directly above it, names the finding's analyzer, and
 // marks every such directive used.
-func suppress(sups []suppression, used []bool, d Diagnostic) bool {
+func suppress(sups []suppression, d Diagnostic) bool {
 	hit := false
 	for i, s := range sups {
 		if s.analyzer != d.Analyzer || s.reason == "" || s.file != d.Pos.Filename {
 			continue
 		}
 		if s.line == d.Pos.Line || s.line == d.Pos.Line-1 {
-			used[i] = true
+			sups[i].used = true
 			hit = true
 		}
 	}
