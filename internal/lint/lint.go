@@ -234,16 +234,12 @@ func (r *Runner) RunPackage(pkg *Package) ([]Diagnostic, error) {
 			kept = append(kept, d)
 		}
 	}
-	ran := map[string]bool{}
-	for _, a := range r.Analyzers {
-		ran[a.Name] = true
-	}
 	for _, s := range sups {
 		var msg string
 		switch {
 		case s.reason == "":
 			msg = "lint:ignore directive needs a reason (//lint:ignore mira/" + s.analyzer + " <why>)"
-		case !s.used && ran[s.analyzer]:
+		case !s.used && r.Stats[s.analyzer] != nil: // an analyzer the suite ran
 			msg = "lint:ignore directive suppresses nothing (no mira/" + s.analyzer + " finding on this line or the next); delete it"
 		default:
 			continue
