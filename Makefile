@@ -44,14 +44,19 @@ govulncheck:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
 # fuzz-smoke runs the three-way evaluator divergence fuzzer (tree walker
-# vs compiled model vs VM over synthesized programs), then the frame
-# decoder fuzzer (the only decoder of untrusted store and peer bytes),
-# each for FUZZTIME; CI runs it on every push, so both stay continuously
+# vs compiled model vs VM over synthesized programs), the frame decoder
+# fuzzer (the only decoder of untrusted store and peer bytes), the
+# rational arithmetic fuzzer (every operation against math/big across
+# the int64 overflow boundary), and the source fuzzer (core.Analyze on
+# arbitrary MiniC, the daemon's largest untrusted input), each for
+# FUZZTIME; CI runs it on every push, so all four stay continuously
 # fuzzed.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzThreeWayEvaluators -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/cachestore
+	$(GO) test -run xxx -fuzz FuzzRatArith -fuzztime $(FUZZTIME) ./internal/rational
+	$(GO) test -run xxx -fuzz FuzzAnalyzeSource -fuzztime $(FUZZTIME) ./internal/core
 
 build:
 	$(GO) build ./...

@@ -317,3 +317,29 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	logPeerTier(t, reps, "at the end")
 }
+
+// TestAdmissionFlagsNeedClusterMode pins that a daemon without -peers
+// refuses each admission flag at startup instead of ignoring it, and
+// that the error names the flag and cluster mode.
+func TestAdmissionFlagsNeedClusterMode(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a run that got past the check would return at once
+	for _, c := range []struct {
+		flag string
+		cfg  serveConfig
+	}{
+		{"-rate", serveConfig{rate: 5}},
+		{"-burst", serveConfig{burst: 10}},
+		{"-interactive-slots", serveConfig{interactiveSlots: 8}},
+		{"-bulk-slots", serveConfig{bulkSlots: 2}},
+	} {
+		c.cfg.addr = "127.0.0.1:0"
+		err := run(ctx, c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" takes effect only in cluster mode") {
+			t.Errorf("run with %s and no -peers: err = %v, want a cluster-mode error naming the flag", c.flag, err)
+		}
+	}
+	if err := (serveConfig{peers: "http://a:1", rate: 5, bulkSlots: 2}).checkAdmission(); err != nil {
+		t.Errorf("admission flags with -peers rejected: %v", err)
+	}
+}

@@ -42,7 +42,9 @@
 // front door applies per-client rate limiting (-rate/-burst) plus QoS
 // admission control (-interactive-slots/-bulk-slots) that sheds excess
 // bulk work with Retry-After instead of queueing it into an OOM. The
-// peer protocol is served under /cluster/.
+// peer protocol is served under /cluster/. Those four admission flags
+// take effect only in cluster mode; without -peers, setting any of them
+// fails startup.
 //
 // Usage:
 //
@@ -114,10 +116,10 @@ func main() {
 	flag.StringVar(&cfg.peers, "peers", "", "comma-separated replica base URLs (cluster mode; must include -self)")
 	flag.StringVar(&cfg.self, "self", "", "this replica's advertised base URL (required with -peers)")
 	flag.IntVar(&cfg.vnodes, "vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
-	flag.Float64Var(&cfg.rate, "rate", 0, "per-client sustained request rate in req/s (0 = unlimited)")
-	flag.Float64Var(&cfg.burst, "burst", 0, "per-client burst depth (0 = 2x rate)")
-	flag.IntVar(&cfg.interactiveSlots, "interactive-slots", 0, "concurrent interactive requests admitted (0 = default)")
-	flag.IntVar(&cfg.bulkSlots, "bulk-slots", 0, "concurrent bulk (sweep/report) requests admitted; excess is shed with Retry-After (0 = default)")
+	flag.Float64Var(&cfg.rate, "rate", 0, "per-client sustained request rate in req/s (0 = unlimited; cluster mode only)")
+	flag.Float64Var(&cfg.burst, "burst", 0, "per-client burst depth (0 = 2x rate; cluster mode only)")
+	flag.IntVar(&cfg.interactiveSlots, "interactive-slots", 0, "concurrent interactive requests admitted (0 = default; cluster mode only)")
+	flag.IntVar(&cfg.bulkSlots, "bulk-slots", 0, "concurrent bulk (sweep/report) requests admitted; excess is shed with Retry-After (0 = default; cluster mode only)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -129,6 +131,9 @@ func main() {
 }
 
 func run(ctx context.Context, cfg serveConfig) error {
+	if err := cfg.checkAdmission(); err != nil {
+		return err
+	}
 	// The architecture registry: every builtin description plus any
 	// -arch-dir loads, fixed before the engine exists (the registry is
 	// immutable once serving so GET /archs, /query, and /report agree).
@@ -222,6 +227,29 @@ func run(ctx context.Context, cfg serveConfig) error {
 	}
 	log.Printf("mira-serve: listening on %s (%d workers)", ln.Addr(), eng.Workers())
 	return serveUntilDone(ctx, srv, ln, cfg.drain, func() { s.draining.Store(true) })
+}
+
+// checkAdmission rejects admission flags on a daemon without -peers:
+// only cluster mode's front door applies them, so a lone daemon would
+// otherwise ignore them silently.
+func (cfg serveConfig) checkAdmission() error {
+	if cfg.peers != "" {
+		return nil
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-rate", cfg.rate != 0},
+		{"-burst", cfg.burst != 0},
+		{"-interactive-slots", cfg.interactiveSlots != 0},
+		{"-bulk-slots", cfg.bulkSlots != 0},
+	} {
+		if f.set {
+			return fmt.Errorf("%s takes effect only in cluster mode: set -peers and -self, or drop %s", f.name, f.name)
+		}
+	}
+	return nil
 }
 
 // serveUntilDone serves on ln until the server fails or ctx ends
