@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"strings"
 	"testing"
 
 	"mira/internal/benchprogs"
@@ -91,10 +90,36 @@ func FuzzAnalyzeSource(f *testing.F) {
 	})
 }
 
+// hasSum reports whether e contains a Sum node.
+func hasSum(e expr.Expr) bool {
+	switch x := e.(type) {
+	case expr.Sum:
+		return true
+	case expr.Add:
+		for _, t := range x.Terms {
+			if hasSum(t) {
+				return true
+			}
+		}
+	case expr.Mul:
+		for _, f := range x.Factors {
+			if hasSum(f) {
+				return true
+			}
+		}
+	case expr.FloorDiv:
+		return hasSum(x.X)
+	case expr.Min:
+		return hasSum(x.A) || hasSum(x.B)
+	case expr.Max:
+		return hasSum(x.A) || hasSum(x.B)
+	}
+	return false
+}
+
 // enumerates reports whether any multiplicity or call argument in m keeps
 // a Sum node, which evaluation enumerates point by point.
 func enumerates(m *model.Model) bool {
-	hasSum := func(e expr.Expr) bool { return e != nil && strings.Contains(e.String(), "sum(") }
 	for _, f := range m.Funcs {
 		for _, s := range f.Sites {
 			if hasSum(s.Mult) {

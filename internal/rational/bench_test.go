@@ -1,20 +1,20 @@
 package rational
 
-import (
-	"math/big"
-	"testing"
-)
+import "testing"
 
 // BenchmarkRat times Add, Mul and Cmp on operands of the inline form
-// (small) and on operands past int64 (promoted), which take math/big.
+// (small), on a value past int64 meeting a small one (promoted), and on
+// small operands whose exact result overflows int64 (overflow). The last
+// two take math/big.
 func BenchmarkRat(b *testing.B) {
-	huge, _ := new(big.Rat).SetString("36893488147419103233/7")
+	huge := FromInt(1 << 62).Mul(FromInt(8)).Add(One).Div(FromInt(7)) // (2^65+1)/7
 	for _, o := range []struct {
 		name string
 		x, y Rat
 	}{
 		{"small", FromFrac(3, 14), FromFrac(5, 21)},
-		{"promoted", demote(huge), FromFrac(-11, 1<<62)},
+		{"promoted", huge, FromFrac(-11, 1<<62)},
+		{"overflow", FromFrac(1<<62, 3), FromFrac(1<<61+1, 5)},
 	} {
 		x, y := o.x, o.y
 		b.Run("Add/"+o.name, func(b *testing.B) {

@@ -3,6 +3,7 @@ package rational
 import (
 	"math"
 	"math/big"
+	"sync"
 	"testing"
 )
 
@@ -21,6 +22,14 @@ var edgeNums = []int64{
 var edgeDens = []int64{
 	1, 2, 3, -1, -6, 1 << 31, 1<<53 + 1, 1 << 62, 1<<62 + 1,
 	math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 - 2, math.MinInt64, math.MinInt64 + 1,
+}
+
+// toBig returns a as a fresh or its own math/big.Rat.
+func (a Rat) toBig() *big.Rat {
+	if a.big != nil {
+		return a.big
+	}
+	return big.NewRat(a.num, a.den())
 }
 
 // refString renders a reference value the way Rat.String is specified.
@@ -221,4 +230,51 @@ func FuzzRatArith(f *testing.F) {
 		checkPair(t, b, c)
 		checkPair(t, c, c.Add(One))
 	})
+}
+
+// TestScratchNotRetained checks that no result shares memory with the
+// pooled scratch values that stand in for small operands: big results
+// taken first must keep their values while many later operations, from
+// several goroutines at once, reuse the pool.
+func TestScratchNotRetained(t *testing.T) {
+	huge := demote(new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(3), 70), big.NewInt(7)))
+	type kept struct {
+		x   Rat
+		ref *big.Rat
+	}
+	run := func(seed int64) []kept {
+		var out []kept
+		for i := range int64(300) {
+			s := FromFrac(seed*1000+i-150, i%13+1)
+			o := FromFrac(1<<62+i, 3)
+			out = append(out,
+				kept{huge.Add(s), new(big.Rat).Add(huge.toBig(), s.toBig())},
+				kept{s.Mul(huge), new(big.Rat).Mul(s.toBig(), huge.toBig())},
+				kept{huge.Div(o), new(big.Rat).Quo(huge.toBig(), o.toBig())},
+				kept{o.Mul(o), new(big.Rat).Mul(o.toBig(), o.toBig())},
+				kept{o.Add(FromInt(math.MaxInt64)), new(big.Rat).Add(o.toBig(), big.NewRat(math.MaxInt64, 1))})
+			if huge.Cmp(s) != 1 || s.Cmp(huge) != -1 {
+				t.Errorf("Cmp of %s and %s", huge, s)
+			}
+		}
+		return out
+	}
+	first := run(0)
+	results := make([][]kept, 4)
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g] = run(int64(g + 1))
+		}()
+	}
+	wg.Wait()
+	for _, ks := range append(results, first) {
+		for _, k := range ks {
+			if k.x.toBig().Cmp(k.ref) != 0 {
+				t.Fatalf("kept result %s, want %s", k.x, refString(k.ref))
+			}
+		}
+	}
 }

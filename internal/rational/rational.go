@@ -4,14 +4,18 @@
 // Mira's numbers are loop bounds, lattice-point counts, and Faulhaber
 // (Bernoulli) coefficients. Exactness matters — iteration counts are
 // integers and the generated model must reproduce them without float
-// drift even at 1e10-scale counts — but nearly every value fits in a
-// pair of machine words. So a Rat holds its numerator and denominator
-// inline as int64s and computes with overflow-checked int64 arithmetic.
-// Only a value that does not fit is held as a math/big.Rat: an operation
-// whose int64 arithmetic would overflow is promoted and recomputed
-// through math/big, and every result that fits again is demoted back to
-// the inline form. Each value therefore has exactly one representation,
-// and results, renderings and comparisons are exactly those of math/big.
+// drift even at 1e10-scale counts — but in the models of the bundled
+// programs, analyzed and evaluated at sizes up to n = 1e6, every value
+// fits in a pair of machine words. The exception is a fractional
+// annotation such as br_frac, which enters as a float64 with a 2^53
+// denominator and overflows once scaled by a large size. So a Rat holds
+// its numerator and denominator inline as int64s and computes with
+// overflow-checked int64 arithmetic. Only a value that does not fit is
+// held as a math/big.Rat: an operation whose int64 arithmetic would
+// overflow is promoted and recomputed through math/big, and every result
+// that fits again is demoted back to the inline form. Each value
+// therefore has exactly one representation, and results, renderings and
+// comparisons are exactly those of math/big.
 package rational
 
 import (
@@ -21,6 +25,7 @@ import (
 	"math/big"
 	"math/bits"
 	"strconv"
+	"sync"
 )
 
 // Rat is an immutable exact rational number. The zero value is 0.
@@ -80,12 +85,52 @@ func FromFloat(f float64) (Rat, error) {
 // den returns the denominator of a small value.
 func (a Rat) den() int64 { return a.dm1 + 1 }
 
-// toBig returns a as a math/big.Rat, allocating for a small value.
-func (a Rat) toBig() *big.Rat {
+// scratch holds math/big values that stand in for a small operand, or
+// hold a result that demotes, when an operation goes through math/big.
+// That path then allocates what math/big itself needs and a result that
+// stays big, and nothing for the small side. math/big copies its operands
+// and keeps no reference to them, so a scratch value is free once the
+// operation returns.
+//
+//lint:ignore mira/noglobals a pool of interchangeable scratch values holds no state a caller can observe; Rat's value methods have no owner to inject it into
+var scratch = sync.Pool{New: func() any { return new(big.Rat) }}
+
+// borrow returns a as a math/big value: its own for a big value, a
+// scratch value loaded with it for a small one.
+func (a Rat) borrow() *big.Rat {
 	if a.big != nil {
 		return a.big
 	}
-	return big.NewRat(a.num, a.den())
+	s := scratch.Get().(*big.Rat)
+	// SetInt64 gives s a one-word denominator, so Denom returns a
+	// reference to it that can be set in place; num/den is already in
+	// lowest terms.
+	s.SetInt64(a.num)
+	if a.dm1 != 0 {
+		s.Denom().SetInt64(a.den())
+	}
+	return s
+}
+
+// giveBack returns x, obtained from a.borrow, to the pool if it is scratch.
+func (a Rat) giveBack(x *big.Rat) {
+	if a.big == nil {
+		scratch.Put(x)
+	}
+}
+
+// viaBig returns op(z, a, b) computed on math/big values into a scratch z,
+// demoted; z goes back to the pool unless the result stays big.
+func viaBig(a, b Rat, op func(z, x, y *big.Rat) *big.Rat) Rat {
+	x, y := a.borrow(), b.borrow()
+	z := op(scratch.Get().(*big.Rat), x, y)
+	a.giveBack(x)
+	b.giveBack(y)
+	r := demote(z)
+	if r.big == nil {
+		scratch.Put(z)
+	}
+	return r
 }
 
 // demote returns r in canonical form: small whenever it fits.
@@ -114,7 +159,7 @@ func (a Rat) Add(b Rat) Rat {
 			return r
 		}
 	}
-	return demote(new(big.Rat).Add(a.toBig(), b.toBig()))
+	return viaBig(a, b, (*big.Rat).Add)
 }
 
 // Sub returns a - b.
@@ -131,7 +176,7 @@ func (a Rat) Mul(b Rat) Rat {
 			return r
 		}
 	}
-	return demote(new(big.Rat).Mul(a.toBig(), b.toBig()))
+	return viaBig(a, b, (*big.Rat).Mul)
 }
 
 // Div returns a / b. It panics if b is zero.
@@ -149,7 +194,7 @@ func (a Rat) Div(b Rat) Rat {
 			return r
 		}
 	}
-	return demote(new(big.Rat).Quo(a.toBig(), b.toBig()))
+	return viaBig(a, b, (*big.Rat).Quo)
 }
 
 // Neg returns -a.
@@ -163,7 +208,11 @@ func (a Rat) Neg() Rat {
 // Cmp returns -1, 0, or 1 according to a <=> b.
 func (a Rat) Cmp(b Rat) int {
 	if a.big != nil || b.big != nil {
-		return a.toBig().Cmp(b.toBig())
+		x, y := a.borrow(), b.borrow()
+		c := x.Cmp(y)
+		a.giveBack(x)
+		b.giveBack(y)
+		return c
 	}
 	if a.dm1 == b.dm1 {
 		return cmp.Compare(a.num, b.num)
@@ -281,7 +330,9 @@ func (a Rat) Float64() float64 {
 	if a.big == nil && -maxExact <= a.num && a.num <= maxExact && a.den() <= maxExact {
 		return float64(a.num) / float64(a.den())
 	}
-	f, _ := a.toBig().Float64()
+	x := a.borrow()
+	f, _ := x.Float64()
+	a.giveBack(x)
 	return f
 }
 
