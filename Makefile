@@ -47,16 +47,18 @@ govulncheck:
 # vs compiled model vs VM over synthesized programs), the frame decoder
 # fuzzer (the only decoder of untrusted store and peer bytes), the
 # rational arithmetic fuzzer (every operation against math/big across
-# the int64 overflow boundary), and the source fuzzer (core.Analyze on
-# arbitrary MiniC, the daemon's largest untrusted input), each for
-# FUZZTIME; CI runs it on every push, so all four stay continuously
-# fuzzed.
+# the int64 overflow boundary), the source fuzzer (core.Analyze on
+# arbitrary MiniC, the daemon's largest untrusted input), and the wire
+# cell fuzzer (mira-serve's /query and /sweep encoder against
+# encoding/json), each for FUZZTIME; CI runs it on every push, so all
+# five stay continuously fuzzed.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzThreeWayEvaluators -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/cachestore
 	$(GO) test -run xxx -fuzz FuzzRatArith -fuzztime $(FUZZTIME) ./internal/rational
 	$(GO) test -run xxx -fuzz FuzzAnalyzeSource -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz FuzzWireCell -fuzztime $(FUZZTIME) ./cmd/mira-serve
 
 build:
 	$(GO) build ./...

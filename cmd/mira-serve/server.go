@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,9 +19,7 @@ import (
 	"mira/internal/engine"
 	"mira/internal/expr"
 	"mira/internal/obs"
-	"mira/internal/pbound"
 	"mira/internal/report"
-	"mira/internal/roofline"
 )
 
 // maxRequestBytes bounds request bodies; analysis inputs are source
@@ -56,6 +55,10 @@ type server struct {
 	draining atomic.Bool
 	// handler is the assembled middleware chain ServeHTTP delegates to.
 	handler http.Handler
+	// encoders holds idle *cellEncoder values: /query and /sweep take
+	// one per response, so a warm daemon reuses the buffers and key-set
+	// caches instead of growing new ones.
+	encoders sync.Pool
 
 	reqAnalyze   *obs.Counter
 	reqQuery     *obs.Counter
@@ -144,6 +147,24 @@ func (s *server) apiError(w http.ResponseWriter, status int, format string, args
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxPooledEncoder bounds the buffer an idle encoder keeps: a sweep
+// chunk of wide points fits, a one-off giant /query answer is dropped.
+const maxPooledEncoder = 1 << 20
+
+func (s *server) encoder() *cellEncoder {
+	if e, ok := s.encoders.Get().(*cellEncoder); ok {
+		return e
+	}
+	return new(cellEncoder)
+}
+
+func (s *server) release(e *cellEncoder) {
+	if cap(e.buf) <= maxPooledEncoder {
+		e.buf = e.buf[:0]
+		s.encoders.Put(e)
+	}
+}
+
 func (s *server) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
@@ -192,12 +213,6 @@ type funcSummary struct {
 type analyzeRequest struct {
 	Name   string `json:"name"`
 	Source string `json:"source"`
-}
-
-type metricsPayload struct {
-	Instrs int64 `json:"instrs"`
-	Flops  int64 `json:"flops"`
-	FPI    int64 `json:"fpi"`
 }
 
 // incrementalInfo reports the delta of a function-granular incremental
@@ -358,41 +373,6 @@ type queryRequest struct {
 	Queries []wireQuery `json:"queries"`
 }
 
-// wireValue is one evaluated cell on the wire: exactly one value field
-// is set on success, and Error carries a per-cell failure without
-// failing the batch or the sweep.
-type wireValue struct {
-	Error      string             `json:"error,omitempty"`
-	Metrics    *metricsPayload    `json:"metrics,omitempty"`
-	Categories map[string]int64   `json:"categories,omitempty"`
-	Roofline   *roofline.Analysis `json:"roofline,omitempty"`
-	PBound     *pbound.Counts     `json:"pbound,omitempty"`
-}
-
-// toWire converts an engine cell value (or its error) to its wire form.
-func toWire(v engine.Value, err error) wireValue {
-	if err != nil {
-		return wireValue{Error: err.Error()}
-	}
-	w := wireValue{Categories: v.Categories, Roofline: v.Roofline, PBound: v.PBound}
-	if m := v.Metrics; m != nil {
-		w.Metrics = &metricsPayload{Instrs: m.Instrs, Flops: m.Flops, FPI: m.FPI()}
-	}
-	return w
-}
-
-// queryCell is one evaluated /query cell.
-type queryCell struct {
-	Fn   string `json:"fn"`
-	Kind string `json:"kind"`
-	wireValue
-}
-
-type queryResponse struct {
-	Key     string      `json:"key"`
-	Results []queryCell `json:"results"`
-}
-
 // handleQuery is the v2 batched endpoint: N (function, env, kind) cells
 // against one cached artifact in a single round trip, with per-query
 // errors and the whole evaluation tied to the request context — a
@@ -425,18 +405,17 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Decode every cell first: malformed cells become per-query errors
 	// while the well-formed remainder still evaluates as one batch.
-	cells := make([]queryCell, len(req.Queries))
+	results := make([]engine.QueryResult, len(req.Queries))
 	queries := make([]engine.Query, 0, len(req.Queries))
 	qIdx := make([]int, 0, len(req.Queries))
 	for i, wq := range req.Queries {
-		cells[i] = queryCell{Fn: wq.Fn, Kind: wq.Kind}
 		kind, err := engine.ParseKind(wq.Kind)
 		if err != nil {
-			cells[i].Error = err.Error()
+			results[i].Err = err
 			continue
 		}
 		if wq.Fn == "" {
-			cells[i].Error = "missing fn"
+			results[i].Err = errors.New("missing fn")
 			continue
 		}
 		queries = append(queries, engine.Query{
@@ -449,12 +428,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	for k, res := range a.Run(r.Context(), queries) {
-		cells[qIdx[k]].wireValue = toWire(res.Value, res.Err)
+		results[qIdx[k]] = res
 	}
 	if clientGone(r) {
 		return
 	}
-	s.writeJSON(w, queryResponse{Key: a.Key(), Results: cells})
+	e := s.encoder()
+	defer s.release(e)
+	e.appendQueryResponse(a.Key(), req.Queries, results)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(e.buf)
 }
 
 // sweepRequest is one POST /sweep body: a program reference plus the
@@ -473,13 +456,6 @@ type sweepRequest struct {
 	Points []map[string]int64 `json:"points,omitempty"`
 	Base   map[string]int64   `json:"base,omitempty"`
 	Archs  []string           `json:"archs,omitempty"`
-}
-
-// sweepPointCell is one grid cell on the wire.
-type sweepPointCell struct {
-	Env  map[string]int64 `json:"env"`
-	Arch string           `json:"arch,omitempty"`
-	wireValue
 }
 
 // sweepFlushEvery bounds how many points are buffered before the
@@ -540,28 +516,35 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// Stream the grid: header object first, then the points array in
 	// flushed chunks, then the closing brace — a well-formed single JSON
-	// document delivered incrementally.
+	// document delivered incrementally. Each point ends in a newline and
+	// the next starts with the comma, so a client can also read the
+	// points one line at a time.
 	w.Header().Set("Content-Type", "application/json")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// Writes to w are best-effort throughout the stream: a failed write
-	// means the client went away, and clientGone catches that next loop.
-	_, _ = fmt.Fprintf(w, `{"key":%q,"fn":%q,"kind":%q,"total":%d,"points":[`,
-		a.Key(), req.Fn, kind, len(res.Points))
+	e := s.encoder()
+	defer s.release(e)
+	e.appendSweepHeader(a.Key(), req.Fn, kind.String(), len(res.Points))
 	for i := range res.Points {
-		if clientGone(r) {
-			return // mid-stream abort: the client is not reading anyway
-		}
 		if i > 0 {
-			_, _ = io.WriteString(w, ",")
+			e.buf = append(e.buf, ',')
 		}
-		p := &res.Points[i]
-		_ = enc.Encode(sweepPointCell{Env: p.Env, Arch: p.Arch, wireValue: toWire(p.Value, p.Err)})
-		if flusher != nil && (i+1)%sweepFlushEvery == 0 {
-			flusher.Flush()
+		e.appendSweepPoint(&res.Points[i])
+		if (i+1)%sweepFlushEvery == 0 {
+			if clientGone(r) {
+				return // mid-stream abort: the client is not reading anyway
+			}
+			// Writes to w are best-effort throughout the stream: a failed
+			// write means the client went away, and clientGone catches
+			// that at the next chunk.
+			_, _ = w.Write(e.buf)
+			if flusher != nil {
+				flusher.Flush()
+			}
+			e.buf = e.buf[:0]
 		}
 	}
-	_, _ = io.WriteString(w, "]}\n")
+	e.buf = append(e.buf, "]}\n"...)
+	_, _ = w.Write(e.buf)
 }
 
 // workloadInfo is one GET /workloads entry: the registry metadata plus

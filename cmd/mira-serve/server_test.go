@@ -30,7 +30,7 @@ double kernel(double *x, int n) {
 
 // newTestServer builds a handler over a fresh engine; cacheDir == ""
 // means memory-only.
-func newTestServer(t *testing.T, cacheDir string) http.Handler {
+func newTestServer(t testing.TB, cacheDir string) http.Handler {
 	t.Helper()
 	var store engine.CacheStore
 	if cacheDir != "" {

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"mira/internal/ir"
 )
@@ -54,6 +55,12 @@ type Description struct {
 // turn a description typo into NaN/Inf predictions downstream.
 var ErrNonPositive = errors.New("machine parameter must be positive")
 
+// ErrNonFinite is the validation error for a peak, bandwidth or ridge
+// point that leaves float64: a bandwidth of 1e-310 passes the positivity
+// check but puts the ridge point at +Inf, and no roofline built on it
+// has a number to report.
+var ErrNonFinite = errors.New("peak, bandwidth or ridge point is not a finite number")
+
 // Validate checks internal consistency.
 func (d *Description) Validate() error {
 	if d.Name == "" {
@@ -71,6 +78,12 @@ func (d *Description) Validate() error {
 	} {
 		if !p.ok {
 			return fmt.Errorf("arch %s: %s: %w", d.Name, p.field, ErrNonPositive)
+		}
+	}
+	peak := d.PeakGFlops()
+	for _, v := range []float64{peak, d.MemBandwidthGBs, peak / d.MemBandwidthGBs} {
+		if math.IsInf(v, 0) {
+			return fmt.Errorf("arch %s: peak %g GFLOP/s over %g GB/s: %w", d.Name, peak, d.MemBandwidthGBs, ErrNonFinite)
 		}
 	}
 	known := map[string]bool{}

@@ -2,6 +2,7 @@ package arch
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"mira/internal/ir"
@@ -119,6 +120,34 @@ func TestValidateRejectsNonPositive(t *testing.T) {
 				t.Errorf("error %v is not ErrNonPositive", err)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsNonFinite: parameters that pass the positivity
+// rules but whose peak or ridge point leaves float64 fail validation
+// with ErrNonFinite, so no registered machine yields an Inf roofline.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Description)
+	}{
+		{"subnormal bandwidth", func(d *Description) { d.MemBandwidthGBs = 1e-310 }},
+		{"infinite bandwidth", func(d *Description) { d.MemBandwidthGBs = math.Inf(1) }},
+		{"overflowing peak", func(d *Description) { d.ClockGHz, d.PeakFlopsPerCyclePerCore = 1e200, 1e200 }},
+		{"infinite clock", func(d *Description) { d.ClockGHz = math.Inf(1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := Generic()
+			tc.mutate(d)
+			if err := d.Validate(); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("Validate = %v, want ErrNonFinite", err)
+			}
+		})
+	}
+	if _, err := FromJSON([]byte(`{"name":"tiny","cores":1,"clock_ghz":1,"vector_width_doubles":2,
+		"peak_flops_per_cycle_per_core":4,"mem_bandwidth_gbs":1e-310}`)); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("FromJSON of a 1e-310 GB/s description = %v, want ErrNonFinite", err)
 	}
 }
 
