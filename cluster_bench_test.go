@@ -113,31 +113,3 @@ func BenchmarkCluster_PeerReadThrough(b *testing.B) {
 		b.StartTimer()
 	}
 }
-
-// BenchmarkCluster_FrontDoor: the admission + rate-limit decision every
-// clustered request pays before reaching a handler.
-func BenchmarkCluster_FrontDoor(b *testing.B) {
-	self := "http://self.invalid:1"
-	node, err := cluster.NewNode(cluster.NodeOptions{
-		Self:      self,
-		Peers:     []string{self},
-		Local:     engine.NewMemoryStore(),
-		Obs:       obs.NewRegistry(),
-		RateLimit: cluster.RateLimiterOptions{Rate: 1e9, Burst: 1e9},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer node.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !node.Limiter.Allow("bench-client") {
-			b.Fatal("limiter refused")
-		}
-		release, ok := node.Admission.Admit(cluster.ClassInteractive)
-		if !ok {
-			b.Fatal("admission shed")
-		}
-		release()
-	}
-}

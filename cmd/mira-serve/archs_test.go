@@ -40,7 +40,7 @@ func newArchDirServer(t *testing.T, dir string) http.Handler {
 	}
 	reg := obs.NewRegistry()
 	eng := engine.New(engine.Options{Core: core.Options{}, Obs: reg, Registry: registry})
-	return newServer(eng, reg, testSuites(), nil)
+	return newServer(eng, reg, testSuites(), nil, AdmissionOptions{}, RateLimiterOptions{})
 }
 
 // TestArchDirEndToEnd is the acceptance path for custom architectures:

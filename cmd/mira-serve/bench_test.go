@@ -4,6 +4,7 @@ package main
 // from the request bytes to the encoded response. Evaluation is the
 // compiled model (sweeps) or the eval memo (queries), so what varies
 // between revisions is the HTTP layer and the response encoding.
+// BenchmarkFrontDoor times the front door's gates alone.
 //
 //	go test -run xxx -bench 'BenchmarkServe' -benchmem ./cmd/mira-serve
 
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"mira/internal/benchprogs"
+	"mira/internal/obs"
 )
 
 // benchKey analyzes src once and returns its content key.
@@ -96,4 +98,23 @@ func BenchmarkServeQuery(b *testing.B) {
 		}
 	}
 	benchServe(b, h, "/query", map[string]any{"key": key, "queries": queries})
+}
+
+// BenchmarkFrontDoor: the rate-limit and admission decision every
+// request pays before reaching a handler, with the limiter on.
+func BenchmarkFrontDoor(b *testing.B) {
+	reg := obs.NewRegistry()
+	limiter := newRateLimiter(RateLimiterOptions{Rate: 1e9, Burst: 1e9}, reg, nil)
+	admission := newAdmission(AdmissionOptions{}, reg)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !limiter.Allow("bench-client") {
+			b.Fatal("limiter refused")
+		}
+		release, ok := admission.Admit(ClassInteractive)
+		if !ok {
+			b.Fatal("admission shed")
+		}
+		release()
+	}
 }

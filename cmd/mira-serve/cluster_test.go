@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -19,27 +17,25 @@ import (
 	"mira/internal/obs"
 )
 
-// newClusterTestServer wires a single-member clustered server: the
-// front door is live (rate limiter, admission) but every key is
-// self-owned, so no peer traffic happens.
-func newClusterTestServer(t *testing.T, admission cluster.AdmissionOptions, rate cluster.RateLimiterOptions) (*server, *cluster.Node) {
+// newClusterTestServer wires a single-member clustered server: every
+// key is self-owned, so no peer traffic happens, but the daemon honours
+// sibling-forwarded requests.
+func newClusterTestServer(t *testing.T, rl RateLimiterOptions) *server {
 	t.Helper()
 	self := "http://self.invalid:1"
 	reg := obs.NewRegistry()
 	node, err := cluster.NewNode(cluster.NodeOptions{
-		Self:      self,
-		Peers:     []string{self},
-		Local:     engine.NewMemoryStore(),
-		Obs:       reg,
-		Admission: admission,
-		RateLimit: rate,
+		Self:  self,
+		Peers: []string{self},
+		Local: engine.NewMemoryStore(),
+		Obs:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Close)
 	eng := engine.New(engine.Options{Core: core.Options{}, Store: node.Store, Obs: reg})
-	return newServer(eng, reg, testSuites(), node), node
+	return newServer(eng, reg, testSuites(), node, AdmissionOptions{}, rl)
 }
 
 func sweepBody() string {
@@ -48,104 +44,6 @@ func sweepBody() string {
 
 func queryBody() string {
 	return fmt.Sprintf(`{"source":%q,"queries":[{"fn":"kernel","env":{"n":100000},"kind":"static"}]}`, kernelSrc)
-}
-
-// TestFrontDoorShedsBulk: with the only bulk slot held, /sweep answers
-// 503 + Retry-After while /query still serves; releasing the slot
-// re-admits bulk work.
-func TestFrontDoorShedsBulk(t *testing.T) {
-	s, node := newClusterTestServer(t, cluster.AdmissionOptions{InteractiveSlots: 4, BulkSlots: 1}, cluster.RateLimiterOptions{})
-
-	release, ok := node.Admission.Admit(cluster.ClassBulk)
-	if !ok {
-		t.Fatal("could not hold the bulk slot")
-	}
-	w := postJSON(t, s, "/sweep", json.RawMessage(sweepBody()))
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("sweep with bulk saturated: %d, want 503 (%s)", w.Code, w.Body.String())
-	}
-	if w.Header().Get("Retry-After") == "" {
-		t.Error("shed response is missing Retry-After")
-	}
-	// Interactive work is unaffected by bulk saturation.
-	if w := postJSON(t, s, "/query", json.RawMessage(queryBody())); w.Code != http.StatusOK {
-		t.Fatalf("query while bulk saturated: %d (%s)", w.Code, w.Body.String())
-	}
-	release()
-	if w := postJSON(t, s, "/sweep", json.RawMessage(sweepBody())); w.Code != http.StatusOK {
-		t.Fatalf("sweep after release: %d (%s)", w.Code, w.Body.String())
-	}
-}
-
-// TestFrontDoorRateLimits: a client past its bucket answers 429; a
-// sibling-forwarded request skips the limiter; control paths are never
-// limited.
-func TestFrontDoorRateLimits(t *testing.T) {
-	s, _ := newClusterTestServer(t, cluster.AdmissionOptions{}, cluster.RateLimiterOptions{Rate: 1, Burst: 1})
-
-	if w := postJSON(t, s, "/query", json.RawMessage(queryBody())); w.Code != http.StatusOK {
-		t.Fatalf("first query: %d (%s)", w.Code, w.Body.String())
-	}
-	w := postJSON(t, s, "/query", json.RawMessage(queryBody()))
-	if w.Code != http.StatusTooManyRequests {
-		t.Fatalf("second query: %d, want 429", w.Code)
-	}
-	if w.Header().Get("Retry-After") == "" {
-		t.Error("429 response is missing Retry-After")
-	}
-
-	// A forwarded request already paid at the origin replica.
-	req := httptest.NewRequest("POST", "/query", strings.NewReader(queryBody()))
-	req.Header.Set(cluster.ForwardedHeader, "http://origin.invalid:1")
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("forwarded query: %d, want 200 (%s)", rec.Code, rec.Body.String())
-	}
-
-	// Health checks pass regardless of the client's bucket.
-	if w := get(s, "/livez"); w.Code != http.StatusOK {
-		t.Fatalf("livez while rate-limited: %d", w.Code)
-	}
-}
-
-// TestReadyzDrainingAndSaturation: /livez is pure liveness; /readyz
-// flips to 503 under drain and under interactive saturation.
-func TestReadyzDrainingAndSaturation(t *testing.T) {
-	s, node := newClusterTestServer(t, cluster.AdmissionOptions{InteractiveSlots: 1}, cluster.RateLimiterOptions{})
-
-	if w := get(s, "/readyz"); w.Code != http.StatusOK {
-		t.Fatalf("idle readyz: %d (%s)", w.Code, w.Body.String())
-	}
-
-	release, ok := node.Admission.Admit(cluster.ClassInteractive)
-	if !ok {
-		t.Fatal("could not hold the interactive slot")
-	}
-	if w := get(s, "/readyz"); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("saturated readyz: %d, want 503", w.Code)
-	}
-	release()
-	if w := get(s, "/readyz"); w.Code != http.StatusOK {
-		t.Fatalf("readyz after release: %d", w.Code)
-	}
-
-	s.draining.Store(true)
-	w := get(s, "/readyz")
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("draining readyz: %d, want 503", w.Code)
-	}
-	var detail struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &detail); err != nil || detail.Status != "draining" {
-		t.Errorf("draining readyz body = %s (err %v)", w.Body.String(), err)
-	}
-	// Liveness is unaffected: the process is still up, just not taking
-	// routed traffic.
-	if w := get(s, "/livez"); w.Code != http.StatusOK {
-		t.Fatalf("livez while draining: %d", w.Code)
-	}
 }
 
 // smokeReplica is one in-process cluster member with a real listener.
@@ -177,9 +75,6 @@ func startSmokeCluster(t *testing.T, n int) []smokeReplica {
 			Peers: peers,
 			Local: engine.NewMemoryStore(),
 			Obs:   reg,
-			// Small bulk capacity so the mixed run demonstrably sheds
-			// instead of queueing unbounded sweeps.
-			Admission: cluster.AdmissionOptions{InteractiveSlots: 64, BulkSlots: 2},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +83,10 @@ func startSmokeCluster(t *testing.T, n int) []smokeReplica {
 		reps[i] = smokeReplica{
 			base: peers[i],
 			node: node,
-			srv:  &http.Server{Handler: newServer(eng, reg, testSuites(), node)},
+			// Small bulk capacity so the mixed run demonstrably sheds
+			// instead of queueing unbounded sweeps.
+			srv: &http.Server{Handler: newServer(eng, reg, testSuites(), node,
+				AdmissionOptions{InteractiveSlots: 64, BulkSlots: 2}, RateLimiterOptions{})},
 		}
 		go reps[i].srv.Serve(lns[i])
 	}
@@ -316,30 +214,4 @@ func TestClusterSmoke(t *testing.T) {
 		t.Errorf("interactive failures after replica death: %+v", inter)
 	}
 	logPeerTier(t, reps, "at the end")
-}
-
-// TestAdmissionFlagsNeedClusterMode pins that a daemon without -peers
-// refuses each admission flag at startup instead of ignoring it, and
-// that the error names the flag and cluster mode.
-func TestAdmissionFlagsNeedClusterMode(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // a run that got past the check would return at once
-	for _, c := range []struct {
-		flag string
-		cfg  serveConfig
-	}{
-		{"-rate", serveConfig{rate: 5}},
-		{"-burst", serveConfig{burst: 10}},
-		{"-interactive-slots", serveConfig{interactiveSlots: 8}},
-		{"-bulk-slots", serveConfig{bulkSlots: 2}},
-	} {
-		c.cfg.addr = "127.0.0.1:0"
-		err := run(ctx, c.cfg)
-		if err == nil || !strings.Contains(err.Error(), c.flag+" takes effect only in cluster mode") {
-			t.Errorf("run with %s and no -peers: err = %v, want a cluster-mode error naming the flag", c.flag, err)
-		}
-	}
-	if err := (serveConfig{peers: "http://a:1", rate: 5, bulkSlots: 2}).checkAdmission(); err != nil {
-		t.Errorf("admission flags with -peers rejected: %v", err)
-	}
 }

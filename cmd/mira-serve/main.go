@@ -34,17 +34,18 @@
 // SIGINT/SIGTERM drain in-flight requests (bounded by -drain) before
 // the process exits.
 //
+// Every daemon has a front door: per-client rate limiting (-rate/-burst)
+// plus QoS admission control (-interactive-slots/-bulk-slots) that sheds
+// excess bulk work with Retry-After instead of queueing it into an OOM.
+//
 // Cluster mode (-peers + -self) turns the daemon into one replica of a
 // sharded deployment: a consistent-hash ring over content keys decides
 // which replica owns each analyzed program, interactive requests are
-// forwarded to their key's owner for cache locality, cache artifacts
-// read through to the owner and replicate back write-behind, and the
-// front door applies per-client rate limiting (-rate/-burst) plus QoS
-// admission control (-interactive-slots/-bulk-slots) that sheds excess
-// bulk work with Retry-After instead of queueing it into an OOM. The
-// peer protocol is served under /cluster/. Those four admission flags
-// take effect only in cluster mode; without -peers, setting any of them
-// fails startup.
+// forwarded to their key's owner for cache locality, and cache
+// artifacts read through to the owner and replicate back write-behind.
+// The peer protocol is served under /cluster/. A flag that does nothing
+// without another one (-burst without -rate, -self or -vnodes without
+// -peers) fails startup rather than being ignored.
 //
 // Usage:
 //
@@ -91,9 +92,11 @@ type serveConfig struct {
 	paperSuites bool
 
 	// Cluster mode.
-	peers            string
-	self             string
-	vnodes           int
+	peers  string
+	self   string
+	vnodes int
+
+	// Front door.
 	rate             float64
 	burst            float64
 	interactiveSlots int
@@ -115,11 +118,11 @@ func main() {
 		"serve the named report suites at the paper's full dynamic sizes (minutes of VM time per request) instead of the scaled ones")
 	flag.StringVar(&cfg.peers, "peers", "", "comma-separated replica base URLs (cluster mode; must include -self)")
 	flag.StringVar(&cfg.self, "self", "", "this replica's advertised base URL (required with -peers)")
-	flag.IntVar(&cfg.vnodes, "vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
-	flag.Float64Var(&cfg.rate, "rate", 0, "per-client sustained request rate in req/s (0 = unlimited; cluster mode only)")
-	flag.Float64Var(&cfg.burst, "burst", 0, "per-client burst depth (0 = 2x rate; cluster mode only)")
-	flag.IntVar(&cfg.interactiveSlots, "interactive-slots", 0, "concurrent interactive requests admitted (0 = default; cluster mode only)")
-	flag.IntVar(&cfg.bulkSlots, "bulk-slots", 0, "concurrent bulk (sweep/report) requests admitted; excess is shed with Retry-After (0 = default; cluster mode only)")
+	flag.IntVar(&cfg.vnodes, "vnodes", 0, "virtual nodes per replica on the hash ring (0 = default; needs -peers)")
+	flag.Float64Var(&cfg.rate, "rate", 0, "per-client sustained request rate in req/s (0 = unlimited)")
+	flag.Float64Var(&cfg.burst, "burst", 0, "per-client burst depth (0 = 2x rate; needs -rate)")
+	flag.IntVar(&cfg.interactiveSlots, "interactive-slots", 0, "concurrent interactive (query/analyze) requests admitted (0 = 256)")
+	flag.IntVar(&cfg.bulkSlots, "bulk-slots", 0, "concurrent bulk (sweep/report) requests admitted; excess is shed with Retry-After (0 = 4)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -131,7 +134,7 @@ func main() {
 }
 
 func run(ctx context.Context, cfg serveConfig) error {
-	if err := cfg.checkAdmission(); err != nil {
+	if err := cfg.checkFlagPairs(); err != nil {
 		return err
 	}
 	// The architecture registry: every builtin description plus any
@@ -180,11 +183,6 @@ func run(ctx context.Context, cfg serveConfig) error {
 			VirtualNodes: cfg.vnodes,
 			Local:        store,
 			Obs:          reg,
-			Admission: cluster.AdmissionOptions{
-				InteractiveSlots: cfg.interactiveSlots,
-				BulkSlots:        cfg.bulkSlots,
-			},
-			RateLimit: cluster.RateLimiterOptions{Rate: cfg.rate, Burst: cfg.burst},
 		})
 		if err != nil {
 			return err
@@ -211,7 +209,9 @@ func run(ctx context.Context, cfg serveConfig) error {
 	if cfg.paperSuites {
 		suiteCfg = experiments.PaperConfig()
 	}
-	s := newServer(eng, reg, experiments.SuiteMap(suiteCfg), node)
+	s := newServer(eng, reg, experiments.SuiteMap(suiteCfg), node,
+		AdmissionOptions{InteractiveSlots: cfg.interactiveSlots, BulkSlots: cfg.bulkSlots},
+		RateLimiterOptions{Rate: cfg.rate, Burst: cfg.burst})
 	// Full timeout set: a resident daemon must shrug off slow-body
 	// clients, not accumulate their goroutines.
 	srv := &http.Server{
@@ -229,24 +229,19 @@ func run(ctx context.Context, cfg serveConfig) error {
 	return serveUntilDone(ctx, srv, ln, cfg.drain, func() { s.draining.Store(true) })
 }
 
-// checkAdmission rejects admission flags on a daemon without -peers:
-// only cluster mode's front door applies them, so a lone daemon would
-// otherwise ignore them silently.
-func (cfg serveConfig) checkAdmission() error {
-	if cfg.peers != "" {
-		return nil
-	}
+// checkFlagPairs rejects a flag set without the flag it depends on:
+// the daemon would otherwise ignore it silently.
+func (cfg serveConfig) checkFlagPairs() error {
 	for _, f := range []struct {
-		name string
-		set  bool
+		name, needs string
+		set, has    bool
 	}{
-		{"-rate", cfg.rate != 0},
-		{"-burst", cfg.burst != 0},
-		{"-interactive-slots", cfg.interactiveSlots != 0},
-		{"-bulk-slots", cfg.bulkSlots != 0},
+		{"-burst", "-rate", cfg.burst != 0, cfg.rate > 0},
+		{"-self", "-peers", cfg.self != "", cfg.peers != ""},
+		{"-vnodes", "-peers", cfg.vnodes != 0, cfg.peers != ""},
 	} {
-		if f.set {
-			return fmt.Errorf("%s takes effect only in cluster mode: set -peers and -self, or drop %s", f.name, f.name)
+		if f.set && !f.has {
+			return fmt.Errorf("%s takes effect only with %s: set %s, or drop %s", f.name, f.needs, f.needs, f.name)
 		}
 	}
 	return nil

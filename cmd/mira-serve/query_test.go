@@ -223,7 +223,7 @@ func TestStatusForCancellation(t *testing.T) {
 func newTestServerWithRegistry(t *testing.T, reg *obs.Registry) (http.Handler, *obs.Registry) {
 	t.Helper()
 	eng := engine.New(engine.Options{Obs: reg})
-	return newServer(eng, reg, testSuites(), nil), reg
+	return newServer(eng, reg, testSuites(), nil, AdmissionOptions{}, RateLimiterOptions{}), reg
 }
 
 func scrapeMetrics(t *testing.T, h http.Handler) string {

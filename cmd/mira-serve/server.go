@@ -47,8 +47,11 @@ type server struct {
 	workloads []workloadInfo
 	start     time.Time
 	// node is the replica's cluster runtime; nil for a standalone
-	// daemon, in which case the front door and forwarding are inert.
+	// daemon, in which case forwarding is inert.
 	node *cluster.Node
+	// admission and limiter are the front door's gates (frontdoor.go).
+	admission *Admission
+	limiter   *RateLimiter
 	// draining flips when shutdown starts; /readyz answers 503 from
 	// then on so a cluster front-end routes around the replica while
 	// in-flight requests finish.
@@ -73,11 +76,12 @@ type server struct {
 // newServer wires the handler set. The registry must be the one the
 // engine reports into, so /metrics exposes engine, report, and HTTP
 // series together. suites are the named reports POST /report serves by
-// name (nil means inline specs only). node, when non-nil, turns the
-// daemon into a cluster replica: the peer protocol mounts under
-// /cluster/, the front door (rate limiting + QoS admission) wraps the
-// API, and interactive requests forward to their key's ring owner.
-func newServer(eng *engine.Engine, reg *obs.Registry, suites map[string]report.Suite, node *cluster.Node) *server {
+// name (nil means inline specs only). The front door (QoS admission
+// sized by adm, per-client rate limiting by rl) wraps the API of every
+// daemon. node, when non-nil, turns the daemon into a cluster replica:
+// the peer protocol mounts under /cluster/ and interactive requests
+// forward to their key's ring owner.
+func newServer(eng *engine.Engine, reg *obs.Registry, suites map[string]report.Suite, node *cluster.Node, adm AdmissionOptions, rl RateLimiterOptions) *server {
 	s := &server{
 		eng:          eng,
 		reg:          reg,
@@ -85,6 +89,8 @@ func newServer(eng *engine.Engine, reg *obs.Registry, suites map[string]report.S
 		suites:       suites,
 		start:        time.Now(),
 		node:         node,
+		admission:    newAdmission(adm, reg),
+		limiter:      newRateLimiter(rl, reg, nil),
 		reqAnalyze:   reg.Counter("mira_http_analyze_requests", "POST /analyze requests"),
 		reqQuery:     reg.Counter("mira_http_query_requests", "POST /query requests"),
 		reqSweep:     reg.Counter("mira_http_sweep_requests", "POST /sweep requests"),
@@ -110,11 +116,7 @@ func newServer(eng *engine.Engine, reg *obs.Registry, suites map[string]report.S
 	if node != nil {
 		mux.Handle("/cluster/", node.Handler())
 	}
-	var h http.Handler = mux
-	if node != nil {
-		h = s.frontDoor(h)
-	}
-	s.handler = s.instrument(h)
+	s.handler = s.instrument(s.frontDoor(mux))
 	return s
 }
 

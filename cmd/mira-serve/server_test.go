@@ -42,7 +42,7 @@ func newTestServer(t testing.TB, cacheDir string) http.Handler {
 	}
 	reg := obs.NewRegistry()
 	eng := engine.New(engine.Options{Core: core.Options{}, Store: store, Obs: reg})
-	return newServer(eng, reg, testSuites(), nil)
+	return newServer(eng, reg, testSuites(), nil, AdmissionOptions{}, RateLimiterOptions{})
 }
 
 // testSuites are the named paper suites at sizes small enough for unit
@@ -273,6 +273,7 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 		"mira_store_hits_total", "mira_eval_memo_hits_total",
 		"mira_analyze_seconds_count", "mira_http_analyze_requests_total",
 		"mira_analyses_inflight", "mira_eval_memo_entries",
+		"mira_admission_interactive_admitted_total",
 	} {
 		if _, ok := exp.Samples[name]; !ok {
 			t.Errorf("/metrics missing %s", name)
@@ -283,6 +284,10 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 	}
 	if exp.Value("mira_http_query_requests_total") != 2 {
 		t.Errorf("query request counter = %v, want 2", exp.Value("mira_http_query_requests_total"))
+	}
+	// Every daemon's front door admits: one /analyze and two /query.
+	if got := exp.Value("mira_admission_interactive_admitted_total"); got != 3 {
+		t.Errorf("interactive admissions = %v, want 3", got)
 	}
 }
 

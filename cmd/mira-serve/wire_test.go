@@ -352,7 +352,7 @@ func TestNonFiniteRooflineIsAnErrorCell(t *testing.T) {
 	d := arch.Generic()
 	d.MemBandwidthGBs = 1e-310 // ridge_ai = +Inf
 	reg := obs.NewRegistry()
-	h := newServer(engine.New(engine.Options{Core: core.Options{Arch: d}, Obs: reg}), reg, nil, nil)
+	h := newServer(engine.New(engine.Options{Core: core.Options{Arch: d}, Obs: reg}), reg, nil, nil, AdmissionOptions{}, RateLimiterOptions{})
 	const want = "ridge_ai is +Inf"
 
 	w := postJSON(t, h, "/sweep", map[string]any{

@@ -2,14 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"mira/internal/cachestore"
 	"mira/internal/engine"
-	"mira/internal/obs"
 )
 
 // testKeys generates n distinct valid content keys (lowercase hex).
@@ -183,136 +180,6 @@ func TestValidKey(t *testing.T) {
 		if got := cachestore.ValidKey(key); got != want {
 			t.Errorf("ValidKey(%q) = %v, want %v", key, got, want)
 		}
-	}
-}
-
-func TestAdmissionShedsBulk(t *testing.T) {
-	met := newMetricsSet(obs.NewRegistry())
-	a := newAdmission(AdmissionOptions{InteractiveSlots: 2, BulkSlots: 1}, met)
-
-	rel1, ok := a.Admit(ClassBulk)
-	if !ok {
-		t.Fatal("first bulk request shed with a free slot")
-	}
-	if _, ok := a.Admit(ClassBulk); ok {
-		t.Fatal("second bulk request admitted past the slot bound")
-	}
-	rel1()
-	rel2, ok := a.Admit(ClassBulk)
-	if !ok {
-		t.Fatal("bulk request shed after the slot was released")
-	}
-	rel2()
-
-	// Control traffic never queues behind either class.
-	if _, ok := a.Admit(ClassControl); !ok {
-		t.Fatal("control traffic refused")
-	}
-}
-
-func TestAdmissionSaturation(t *testing.T) {
-	met := newMetricsSet(obs.NewRegistry())
-	a := newAdmission(AdmissionOptions{InteractiveSlots: 1, BulkSlots: 1}, met)
-	if a.Saturated() {
-		t.Fatal("idle admission reports saturated")
-	}
-	rel, ok := a.Admit(ClassInteractive)
-	if !ok {
-		t.Fatal("interactive request shed with a free slot")
-	}
-	if !a.Saturated() {
-		t.Fatal("full interactive class not reported saturated")
-	}
-	rel()
-	if a.Saturated() {
-		t.Fatal("released admission still saturated")
-	}
-}
-
-// TestAdmissionShedResponse pins the shed response bytes: 503, a
-// one-second Retry-After hint, and a JSON error body.
-func TestAdmissionShedResponse(t *testing.T) {
-	a := newAdmission(AdmissionOptions{}, newMetricsSet(obs.NewRegistry()))
-	w := httptest.NewRecorder()
-	a.Shed(w)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Errorf("status %d, want 503", w.Code)
-	}
-	if got := w.Header().Get("Retry-After"); got != "1" {
-		t.Errorf("Retry-After %q, want \"1\"", got)
-	}
-	if got, want := w.Body.String(), `{"error":"overloaded, retry later"}`+"\n"; got != want {
-		t.Errorf("body %q, want %q", got, want)
-	}
-}
-
-func TestClassOf(t *testing.T) {
-	for path, want := range map[string]Class{
-		"/query":             ClassInteractive,
-		"/analyze":           ClassInteractive,
-		"/sweep":             ClassBulk,
-		"/report":            ClassBulk,
-		"/metrics":           ClassControl,
-		"/livez":             ClassControl,
-		"/cluster/ring":      ClassControl,
-		"/cluster/func/abcd": ClassControl,
-	} {
-		if got := ClassOf(path); got != want {
-			t.Errorf("ClassOf(%q) = %v, want %v", path, got, want)
-		}
-	}
-}
-
-func TestRateLimiter(t *testing.T) {
-	now := time.Unix(2000, 0)
-	met := newMetricsSet(obs.NewRegistry())
-	l := newRateLimiter(RateLimiterOptions{Rate: 1, Burst: 2}, met, func() time.Time { return now })
-
-	if !l.Allow("a") || !l.Allow("a") {
-		t.Fatal("burst refused")
-	}
-	if l.Allow("a") {
-		t.Fatal("request allowed past the burst")
-	}
-	// A different client has its own bucket.
-	if !l.Allow("b") {
-		t.Fatal("second client refused on first request")
-	}
-	// Refill at 1 req/s.
-	now = now.Add(time.Second)
-	if !l.Allow("a") {
-		t.Fatal("refilled bucket refused")
-	}
-	if l.Allow("a") {
-		t.Fatal("request allowed past the refill")
-	}
-}
-
-func TestRateLimiterDisabled(t *testing.T) {
-	met := newMetricsSet(obs.NewRegistry())
-	l := newRateLimiter(RateLimiterOptions{}, met, nil)
-	for i := 0; i < 100; i++ {
-		if !l.Allow("a") {
-			t.Fatal("disabled limiter refused a request")
-		}
-	}
-	if l.Clients() != 0 {
-		t.Errorf("disabled limiter tracked %d clients", l.Clients())
-	}
-}
-
-func TestRateLimiterEviction(t *testing.T) {
-	now := time.Unix(3000, 0)
-	met := newMetricsSet(obs.NewRegistry())
-	l := newRateLimiter(RateLimiterOptions{Rate: 100, MaxClients: 8}, met, func() time.Time { return now })
-	for i := 0; i < 8; i++ {
-		l.Allow(fmt.Sprintf("client-%d", i))
-	}
-	// New clients past the bound evict stale buckets instead of growing.
-	now = now.Add(10 * time.Second)
-	l.Allow("newcomer")
-	if n := l.Clients(); n > 8 {
-		t.Errorf("limiter tracks %d clients past the bound of 8", n)
 	}
 }
 

@@ -23,35 +23,26 @@ type NodeOptions struct {
 	// Local is the replica's own store: the on-disk cachestore, or an
 	// engine.MemoryStore for diskless replicas. Required.
 	Local engine.CacheStore
-	// Obs receives the cluster metrics (mira_cluster_*,
-	// mira_admission_*, mira_ratelimit_*). Nil means a private
-	// registry. Use the same registry as the engine so one /metrics
+	// Obs receives the cluster metrics (mira_cluster_*). Nil means a
+	// private registry. Use the same registry as the engine so one /metrics
 	// scrape shows the whole replica.
 	Obs *obs.Registry
 
 	// PeerStore tunes the cache tier (zero value = defaults).
 	PeerStore PeerStoreOptions
-	// Admission sizes the QoS gates (zero value = defaults).
-	Admission AdmissionOptions
-	// RateLimit configures the per-client token bucket (zero Rate =
-	// unlimited).
-	RateLimit RateLimiterOptions
 	// ForwardTimeout bounds one proxied request (default 30s).
 	ForwardTimeout time.Duration
 }
 
 // Node is one replica's cluster runtime: the ring it believes in, the
-// peer-backed store its engine reads through, the forwarder, and the
-// front-door controls. Compose it into a daemon with Handler (the
-// peer protocol) and the Admission/RateLimiter/Forwarder fields (the
-// front door).
+// peer-backed store its engine reads through, and the forwarder.
+// Compose it into a daemon with Handler (the peer protocol) and the
+// Forwarder field.
 type Node struct {
 	Self      string
 	Ring      *Ring
 	Store     *PeerStore
 	Forwarder *Forwarder
-	Admission *Admission
-	Limiter   *RateLimiter
 
 	health *health
 	met    *metricsSet
@@ -84,9 +75,9 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	met := newMetricsSet(reg)
 	po := opts.PeerStore.withDefaults()
 	// One clock for the whole node: the peer store's latency
-	// observations, the breakers, and the rate limiter all read
-	// po.Clock, so a test injecting a fake clock controls every
-	// time-dependent decision the replica makes.
+	// observations and the breakers both read po.Clock, so a test
+	// injecting a fake clock controls every time-dependent decision
+	// the replica makes.
 	h := newHealth(po.BreakerThreshold, po.BreakerCooldown, po.Clock)
 	n := &Node{
 		Self:      opts.Self,
@@ -95,14 +86,9 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		met:       met,
 		Store:     newPeerStore(opts.Self, ring, opts.Local, h, met, po),
 		Forwarder: newForwarder(opts.Self, ring, h, met, opts.ForwardTimeout),
-		Admission: newAdmission(opts.Admission, met),
 	}
-	n.Limiter = newRateLimiter(opts.RateLimit, met, po.Clock)
 	reg.GaugeFunc("mira_cluster_breakers_open", "peer circuits currently open or probing", func() float64 {
 		return float64(h.openCount())
-	})
-	reg.GaugeFunc("mira_ratelimit_clients", "client token buckets currently tracked", func() float64 {
-		return float64(n.Limiter.Clients())
 	})
 	return n, nil
 }

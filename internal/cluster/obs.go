@@ -19,14 +19,6 @@ import (
 //	mira_cluster_forward_errors_total           proxy round trips that failed
 //	mira_cluster_forward_fallbacks_total        forwards degraded to local service
 //	mira_cluster_breakers_open                  gauge (scrape-computed)
-//	mira_admission_interactive_admitted_total   interactive requests admitted
-//	mira_admission_bulk_admitted_total          bulk requests admitted
-//	mira_admission_interactive_shed_total       interactive requests shed (503)
-//	mira_admission_bulk_shed_total              bulk requests shed (503)
-//	mira_admission_interactive_inflight         gauge
-//	mira_admission_bulk_inflight                gauge
-//	mira_ratelimit_allowed/limited_total        per-client token bucket outcomes
-//	mira_ratelimit_clients                      gauge (scrape-computed)
 type metricsSet struct {
 	peerHits     *obs.Counter
 	peerMisses   *obs.Counter
@@ -39,16 +31,6 @@ type metricsSet struct {
 	forwards     *obs.Counter
 	forwardErrs  *obs.Counter
 	forwardFalls *obs.Counter
-
-	interAdmitted *obs.Counter
-	bulkAdmitted  *obs.Counter
-	interShed     *obs.Counter
-	bulkShed      *obs.Counter
-	interInflight *obs.Gauge
-	bulkInflight  *obs.Gauge
-
-	rlAllowed *obs.Counter
-	rlLimited *obs.Counter
 }
 
 func newMetricsSet(r *obs.Registry) *metricsSet {
@@ -64,15 +46,5 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 		forwards:     r.Counter("mira_cluster_forwards", "requests proxied to their content key's owner"),
 		forwardErrs:  r.Counter("mira_cluster_forward_errors", "forward round trips that failed"),
 		forwardFalls: r.Counter("mira_cluster_forward_fallbacks", "forwards degraded to local service (owner unreachable)"),
-
-		interAdmitted: r.Counter("mira_admission_interactive_admitted", "interactive requests admitted"),
-		bulkAdmitted:  r.Counter("mira_admission_bulk_admitted", "bulk requests admitted"),
-		interShed:     r.Counter("mira_admission_interactive_shed", "interactive requests shed under load"),
-		bulkShed:      r.Counter("mira_admission_bulk_shed", "bulk requests shed under load"),
-		interInflight: r.Gauge("mira_admission_interactive_inflight", "interactive requests currently admitted"),
-		bulkInflight:  r.Gauge("mira_admission_bulk_inflight", "bulk requests currently admitted"),
-
-		rlAllowed: r.Counter("mira_ratelimit_allowed", "requests that passed the per-client token bucket"),
-		rlLimited: r.Counter("mira_ratelimit_limited", "requests refused by the per-client token bucket"),
 	}
 }

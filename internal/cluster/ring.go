@@ -12,16 +12,13 @@
 //   - Handler, the peer-protocol endpoints (GET /cluster/ring for
 //     introspection, GET/PUT per-function entries) a replica serves to
 //     its siblings,
-//   - Admission + RateLimiter, the front-door hygiene: QoS classes
-//     (interactive /query vs. bulk /sweep), bounded per-class
-//     concurrency that sheds excess bulk load with Retry-After instead
-//     of queueing it into an OOM, and a per-client token bucket,
 //   - Forwarder, which proxies an interactive request to the content
 //     key's owner so the owner's caches stay hot, falling back to
 //     local service when the owner is unreachable.
 //
-// Everything reports into an obs.Registry under the mira_cluster_*,
-// mira_admission_*, and mira_ratelimit_* series.
+// Everything reports into an obs.Registry under the mira_cluster_*
+// series. Admission control and rate limiting are not here: every
+// daemon, clustered or not, has them in mira-serve's front door.
 package cluster
 
 import (

@@ -7,11 +7,11 @@ import (
 )
 
 // Timeinj flags direct wall-clock calls in internal/cluster. PR 8's
-// breaker and admission tests were deterministic only because every
-// time-dependent component (Breaker, RateLimiter, health registry)
-// reads the clock through an injectable `now func() time.Time`; a raw
-// time.Now buried in a request path reintroduces the wall-clock flake
-// class those tests were built to kill.
+// breaker tests were deterministic only because every time-dependent
+// component (Breaker, health registry, peer store) reads the clock
+// through an injectable `now func() time.Time`; a raw time.Now buried
+// in a request path reintroduces the wall-clock flake class those
+// tests were built to kill.
 //
 // Flagged: calls to time.Now, time.Since, time.Until, time.NewTimer,
 // time.NewTicker, time.After, time.Tick, and time.AfterFunc anywhere in
