@@ -48,10 +48,11 @@ govulncheck:
 # fuzzer (the only decoder of untrusted store and peer bytes), the
 # rational arithmetic fuzzer (every operation against math/big across
 # the int64 overflow boundary), the source fuzzer (core.Analyze on
-# arbitrary MiniC, the daemon's largest untrusted input), and the wire
-# cell fuzzer (mira-serve's /query and /sweep encoder against
-# encoding/json), each for FUZZTIME; CI runs it on every push, so all
-# five stay continuously fuzzed.
+# arbitrary MiniC, the daemon's largest untrusted input), the wire cell
+# fuzzer (mira-serve's /query and /sweep encoder against encoding/json),
+# and the expression renderer fuzzer (ast.ExprString against its
+# fmt-based reference on parsed MiniC), each for FUZZTIME; CI runs it on
+# every push, so all six stay continuously fuzzed.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzThreeWayEvaluators -fuzztime $(FUZZTIME) ./internal/synth
@@ -59,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRatArith -fuzztime $(FUZZTIME) ./internal/rational
 	$(GO) test -run xxx -fuzz FuzzAnalyzeSource -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzWireCell -fuzztime $(FUZZTIME) ./cmd/mira-serve
+	$(GO) test -run xxx -fuzz FuzzExprString -fuzztime $(FUZZTIME) ./internal/ast
 
 build:
 	$(GO) build ./...

@@ -10,7 +10,8 @@
 package ast
 
 import (
-	"fmt"
+	"bytes"
+	"strconv"
 	"strings"
 
 	"mira/internal/token"
@@ -583,55 +584,80 @@ func (f *File) LookupClass(name string) *ClassDecl {
 }
 
 // ExprString renders an expression as compact source text, used in
-// diagnostics and in the generated model's comments.
+// diagnostics and in the generated model's site labels. It prints no
+// parentheses the tree does not hold, so it is not a structural identity:
+// compare trees, not their renderings.
 func ExprString(e Expr) string {
+	if e == nil {
+		return ""
+	}
+	return string(appendExpr(make([]byte, 0, 32), e))
+}
+
+// appendExpr appends ExprString(e) to b.
+func appendExpr(b []byte, e Expr) []byte {
 	switch x := e.(type) {
 	case nil:
-		return ""
+		return b
 	case *Ident:
-		return x.Name
+		return append(b, x.Name...)
 	case *IntLit:
-		return fmt.Sprintf("%d", x.Value)
+		return strconv.AppendInt(b, x.Value, 10)
 	case *FloatLit:
 		// Keep float literals textually distinct from equal-valued integer
-		// literals: ExprString doubles as a structural key (e.g. the
-		// compiler's LICM cache), where "2" and "2.0" must not collide.
-		s := fmt.Sprintf("%g", x.Value)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		// literals: "2.0", never "2".
+		start := len(b)
+		b = strconv.AppendFloat(b, x.Value, 'g', -1, 64)
+		if !bytes.ContainsAny(b[start:], ".eE") {
+			b = append(b, ".0"...)
 		}
-		return s
+		return b
 	case *BoolLit:
-		return fmt.Sprintf("%t", x.Value)
+		return strconv.AppendBool(b, x.Value)
 	case *StringLit:
-		return fmt.Sprintf("%q", x.Value)
+		return strconv.AppendQuote(b, x.Value)
 	case *BinaryExpr:
-		return fmt.Sprintf("%s %s %s", ExprString(x.X), x.Op, ExprString(x.Y))
+		return appendInfix(b, x.X, x.Op, x.Y)
 	case *UnaryExpr:
 		if x.Postfix {
-			return ExprString(x.X) + x.Op.String()
+			return append(appendExpr(b, x.X), x.Op.String()...)
 		}
-		return x.Op.String() + ExprString(x.X)
+		return appendExpr(append(b, x.Op.String()...), x.X)
 	case *AssignExpr:
-		return fmt.Sprintf("%s %s %s", ExprString(x.LHS), x.Op, ExprString(x.RHS))
+		return appendInfix(b, x.LHS, x.Op, x.RHS)
 	case *CallExpr:
-		args := make([]string, len(x.Args))
+		b = append(appendExpr(b, x.Fun), '(')
 		for i, a := range x.Args {
-			args[i] = ExprString(a)
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendExpr(b, a)
 		}
-		return fmt.Sprintf("%s(%s)", ExprString(x.Fun), strings.Join(args, ", "))
+		return append(b, ')')
 	case *IndexExpr:
-		return fmt.Sprintf("%s[%s]", ExprString(x.X), ExprString(x.Index))
+		b = append(appendExpr(b, x.X), '[')
+		return append(appendExpr(b, x.Index), ']')
 	case *MemberExpr:
-		sep := "."
+		b = appendExpr(b, x.X)
 		if x.Arrow {
-			sep = "->"
+			b = append(b, "->"...)
+		} else {
+			b = append(b, '.')
 		}
-		return ExprString(x.X) + sep + x.Sel
+		return append(b, x.Sel...)
 	case *ParenExpr:
-		return "(" + ExprString(x.X) + ")"
+		return append(appendExpr(append(b, '('), x.X), ')')
 	case *CondExpr:
-		return fmt.Sprintf("%s ? %s : %s", ExprString(x.Cond), ExprString(x.Then), ExprString(x.Else))
+		b = append(appendExpr(b, x.Cond), " ? "...)
+		b = append(appendExpr(b, x.Then), " : "...)
+		return appendExpr(b, x.Else)
 	}
-	return "?"
+	return append(b, '?')
+}
+
+// appendInfix appends "x op y".
+func appendInfix(b []byte, x Expr, op token.Kind, y Expr) []byte {
+	b = append(appendExpr(b, x), ' ')
+	b = append(append(b, op.String()...), ' ')
+	return appendExpr(b, y)
 }

@@ -13,20 +13,9 @@ import (
 // TestAllSourcesAnalyze: every embedded workload goes through the full
 // pipeline without errors.
 func TestAllSourcesAnalyze(t *testing.T) {
-	srcs := map[string]string{
-		"stream":   benchprogs.Stream,
-		"dgemm":    benchprogs.Dgemm,
-		"minife":   benchprogs.MiniFE,
-		"fig5":     benchprogs.Fig5,
-		"listing1": benchprogs.Listing1,
-		"listing2": benchprogs.Listing2,
-		"listing4": benchprogs.Listing4,
-		"listing5": benchprogs.Listing5,
-		"ablation": benchprogs.Ablation,
-	}
-	for name, src := range srcs {
-		if _, err := core.Analyze(name+".c", src, core.Options{}); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for _, s := range benchprogs.Bundled() {
+		if _, err := core.Analyze(s.Name+".c", s.Src, core.Options{}); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
 		}
 	}
 }

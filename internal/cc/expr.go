@@ -31,8 +31,11 @@ func (fc *funcCompiler) compileExpr(e ast.Expr) value {
 			return v
 		}
 	}
-	if v, ok := fc.licmCache[exprKey(e)]; ok {
-		return v
+	// Only kinds that worthHoisting admits are ever hoisted.
+	if fc.licmVisible > 0 && worthHoisting(e) {
+		if i, ok := fc.findHoisted(e, exprHash(e), fc.licmVisible); ok {
+			return fc.licm[i].v
+		}
 	}
 	switch x := e.(type) {
 	case *ast.IntLit:

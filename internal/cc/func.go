@@ -52,13 +52,17 @@ type funcCompiler struct {
 	fixups  []fixup
 	loops   []loopCtx
 	thisReg int32 // methods only; -1 otherwise
-	// licmCache maps hoisted-subexpression keys to their registers while a
-	// loop body is being compiled.
-	licmCache map[string]value
+	// licm holds the subexpressions hoisted into the preheaders of the
+	// loops being compiled, outermost loop first, and licmNewest indexes
+	// it by exprHash. Entries from licmVisible up are candidates still
+	// being compiled, which no expression may reuse yet.
+	licm        []licmEntry
+	licmNewest  map[uint64]int
+	licmVisible int
 }
 
 func newFuncCompiler(g *globalCtx, fi *sema.FuncInfo) *funcCompiler {
-	return &funcCompiler{g: g, fi: fi, thisReg: -1, licmCache: map[string]value{}}
+	return &funcCompiler{g: g, fi: fi, thisReg: -1}
 }
 
 func (fc *funcCompiler) errf(pos token.Pos, format string, args ...any) {
@@ -362,7 +366,7 @@ func (fc *funcCompiler) compileFor(st *ast.ForStmt) {
 
 	// LICM: hoist loop-invariant floating-point subexpressions into the
 	// preheader, tagged at the init clause position.
-	savedCache := fc.licmCache
+	outerHoisted := len(fc.licm)
 	if !fc.g.opts.DisableOpt {
 		initPos := st.Pos()
 		if st.Init != nil {
@@ -394,7 +398,7 @@ func (fc *funcCompiler) compileFor(st *ast.ForStmt) {
 		fc.jump(ir.JMP, condLab)
 	}
 	fc.bind(endLab)
-	fc.licmCache = savedCache
+	fc.popHoisted(outerHoisted)
 	fc.popScope()
 }
 

@@ -1,13 +1,20 @@
 package cc
 
 import (
+	"math"
+
 	"mira/internal/ast"
 	"mira/internal/token"
 )
 
-// exprKey is the structural identity used for common-subexpression reuse of
-// hoisted values.
-func exprKey(e ast.Expr) string { return ast.ExprString(e) }
+// licmEntry is a subexpression hoisted into a loop preheader and the
+// register that holds its value.
+type licmEntry struct {
+	e    ast.Expr
+	v    value
+	hash uint64 // exprHash(e)
+	prev int    // the next older entry with the same hash, or -1
+}
 
 // hoistInvariants performs loop-invariant code motion for floating-point
 // subexpressions of a for loop: maximal invariant FP binary subtrees and FP
@@ -27,18 +34,20 @@ func (fc *funcCompiler) hoistInvariants(st *ast.ForStmt, initPos token.Pos) {
 	}
 	hasCall := containsCall(st.Body)
 
-	var candidates []ast.Expr
-	seen := map[string]bool{}
+	// Candidates are pushed as they are found, unless they repeat an
+	// enclosing loop's entry or an earlier candidate.
+	base := len(fc.licm)
 	var scan func(e ast.Expr)
 	scan = func(e ast.Expr) {
 		if e == nil {
 			return
 		}
 		if fc.isInvariantFP(e, assigned, hasCall) {
-			key := exprKey(e)
-			if !seen[key] && worthHoisting(e) {
-				seen[key] = true
-				candidates = append(candidates, e)
+			if worthHoisting(e) {
+				h := exprHash(e)
+				if _, dup := fc.findHoisted(e, h, len(fc.licm)); !dup {
+					fc.pushHoisted(e, h)
+				}
 			}
 			return // maximal subtree found; don't descend
 		}
@@ -101,26 +110,127 @@ func (fc *funcCompiler) hoistInvariants(st *ast.ForStmt, initPos token.Pos) {
 	}
 	scanStmt(st.Body)
 
-	if len(candidates) == 0 {
+	if len(fc.licm) == base {
 		return
 	}
-	// Evaluate candidates in the preheader, tagged at the init clause.
+	// Evaluate candidates in the preheader, tagged at the init clause. They
+	// stay invisible until all are compiled, so each compiles against the
+	// enclosing loops' entries only.
 	saved := fc.curPos
 	fc.setPos(initPos)
-	newCache := make(map[string]value, len(fc.licmCache)+len(candidates))
-	for k, v := range fc.licmCache {
-		newCache[k] = v
+	for i := base; i < len(fc.licm); i++ {
+		v := fc.compileExpr(fc.licm[i].e)
+		fc.licm[i].v = v
 	}
-	for _, cand := range candidates {
-		key := exprKey(cand)
-		if _, dup := newCache[key]; dup {
-			continue
-		}
-		v := fc.compileExpr(cand)
-		newCache[key] = v
-	}
-	fc.licmCache = newCache
+	fc.licmVisible = len(fc.licm)
 	fc.setPos(saved)
+}
+
+// findHoisted returns the index of the entry below limit that e repeats;
+// h is exprHash(e).
+func (fc *funcCompiler) findHoisted(e ast.Expr, h uint64, limit int) (int, bool) {
+	i, ok := fc.licmNewest[h]
+	if !ok {
+		return 0, false
+	}
+	for ; i >= 0; i = fc.licm[i].prev {
+		if i < limit && sameExpr(fc.licm[i].e, e) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+func (fc *funcCompiler) pushHoisted(e ast.Expr, h uint64) {
+	prev, ok := fc.licmNewest[h]
+	if !ok {
+		prev = -1
+	}
+	if fc.licmNewest == nil {
+		fc.licmNewest = map[uint64]int{}
+	}
+	fc.licmNewest[h] = len(fc.licm)
+	fc.licm = append(fc.licm, licmEntry{e: e, hash: h, prev: prev})
+}
+
+// popHoisted drops the entries from n up, on exit from the loop that
+// hoisted them.
+func (fc *funcCompiler) popHoisted(n int) {
+	for i := len(fc.licm) - 1; i >= n; i-- {
+		if p := fc.licm[i].prev; p >= 0 {
+			fc.licmNewest[fc.licm[i].hash] = p
+		} else {
+			delete(fc.licmNewest, fc.licm[i].hash)
+		}
+	}
+	fc.licm = fc.licm[:n]
+	fc.licmVisible = n
+}
+
+// exprHash hashes a tree as sameExpr compares it, so trees that are the
+// same hash alike.
+func exprHash(e ast.Expr) uint64 {
+	const prime = 1099511628211 // FNV-1a, one word at a time
+	mix := func(h, v uint64) uint64 { return (h ^ v) * prime }
+	switch x := e.(type) {
+	case *ast.FloatLit:
+		return mix(1, math.Float64bits(x.Value))
+	case *ast.IntLit:
+		return mix(2, uint64(x.Value))
+	case *ast.BoolLit:
+		if x.Value {
+			return mix(3, 1)
+		}
+		return mix(3, 0)
+	case *ast.Ident:
+		h := uint64(4)
+		for i := 0; i < len(x.Name); i++ {
+			h = mix(h, uint64(x.Name[i]))
+		}
+		return h
+	case *ast.BinaryExpr:
+		return mix(mix(mix(5, uint64(x.Op)), exprHash(x.X)), exprHash(x.Y))
+	case *ast.UnaryExpr:
+		h := mix(6, uint64(x.Op))
+		if x.Postfix {
+			h = mix(h, 1)
+		}
+		return mix(h, exprHash(x.X))
+	case *ast.ParenExpr:
+		return mix(7, exprHash(x.X))
+	}
+	return 0
+}
+
+// sameExpr reports whether a and b are the same tree over the node kinds
+// an invariant candidate can hold (see isInvariantFP); any other kind is
+// never the same. Literals compare by kind and bits, so 2 and 2.0 stay
+// apart.
+func sameExpr(a, b ast.Expr) bool {
+	switch x := a.(type) {
+	case *ast.FloatLit:
+		y, ok := b.(*ast.FloatLit)
+		return ok && math.Float64bits(x.Value) == math.Float64bits(y.Value)
+	case *ast.IntLit:
+		y, ok := b.(*ast.IntLit)
+		return ok && x.Value == y.Value
+	case *ast.BoolLit:
+		y, ok := b.(*ast.BoolLit)
+		return ok && x.Value == y.Value
+	case *ast.Ident:
+		y, ok := b.(*ast.Ident)
+		return ok && x.Name == y.Name
+	case *ast.BinaryExpr:
+		y, ok := b.(*ast.BinaryExpr)
+		return ok && x.Op == y.Op && sameExpr(x.X, y.X) && sameExpr(x.Y, y.Y)
+	case *ast.UnaryExpr:
+		y, ok := b.(*ast.UnaryExpr)
+		return ok && x.Op == y.Op && x.Postfix == y.Postfix && sameExpr(x.X, y.X)
+	case *ast.ParenExpr:
+		y, ok := b.(*ast.ParenExpr)
+		return ok && sameExpr(x.X, y.X)
+	}
+	return false
 }
 
 // worthHoisting limits hoisting to expressions that actually save

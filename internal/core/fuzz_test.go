@@ -51,13 +51,10 @@ double outer(double *a, int n) {
 // enumerate up to 50 million points, and a few hundred bytes of source
 // can hold one evaluation past the fuzzer's ten-second hang limit.
 func FuzzAnalyzeSource(f *testing.F) {
-	for _, src := range []string{
-		benchprogs.Stream, benchprogs.Dgemm, benchprogs.MiniFE, benchprogs.Fig5,
-		benchprogs.Listing1, benchprogs.Listing2, benchprogs.Listing4, benchprogs.Listing5,
-		benchprogs.Ablation, nearLimits,
-	} {
-		f.Add(src)
+	for _, s := range benchprogs.Bundled() {
+		f.Add(s.Src)
 	}
+	f.Add(nearLimits)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 8<<10 {
 			t.Skip("source beyond 8 KiB")

@@ -616,18 +616,16 @@ func Params(e Expr) []string {
 	return out
 }
 
+// sortExprs orders constants first, then the rest by rendering.
 func sortExprs(es []Expr) {
 	sort.SliceStable(es, func(i, j int) bool {
-		return exprSortKey(es[i]) < exprSortKey(es[j])
+		_, ni := es[i].(Num)
+		_, nj := es[j].(Num)
+		if ni || nj {
+			return ni && !nj
+		}
+		return es[i].String() < es[j].String()
 	})
-}
-
-// exprSortKey orders constants first, then lexicographically.
-func exprSortKey(e Expr) string {
-	if _, ok := e.(Num); ok {
-		return "0" // constants first
-	}
-	return "1" + e.String()
 }
 
 // ---------------------------------------------------------------------------
@@ -654,14 +652,14 @@ func (e Mul) String() string {
 }
 
 func (e FloorDiv) String() string {
-	return fmt.Sprintf("floor(%s / %s)", e.X, e.D)
+	return "floor(" + e.X.String() + " / " + e.D.String() + ")"
 }
 
-func (e Min) String() string { return fmt.Sprintf("min(%s, %s)", e.A, e.B) }
-func (e Max) String() string { return fmt.Sprintf("max(%s, %s)", e.A, e.B) }
+func (e Min) String() string { return "min(" + e.A.String() + ", " + e.B.String() + ")" }
+func (e Max) String() string { return "max(" + e.A.String() + ", " + e.B.String() + ")" }
 
 func (e Sum) String() string {
-	return fmt.Sprintf("sum(%s=%s..%s)[%s]", e.Var, e.Lo, e.Hi, e.Body)
+	return "sum(" + e.Var + "=" + e.Lo.String() + ".." + e.Hi.String() + ")[" + e.Body.String() + "]"
 }
 
 // Equal reports structural equality after simplification.

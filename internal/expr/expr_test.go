@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"mira/internal/rational"
@@ -348,5 +350,46 @@ func TestSubstituteAllCaptureAvoidance(t *testing.T) {
 	}
 	if !g.Equal(want) {
 		t.Errorf("captured: subst eval = %s, direct eval = %s", g, want)
+	}
+}
+
+// TestStringMatchesFmt pins the concatenating renderers of FloorDiv, Min,
+// Max and Sum to the fmt formats they replaced, and sortExprs to the
+// "0"/"1"+String() keys it used to build.
+func TestStringMatchesFmt(t *testing.T) {
+	n, m := Param{"n"}, Var{"i"}
+	half := rational.FromFrac(1, 2)
+	add := NewAdd(n, Const(3))
+	cases := []struct {
+		e    Expr
+		want string
+	}{
+		{FloorDiv{X: add, D: half}, fmt.Sprintf("floor(%s / %s)", add, half)},
+		{FloorDiv{X: n, D: rational.FromInt(4)}, fmt.Sprintf("floor(%s / %s)", n, rational.FromInt(4))},
+		{Min{A: n, B: add}, fmt.Sprintf("min(%s, %s)", n, add)},
+		{Max{A: Const(-2), B: m}, fmt.Sprintf("max(%s, %s)", Const(-2), m)},
+		{Sum{Var: "i", Lo: Const(0), Hi: add, Body: NewMul(m, n)},
+			fmt.Sprintf("sum(%s=%s..%s)[%s]", "i", Const(0), add, NewMul(m, n))},
+	}
+	for _, c := range cases {
+		if got := c.e.String(); got != c.want {
+			t.Errorf("String() = %q, fmt renders %q", got, c.want)
+		}
+	}
+
+	es := []Expr{m, Const(5), add, n, Const(-1), Min{A: n, B: m}, Const(5), Param{"a"}}
+	want := append([]Expr(nil), es...)
+	key := func(e Expr) string {
+		if _, ok := e.(Num); ok {
+			return "0"
+		}
+		return "1" + e.String()
+	}
+	sort.SliceStable(want, func(i, j int) bool { return key(want[i]) < key(want[j]) })
+	sortExprs(es)
+	for i := range es {
+		if es[i].String() != want[i].String() {
+			t.Fatalf("sortExprs order %v, keyed order %v", es, want)
+		}
 	}
 }

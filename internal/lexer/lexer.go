@@ -153,7 +153,9 @@ func (l *Lexer) scan() token.Token {
 // All scans the remaining input and returns every token including the
 // trailing EOF token.
 func (l *Lexer) All() []token.Token {
-	var toks []token.Token
+	// MiniC averages about three source bytes per token (bundled programs
+	// and Table I rows), so one allocation usually holds every token.
+	toks := make([]token.Token, 0, (len(l.src)-l.off)/3+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

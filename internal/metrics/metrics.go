@@ -138,7 +138,7 @@ func (g *Generator) genFunc(fi *sema.FuncInfo) (*model.Func, error) {
 	w := &funcWalker{g: g, fi: fi, fb: fb, fm: fm, sc: sc, claimed: map[bridge.Pos]bool{}}
 
 	// Prologue / epilogue instructions are tagged at the function header.
-	w.claim(fi.Decl.Pos(), expr.Const(1), "function prologue/epilogue")
+	w.claim(fi.Decl.Pos(), expr.Const(1), "function prologue/epilogue", nil)
 
 	if err := w.walkStmt(fi.Decl.Body, UnitContext()); err != nil {
 		return nil, err
@@ -179,7 +179,9 @@ func zeroCtx() Context { return Override(expr.Const(0)) }
 
 // claim attaches the instructions at pos to a site with the given
 // multiplicity. Positions with no attributed instructions are skipped.
-func (w *funcWalker) claim(pos token.Pos, mult expr.Expr, desc string) {
+// The site's label is desc followed by e's source text when e is non-nil,
+// rendered only for a site that is kept.
+func (w *funcWalker) claim(pos token.Pos, mult expr.Expr, desc string, e ast.Expr) {
 	p := bridge.Pos{Line: int32(pos.Line), Col: int32(pos.Col)}
 	if w.claimed[p] {
 		return
@@ -188,6 +190,9 @@ func (w *funcWalker) claim(pos token.Pos, mult expr.Expr, desc string) {
 	sc := w.fb.Sites[p]
 	if sc == nil {
 		return
+	}
+	if e != nil {
+		desc += ast.ExprString(e)
 	}
 	site := &model.Site{
 		Line: pos.Line, Col: pos.Col,
@@ -201,12 +206,12 @@ func (w *funcWalker) claim(pos token.Pos, mult expr.Expr, desc string) {
 	w.fm.Sites = append(w.fm.Sites, site)
 }
 
-func (w *funcWalker) claimCtx(pos token.Pos, ctx Context, desc string) error {
+func (w *funcWalker) claimCtx(pos token.Pos, ctx Context, desc string, e ast.Expr) error {
 	mult, err := ctx.Count()
 	if err != nil {
 		return fmt.Errorf("%s: %w", pos, err)
 	}
-	w.claim(pos, mult, desc)
+	w.claim(pos, mult, desc, e)
 	return nil
 }
 
@@ -244,7 +249,7 @@ func (w *funcWalker) walkStmtRest(s ast.Stmt, ctx Context) (*Context, error) {
 		if st.Annot != nil && st.Annot.Skip {
 			return nil, w.walkZero(st)
 		}
-		if err := w.claimCtx(st.Pos(), ctx, declDesc(st)); err != nil {
+		if err := w.claimCtx(st.Pos(), ctx, declDesc(st), nil); err != nil {
 			return nil, err
 		}
 		w.recordCallsIn(st, ctx)
@@ -270,7 +275,7 @@ func (w *funcWalker) walkStmtRest(s ast.Stmt, ctx Context) (*Context, error) {
 		if st.Annot != nil && st.Annot.Skip {
 			return nil, w.walkZero(st)
 		}
-		if err := w.claimCtx(st.Pos(), ctx, ast.ExprString(st.X)); err != nil {
+		if err := w.claimCtx(st.Pos(), ctx, "", st.X); err != nil {
 			return nil, err
 		}
 		w.recordCallsIn(st, ctx)
@@ -278,7 +283,7 @@ func (w *funcWalker) walkStmtRest(s ast.Stmt, ctx Context) (*Context, error) {
 		return nil, nil
 
 	case *ast.ReturnStmt:
-		if err := w.claimCtx(st.Pos(), ctx, "return"); err != nil {
+		if err := w.claimCtx(st.Pos(), ctx, "return", nil); err != nil {
 			return nil, err
 		}
 		w.recordCallsIn(st, ctx)
@@ -289,14 +294,14 @@ func (w *funcWalker) walkStmtRest(s ast.Stmt, ctx Context) (*Context, error) {
 		return nil, nil
 
 	case *ast.BreakStmt:
-		if err := w.claimCtx(st.Pos(), ctx, "break"); err != nil {
+		if err := w.claimCtx(st.Pos(), ctx, "break", nil); err != nil {
 			return nil, err
 		}
 		z := zeroCtx()
 		return &z, nil
 
 	case *ast.ContinueStmt:
-		if err := w.claimCtx(st.Pos(), ctx, "continue"); err != nil {
+		if err := w.claimCtx(st.Pos(), ctx, "continue", nil); err != nil {
 			return nil, err
 		}
 		z := zeroCtx()
@@ -333,39 +338,39 @@ func (w *funcWalker) walkZero(s ast.Stmt) error {
 		}
 		return nil
 	case *ast.IfStmt:
-		w.claim(st.Cond.Pos(), expr.Const(0), "skipped branch")
+		w.claim(st.Cond.Pos(), expr.Const(0), "skipped branch", nil)
 		if err := w.walkZero(st.Then); err != nil {
 			return err
 		}
-		w.claim(st.Then.Pos(), expr.Const(0), "skipped branch exit")
+		w.claim(st.Then.Pos(), expr.Const(0), "skipped branch exit", nil)
 		if st.Else != nil {
 			return w.walkZero(st.Else)
 		}
 		return nil
 	case *ast.ForStmt:
 		if st.Init != nil {
-			w.claim(st.Init.Pos(), expr.Const(0), "skipped loop init")
+			w.claim(st.Init.Pos(), expr.Const(0), "skipped loop init", nil)
 		}
-		w.claim(st.Pos(), expr.Const(0), "skipped loop")
+		w.claim(st.Pos(), expr.Const(0), "skipped loop", nil)
 		if st.Cond != nil {
-			w.claim(st.Cond.Pos(), expr.Const(0), "skipped loop cond")
+			w.claim(st.Cond.Pos(), expr.Const(0), "skipped loop cond", nil)
 		}
 		if st.Post != nil {
-			w.claim(st.Post.Pos(), expr.Const(0), "skipped loop post")
+			w.claim(st.Post.Pos(), expr.Const(0), "skipped loop post", nil)
 		}
 		return w.walkZero(st.Body)
 	case *ast.WhileStmt:
-		w.claim(st.Cond.Pos(), expr.Const(0), "skipped loop cond")
+		w.claim(st.Cond.Pos(), expr.Const(0), "skipped loop cond", nil)
 		return w.walkZero(st.Body)
 	default:
-		w.claim(s.Pos(), expr.Const(0), "skipped")
+		w.claim(s.Pos(), expr.Const(0), "skipped", nil)
 		return nil
 	}
 }
 
 func (w *funcWalker) walkIf(st *ast.IfStmt, ctx Context) (*Context, error) {
 	// The condition evaluates once per context execution.
-	if err := w.claimCtx(st.Cond.Pos(), ctx, "if "+ast.ExprString(st.Cond)); err != nil {
+	if err := w.claimCtx(st.Cond.Pos(), ctx, "if ", st.Cond); err != nil {
 		return nil, err
 	}
 	w.recordCallsInExpr(st.Cond, ctx, st.Cond.Pos())
@@ -377,7 +382,7 @@ func (w *funcWalker) walkIf(st *ast.IfStmt, ctx Context) (*Context, error) {
 		if err := w.walkZero(st.Then); err != nil {
 			return nil, err
 		}
-		w.claim(st.Then.Pos(), expr.Const(0), "skipped branch exit")
+		w.claim(st.Then.Pos(), expr.Const(0), "skipped branch exit", nil)
 		if st.Else != nil {
 			return nil, w.walkZero(st.Else)
 		}
@@ -431,7 +436,7 @@ func (w *funcWalker) walkIf(st *ast.IfStmt, ctx Context) (*Context, error) {
 	}
 	// The jump over the else branch is tagged at the then position.
 	if st.Else != nil {
-		if err := w.claimCtx(st.Then.Pos(), thenCtx, "branch exit"); err != nil {
+		if err := w.claimCtx(st.Then.Pos(), thenCtx, "branch exit", nil); err != nil {
 			return nil, err
 		}
 		if err := w.walkStmt(st.Else, elseCtx); err != nil {
@@ -481,7 +486,7 @@ func (w *funcWalker) walkFor(st *ast.ForStmt, ctx Context) error {
 	if st.Init != nil {
 		initPos = st.Init.Pos()
 	}
-	if err := w.claimCtx(initPos, ctx, "loop init"); err != nil {
+	if err := w.claimCtx(initPos, ctx, "loop init", nil); err != nil {
 		return err
 	}
 
@@ -497,10 +502,10 @@ func (w *funcWalker) walkFor(st *ast.ForStmt, ctx Context) error {
 		if err != nil {
 			return err
 		}
-		w.claim(st.Cond.Pos(), expr.NewAdd(loopCount, ctxCount), "loop cond "+ast.ExprString(st.Cond))
+		w.claim(st.Cond.Pos(), expr.NewAdd(loopCount, ctxCount), "loop cond ", st.Cond)
 	}
 	if st.Post != nil {
-		if err := w.claimCtx(st.Post.Pos(), loopCtx, "loop post "+ast.ExprString(st.Post)); err != nil {
+		if err := w.claimCtx(st.Post.Pos(), loopCtx, "loop post ", st.Post); err != nil {
 			return &ErrNotStatic{Pos: st.Pos(), Reason: err.Error()}
 		}
 	}
@@ -544,7 +549,7 @@ func (w *funcWalker) walkWhile(st *ast.WhileStmt, ctx Context) error {
 	if err != nil {
 		return err
 	}
-	w.claim(st.Cond.Pos(), expr.NewAdd(loopCount, ctxCount), "while cond "+ast.ExprString(st.Cond))
+	w.claim(st.Cond.Pos(), expr.NewAdd(loopCount, ctxCount), "while cond ", st.Cond)
 	return w.walkStmt(st.Body, loopCtx)
 }
 

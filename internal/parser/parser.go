@@ -7,6 +7,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 
 	"mira/internal/ast"
 	"mira/internal/lexer"
@@ -638,15 +639,15 @@ func (p *parser) parsePrimary() ast.Expr {
 		return &ast.Ident{Name: t.Lit, NamePos: t.Pos}
 	case token.INTLIT:
 		p.next()
-		var v int64
-		if _, err := fmt.Sscanf(t.Lit, "%d", &v); err != nil {
+		v, err := strconv.ParseInt(t.Lit, 10, 64)
+		if err != nil {
 			p.errf(t.Pos, "bad integer literal %q", t.Lit)
 		}
 		return &ast.IntLit{Value: v, LitPos: t.Pos}
 	case token.FLOATLIT:
 		p.next()
-		var v float64
-		if _, err := fmt.Sscanf(t.Lit, "%g", &v); err != nil {
+		v, err := strconv.ParseFloat(t.Lit, 64)
+		if err != nil {
 			p.errf(t.Pos, "bad float literal %q", t.Lit)
 		}
 		return &ast.FloatLit{Value: v, LitPos: t.Pos}
