@@ -99,32 +99,3 @@ func (fb *FuncBridge) Positions() []Pos {
 	})
 	return out
 }
-
-// CallTargets returns, per position, the callee symbol names invoked by
-// CALL instructions attributed there (in instruction order).
-func (b *Bridge) CallTargets(name string) map[Pos][]string {
-	fb, ok := b.funcs[name]
-	if !ok {
-		return nil
-	}
-	out := map[Pos][]string{}
-	sym := fb.Sym
-	text := b.obj.FuncText(sym)
-	for idx, in := range text {
-		if in.Op != ir.CALL {
-			continue
-		}
-		addr := sym.Start + uint64(idx)
-		var pos Pos
-		if b.obj.Line != nil {
-			if row, ok := b.obj.Line.Lookup(addr); ok {
-				pos = Pos{Line: row.Line, Col: row.Col}
-			}
-		}
-		callee := int(in.Imm)
-		if callee >= 0 && callee < len(b.obj.Syms) {
-			out[pos] = append(out[pos], b.obj.Syms[callee].Name)
-		}
-	}
-	return out
-}

@@ -83,29 +83,6 @@ func TestStatementToInstructionMapping(t *testing.T) {
 	}
 }
 
-func TestCallTargets(t *testing.T) {
-	src := `
-double g(double x) { return x * 2.0; }
-double f(double x) {
-	return g(x) + g(x);
-}`
-	obj := compile(t, src)
-	br := bridge.Build(obj)
-	targets := br.CallTargets("f")
-	total := 0
-	for _, callees := range targets {
-		for _, c := range callees {
-			if c != "g" {
-				t.Errorf("unexpected callee %q", c)
-			}
-			total++
-		}
-	}
-	if total != 2 {
-		t.Errorf("call count = %d, want 2", total)
-	}
-}
-
 func TestEveryInstructionAttributed(t *testing.T) {
 	obj := compile(t, `
 double f(int n) {

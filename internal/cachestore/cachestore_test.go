@@ -51,7 +51,7 @@ func entryPath(d *cachestore.Disk, key string) string {
 // on-disk frame layout.
 func TestDiskRoundTrip(t *testing.T) {
 	d := openStore(t)
-	res, err := core.AnalyzeIncremental("k.c", kernelSrc, core.Options{}, nil)
+	res, err := core.AnalyzeIncrementalContext(context.Background(), "k.c", kernelSrc, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

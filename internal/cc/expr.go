@@ -24,6 +24,8 @@ type lvalue struct {
 // Expressions
 
 func (fc *funcCompiler) compileExpr(e ast.Expr) value {
+	fc.exprDepth++
+	defer func() { fc.exprDepth-- }()
 	// Constant folding: whole subtrees that sema can evaluate fold to one
 	// immediate load (PBound, reading source only, still counts their ops).
 	if !fc.g.opts.DisableOpt {
@@ -31,10 +33,13 @@ func (fc *funcCompiler) compileExpr(e ast.Expr) value {
 			return v
 		}
 	}
-	// Only kinds that worthHoisting admits are ever hoisted.
-	if fc.licmVisible > 0 && worthHoisting(e) {
-		if i, ok := fc.findHoisted(e, exprHash(e), fc.licmVisible); ok {
-			return fc.licm[i].v
+	// Only these kinds are ever hoisted (see hoistInvariants).
+	if fc.licmVisible > 0 {
+		switch e.(type) {
+		case *ast.FloatLit, *ast.BinaryExpr, *ast.ParenExpr:
+			if i, ok := fc.findHoisted(e, fc.exprHash(e), fc.licmVisible); ok {
+				return fc.licm[i].v
+			}
 		}
 	}
 	switch x := e.(type) {
@@ -86,39 +91,84 @@ func (fc *funcCompiler) compileExpr(e ast.Expr) value {
 }
 
 // foldConst folds integer and floating constant subtrees. Pure literals
-// always fold; composite expressions fold only when every leaf is constant.
+// always fold; composite expressions fold only when every leaf is constant,
+// and as floats only when a float literal appears.
 func (fc *funcCompiler) foldConst(e ast.Expr) (value, bool) {
 	switch e.(type) {
 	case *ast.IntLit, *ast.FloatLit, *ast.BoolLit:
 		return value{}, false // base emission handles these
 	}
-	if iv, ok := fc.g.prog.ConstInt(e); ok {
+	c := fc.constOf(e)
+	switch {
+	case c.IntOK():
 		r := fc.reg()
-		fc.emit(ir.MOVRI, r, ir.NoReg, ir.NoReg, iv)
+		fc.emit(ir.MOVRI, r, ir.NoReg, ir.NoReg, c.I)
 		return value{reg: r, typ: ast.TypeInt}, true
-	}
-	if isFloatExpr(e) {
-		if fv, ok := fc.g.prog.ConstFloat(e); ok {
-			r := fc.reg()
-			fc.emit(ir.MOVSDI, r, ir.NoReg, ir.NoReg, int64(math.Float64bits(fv)))
-			return value{reg: r, typ: ast.TypeDouble}, true
-		}
+	case c.HasFloat() && c.FloatOK():
+		r := fc.reg()
+		fc.emit(ir.MOVSDI, r, ir.NoReg, ir.NoReg, int64(math.Float64bits(c.F)))
+		return value{reg: r, typ: ast.TypeDouble}, true
 	}
 	return value{}, false
 }
 
-func isFloatExpr(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.FloatLit:
-		return true
-	case *ast.BinaryExpr:
-		return isFloatExpr(x.X) || isFloatExpr(x.Y)
-	case *ast.UnaryExpr:
-		return isFloatExpr(x.X)
-	case *ast.ParenExpr:
-		return isFloatExpr(x.X)
+// memoDepth bounds how often the compiler reads an expression node.
+// compileExpr asks about every level of a tree. The first memoDepth levels
+// of nesting read their whole subtree each time, which costs the shallow
+// trees of ordinary code less than a map entry per node would. Deeper
+// down, constOf memoizes the reading and exprHash of every node more than
+// memoDepth levels tall, so no node is read more than about 2*memoDepth
+// times, however long the expression.
+const memoDepth = 8
+
+// nodeMemo is what the compiler knows of one composite expression node.
+type nodeMemo struct {
+	c sema.Const
+	h uint64 // exprHash
+}
+
+// constOf is sema's constant reading of e.
+func (fc *funcCompiler) constOf(e ast.Expr) sema.Const {
+	if fc.memo != nil { // even a nil map hashes an interface key
+		if m, ok := fc.memo[e]; ok {
+			return m.c
+		}
 	}
-	return false
+	if fc.exprDepth < memoDepth {
+		return fc.g.prog.Fold(e, nil)
+	}
+	fc.memoStack = fc.memoStack[:0]
+	return fc.g.prog.Fold(e, fc.memoize)
+}
+
+// memoize records the constant reading and exprHash of each node more
+// than memoDepth levels tall. It combines a node's hash and height from
+// its operands', which Fold visits first, so they are on top of memoStack.
+func (fc *funcCompiler) memoize(e ast.Expr, c sema.Const) {
+	st := fc.memoStack
+	var x, y hashHeight
+	switch e.(type) {
+	case *ast.BinaryExpr:
+		x, y = st[len(st)-2], st[len(st)-1]
+		st = st[:len(st)-2]
+	case *ast.UnaryExpr, *ast.ParenExpr:
+		x = st[len(st)-1]
+		st = st[:len(st)-1]
+	}
+	n := hashHeight{h: hashNode(e, x.h, y.h), height: 1 + max(x.height, y.height)}
+	fc.memoStack = append(st, n)
+	if n.height > memoDepth {
+		if fc.memo == nil {
+			fc.memo = map[ast.Expr]nodeMemo{}
+		}
+		fc.memo[e] = nodeMemo{c: c, h: n.h}
+	}
+}
+
+// hashHeight is a node's exprHash and height on memoStack.
+type hashHeight struct {
+	h      uint64
+	height int
 }
 
 func (fc *funcCompiler) loadIdent(x *ast.Ident) value {
@@ -187,7 +237,7 @@ func (fc *funcCompiler) loadLValue(lv lvalue) value {
 }
 
 func (fc *funcCompiler) storeLValue(lv lvalue, v value) {
-	v = fc.coerce(v, lv.typ, token.Pos{})
+	v = fc.coerce(v, lv.typ)
 	if lv.isReg {
 		fc.move(lv.reg, v)
 		return
@@ -408,7 +458,7 @@ func (fc *funcCompiler) classOf(e ast.Expr) (string, bool) {
 // ---------------------------------------------------------------------------
 // Operators
 
-func (fc *funcCompiler) coerce(v value, want ast.Type, pos token.Pos) value {
+func (fc *funcCompiler) coerce(v value, want ast.Type) value {
 	if want.Ptr > 0 || v.typ.Ptr > 0 {
 		return v // pointers move as integers
 	}
@@ -524,8 +574,13 @@ func (fc *funcCompiler) compileBinary(x *ast.BinaryExpr) value {
 		return fc.materializeBoolFromCond(x)
 	}
 	a := fc.compileExpr(x.X)
-	b := fc.compileExpr(x.Y)
+	return fc.emitBinary(x, a, fc.compileExpr(x.Y))
+}
 
+// emitBinary emits the arithmetic of x on its compiled operands. It is
+// apart from compileBinary so that the frame each level of a deep
+// expression keeps on the stack stays small.
+func (fc *funcCompiler) emitBinary(x *ast.BinaryExpr, a, b value) value {
 	// Pointer arithmetic: ptr ± int.
 	if a.typ.Ptr > 0 || b.typ.Ptr > 0 {
 		if x.Op != token.PLUS && x.Op != token.MINUS {
@@ -545,8 +600,8 @@ func (fc *funcCompiler) compileBinary(x *ast.BinaryExpr) value {
 	}
 
 	if a.isFloat() || b.isFloat() {
-		a = fc.coerce(a, ast.TypeDouble, x.Pos())
-		b = fc.coerce(b, ast.TypeDouble, x.Pos())
+		a = fc.coerce(a, ast.TypeDouble)
+		b = fc.coerce(b, ast.TypeDouble)
 		r := fc.reg()
 		var op ir.Op
 		switch x.Op {
@@ -595,8 +650,9 @@ func (fc *funcCompiler) compileBinary(x *ast.BinaryExpr) value {
 }
 
 func (fc *funcCompiler) powerOfTwo(e ast.Expr) (int64, bool) {
-	v, ok := fc.g.prog.ConstInt(e)
-	if !ok || v <= 1 {
+	c := fc.constOf(e)
+	v := c.I
+	if !c.IntOK() || v <= 1 {
 		return 0, false
 	}
 	if v&(v-1) != 0 {
@@ -638,8 +694,8 @@ func (fc *funcCompiler) compileAssign(x *ast.AssignExpr) value {
 // applyBinOp emits cur OP r with numeric promotion.
 func (fc *funcCompiler) applyBinOp(op token.Kind, a, b value, pos token.Pos) value {
 	if a.isFloat() || b.isFloat() {
-		a = fc.coerce(a, ast.TypeDouble, pos)
-		b = fc.coerce(b, ast.TypeDouble, pos)
+		a = fc.coerce(a, ast.TypeDouble)
+		b = fc.coerce(b, ast.TypeDouble)
 		r := fc.reg()
 		var o ir.Op
 		switch op {
@@ -680,16 +736,16 @@ func (fc *funcCompiler) compileTernary(x *ast.CondExpr) value {
 	fc.compileCond(x.Cond, elseLab, false)
 	a := fc.compileExpr(x.Then)
 	r := fc.reg()
-	resF := a.isFloat() || isFloatExpr(x.Else)
+	resF := a.isFloat() || fc.constOf(x.Else).HasFloat()
 	if resF {
-		a = fc.coerce(a, ast.TypeDouble, x.Pos())
+		a = fc.coerce(a, ast.TypeDouble)
 	}
 	fc.move(r, value{reg: a.reg, typ: a.typ})
 	fc.jump(ir.JMP, endLab)
 	fc.bind(elseLab)
 	b := fc.compileExpr(x.Else)
 	if resF {
-		b = fc.coerce(b, ast.TypeDouble, x.Pos())
+		b = fc.coerce(b, ast.TypeDouble)
 	}
 	fc.move(r, value{reg: b.reg, typ: b.typ})
 	fc.bind(endLab)
@@ -813,8 +869,8 @@ func (fc *funcCompiler) emitCompare(x *ast.BinaryExpr, target label, invert bool
 	b := fc.compileExpr(x.Y)
 	isF := a.isFloat() || b.isFloat()
 	if isF {
-		a = fc.coerce(a, ast.TypeDouble, x.Pos())
-		b = fc.coerce(b, ast.TypeDouble, x.Pos())
+		a = fc.coerce(a, ast.TypeDouble)
+		b = fc.coerce(b, ast.TypeDouble)
 		fc.emit(ir.UCOMISD, ir.NoReg, a.reg, b.reg, 0)
 	} else {
 		fc.emit(ir.CMP, ir.NoReg, a.reg, b.reg, 0)
@@ -895,7 +951,7 @@ func (fc *funcCompiler) compileCall(x *ast.CallExpr, discardResult bool) (value,
 	}
 	for i, a := range x.Args {
 		v := fc.compileExpr(a)
-		v = fc.coerce(v, params[i].Type, a.Pos())
+		v = fc.coerce(v, params[i].Type)
 		argVals = append(argVals, v)
 	}
 	for _, v := range argVals {

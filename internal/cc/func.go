@@ -59,6 +59,11 @@ type funcCompiler struct {
 	licm        []licmEntry
 	licmNewest  map[uint64]int
 	licmVisible int
+	// exprDepth counts the compileExpr calls in progress; memo holds what
+	// constOf memoized and memoStack is its scratch (see memoDepth).
+	exprDepth int
+	memo      map[ast.Expr]nodeMemo
+	memoStack []hashHeight
 }
 
 func newFuncCompiler(g *globalCtx, fi *sema.FuncInfo) *funcCompiler {
@@ -224,7 +229,7 @@ func (fc *funcCompiler) compileStmt(s ast.Stmt) {
 		fc.setPos(st.Pos())
 		if st.X != nil {
 			v := fc.compileExpr(st.X)
-			v = fc.coerce(v, fc.fi.Decl.RetType, st.Pos())
+			v = fc.coerce(v, fc.fi.Decl.RetType)
 			fc.emitEpilogueReturn(&v)
 		} else {
 			fc.emitEpilogueReturn(nil)
@@ -300,7 +305,7 @@ func (fc *funcCompiler) compileVarDecl(vd *ast.VarDecl) {
 			fc.define(d.Name, l)
 			if d.Init != nil {
 				v := fc.compileExpr(d.Init)
-				v = fc.coerce(v, vd.Type, d.Pos())
+				v = fc.coerce(v, vd.Type)
 				fc.move(r, v)
 			}
 		}

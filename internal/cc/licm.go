@@ -34,31 +34,39 @@ func (fc *funcCompiler) hoistInvariants(st *ast.ForStmt, initPos token.Pos) {
 	}
 	hasCall := containsCall(st.Body)
 
-	// Candidates are pushed as they are found, unless they repeat an
-	// enclosing loop's entry or an earlier candidate.
+	// scan reports, children before parents, whether e is loop-invariant
+	// (every leaf an FP or int literal or a name invariantName admits,
+	// every operator arithmetic), whether a float literal appears in it,
+	// whether hoisting it saves instructions per iteration (only an FP
+	// literal, a MOVSDI each use, or a binary subtree, bare or in
+	// parentheses, does) and, if it is invariant, its exprHash. An
+	// invariant FP node replaces the candidates found inside it and is
+	// pushed unless it repeats a live entry, so the entries from base up
+	// end up holding the maximal candidates, without repeats, in source
+	// order.
 	base := len(fc.licm)
-	var scan func(e ast.Expr)
-	scan = func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		if fc.isInvariantFP(e, assigned, hasCall) {
-			if worthHoisting(e) {
-				h := exprHash(e)
-				if _, dup := fc.findHoisted(e, h, len(fc.licm)); !dup {
-					fc.pushHoisted(e, h)
-				}
-			}
-			return // maximal subtree found; don't descend
-		}
+	var scan func(e ast.Expr) (inv, fp, worth bool, h uint64)
+	scan = func(e ast.Expr) (inv, fp, worth bool, h uint64) {
+		n := len(fc.licm)
+		var hx, hy uint64
 		switch x := e.(type) {
+		case *ast.FloatLit:
+			inv, fp, worth = true, true, true
+		case *ast.IntLit, *ast.BoolLit:
+			inv = true
+		case *ast.Ident:
+			inv = fc.invariantName(x.Name, assigned, hasCall)
 		case *ast.BinaryExpr:
-			scan(x.X)
-			scan(x.Y)
+			var invY, fpY bool
+			inv, fp, _, hx = scan(x.X)
+			invY, fpY, _, hy = scan(x.Y)
+			inv = inv && invY && !x.Op.IsCmpOp() && x.Op != token.ANDAND && x.Op != token.OROR
+			fp, worth = fp || fpY, true
 		case *ast.UnaryExpr:
-			scan(x.X)
+			inv, fp, _, hx = scan(x.X)
+			inv = inv && x.Op != token.INC && x.Op != token.DEC
 		case *ast.ParenExpr:
-			scan(x.X)
+			inv, fp, worth, hx = scan(x.X)
 		case *ast.AssignExpr:
 			scan(x.RHS)
 			// LHS index expressions may hold invariants too.
@@ -77,6 +85,17 @@ func (fc *funcCompiler) hoistInvariants(st *ast.ForStmt, initPos token.Pos) {
 			scan(x.Then)
 			scan(x.Else)
 		}
+		if !inv {
+			return inv, fp, worth, 0
+		}
+		h = hashNode(e, hx, hy)
+		if fp {
+			fc.popHoisted(n)
+			if _, dup := fc.findHoisted(e, h, n); !dup && worth {
+				fc.pushHoisted(e, h)
+			}
+		}
+		return inv, fp, worth, h
 	}
 	var scanStmt func(s ast.Stmt)
 	scanStmt = func(s ast.Stmt) {
@@ -109,7 +128,6 @@ func (fc *funcCompiler) hoistInvariants(st *ast.ForStmt, initPos token.Pos) {
 		}
 	}
 	scanStmt(st.Body)
-
 	if len(fc.licm) == base {
 		return
 	}
@@ -153,8 +171,8 @@ func (fc *funcCompiler) pushHoisted(e ast.Expr, h uint64) {
 	fc.licm = append(fc.licm, licmEntry{e: e, hash: h, prev: prev})
 }
 
-// popHoisted drops the entries from n up, on exit from the loop that
-// hoisted them.
+// popHoisted drops the entries from n up: the candidates a larger one
+// replaces, and on exit from a loop the entries it hoisted.
 func (fc *funcCompiler) popHoisted(n int) {
 	for i := len(fc.licm) - 1; i >= n; i-- {
 		if p := fc.licm[i].prev; p >= 0 {
@@ -164,46 +182,65 @@ func (fc *funcCompiler) popHoisted(n int) {
 		}
 	}
 	fc.licm = fc.licm[:n]
-	fc.licmVisible = n
+	fc.licmVisible = min(fc.licmVisible, n)
 }
 
 // exprHash hashes a tree as sameExpr compares it, so trees that are the
-// same hash alike.
-func exprHash(e ast.Expr) uint64 {
+// same hash alike. A node memoized by constOf is not read again.
+func (fc *funcCompiler) exprHash(e ast.Expr) uint64 {
+	if fc.memo != nil {
+		if m, ok := fc.memo[e]; ok {
+			return m.h
+		}
+	}
+	switch x := e.(type) {
+	case *ast.BinaryExpr:
+		return hashNode(e, fc.exprHash(x.X), fc.exprHash(x.Y))
+	case *ast.UnaryExpr:
+		return hashNode(e, fc.exprHash(x.X), 0)
+	case *ast.ParenExpr:
+		return hashNode(e, fc.exprHash(x.X), 0)
+	}
+	return hashNode(e, 0, 0)
+}
+
+// hashNode is the exprHash of e given those of its operands: x for a
+// unary or parenthesized one, x and y for a binary one.
+func hashNode(e ast.Expr, x, y uint64) uint64 {
 	const prime = 1099511628211 // FNV-1a, one word at a time
 	mix := func(h, v uint64) uint64 { return (h ^ v) * prime }
-	switch x := e.(type) {
+	switch n := e.(type) {
 	case *ast.FloatLit:
-		return mix(1, math.Float64bits(x.Value))
+		return mix(1, math.Float64bits(n.Value))
 	case *ast.IntLit:
-		return mix(2, uint64(x.Value))
+		return mix(2, uint64(n.Value))
 	case *ast.BoolLit:
-		if x.Value {
+		if n.Value {
 			return mix(3, 1)
 		}
 		return mix(3, 0)
 	case *ast.Ident:
 		h := uint64(4)
-		for i := 0; i < len(x.Name); i++ {
-			h = mix(h, uint64(x.Name[i]))
+		for i := 0; i < len(n.Name); i++ {
+			h = mix(h, uint64(n.Name[i]))
 		}
 		return h
 	case *ast.BinaryExpr:
-		return mix(mix(mix(5, uint64(x.Op)), exprHash(x.X)), exprHash(x.Y))
+		return mix(mix(mix(5, uint64(n.Op)), x), y)
 	case *ast.UnaryExpr:
-		h := mix(6, uint64(x.Op))
-		if x.Postfix {
+		h := mix(6, uint64(n.Op))
+		if n.Postfix {
 			h = mix(h, 1)
 		}
-		return mix(h, exprHash(x.X))
+		return mix(h, x)
 	case *ast.ParenExpr:
-		return mix(7, exprHash(x.X))
+		return mix(7, x)
 	}
 	return 0
 }
 
 // sameExpr reports whether a and b are the same tree over the node kinds
-// an invariant candidate can hold (see isInvariantFP); any other kind is
+// an invariant candidate can hold (see hoistInvariants); any other kind is
 // never the same. Literals compare by kind and bits, so 2 and 2.0 stay
 // apart.
 func sameExpr(a, b ast.Expr) bool {
@@ -233,80 +270,21 @@ func sameExpr(a, b ast.Expr) bool {
 	return false
 }
 
-// worthHoisting limits hoisting to expressions that actually save
-// instructions per iteration: FP literals (a MOVSDI each use) and FP
-// binary subtrees.
-func worthHoisting(e ast.Expr) bool {
-	switch e.(type) {
-	case *ast.FloatLit:
-		return true
-	case *ast.BinaryExpr:
-		return true
-	case *ast.ParenExpr:
-		return worthHoisting(e.(*ast.ParenExpr).X)
-	}
-	return false
-}
-
-// isInvariantFP reports whether e is a loop-invariant floating-point
-// expression: every leaf is an FP literal, an int literal, or a scalar
-// local/param register variable not assigned in the loop. Globals are
-// excluded when the body contains calls (callees may write them); array
-// and field loads are always excluded (stores may alias).
-func (fc *funcCompiler) isInvariantFP(e ast.Expr, assigned map[string]bool, hasCall bool) bool {
-	if !isFloatExpr(e) {
+// invariantName reports whether a name read in the loop is invariant: a
+// scalar local or param register variable not assigned in the loop, or a
+// scalar global, which must be a folded constant when the body calls
+// anything (callees may write it). Fields and unknown names are not.
+func (fc *funcCompiler) invariantName(name string, assigned map[string]bool, hasCall bool) bool {
+	if assigned[name] {
 		return false
 	}
-	ok := true
-	var walk func(e ast.Expr)
-	walk = func(e ast.Expr) {
-		if !ok || e == nil {
-			return
-		}
-		switch x := e.(type) {
-		case *ast.FloatLit, *ast.IntLit, *ast.BoolLit:
-		case *ast.Ident:
-			if assigned[x.Name] {
-				ok = false
-				return
-			}
-			if l, found := fc.lookup(x.Name); found {
-				if l.isArr || l.isObj {
-					ok = false
-				}
-				return
-			}
-			if g, found := fc.g.prog.Globals[x.Name]; found {
-				if !(g.IsConst && g.HasConst) && hasCall {
-					ok = false
-				}
-				if len(g.Dims) > 0 {
-					ok = false
-				}
-				return
-			}
-			ok = false // fields, unknowns
-		case *ast.BinaryExpr:
-			if x.Op.IsCmpOp() || x.Op == token.ANDAND || x.Op == token.OROR {
-				ok = false
-				return
-			}
-			walk(x.X)
-			walk(x.Y)
-		case *ast.UnaryExpr:
-			if x.Op == token.INC || x.Op == token.DEC {
-				ok = false
-				return
-			}
-			walk(x.X)
-		case *ast.ParenExpr:
-			walk(x.X)
-		default:
-			ok = false
-		}
+	if l, found := fc.lookup(name); found {
+		return !l.isArr && !l.isObj
 	}
-	walk(e)
-	return ok
+	if g, found := fc.g.prog.Globals[name]; found {
+		return (g.IsConst && g.HasConst || !hasCall) && len(g.Dims) == 0
+	}
+	return false
 }
 
 func collectAssigned(s ast.Stmt, out map[string]bool) {

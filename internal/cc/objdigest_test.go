@@ -46,7 +46,8 @@ func objDigest(t *testing.T, name, src string) string {
 }
 
 // TestObjectDigests pins the object bytes of every bundled program, every
-// example, each Table I row at three scales and testdata/licm.c. A
+// example, each Table I row at three scales, testdata/licm.c and
+// testdata/fold.c. A
 // compiler change that is meant to be output-neutral (LICM bookkeeping,
 // literal parsing) must leave every digest as it is; -update rewrites the
 // table after an intended change to the generated code.
@@ -58,12 +59,14 @@ func TestObjectDigests(t *testing.T) {
 	if len(examples) == 0 {
 		t.Fatal("no MiniC sources found under examples/")
 	}
-	licm, err := os.ReadFile("testdata/licm.c")
-	if err != nil {
-		t.Fatal(err)
-	}
 	corpus := append(benchprogs.Corpus(), examples...)
-	corpus = append(corpus, benchprogs.Source{Name: "testdata.licm", Src: string(licm)})
+	for _, name := range []string{"licm", "fold"} {
+		src, err := os.ReadFile("testdata/" + name + ".c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, benchprogs.Source{Name: "testdata." + name, Src: string(src)})
+	}
 	var got strings.Builder
 	for _, s := range corpus {
 		fmt.Fprintf(&got, "%s %s\n", s.Name, objDigest(t, s.Name+".c", s.Src))

@@ -47,28 +47,22 @@ type Delta struct {
 	Compiled []string
 }
 
-// IncrementalResult is the outcome of AnalyzeIncremental: the finished
-// pipeline, the reuse delta, and the complete per-function artifact set
-// (cache-ready: every artifact carries its unit, model, and warnings) for
-// the caller to retain.
+// IncrementalResult is the outcome of AnalyzeIncrementalContext: the
+// finished pipeline, the reuse delta, and the complete per-function
+// artifact set (cache-ready: every artifact carries its unit, model, and
+// warnings) for the caller to retain.
 type IncrementalResult struct {
 	Pipeline  *Pipeline
 	Delta     Delta
 	Artifacts map[string]*FuncArtifact // keyed by qualified function name
 }
 
-// AnalyzeIncremental runs the pipeline on source, consulting lookup for
-// per-function artifacts by function-content key and qualified function
-// name. lookup may be nil (every function compiles cold). See
-// AnalyzeIncrementalContext.
-func AnalyzeIncremental(name, source string, opts Options, lookup func(key, qname string) (*FuncArtifact, bool)) (*IncrementalResult, error) {
-	return AnalyzeIncrementalContext(context.Background(), name, source, opts, lookup)
-}
-
-// AnalyzeIncrementalContext is AnalyzeIncremental with the same
-// stage-boundary cancellation as AnalyzeContext. A function counts as
-// Reused when its compiled unit came from lookup; if the artifact also
-// carried a model, metric generation is skipped for it too.
+// AnalyzeIncrementalContext runs the pipeline on source, consulting lookup
+// for per-function artifacts by function-content key and qualified
+// function name; lookup may be nil (every function compiles cold). It
+// checks ctx at the same stage boundaries as AnalyzeContext. A function
+// counts as Reused when its compiled unit came from lookup; if the
+// artifact also carried a model, metric generation is skipped for it too.
 func AnalyzeIncrementalContext(ctx context.Context, name, source string, opts Options, lookup func(key, qname string) (*FuncArtifact, bool)) (*IncrementalResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -179,7 +180,7 @@ func TestIncrementalMutationProperty(t *testing.T) {
 	opts := core.Options{Lenient: true}
 	for _, tc := range incrPrograms {
 		t.Run(tc.name, func(t *testing.T) {
-			orig, err := core.AnalyzeIncremental(tc.name, tc.src, opts, nil)
+			orig, err := core.AnalyzeIncrementalContext(context.Background(), tc.name, tc.src, opts, nil)
 			if err != nil {
 				t.Fatalf("cold incremental analyze: %v", err)
 			}
@@ -210,7 +211,7 @@ func TestIncrementalMutationProperty(t *testing.T) {
 					}
 					expected := reverseClosure(prog, target)
 
-					incr, err := core.AnalyzeIncremental(tc.name, mutated, opts, lookup)
+					incr, err := core.AnalyzeIncrementalContext(context.Background(), tc.name, mutated, opts, lookup)
 					if err != nil {
 						t.Fatalf("%s: incremental analyze: %v", what, err)
 					}
@@ -262,7 +263,7 @@ func equalStrings(a, b []string) bool {
 func TestIncrementalIdenticalSourceReusesAll(t *testing.T) {
 	opts := core.Options{Lenient: true}
 	src := benchprogs.MiniFE
-	orig, err := core.AnalyzeIncremental("minife", src, opts, nil)
+	orig, err := core.AnalyzeIncrementalContext(context.Background(), "minife", src, opts, nil)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -270,7 +271,7 @@ func TestIncrementalIdenticalSourceReusesAll(t *testing.T) {
 	for _, art := range orig.Artifacts {
 		byKey[art.Key] = art
 	}
-	again, err := core.AnalyzeIncremental("minife", src, opts, func(key, _ string) (*core.FuncArtifact, bool) {
+	again, err := core.AnalyzeIncrementalContext(context.Background(), "minife", src, opts, func(key, _ string) (*core.FuncArtifact, bool) {
 		art, ok := byKey[key]
 		return art, ok
 	})
@@ -292,7 +293,7 @@ func TestIncrementalIdenticalSourceReusesAll(t *testing.T) {
 func TestIncrementalUnitRoundTrip(t *testing.T) {
 	opts := core.Options{Lenient: true}
 	src := benchprogs.Dgemm
-	orig, err := core.AnalyzeIncremental("dgemm", src, opts, nil)
+	orig, err := core.AnalyzeIncrementalContext(context.Background(), "dgemm", src, opts, nil)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -305,7 +306,7 @@ func TestIncrementalUnitRoundTrip(t *testing.T) {
 		}
 		byKey[art.Key] = &core.FuncArtifact{Key: art.Key, Name: art.Name, Unit: u}
 	}
-	again, err := core.AnalyzeIncremental("dgemm", src, opts, func(key, _ string) (*core.FuncArtifact, bool) {
+	again, err := core.AnalyzeIncrementalContext(context.Background(), "dgemm", src, opts, func(key, _ string) (*core.FuncArtifact, bool) {
 		art, ok := byKey[key]
 		return art, ok
 	})

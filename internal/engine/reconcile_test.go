@@ -1,11 +1,21 @@
 package engine_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mira/internal/benchprogs"
 	"mira/internal/core"
 	"mira/internal/expr"
+	"mira/internal/ir"
+	"mira/internal/model"
 )
 
 // reconcilePrograms lists every embedded workload plus a br_frac-
@@ -158,6 +168,103 @@ func TestCompiledReconciles(t *testing.T) {
 						t.Errorf("%s %s grid %d: ops[%v]: walker %d != compiled %d",
 							prog.name, fn, gi, op, n, cops[op])
 					}
+				}
+			}
+		}
+	}
+}
+
+// pyDriver imports the model module named by argv[1] and, for each
+// (function, positional args, environment) triple read as JSON from
+// stdin, sets the environment as module-level variables (where the
+// module reads names its functions do not take, such as a callee's
+// annotation parameters) and calls the function. It prints each result's
+// category totals as strings, so an inexact float total cannot pass for
+// an integer.
+const pyDriver = `import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("model", sys.argv[1])
+m = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(m)
+out = []
+for fn, args, env in json.load(sys.stdin):
+    vars(m).update(env)
+    out.append({k: str(v) for k, v in getattr(m, fn)(*args).items()})
+json.dump(out, sys.stdout)
+`
+
+// TestPythonModelMatchesEvaluate runs the emitted Python module of every
+// reconcile program under python3 at two small sizes and requires each
+// function's per-category totals to equal Model.Evaluate's. The br_frac
+// kernel is the case that needs exact fractions and Go's rounding of
+// fractional multiplicities.
+func TestPythonModelMatchesEvaluate(t *testing.T) {
+	python, err := exec.LookPath("python3")
+	if err != nil {
+		t.Skipf("emitted models not run: %v", err)
+	}
+	// y2 is fig5's annotation parameter, x_19 and y_19 its unresolved
+	// call arguments.
+	points := []map[string]int64{
+		{"n": 7, "nrep": 2, "nx": 2, "ny": 3, "nz": 4, "max_iter": 3, "nnz_row": 9, "y2": 5, "x_19": 3, "y_19": 4},
+		{"n": 10, "nrep": 3, "nx": 3, "ny": 2, "nz": 2, "max_iter": 2, "nnz_row": 7, "y2": 2, "x_19": 6, "y_19": 1},
+	}
+	dir := t.TempDir()
+	for _, prog := range reconcilePrograms {
+		p, err := core.Analyze(prog.name, prog.source, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", prog.name, err)
+		}
+		module := filepath.Join(dir, strings.TrimSuffix(prog.name, ".c")+".py")
+		if err := os.WriteFile(module, []byte(p.PythonModel()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		calls := [][]any{}
+		var labels []string
+		var want []model.Metrics
+		for _, fn := range p.Model.Order {
+			f := p.Model.Funcs[fn]
+			for _, point := range points {
+				met, err := p.Model.Evaluate(fn, expr.EnvFromInts(point))
+				if f.Extern || err != nil {
+					continue // an unresolved argument needs user input in Python too
+				}
+				args := []any{}
+				for _, name := range append(append([]string{}, f.Params...), f.AnnotParams...) {
+					if v, ok := point[name]; ok {
+						args = append(args, v)
+					} else {
+						args = append(args, nil)
+					}
+				}
+				calls = append(calls, []any{model.PyFuncName(f), args, point})
+				labels = append(labels, fmt.Sprintf("%s %s n=%d", prog.name, fn, point["n"]))
+				want = append(want, met)
+			}
+		}
+		in, err := json.Marshal(calls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(python, "-c", pyDriver, module)
+		cmd.Stdin = bytes.NewReader(in)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%s: python3: %v\n%s", prog.name, err, stderr.String())
+		}
+		var got []map[string]string
+		if err := json.Unmarshal(stdout, &got); err != nil || len(got) != len(want) {
+			t.Fatalf("%s: %d results, want %d (%v)", prog.name, len(got), len(want), err)
+		}
+		for i, met := range want {
+			for c := range ir.NumCategories {
+				w, g := strconv.FormatInt(met.ByCategory[c], 10), got[i][c.String()]
+				if g == "" {
+					g = "0"
+				}
+				if g != w {
+					t.Errorf("%s: %s = %s in Python, %s in Go", labels[i], c, g, w)
 				}
 			}
 		}

@@ -86,7 +86,7 @@ func TestCacheStoreWarmRestart(t *testing.T) {
 // function-content key under default options.
 func unitOf(t *testing.T, src, fn string) (key string, unit []byte) {
 	t.Helper()
-	res, err := core.AnalyzeIncremental("probe.c", src, core.Options{}, nil)
+	res, err := core.AnalyzeIncrementalContext(context.Background(), "probe.c", src, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,30 +19,16 @@ func (env Env) Bind(name string, val rational.Rat) Env {
 	return out
 }
 
-// EvalOptions controls evaluation limits.
-type EvalOptions struct {
-	// MaxSumRange bounds the width of any single enumerated Sum. Summations
-	// that simplified to closed form are unaffected. Zero means the
-	// default of 50 million.
-	MaxSumRange int64
-}
+// maxSumRange bounds the width of any single enumerated Sum. Summations
+// that simplified to closed form are unaffected.
+const maxSumRange = 50_000_000
 
-const defaultMaxSumRange = 50_000_000
-
-// Eval evaluates e under env with default options.
+// Eval evaluates e under env.
 func Eval(e Expr, env Env) (rational.Rat, error) {
-	return EvalWith(e, env, EvalOptions{})
+	return eval(e, env)
 }
 
-// EvalWith evaluates e under env.
-func EvalWith(e Expr, env Env, opts EvalOptions) (rational.Rat, error) {
-	if opts.MaxSumRange == 0 {
-		opts.MaxSumRange = defaultMaxSumRange
-	}
-	return eval(e, env, opts)
-}
-
-func eval(e Expr, env Env, opts EvalOptions) (rational.Rat, error) {
+func eval(e Expr, env Env) (rational.Rat, error) {
 	switch x := e.(type) {
 	case Num:
 		return x.Val, nil
@@ -61,7 +47,7 @@ func eval(e Expr, env Env, opts EvalOptions) (rational.Rat, error) {
 	case Add:
 		acc := rational.Zero
 		for _, t := range x.Terms {
-			v, err := eval(t, env, opts)
+			v, err := eval(t, env)
 			if err != nil {
 				return rational.Rat{}, err
 			}
@@ -71,7 +57,7 @@ func eval(e Expr, env Env, opts EvalOptions) (rational.Rat, error) {
 	case Mul:
 		acc := rational.One
 		for _, f := range x.Factors {
-			v, err := eval(f, env, opts)
+			v, err := eval(f, env)
 			if err != nil {
 				return rational.Rat{}, err
 			}
@@ -79,43 +65,43 @@ func eval(e Expr, env Env, opts EvalOptions) (rational.Rat, error) {
 		}
 		return acc, nil
 	case FloorDiv:
-		v, err := eval(x.X, env, opts)
+		v, err := eval(x.X, env)
 		if err != nil {
 			return rational.Rat{}, err
 		}
 		return v.FloorDiv(x.D), nil
 	case Min:
-		a, err := eval(x.A, env, opts)
+		a, err := eval(x.A, env)
 		if err != nil {
 			return rational.Rat{}, err
 		}
-		b, err := eval(x.B, env, opts)
+		b, err := eval(x.B, env)
 		if err != nil {
 			return rational.Rat{}, err
 		}
 		return a.Min(b), nil
 	case Max:
-		a, err := eval(x.A, env, opts)
+		a, err := eval(x.A, env)
 		if err != nil {
 			return rational.Rat{}, err
 		}
-		b, err := eval(x.B, env, opts)
+		b, err := eval(x.B, env)
 		if err != nil {
 			return rational.Rat{}, err
 		}
 		return a.Max(b), nil
 	case Sum:
-		return evalSum(x, env, opts)
+		return evalSum(x, env)
 	}
 	return rational.Rat{}, fmt.Errorf("expr: cannot evaluate %T", e)
 }
 
-func evalSum(s Sum, env Env, opts EvalOptions) (rational.Rat, error) {
-	loR, err := eval(s.Lo, env, opts)
+func evalSum(s Sum, env Env) (rational.Rat, error) {
+	loR, err := eval(s.Lo, env)
 	if err != nil {
 		return rational.Rat{}, err
 	}
-	hiR, err := eval(s.Hi, env, opts)
+	hiR, err := eval(s.Hi, env)
 	if err != nil {
 		return rational.Rat{}, err
 	}
@@ -129,15 +115,15 @@ func evalSum(s Sum, env Env, opts EvalOptions) (rational.Rat, error) {
 	if hi < lo {
 		return rational.Zero, nil
 	}
-	if hi-lo+1 > opts.MaxSumRange {
+	if hi-lo+1 > maxSumRange {
 		return rational.Rat{}, fmt.Errorf("expr: sum over %q enumerates %d points, exceeding limit %d",
-			s.Var, hi-lo+1, opts.MaxSumRange)
+			s.Var, hi-lo+1, maxSumRange)
 	}
 	acc := rational.Zero
 	inner := env.Bind(s.Var, rational.Zero)
 	for v := lo; v <= hi; v++ {
 		inner[s.Var] = rational.FromInt(v)
-		val, err := eval(s.Body, inner, opts)
+		val, err := eval(s.Body, inner)
 		if err != nil {
 			return rational.Rat{}, err
 		}

@@ -418,33 +418,3 @@ func accumOp(acc map[ir.Op]int64, op ir.Op, n, mult int64) error {
 	acc[op] = s
 	return nil
 }
-
-// CategoryTable returns the evaluated metrics as sorted (category, count)
-// rows — the shape of the paper's Table II.
-func CategoryTable(met Metrics) []struct {
-	Category string
-	Count    int64
-} {
-	var rows []struct {
-		Category string
-		Count    int64
-	}
-	for c := 0; c < int(ir.NumCategories); c++ {
-		if met.ByCategory[c] == 0 {
-			continue
-		}
-		rows = append(rows, struct {
-			Category string
-			Count    int64
-		}{ir.Category(c).String(), met.ByCategory[c]})
-	}
-	// Count-descending with a name tiebreak: tied rows must render in the
-	// same order on every run (outputs are cached and byte-compared).
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Count != rows[j].Count {
-			return rows[i].Count > rows[j].Count
-		}
-		return rows[i].Category < rows[j].Category
-	})
-	return rows
-}

@@ -3,7 +3,6 @@ package model
 import (
 	"errors"
 	"math"
-	"sort"
 	"strings"
 	"testing"
 
@@ -165,48 +164,6 @@ func TestMetricsAddOverflow(t *testing.T) {
 	a = Metrics{Instrs: math.MaxInt64 - 1}
 	if err := a.Add(Metrics{Instrs: 2}, 1); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("accumulate overflow err = %v, want ErrOverflow", err)
-	}
-}
-
-func TestCategoryTable(t *testing.T) {
-	met := Metrics{}
-	met.ByCategory[ir.CatSSEArith] = 5
-	met.ByCategory[ir.CatIntData] = 50
-	rows := CategoryTable(met)
-	if len(rows) != 2 || rows[0].Count != 50 {
-		t.Errorf("rows = %+v", rows)
-	}
-}
-
-// TestCategoryTableTieOrder is the golden order for tied counts: rows
-// with equal counts sort by category name, so the rendered table is
-// byte-identical on every run (unstable sort.Slice used to shuffle
-// them).
-func TestCategoryTableTieOrder(t *testing.T) {
-	met := Metrics{}
-	met.ByCategory[ir.CatSSEArith] = 7
-	met.ByCategory[ir.CatIntData] = 7
-	met.ByCategory[ir.CatIntArith] = 7
-	met.ByCategory[ir.CatIntControl] = 9
-	want := []string{
-		ir.CatIntControl.String(), // 9 first
-		// The three tied at 7, alphabetically:
-		ir.CatIntArith.String(),
-		ir.CatIntData.String(),
-		ir.CatSSEArith.String(),
-	}
-	sort.Strings(want[1:])
-	for run := 0; run < 20; run++ {
-		rows := CategoryTable(met)
-		if len(rows) != 4 {
-			t.Fatalf("rows = %+v", rows)
-		}
-		for i, w := range want {
-			if rows[i].Category != w {
-				t.Fatalf("run %d: row %d = %q, want %q (tied rows must sort by name)",
-					run, i, rows[i].Category, w)
-			}
-		}
 	}
 }
 

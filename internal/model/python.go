@@ -28,6 +28,19 @@ func (m *Model) EmitPython() string {
 	b.WriteString("# Parameters that static analysis could not resolve are module-level\n")
 	b.WriteString("# variables named <param>_<line>; set them before evaluating.\n\n")
 
+	// A fractional constant (a br_frac probability) makes the module
+	// compute in exact fractions and round each multiplicity as roundMult
+	// does; a model of integer constants needs neither.
+	funcs := m.emitPyFuncs(true)
+	if strings.Contains(funcs, "Fraction(") {
+		b.WriteString("import math\nfrom fractions import Fraction\n\n")
+		b.WriteString("def _round(x):\n")
+		b.WriteString("    # multiplicities round to nearest, ties up\n")
+		b.WriteString("    return math.floor(x + Fraction(1, 2))\n\n")
+	} else {
+		funcs = m.emitPyFuncs(false)
+	}
+
 	b.WriteString("def handle_function_call(caller, callee, count):\n")
 	b.WriteString("    for k, v in callee.items():\n")
 	b.WriteString("        caller[k] = caller.get(k, 0) + v * count\n\n")
@@ -57,6 +70,14 @@ func (m *Model) EmitPython() string {
 		b.WriteString("\n")
 	}
 
+	b.WriteString(funcs)
+	return b.String()
+}
+
+// emitPyFuncs renders every function, rounding each multiplicity through
+// _round when round is set.
+func (m *Model) emitPyFuncs(round bool) string {
+	var b strings.Builder
 	for _, name := range m.Order {
 		f := m.Funcs[name]
 		if f.Extern {
@@ -65,7 +86,7 @@ func (m *Model) EmitPython() string {
 			b.WriteString("    return {}\n\n")
 			continue
 		}
-		m.emitPyFunc(&b, f)
+		m.emitPyFunc(&b, f, round)
 	}
 	return b.String()
 }
@@ -76,7 +97,11 @@ func pyParams(f *Func) []string {
 	return params
 }
 
-func (m *Model) emitPyFunc(b *strings.Builder, f *Func) {
+func (m *Model) emitPyFunc(b *strings.Builder, f *Func, round bool) {
+	mult := expr.Python
+	if round {
+		mult = func(e expr.Expr) string { return "_round(" + expr.Python(e) + ")" }
+	}
 	fmt.Fprintf(b, "def %s(%s):\n", PyFuncName(f), strings.Join(pyParams(f), ", "))
 	fmt.Fprintf(b, "    metrics = {}\n")
 	for _, s := range f.Sites {
@@ -84,7 +109,7 @@ func (m *Model) emitPyFunc(b *strings.Builder, f *Func) {
 			continue
 		}
 		fmt.Fprintf(b, "    # line %d:%d  %s\n", s.Line, s.Col, s.Desc)
-		fmt.Fprintf(b, "    _n = %s\n", expr.Python(s.Mult))
+		fmt.Fprintf(b, "    _n = %s\n", mult(s.Mult))
 		for c := 0; c < int(ir.NumCategories); c++ {
 			if s.Counts[c] == 0 {
 				continue
@@ -115,7 +140,7 @@ func (m *Model) emitPyFunc(b *strings.Builder, f *Func) {
 			calleeName = PyFuncName(callee)
 		}
 		fmt.Fprintf(b, "    handle_function_call(metrics, %s(%s), %s)\n",
-			calleeName, strings.Join(args, ", "), expr.Python(c.Mult))
+			calleeName, strings.Join(args, ", "), mult(c.Mult))
 	}
 	fmt.Fprintf(b, "    return metrics\n\n")
 }

@@ -378,29 +378,39 @@ func (w *walker) convert(e ast.Expr) (expr.Expr, error) {
 	return nil, fmt.Errorf("pbound: cannot convert %T", e)
 }
 
-// countExpr tallies source-level FP operations and memory accesses.
-// isStore marks the expression as an assignment target.
-func (w *walker) countExpr(e ast.Expr, mult expr.Expr, isStore bool) {
+// countExpr tallies source-level FP operations and memory accesses and
+// reports whether e is floating-point from source-level type information:
+// FP literals, double-typed scalars, array accesses (the workloads' arrays
+// are double), calls to double-returning functions, and any arithmetic or
+// assignment over one of those; a conditional or member expression is
+// not. isStore marks the expression as an assignment target.
+func (w *walker) countExpr(e ast.Expr, mult expr.Expr, isStore bool) bool {
 	switch x := e.(type) {
+	case *ast.FloatLit:
+		return true
+	case *ast.Ident:
+		return w.floatVars[x.Name]
 	case *ast.BinaryExpr:
-		if w.isFP(x) {
+		fpX := w.countExpr(x.X, mult, false)
+		fpY := w.countExpr(x.Y, mult, false)
+		if fpX || fpY {
 			switch x.Op {
 			case token.PLUS, token.MINUS, token.STAR, token.SLASH:
 				w.flops = expr.NewAdd(w.flops, mult)
 			}
 		}
-		w.countExpr(x.X, mult, false)
-		w.countExpr(x.Y, mult, false)
+		return fpX || fpY
 	case *ast.UnaryExpr:
-		w.countExpr(x.X, mult, false)
+		return w.countExpr(x.X, mult, false)
 	case *ast.ParenExpr:
-		w.countExpr(x.X, mult, isStore)
+		return w.countExpr(x.X, mult, isStore)
 	case *ast.AssignExpr:
-		if x.Op != token.ASSIGN && w.isFP(x) {
+		fpL := w.countExpr(x.LHS, mult, true)
+		fpR := w.countExpr(x.RHS, mult, false)
+		if x.Op != token.ASSIGN && (fpL || fpR) {
 			w.flops = expr.NewAdd(w.flops, mult) // compound op is one FP op
 		}
-		w.countExpr(x.LHS, mult, true)
-		w.countExpr(x.RHS, mult, false)
+		return fpL || fpR
 	case *ast.IndexExpr:
 		if isStore {
 			w.stores = expr.NewAdd(w.stores, mult)
@@ -409,10 +419,16 @@ func (w *walker) countExpr(e ast.Expr, mult expr.Expr, isStore bool) {
 		}
 		w.countExpr(x.Index, mult, false)
 		// Base expression loads nothing itself.
+		return true
 	case *ast.CallExpr:
 		w.recordCall(x, mult)
 		for _, a := range x.Args {
 			w.countExpr(a, mult, false)
+		}
+		if id, ok := x.Fun.(*ast.Ident); ok {
+			if fi, found := w.rep.prog.Funcs[id.Name]; found {
+				return fi.Decl.RetType.Kind == ast.Double && fi.Decl.RetType.Ptr == 0
+			}
 		}
 	case *ast.CondExpr:
 		w.countExpr(x.Cond, mult, false)
@@ -421,6 +437,7 @@ func (w *walker) countExpr(e ast.Expr, mult expr.Expr, isStore bool) {
 	case *ast.MemberExpr:
 		w.countExpr(x.X, mult, false)
 	}
+	return false
 }
 
 func (w *walker) recordCall(call *ast.CallExpr, mult expr.Expr) {
@@ -463,35 +480,4 @@ func (w *walker) recordCall(call *ast.CallExpr, mult expr.Expr) {
 		rec.args[p.Name] = nil
 	}
 	w.calls = append(w.calls, rec)
-}
-
-// isFP decides whether an operation is floating-point from source-level
-// type information: FP literals, double-typed scalars, array accesses
-// (the workloads' arrays are double), and calls to double-returning
-// functions.
-func (w *walker) isFP(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.FloatLit:
-		return true
-	case *ast.BinaryExpr:
-		return w.isFP(x.X) || w.isFP(x.Y)
-	case *ast.UnaryExpr:
-		return w.isFP(x.X)
-	case *ast.ParenExpr:
-		return w.isFP(x.X)
-	case *ast.AssignExpr:
-		return w.isFP(x.LHS) || w.isFP(x.RHS)
-	case *ast.IndexExpr:
-		return true
-	case *ast.Ident:
-		return w.floatVars[x.Name]
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok {
-			if fi, found := w.rep.prog.Funcs[id.Name]; found {
-				return fi.Decl.RetType.Kind == ast.Double && fi.Decl.RetType.Ptr == 0
-			}
-		}
-		return false
-	}
-	return false
 }

@@ -1,6 +1,7 @@
 package pbound_test
 
 import (
+	"os"
 	"testing"
 
 	"mira/internal/expr"
@@ -158,5 +159,39 @@ void k(double *x, double *y, int n) {
 	}
 	if _, err := rep.EvalCounts("nosuch", env); err == nil {
 		t.Error("unknown function accepted")
+	}
+}
+
+// TestFoldCounts pins PBound's counts for cc's testdata/fold.c at two
+// sizes: constant subtrees, ternaries, hoistable invariants and the
+// 2000-term left-deep and right-deep statements are all counted as the
+// source spells them.
+func TestFoldCounts(t *testing.T) {
+	src, err := os.ReadFile("../cc/testdata/fold.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := analyze(t, string(src))
+	for _, tc := range []struct {
+		fn   string
+		n    int64
+		want pbound.Counts
+	}{
+		{"fold_int", 4, pbound.Counts{Flops: 16, Loads: 8, Stores: 4}},
+		{"fold_int", 1000, pbound.Counts{Flops: 4000, Loads: 2000, Stores: 1000}},
+		{"fold_float", 4, pbound.Counts{Flops: 203, Loads: 20, Stores: 20}},
+		{"fold_float", 1000, pbound.Counts{Flops: 8013023, Loads: 1001000, Stores: 1001000}},
+		{"deep_left", 4, pbound.Counts{Flops: 17332, Loads: 1332, Stores: 0}},
+		{"deep_left", 1000, pbound.Counts{Flops: 4333000, Loads: 333000, Stores: 0}},
+		{"deep_right", 4, pbound.Counts{Flops: 14400, Loads: 1000, Stores: 0}},
+		{"deep_right", 1000, pbound.Counts{Flops: 3600000, Loads: 250000, Stores: 0}},
+	} {
+		got, err := rep.EvalCounts(tc.fn, expr.EnvFromInts(map[string]int64{"n": tc.n}))
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", tc.fn, tc.n, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s n=%d: counts %+v, want %+v", tc.fn, tc.n, got, tc.want)
+		}
 	}
 }

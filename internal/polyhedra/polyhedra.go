@@ -169,21 +169,7 @@ func containsKind(e expr.Expr, k exprKind) bool {
 // iteration domain: the execution count of a statement at the innermost
 // position of the chain.
 func Count(n Nest) (expr.Expr, error) {
-	return countLevels(n, len(n.Entries))
-}
-
-// CountPrefix returns the count for the first k entries of the chain
-// (contexts of loop headers at intermediate depths).
-func CountPrefix(n Nest, k int) (expr.Expr, error) {
-	if k < 0 || k > len(n.Entries) {
-		return nil, fmt.Errorf("polyhedra: prefix %d out of range", k)
-	}
-	return countLevels(Nest{Entries: n.Entries[:k]}, k)
-}
-
-// countLevels computes the count over the first k entries.
-func countLevels(n Nest, k int) (expr.Expr, error) {
-	entries := n.Entries[:k]
+	entries := n.Entries
 	// Collect loops in order and attach each guard to the deepest loop
 	// variable it references.
 	var loops []*Loop

@@ -344,37 +344,6 @@ func TestConstantGuardFolds(t *testing.T) {
 	}
 }
 
-// CountPrefix supports loop-header multiplicity computation.
-func TestCountPrefix(t *testing.T) {
-	n := Nest{}.
-		WithLoop(Loop{Var: "i", Lo: expr.Const(1), Hi: expr.Const(4), Step: 1}).
-		WithLoop(Loop{Var: "j", Lo: expr.NewAdd(expr.V("i"), expr.Const(1)), Hi: expr.Const(6), Step: 1})
-	c0, err := CountPrefix(n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := expr.EvalInt64(c0, nil); v != 1 {
-		t.Errorf("prefix 0 = %d, want 1", v)
-	}
-	c1, err := CountPrefix(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := expr.EvalInt64(c1, nil); v != 4 {
-		t.Errorf("prefix 1 = %d, want 4", v)
-	}
-	c2, err := CountPrefix(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := expr.EvalInt64(c2, nil); v != 14 {
-		t.Errorf("prefix 2 = %d, want 14", v)
-	}
-	if _, err := CountPrefix(n, 3); err == nil {
-		t.Error("out-of-range prefix accepted")
-	}
-}
-
 // Zero-trip and negative-span loops clamp to zero.
 func TestEmptyDomains(t *testing.T) {
 	n := Nest{}.WithLoop(Loop{Var: "i", Lo: expr.Const(5), Hi: expr.Const(1), Step: 1})

@@ -69,7 +69,7 @@ func check(t *testing.T, what string, x Rat, ref *big.Rat) {
 	}
 	wantPy := refString(ref)
 	if !ref.IsInt() {
-		wantPy = "(" + ref.Num().String() + "/" + ref.Denom().String() + ")"
+		wantPy = "Fraction(" + ref.Num().String() + ", " + ref.Denom().String() + ")"
 	}
 	if got := x.PythonString(); got != wantPy {
 		t.Fatalf("%s.PythonString() = %q, want %q", what, got, wantPy)

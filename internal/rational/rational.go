@@ -25,6 +25,7 @@ import (
 	"math/big"
 	"math/bits"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -352,13 +353,15 @@ func (a Rat) String() string {
 	return a.big.RatString()
 }
 
-// PythonString renders the value as a Python expression preserving
-// exactness (integers plain, fractions as Fraction-free division).
+// PythonString renders the value as an exact Python expression: integers
+// plain, fractions as Fraction(num, den) from Python's fractions module
+// (Python's / would round the quotient to a float).
 func (a Rat) PythonString() string {
 	if a.IsInt() {
 		return a.String()
 	}
-	return "(" + a.String() + ")"
+	num, den, _ := strings.Cut(a.String(), "/")
+	return "Fraction(" + num + ", " + den + ")"
 }
 
 // addFrac returns a/b + c/d for small operands (b, d >= 1), reduced as in

@@ -123,7 +123,7 @@ func TestPythonString(t *testing.T) {
 	if got := FromInt(7).PythonString(); got != "7" {
 		t.Errorf("PythonString(7) = %q", got)
 	}
-	if got := FromFrac(1, 2).PythonString(); got != "(1/2)" {
+	if got := FromFrac(-1, 2).PythonString(); got != "Fraction(-1, 2)" {
 		t.Errorf("PythonString(1/2) = %q", got)
 	}
 }

@@ -130,7 +130,7 @@ func (p *Program) collectClasses() error {
 			for _, decl := range fd.Names {
 				size := int64(1)
 				for _, dim := range decl.Dims {
-					v, ok := constIntExpr(dim, p)
+					v, ok := p.ConstInt(dim)
 					if !ok || v <= 0 {
 						return errf(decl.Pos(), "class field %q needs constant positive array dimensions", decl.Name)
 					}
@@ -167,7 +167,7 @@ func (p *Program) collectGlobals() error {
 			g := &GlobalInfo{Name: decl.Name, Type: vd.Type, IsConst: vd.IsConst, Decl: vd}
 			size := int64(1)
 			for _, dim := range decl.Dims {
-				v, ok := constIntExpr(dim, p)
+				v, ok := p.ConstInt(dim)
 				if !ok || v <= 0 {
 					return errf(decl.Pos(), "global array %q needs constant positive dimensions", decl.Name)
 				}
@@ -181,14 +181,14 @@ func (p *Program) collectGlobals() error {
 				}
 				switch vd.Type.Kind {
 				case ast.Int, ast.Bool:
-					v, ok := constIntExpr(decl.Init, p)
+					v, ok := p.ConstInt(decl.Init)
 					if !ok {
 						return errf(decl.Pos(), "const global %q initializer is not a constant expression", decl.Name)
 					}
 					g.ConstI = v
 					g.HasConst = true
 				case ast.Double:
-					v, ok := constFloatExpr(decl.Init, p)
+					v, ok := p.ConstFloat(decl.Init)
 					if !ok {
 						return errf(decl.Pos(), "const global %q initializer is not a constant expression", decl.Name)
 					}
@@ -202,14 +202,14 @@ func (p *Program) collectGlobals() error {
 				// object file's .data section materializes.
 				switch vd.Type.Kind {
 				case ast.Int, ast.Bool:
-					v, ok := constIntExpr(decl.Init, p)
+					v, ok := p.ConstInt(decl.Init)
 					if !ok {
 						return errf(decl.Pos(), "global %q initializer must be constant", decl.Name)
 					}
 					g.ConstI = v
 					g.HasConst = true
 				case ast.Double:
-					v, ok := constFloatExpr(decl.Init, p)
+					v, ok := p.ConstFloat(decl.Init)
 					if !ok {
 						return errf(decl.Pos(), "global %q initializer must be constant", decl.Name)
 					}
@@ -408,113 +408,128 @@ func (p *Program) findRecursion() []string {
 
 // ConstInt resolves a compile-time integer constant expression; const
 // globals participate.
-func (p *Program) ConstInt(e ast.Expr) (int64, bool) { return constIntExpr(e, p) }
-
-// ConstFloat resolves a compile-time float constant expression.
-func (p *Program) ConstFloat(e ast.Expr) (float64, bool) { return constFloatExpr(e, p) }
-
-func constIntExpr(e ast.Expr, p *Program) (int64, bool) {
-	switch x := e.(type) {
-	case *ast.IntLit:
-		return x.Value, true
-	case *ast.BoolLit:
-		if x.Value {
-			return 1, true
-		}
-		return 0, true
-	case *ast.Ident:
-		if g, ok := p.Globals[x.Name]; ok && g.IsConst && g.HasConst && g.Type.Kind != ast.Double {
-			return g.ConstI, true
-		}
-		return 0, false
-	case *ast.ParenExpr:
-		return constIntExpr(x.X, p)
-	case *ast.UnaryExpr:
-		v, ok := constIntExpr(x.X, p)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op.String() {
-		case "-":
-			return -v, true
-		case "!":
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		}
-		return 0, false
-	case *ast.BinaryExpr:
-		a, okA := constIntExpr(x.X, p)
-		b, okB := constIntExpr(x.Y, p)
-		if !okA || !okB {
-			return 0, false
-		}
-		switch x.Op.String() {
-		case "+":
-			return a + b, true
-		case "-":
-			return a - b, true
-		case "*":
-			return a * b, true
-		case "/":
-			if b == 0 {
-				return 0, false
-			}
-			return a / b, true
-		case "%":
-			if b == 0 {
-				return 0, false
-			}
-			return a % b, true
-		}
-		return 0, false
-	}
-	return 0, false
+func (p *Program) ConstInt(e ast.Expr) (int64, bool) {
+	c := p.Fold(e, nil)
+	return c.I, c.IntOK()
 }
 
-func constFloatExpr(e ast.Expr, p *Program) (float64, bool) {
+// ConstFloat resolves a compile-time float constant expression.
+func (p *Program) ConstFloat(e ast.Expr) (float64, bool) {
+	c := p.Fold(e, nil)
+	return c.F, c.FloatOK()
+}
+
+// Const is what constant folding knows about an expression: its integer
+// reading I, valid when IntOK, its float reading F, valid when FloatOK,
+// and whether a float literal appears in it. The readings fold
+// independently: bool literals, ! and % fold only as integers, const
+// double globals only as floats, int literals and int globals as both; a
+// division or % by zero does not fold.
+type Const struct {
+	I     int64
+	F     float64
+	flags uint8
+}
+
+const (
+	intOK uint8 = 1 << iota
+	floatOK
+	hasFloat
+)
+
+// IntOK reports whether the expression folds to the integer I.
+func (c Const) IntOK() bool { return c.flags&intOK != 0 }
+
+// FloatOK reports whether the expression folds to the float F.
+func (c Const) FloatOK() bool { return c.flags&floatOK != 0 }
+
+// HasFloat reports whether a float literal appears in the expression.
+func (c Const) HasFloat() bool { return c.flags&hasFloat != 0 }
+
+// Fold folds e bottom-up in one visit of each node it reaches, calling
+// visit (when non-nil) with each node's result, children before parents.
+// It descends through parentheses, unary and binary operators; any other
+// node is a leaf, constant only if it is a literal or a const global.
+func (p *Program) Fold(e ast.Expr, visit func(ast.Expr, Const)) Const {
+	var c Const
 	switch x := e.(type) {
-	case *ast.FloatLit:
-		return x.Value, true
-	case *ast.IntLit:
-		return float64(x.Value), true
-	case *ast.Ident:
-		if g, ok := p.Globals[x.Name]; ok && g.IsConst && g.HasConst {
-			if g.Type.Kind == ast.Double {
-				return g.ConstF, true
-			}
-			return float64(g.ConstI), true
-		}
-		return 0, false
 	case *ast.ParenExpr:
-		return constFloatExpr(x.X, p)
+		c = p.Fold(x.X, visit)
 	case *ast.UnaryExpr:
-		v, ok := constFloatExpr(x.X, p)
-		if ok && x.Op.String() == "-" {
-			return -v, true
-		}
-		return 0, false
+		c = foldUnary(x.Op, p.Fold(x.X, visit))
 	case *ast.BinaryExpr:
-		a, okA := constFloatExpr(x.X, p)
-		b, okB := constFloatExpr(x.Y, p)
-		if !okA || !okB {
-			return 0, false
-		}
-		switch x.Op.String() {
-		case "+":
-			return a + b, true
-		case "-":
-			return a - b, true
-		case "*":
-			return a * b, true
-		case "/":
-			if b == 0 {
-				return 0, false
-			}
-			return a / b, true
-		}
-		return 0, false
+		c = foldBinary(x.Op, p.Fold(x.X, visit), p.Fold(x.Y, visit))
+	default:
+		c = p.foldLeaf(e)
 	}
-	return 0, false
+	if visit != nil {
+		visit(e, c)
+	}
+	return c
+}
+
+func (p *Program) foldLeaf(e ast.Expr) Const {
+	switch x := e.(type) {
+	case *ast.IntLit:
+		return Const{I: x.Value, F: float64(x.Value), flags: intOK | floatOK}
+	case *ast.FloatLit:
+		return Const{F: x.Value, flags: floatOK | hasFloat}
+	case *ast.BoolLit:
+		if x.Value {
+			return Const{I: 1, flags: intOK}
+		}
+		return Const{flags: intOK}
+	case *ast.Ident:
+		g, ok := p.Globals[x.Name]
+		switch {
+		case !ok || !g.IsConst || !g.HasConst:
+		case g.Type.Kind == ast.Double:
+			return Const{F: g.ConstF, flags: floatOK}
+		default:
+			return Const{I: g.ConstI, F: float64(g.ConstI), flags: intOK | floatOK}
+		}
+	}
+	return Const{}
+}
+
+func foldUnary(op token.Kind, v Const) Const {
+	switch {
+	case op == token.MINUS:
+		return Const{I: -v.I, F: -v.F, flags: v.flags}
+	case op == token.NOT && v.IntOK() && v.I == 0:
+		return Const{I: 1, flags: intOK | v.flags&hasFloat}
+	case op == token.NOT:
+		return Const{flags: v.flags & (intOK | hasFloat)}
+	}
+	return Const{flags: v.flags & hasFloat}
+}
+
+func foldBinary(op token.Kind, a, b Const) Const {
+	c := Const{flags: (a.flags | b.flags) & hasFloat}
+	ok := a.flags & b.flags & (intOK | floatOK)
+	switch op {
+	case token.PLUS:
+		c.I, c.F = a.I+b.I, a.F+b.F
+	case token.MINUS:
+		c.I, c.F = a.I-b.I, a.F-b.F
+	case token.STAR:
+		c.I, c.F = a.I*b.I, a.F*b.F
+	case token.SLASH, token.PERCENT:
+		if b.I == 0 {
+			ok &^= intOK
+		} else if op == token.SLASH {
+			c.I = a.I / b.I
+		} else {
+			c.I = a.I % b.I
+		}
+		if b.F == 0 || op == token.PERCENT {
+			ok &^= floatOK
+		} else {
+			c.F = a.F / b.F
+		}
+	default:
+		ok = 0
+	}
+	c.flags |= ok
+	return c
 }
