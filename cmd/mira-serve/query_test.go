@@ -14,6 +14,7 @@ import (
 
 	"mira/internal/engine"
 	"mira/internal/obs"
+	"mira/internal/parser"
 )
 
 // queryBody builds the acceptance batch: every kind at least once,
@@ -208,6 +209,7 @@ func TestStatusForCancellation(t *testing.T) {
 		{context.DeadlineExceeded, http.StatusServiceUnavailable},
 		{fmt.Errorf("identical content to a.c: %w", context.Canceled), http.StatusServiceUnavailable},
 		{fmt.Errorf("engine: analysis %w: boom", engine.ErrPanicked), http.StatusBadRequest},
+		{fmt.Errorf("core: parse: %w", &parser.Error{Msg: "nesting deeper than 4096 levels"}), http.StatusBadRequest},
 		{fmt.Errorf("model: no function %q", "f"), http.StatusUnprocessableEntity},
 		{fmt.Errorf("model: no function %q", "panicked"), http.StatusUnprocessableEntity},
 	}

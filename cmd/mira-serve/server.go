@@ -18,7 +18,9 @@ import (
 	"mira/internal/cluster"
 	"mira/internal/engine"
 	"mira/internal/expr"
+	"mira/internal/lexer"
 	"mira/internal/obs"
+	"mira/internal/parser"
 	"mira/internal/report"
 )
 
@@ -239,8 +241,9 @@ type analyzeResponse struct {
 
 // statusFor maps an analysis/evaluation failure to an HTTP status:
 // everything deterministic about the input is the client's fault (4xx).
-// Inputs that drove the analyzer into a guarded panic
-// (engine.ErrPanicked) are flagged as plain bad requests. Cancellation
+// Source that does not lex or parse (including source nested past the
+// parser's bounds) and inputs that drove the analyzer into a guarded
+// panic (engine.ErrPanicked) are plain bad requests. Cancellation
 // errors are the one exception — a waiter sharing a singleflight slot
 // whose owner hung up inherits the owner's context error for that round
 // even though its own input is fine, so it gets a retryable 503, never a
@@ -249,7 +252,9 @@ func statusFor(err error) int {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusServiceUnavailable
 	}
-	if errors.Is(err, engine.ErrPanicked) {
+	var perr *parser.Error
+	var lerr *lexer.Error
+	if errors.Is(err, engine.ErrPanicked) || errors.As(err, &perr) || errors.As(err, &lerr) {
 		return http.StatusBadRequest
 	}
 	return http.StatusUnprocessableEntity

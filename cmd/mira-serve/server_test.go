@@ -196,6 +196,44 @@ func TestHostileRequestsGet4xxNotACrash(t *testing.T) {
 	}
 }
 
+// TestDeepSourceIs400 posts /analyze bodies up to the 4 MiB limit whose
+// source nests past the parser's bounds: without them each would grow a
+// goroutine stack past Go's 1 GB limit in a later stage, a fatal error
+// that takes the whole daemon down. Each must be a positioned 400, and
+// the daemon must keep serving.
+func TestDeepSourceIs400(t *testing.T) {
+	h := newTestServer(t, "")
+	levels := (maxRequestBytes - 64) / 2
+	sources := map[string]string{
+		"parentheses": "int f(int n) { return " + strings.Repeat("(", levels) + "n" + strings.Repeat(")", levels) + "; }",
+		"chain":       "int f(int n) { return n" + strings.Repeat("+n", 2_000_000-1) + "; }",
+		"blocks":      "int f(int n) { " + strings.Repeat("{", levels) + strings.Repeat("}", levels) + " return n; }",
+	}
+	for name, src := range sources {
+		body := `{"source":"` + src + `"}`
+		if len(body) > maxRequestBytes {
+			t.Fatalf("%s: body of %d bytes is over the request limit", name, len(body))
+		}
+		req := httptest.NewRequest("POST", "/analyze", strings.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "deeper than") {
+			t.Errorf("%s (%d bytes): status %d, want 400 with a depth error; body %.200s", name, len(body), w.Code, w.Body)
+		}
+	}
+	for _, path := range []string{"/livez", "/readyz"} {
+		if w := get(h, path); w.Code != 200 {
+			t.Fatalf("%s after deep sources: %d", path, w.Code)
+		}
+	}
+	resp := query(t, h, map[string]any{"source": kernelSrc, "queries": []map[string]any{
+		{"fn": "kernel", "env": map[string]int64{"n": 4}, "kind": "static"},
+	}})
+	if r := resp.Results[0]; r.Error != "" || r.Metrics == nil || r.Metrics.FPI != 8 {
+		t.Fatalf("server wedged after deep sources: %+v", r)
+	}
+}
+
 // sumBombSrc has a triangular loop nest whose closed form falls back to
 // summation enumeration at evaluation time for huge n — the eval-path
 // resource guard must refuse it, not spin or die.

@@ -328,3 +328,25 @@ const Ablation = `double smooth(double *u, double *f, int n, double dx) {
 	return u[n/2];
 }
 `
+
+// BrFrac is a br_frac-annotated kernel: a branch taken with probability
+// 0.37 scales its statements and its call by a fraction, so its model
+// holds the fractional multiplicities that every evaluator must round
+// alike. It is not one of the Bundled workloads.
+const BrFrac = `
+double work(double v) {
+	double t;
+	t = v * 2.0 + 1.0;
+	return t;
+}
+double kernel(double *x, int n) {
+	double s; int i;
+	s = 0.0;
+	for (i = 0; i < n; i++) {
+		#pragma @Annotation {br_frac:0.37}
+		if (x[i] > 0.5) {
+			s = s + work(x[i]);
+		}
+	}
+	return s;
+}`

@@ -1,10 +1,13 @@
 package bridge_test
 
 import (
+	"maps"
 	"testing"
 
+	"mira/internal/benchprogs"
 	"mira/internal/bridge"
 	"mira/internal/cc"
+	"mira/internal/dwarfline"
 	"mira/internal/ir"
 	"mira/internal/objfile"
 	"mira/internal/parser"
@@ -102,4 +105,101 @@ double f(int n) {
 	if total != int64(sym.Count) {
 		t.Errorf("attributed %d instructions, symbol has %d", total, sym.Count)
 	}
+}
+
+// lookupBridge is the reference grouping: each instruction's position
+// looked up in the line table on its own.
+func lookupBridge(obj *objfile.File, sym *objfile.Symbol) map[bridge.Pos]bridge.SiteCounts {
+	out := map[bridge.Pos]bridge.SiteCounts{}
+	for idx, in := range obj.FuncText(sym) {
+		var pos bridge.Pos
+		if obj.Line != nil {
+			if row, ok := obj.Line.Lookup(sym.Start + uint64(idx)); ok {
+				pos = bridge.Pos{Line: row.Line, Col: row.Col}
+			}
+		}
+		sc, ok := out[pos]
+		if !ok {
+			sc = bridge.SiteCounts{Pos: pos, ByOpcode: map[ir.Op]int64{}}
+		}
+		sc.ByCategory[in.Op.Cat()]++
+		sc.ByOpcode[in.Op]++
+		sc.Flops += int64(in.Op.Flops())
+		sc.Instrs++
+		out[pos] = sc
+	}
+	return out
+}
+
+func sameSites(t *testing.T, name string, fb *bridge.FuncBridge, want map[bridge.Pos]bridge.SiteCounts) {
+	t.Helper()
+	if len(fb.Sites) != len(want) {
+		t.Errorf("%s: %d positions, reference %d", name, len(fb.Sites), len(want))
+	}
+	for pos, w := range want {
+		got := fb.Sites[pos]
+		if got == nil || got.Pos != w.Pos || got.ByCategory != w.ByCategory || got.Flops != w.Flops || got.Instrs != w.Instrs || !maps.Equal(got.ByOpcode, w.ByOpcode) {
+			t.Errorf("%s at %v: %+v, reference %+v", name, pos, got, w)
+		}
+	}
+}
+
+// TestFuncMatchesLineLookup checks the run-by-run grouping against
+// per-instruction lookups over every corpus program, and over a
+// hand-made object whose rows start before a symbol, repeat an address,
+// change inside a symbol and run past it, with one symbol before the
+// first row and one name defined twice, where the last symbol wins.
+func TestFuncMatchesLineLookup(t *testing.T) {
+	for _, s := range benchprogs.Corpus() {
+		obj := compile(t, s.Src)
+		br := bridge.Build(obj)
+		for i := range obj.Syms {
+			sym := &obj.Syms[i]
+			fb, ok := br.Func(sym.Name)
+			if !ok || fb.Sym != sym {
+				t.Fatalf("%s: no bridge for %s", s.Name, sym.Name)
+			}
+			sameSites(t, s.Name+"."+sym.Name, fb, lookupBridge(obj, sym))
+		}
+	}
+
+	text := make([]ir.Instr, 12)
+	for i := range text {
+		text[i] = ir.Instr{Op: []ir.Op{ir.ADDSD, ir.MOVRR, ir.JMP}[i%3]}
+	}
+	obj := &objfile.File{
+		Text: text,
+		Syms: []objfile.Symbol{
+			{Name: "pre", Start: 0, Count: 2},
+			{Name: "dup", Start: 2, Count: 3},
+			{Name: "f", Start: 5, Count: 4},
+			{Name: "dup", Start: 9, Count: 3},
+		},
+		Line: &dwarfline.Table{Rows: []dwarfline.Row{
+			{Addr: 1, Line: 1, Col: 1},
+			{Addr: 3, Line: 2, Col: 1},
+			{Addr: 3, Line: 2, Col: 5},
+			{Addr: 6, Line: 1, Col: 1},
+			{Addr: 7, Line: 3, Col: 1},
+			{Addr: 8, Line: 2, Col: 5},
+		}},
+	}
+	br := bridge.Build(obj)
+	for _, name := range []string{"pre", "dup", "f"} {
+		fb, ok := br.Func(name)
+		if !ok {
+			t.Fatalf("no bridge for %s", name)
+		}
+		want, _ := obj.LookupSym(name)
+		if name == "dup" {
+			want = &obj.Syms[3]
+		}
+		if fb.Sym != want {
+			t.Errorf("%s: bridge of the symbol at %d, want the one at %d", name, fb.Sym.Start, want.Start)
+		}
+		sameSites(t, name, fb, lookupBridge(obj, want))
+	}
+	obj.Line = nil
+	fb, _ := bridge.Build(obj).Func("f")
+	sameSites(t, "f without a line table", fb, lookupBridge(obj, &obj.Syms[2]))
 }

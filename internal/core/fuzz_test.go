@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"mira/internal/benchprogs"
 	"mira/internal/core"
 	"mira/internal/expr"
 	"mira/internal/model"
+	"mira/internal/parser"
 )
 
 // nearLimits is a seed whose literals and loop bounds sit near the
@@ -42,6 +44,62 @@ double outer(double *a, int n) {
 }
 `
 
+// elseLadder is a seed whose if/else ladder puts several statements,
+// calls and loops under each branch, so sites share the count of their
+// branch's context while each branch, its else and each loop below them
+// count their own.
+const elseLadder = `
+double leaf(double v, int m) {
+	int i; double t;
+	t = v;
+	for (i = 0; i < m; i++) {
+		t = t * 0.5 + 1.0;
+	}
+	return t;
+}
+
+double ladder(double *a, int n, int k) {
+	double s; int i; int j;
+	s = 0.0;
+	for (i = 0; i < n; i++) {
+		if (i < k) {
+			s = s + a[i];
+			s = s + leaf(a[i], k);
+			for (j = i; j < n; j++) {
+				a[j] = s + leaf(s, j);
+			}
+		} else if (i % 3 == 1) {
+			s = s - a[i];
+			a[i] = leaf(s, n) + leaf(a[i], 2);
+		} else if (i != n - 2) {
+			for (j = 0; j < i; j++) {
+				s = s + a[j] * 2.0;
+				if (j < k) {
+					s = s + 1.0;
+				} else {
+					a[j] = leaf(s, i);
+				}
+			}
+			s = s * 0.25;
+		} else {
+			s = leaf(s, i) + leaf(s, k);
+			for (j = 0; j < k; j++) {
+				a[j] = s;
+			}
+		}
+		s = s + 0.5;
+	}
+	return s;
+}
+`
+
+// nestedReturn is a function returning n under k logical negations: a
+// return statement and its expression take two nesting levels, so k =
+// parser.MaxNesting-2 sits exactly at the parser's bound.
+func nestedReturn(k int) string {
+	return "int f(int n) { return " + strings.Repeat("!", k) + "n; }"
+}
+
 // FuzzAnalyzeSource runs the whole front end and metrics generation on
 // arbitrary MiniC source, outside the engine's panic guard, so any panic
 // fails the fuzz. An input that analyzes is then evaluated by the tree
@@ -55,6 +113,9 @@ func FuzzAnalyzeSource(f *testing.F) {
 		f.Add(s.Src)
 	}
 	f.Add(nearLimits)
+	f.Add(elseLadder)
+	f.Add(nestedReturn(parser.MaxNesting - 2))
+	f.Add(nestedReturn(parser.MaxNesting - 1))
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 8<<10 {
 			t.Skip("source beyond 8 KiB")
@@ -135,4 +196,24 @@ func enumerates(m *model.Model) bool {
 		}
 	}
 	return false
+}
+
+// TestFuzzSeeds checks what the nesting and ladder seeds are for: the
+// source at the parser's bound analyzes and the one past it fails, the
+// ladder analyzes strictly, and every seed stays under the fuzzer's
+// 8 KiB skip.
+func TestFuzzSeeds(t *testing.T) {
+	for _, src := range []string{elseLadder, nestedReturn(parser.MaxNesting - 2), nestedReturn(parser.MaxNesting - 1)} {
+		if len(src) > 8<<10 {
+			t.Errorf("seed of %d bytes is past the 8 KiB skip", len(src))
+		}
+	}
+	for _, src := range []string{elseLadder, nestedReturn(parser.MaxNesting - 2)} {
+		if _, err := core.Analyze("seed.c", src, core.Options{}); err != nil {
+			t.Errorf("seed does not analyze: %v", err)
+		}
+	}
+	if _, err := core.Analyze("seed.c", nestedReturn(parser.MaxNesting-1), core.Options{}); err == nil {
+		t.Error("a source one level past the nesting bound analyzed")
+	}
 }

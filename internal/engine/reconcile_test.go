@@ -34,23 +34,7 @@ var reconcilePrograms = []struct {
 	{"listing4.c", benchprogs.Listing4},
 	{"listing5.c", benchprogs.Listing5},
 	{"ablation.c", benchprogs.Ablation},
-	{"brfrac.c", `
-double work(double v) {
-	double t;
-	t = v * 2.0 + 1.0;
-	return t;
-}
-double kernel(double *x, int n) {
-	double s; int i;
-	s = 0.0;
-	for (i = 0; i < n; i++) {
-		#pragma @Annotation {br_frac:0.37}
-		if (x[i] > 0.5) {
-			s = s + work(x[i]);
-		}
-	}
-	return s;
-}`},
+	{"brfrac.c", benchprogs.BrFrac},
 }
 
 // TestEvaluateOpcodesReconciles checks, for every benchprogs program and

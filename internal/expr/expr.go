@@ -81,10 +81,38 @@ func (Sum) isExpr()      {}
 // Constructors
 
 // Const returns the integer constant n.
-func Const(n int64) Expr { return Num{rational.FromInt(n)} }
+func Const(n int64) Expr {
+	if n >= minSmall && n <= maxSmall {
+		return smallNums[n-minSmall]
+	}
+	return Num{rational.FromInt(n)}
+}
 
 // ConstRat returns the rational constant r.
-func ConstRat(r rational.Rat) Expr { return Num{r} }
+func ConstRat(r rational.Rat) Expr { return num(r) }
+
+// Boxing a Num into an Expr allocates its 24 bytes, so the small integers
+// that counts are built from are boxed once: smallNums[i] is the constant
+// minSmall+i. The table is never written after initialization.
+const (
+	minSmall = -1
+	maxSmall = 16
+)
+
+var smallNums = func() (t [maxSmall - minSmall + 1]Expr) {
+	for i := range t {
+		t[i] = Num{rational.FromInt(int64(i) + minSmall)}
+	}
+	return t
+}()
+
+// num boxes r, without allocating when r is a small integer.
+func num(r rational.Rat) Expr {
+	if v, ok := r.Int64(); ok && v >= minSmall && v <= maxSmall {
+		return smallNums[v-minSmall]
+	}
+	return Num{r}
+}
 
 // P returns the parameter named name.
 func P(name string) Expr { return Param{name} }
@@ -135,7 +163,7 @@ func NewAdd(terms ...Expr) Expr {
 	}
 	flat = collectLikeTerms(flat)
 	if c.Sign() != 0 || len(flat) == 0 {
-		flat = append(flat, Num{c})
+		flat = append(flat, num(c))
 	}
 	if len(flat) == 1 {
 		return flat[0]
@@ -172,7 +200,7 @@ func collectLikeTerms(terms []Expr) []Expr {
 		if e.coeff.Equal(rational.One) {
 			out = append(out, e.base)
 		} else {
-			out = append(out, NewMul(Num{e.coeff}, e.base))
+			out = append(out, NewMul(num(e.coeff), e.base))
 		}
 	}
 	return out
@@ -227,7 +255,7 @@ func NewMul(factors ...Expr) Expr {
 		return Const(0)
 	}
 	if len(flat) == 0 {
-		return Num{c}
+		return num(c)
 	}
 	// Distribute a constant over a single Add factor: 3*(a+b) -> 3a+3b.
 	// This keeps count expressions in expanded (collectible) form.
@@ -235,13 +263,13 @@ func NewMul(factors ...Expr) Expr {
 		if add, ok := flat[0].(Add); ok && !c.Equal(rational.One) {
 			terms := make([]Expr, len(add.Terms))
 			for i, t := range add.Terms {
-				terms[i] = NewMul(Num{c}, t)
+				terms[i] = NewMul(num(c), t)
 			}
 			return NewAdd(terms...)
 		}
 	}
 	if !c.Equal(rational.One) {
-		flat = append([]Expr{Num{c}}, flat...)
+		flat = append([]Expr{num(c)}, flat...)
 	}
 	if len(flat) == 1 {
 		return flat[0]
@@ -274,7 +302,7 @@ func NewFloorDiv(x Expr, d rational.Rat) Expr {
 		return x
 	}
 	if n, ok := x.(Num); ok {
-		return Num{n.Val.FloorDiv(d)}
+		return num(n.Val.FloorDiv(d))
 	}
 	return FloorDiv{X: x, D: d}
 }
@@ -284,7 +312,7 @@ func NewMin(a, b Expr) Expr {
 	na, oka := a.(Num)
 	nb, okb := b.(Num)
 	if oka && okb {
-		return Num{na.Val.Min(nb.Val)}
+		return num(na.Val.Min(nb.Val))
 	}
 	if a.String() == b.String() {
 		return a
@@ -297,7 +325,7 @@ func NewMax(a, b Expr) Expr {
 	na, oka := a.(Num)
 	nb, okb := b.(Num)
 	if oka && okb {
-		return Num{na.Val.Max(nb.Val)}
+		return num(na.Val.Max(nb.Val))
 	}
 	if a.String() == b.String() {
 		return a

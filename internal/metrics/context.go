@@ -12,9 +12,23 @@ import (
 // complement rule (Count_true = Count_total − Count_false) while keeping
 // every term inside the polyhedral framework, so nested loops below an
 // else branch still count precisely.
+//
+// A context's count belongs to the context, not to the statements under
+// it: every constructor gives the new context a fresh count cell, copies
+// of a context share it, and Count fills it on first use. Counts are
+// immutable expressions, so every site and call under one context can
+// share one.
 type Context struct {
 	mult  expr.Expr // multiplier applied to the whole combination
 	terms []ctxTerm
+	count *countCell
+}
+
+// countCell caches a context's Count, the result and the error together.
+type countCell struct {
+	done bool
+	val  expr.Expr
+	err  error
 }
 
 type ctxTerm struct {
@@ -24,12 +38,12 @@ type ctxTerm struct {
 
 // UnitContext is the top-of-function context (count 1).
 func UnitContext() Context {
-	return Context{mult: expr.Const(1), terms: []ctxTerm{{sign: 1}}}
+	return Context{mult: expr.Const(1), terms: []ctxTerm{{sign: 1}}, count: new(countCell)}
 }
 
 // WithLoop extends every term by a loop level.
 func (c Context) WithLoop(l polyhedra.Loop) Context {
-	out := Context{mult: c.mult}
+	out := Context{mult: c.mult, terms: make([]ctxTerm, 0, len(c.terms)), count: new(countCell)}
 	for _, t := range c.terms {
 		out.terms = append(out.terms, ctxTerm{sign: t.sign, nest: t.nest.WithLoop(l)})
 	}
@@ -38,7 +52,7 @@ func (c Context) WithLoop(l polyhedra.Loop) Context {
 
 // WithGuards extends every term by guards (an if's then-branch).
 func (c Context) WithGuards(gs []polyhedra.Guard) Context {
-	out := Context{mult: c.mult}
+	out := Context{mult: c.mult, terms: make([]ctxTerm, 0, len(c.terms)), count: new(countCell)}
 	for _, t := range c.terms {
 		n := t.nest
 		for _, g := range gs {
@@ -51,7 +65,7 @@ func (c Context) WithGuards(gs []polyhedra.Guard) Context {
 
 // Else returns the complement context of guards: ctx − (ctx ∧ guards).
 func (c Context) Else(gs []polyhedra.Guard) Context {
-	out := Context{mult: c.mult}
+	out := Context{mult: c.mult, terms: make([]ctxTerm, 0, 2*len(c.terms)), count: new(countCell)}
 	out.terms = append(out.terms, c.terms...)
 	for _, t := range c.terms {
 		n := t.nest
@@ -71,11 +85,20 @@ func (c Context) Scale(f rational.Rat) Context {
 // Override replaces the context count with an absolute expression
 // (br_count annotations).
 func Override(count expr.Expr) Context {
-	return Context{mult: count, terms: []ctxTerm{{sign: 1}}}
+	return Context{mult: count, terms: []ctxTerm{{sign: 1}}, count: new(countCell)}
 }
 
-// Count returns the symbolic execution count.
+// Count returns the symbolic execution count, computed on the first call
+// for this context or any copy of it.
 func (c Context) Count() (expr.Expr, error) {
+	if !c.count.done {
+		c.count.val, c.count.err = c.countTerms()
+		c.count.done = true
+	}
+	return c.count.val, c.count.err
+}
+
+func (c Context) countTerms() (expr.Expr, error) {
 	var total expr.Expr = expr.Const(0)
 	for _, t := range c.terms {
 		n, err := polyhedra.Count(t.nest)

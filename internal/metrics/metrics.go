@@ -48,8 +48,9 @@ type Generator struct {
 }
 
 // NewGenerator builds a generator over an analyzed program and its
-// decoded binary. The line-table bridge is built once here; per-function
-// model generation then goes through FuncModel.
+// decoded binary. Per-function model generation goes through FuncModel,
+// which builds the line-table bridge of just the function it models. A
+// Generator serves one goroutine.
 func NewGenerator(prog *sema.Program, obj *objfile.File, cfg Config) *Generator {
 	return &Generator{prog: prog, br: bridge.Build(obj), cfg: cfg}
 }
@@ -112,6 +113,10 @@ type funcWalker struct {
 	sc *scope
 	// claimed maps positions to the site that owns them.
 	claimed map[bridge.Pos]bool
+	// slab holds the sites fm.Sites points into. A site is kept only for
+	// a distinct position of fb.Sites, so the slab never outgrows its
+	// len(fb.Sites) capacity and its elements never move.
+	slab []model.Site
 }
 
 func (g *Generator) genFunc(fi *sema.FuncInfo) (*model.Func, error) {
@@ -135,7 +140,12 @@ func (g *Generator) genFunc(fi *sema.FuncInfo) (*model.Func, error) {
 			sc.fnParams[p.Name] = true
 		}
 	}
-	w := &funcWalker{g: g, fi: fi, fb: fb, fm: fm, sc: sc, claimed: map[bridge.Pos]bool{}}
+	fm.Sites = make([]*model.Site, 0, len(fb.Sites))
+	w := &funcWalker{
+		g: g, fi: fi, fb: fb, fm: fm, sc: sc,
+		claimed: make(map[bridge.Pos]bool, len(fb.Sites)),
+		slab:    make([]model.Site, 0, len(fb.Sites)),
+	}
 
 	// Prologue / epilogue instructions are tagged at the function header.
 	w.claim(fi.Decl.Pos(), expr.Const(1), "function prologue/epilogue", nil)
@@ -145,13 +155,15 @@ func (g *Generator) genFunc(fi *sema.FuncInfo) (*model.Func, error) {
 	}
 
 	// Coverage invariant: every instruction position must be claimed.
-	var missing []string
-	for _, p := range fb.Positions() {
-		if !w.claimed[p] {
-			missing = append(missing, fmt.Sprintf("%d:%d", p.Line, p.Col))
+	// claim keeps one site per distinct claimed position that has
+	// instructions, so full coverage means as many sites as positions.
+	if len(fm.Sites) != len(fb.Sites) {
+		var missing []string
+		for _, p := range fb.Positions() {
+			if !w.claimed[p] {
+				missing = append(missing, fmt.Sprintf("%d:%d", p.Line, p.Col))
+			}
 		}
-	}
-	if len(missing) > 0 {
 		return nil, fmt.Errorf("unclaimed instruction positions %s (compiler/metrics desync)",
 			strings.Join(missing, ", "))
 	}
@@ -179,8 +191,8 @@ func zeroCtx() Context { return Override(expr.Const(0)) }
 
 // claim attaches the instructions at pos to a site with the given
 // multiplicity. Positions with no attributed instructions are skipped.
-// The site's label is desc followed by e's source text when e is non-nil,
-// rendered only for a site that is kept.
+// The site's label is desc followed by e's source text when e is non-nil;
+// Site.Label renders it when the label is emitted.
 func (w *funcWalker) claim(pos token.Pos, mult expr.Expr, desc string, e ast.Expr) {
 	p := bridge.Pos{Line: int32(pos.Line), Col: int32(pos.Col)}
 	if w.claimed[p] {
@@ -191,19 +203,17 @@ func (w *funcWalker) claim(pos token.Pos, mult expr.Expr, desc string, e ast.Exp
 	if sc == nil {
 		return
 	}
-	if e != nil {
-		desc += ast.ExprString(e)
-	}
-	site := &model.Site{
+	w.slab = append(w.slab, model.Site{
 		Line: pos.Line, Col: pos.Col,
 		Desc:   desc,
+		Expr:   e,
+		Counts: sc.ByCategory,
 		Flops:  sc.Flops,
 		Instrs: sc.Instrs,
 		Mult:   mult,
 		Ops:    sc.ByOpcode,
-	}
-	site.Counts = sc.ByCategory
-	w.fm.Sites = append(w.fm.Sites, site)
+	})
+	w.fm.Sites = append(w.fm.Sites, &w.slab[len(w.slab)-1])
 }
 
 func (w *funcWalker) claimCtx(pos token.Pos, ctx Context, desc string, e ast.Expr) error {

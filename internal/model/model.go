@@ -19,6 +19,7 @@ import (
 	"math"
 	"sort"
 
+	"mira/internal/ast"
 	"mira/internal/expr"
 	"mira/internal/ir"
 	"mira/internal/rational"
@@ -106,15 +107,29 @@ func accumInto(dst *int64, n, mult int64) bool {
 	return true
 }
 
-// Site is the cost of one source position.
+// Site is the cost of one source position. Its human-readable label is
+// Desc, a role such as "loop cond " or "declare i" (empty for a plain
+// expression statement), followed by the source text of Expr when Expr
+// is non-nil. Label renders the two; only the Python emitter reads it,
+// so a model that is never emitted never renders source text.
 type Site struct {
 	Line, Col int
-	Desc      string // source fragment or role, for readability
+	Desc      string
+	Expr      ast.Expr
 	Counts    [ir.NumCategories]int64
 	Ops       map[ir.Op]int64 // per-opcode counts, for fine categorization
 	Flops     int64
 	Instrs    int64
 	Mult      expr.Expr
+}
+
+// Label returns the site's human-readable label: Desc followed by the
+// source text of Expr.
+func (s *Site) Label() string {
+	if s.Expr == nil {
+		return s.Desc
+	}
+	return s.Desc + ast.ExprString(s.Expr)
 }
 
 // Call is one call site.

@@ -108,7 +108,7 @@ func (m *Model) emitPyFunc(b *strings.Builder, f *Func, round bool) {
 		if s.Instrs == 0 {
 			continue
 		}
-		fmt.Fprintf(b, "    # line %d:%d  %s\n", s.Line, s.Col, s.Desc)
+		fmt.Fprintf(b, "    # line %d:%d  %s\n", s.Line, s.Col, s.Label())
 		fmt.Fprintf(b, "    _n = %s\n", mult(s.Mult))
 		for c := 0; c < int(ir.NumCategories); c++ {
 			if s.Counts[c] == 0 {

@@ -22,22 +22,42 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
+// Every stage after the parser recurses once per level of statement
+// nesting and once per level of an expression tree. A goroutine stack
+// that passes Go's 1 GB limit kills the whole process, and no recover
+// can catch that, so the parser refuses sources deeper than these bounds
+// with a positioned error.
+const (
+	// MaxNesting bounds how deeply statements nest, and how deeply
+	// sub-expressions (parenthesized, bracketed, call arguments,
+	// assignment right-hand sides, ternary arms) and unary operators
+	// nest inside one another.
+	MaxNesting = 4096
+	// MaxExprHeight bounds the height of an expression tree, which a
+	// long operator chain such as n+n+...+n grows without nesting.
+	MaxExprHeight = 1 << 17
+)
+
+// The parser pulls tokens from the lexer as it goes and keeps only the
+// current one, one lookahead and the end of the last one consumed, so a
+// source refused at a bound costs no token buffer of its own size.
 type parser struct {
-	src     string
-	toks    []token.Token
-	i       int
-	file    *ast.File
-	classes map[string]bool // class names seen so far, for type lookahead
+	src      string
+	lx       *lexer.Lexer
+	tok      token.Token // current token
+	ahead    token.Token // the token after tok, when hasAhead
+	hasAhead bool
+	prevEnd  int // End of the last token consumed
+	file     *ast.File
+	classes  map[string]bool // class names seen so far, for type lookahead
+	depth    int             // current nesting, bounded by MaxNesting
+	h        int             // height of the expression parsed last
 }
 
 // ParseFile parses MiniC source text into a File.
 func ParseFile(name, src string) (*ast.File, error) {
 	lx := lexer.New(src)
-	toks := lx.All()
-	if errs := lx.Errors(); len(errs) > 0 {
-		return nil, errs[0]
-	}
-	p := &parser{src: src, toks: toks, classes: map[string]bool{}}
+	p := &parser{src: src, lx: lx, tok: lx.Next(), classes: map[string]bool{}}
 	p.file = &ast.File{Name: name, FilePos: token.Pos{Line: 1, Col: 1}}
 	var perr error
 	func() {
@@ -52,6 +72,15 @@ func ParseFile(name, src string) (*ast.File, error) {
 		}()
 		p.parseProgram()
 	}()
+	// A lexical error anywhere outranks a parse error, so the rest of
+	// the source is scanned, without keeping its tokens.
+	if p.tok.Kind != token.EOF && !(p.hasAhead && p.ahead.Kind == token.EOF) {
+		for lx.Next().Kind != token.EOF {
+		}
+	}
+	if errs := lx.Errors(); len(errs) > 0 {
+		return nil, errs[0]
+	}
 	if perr != nil {
 		return nil, perr
 	}
@@ -62,18 +91,47 @@ func (p *parser) errf(pos token.Pos, format string, args ...any) {
 	panic(&Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.i] }
-func (p *parser) peek() token.Token {
-	if p.i+1 < len(p.toks) {
-		return p.toks[p.i+1]
+// enter opens one nesting level at the current token; the caller closes
+// it with p.depth--. An error unwinds the whole parse, so nothing closes
+// levels on that path.
+func (p *parser) enter() {
+	p.depth++
+	if p.depth > MaxNesting {
+		p.errf(p.cur().Pos, "nesting deeper than %d levels", MaxNesting)
 	}
-	return p.toks[len(p.toks)-1]
+}
+
+// grow returns the height of a node over children at most h high,
+// positioned at pos for the error when it passes MaxExprHeight.
+func (p *parser) grow(h int, pos token.Pos) int {
+	if h >= MaxExprHeight {
+		p.errf(pos, "expression deeper than %d levels", MaxExprHeight)
+	}
+	return h + 1
+}
+
+func (p *parser) cur() token.Token { return p.tok }
+
+func (p *parser) peek() token.Token {
+	if p.tok.Kind == token.EOF {
+		return p.tok
+	}
+	if !p.hasAhead {
+		p.ahead, p.hasAhead = p.lx.Next(), true
+	}
+	return p.ahead
 }
 
 func (p *parser) next() token.Token {
-	t := p.toks[p.i]
-	if t.Kind != token.EOF {
-		p.i++
+	t := p.tok
+	if t.Kind == token.EOF {
+		return t
+	}
+	p.prevEnd = t.End
+	if p.hasAhead {
+		p.tok, p.hasAhead = p.ahead, false
+	} else {
+		p.tok = p.lx.Next()
 	}
 	return t
 }
@@ -97,7 +155,7 @@ func (p *parser) expect(k token.Kind) token.Token {
 // source returns the text from token first through the last token
 // consumed, anchored at first.
 func (p *parser) source(first token.Token) ast.Source {
-	return ast.Source{Pos: first.Pos, Text: p.src[first.Off:p.toks[p.i-1].End]}
+	return ast.Source{Pos: first.Pos, Text: p.src[first.Off:p.prevEnd]}
 }
 
 // ---------------------------------------------------------------------------
@@ -360,12 +418,19 @@ func (p *parser) parseBlock() *ast.BlockStmt {
 }
 
 func (p *parser) parseStmt() ast.Stmt {
-	// A pragma annotates the statement that follows it.
-	if p.cur().Kind == token.PRAGMA {
+	p.enter()
+	st := p.parseStmtAt()
+	p.depth--
+	return st
+}
+
+func (p *parser) parseStmtAt() ast.Stmt {
+	// A pragma annotates the statement that follows it. Non-annotation
+	// pragmas (omp, once, ...) are ignored.
+	for p.cur().Kind == token.PRAGMA {
 		t := p.next()
 		if !ast.IsAnnotationPragma(t.Lit) {
-			// Non-annotation pragmas (omp, once, ...) are ignored.
-			return p.parseStmt()
+			continue
 		}
 		ann, err := ast.ParseAnnotation(t.Lit, t.Pos)
 		if err != nil {
@@ -495,35 +560,54 @@ func (p *parser) parseWhile() ast.Stmt {
 // ---------------------------------------------------------------------------
 // Expressions
 
+// Every expression parser leaves the height of the tree it returns in
+// p.h, so operator chains, which the loops below build without nesting,
+// stay within MaxExprHeight.
+
 func (p *parser) parseExpr() ast.Expr { return p.parseAssignExpr() }
 
 func (p *parser) parseAssignExpr() ast.Expr {
+	p.enter()
 	lhs := p.parseTernary()
 	if p.cur().Kind.IsAssignOp() {
+		h := p.h
 		op := p.next()
 		rhs := p.parseAssignExpr()
-		return &ast.AssignExpr{Op: op.Kind, LHS: lhs, RHS: rhs}
+		p.h = p.grow(max(h, p.h), op.Pos)
+		lhs = &ast.AssignExpr{Op: op.Kind, LHS: lhs, RHS: rhs}
 	}
+	p.depth--
 	return lhs
 }
 
 func (p *parser) parseTernary() ast.Expr {
 	cond := p.parseOr()
-	if p.accept(token.QUESTION) {
+	if q := p.cur(); p.accept(token.QUESTION) {
+		h := p.h
 		then := p.parseExpr()
+		h = max(h, p.h)
 		p.expect(token.COLON)
+		p.enter()
 		els := p.parseTernary()
+		p.depth--
+		p.h = p.grow(max(h, p.h), q.Pos)
 		return &ast.CondExpr{Cond: cond, Then: then, Else: els}
 	}
 	return cond
 }
 
+// binary returns the node x op y over x of height hx, leaving its height
+// in p.h (which holds y's).
+func (p *parser) binary(op token.Token, x, y ast.Expr, hx int) ast.Expr {
+	p.h = p.grow(max(hx, p.h), op.Pos)
+	return &ast.BinaryExpr{Op: op.Kind, X: x, Y: y}
+}
+
 func (p *parser) parseOr() ast.Expr {
 	x := p.parseAnd()
 	for p.cur().Kind == token.OROR {
-		p.next()
-		y := p.parseAnd()
-		x = &ast.BinaryExpr{Op: token.OROR, X: x, Y: y}
+		op, h := p.next(), p.h
+		x = p.binary(op, x, p.parseAnd(), h)
 	}
 	return x
 }
@@ -531,9 +615,8 @@ func (p *parser) parseOr() ast.Expr {
 func (p *parser) parseAnd() ast.Expr {
 	x := p.parseEquality()
 	for p.cur().Kind == token.ANDAND {
-		p.next()
-		y := p.parseEquality()
-		x = &ast.BinaryExpr{Op: token.ANDAND, X: x, Y: y}
+		op, h := p.next(), p.h
+		x = p.binary(op, x, p.parseEquality(), h)
 	}
 	return x
 }
@@ -541,9 +624,8 @@ func (p *parser) parseAnd() ast.Expr {
 func (p *parser) parseEquality() ast.Expr {
 	x := p.parseRelational()
 	for p.cur().Kind == token.EQ || p.cur().Kind == token.NEQ {
-		op := p.next()
-		y := p.parseRelational()
-		x = &ast.BinaryExpr{Op: op.Kind, X: x, Y: y}
+		op, h := p.next(), p.h
+		x = p.binary(op, x, p.parseRelational(), h)
 	}
 	return x
 }
@@ -555,18 +637,16 @@ func (p *parser) parseRelational() ast.Expr {
 		if k != token.LT && k != token.GT && k != token.LEQ && k != token.GEQ {
 			return x
 		}
-		op := p.next()
-		y := p.parseAdditive()
-		x = &ast.BinaryExpr{Op: op.Kind, X: x, Y: y}
+		op, h := p.next(), p.h
+		x = p.binary(op, x, p.parseAdditive(), h)
 	}
 }
 
 func (p *parser) parseAdditive() ast.Expr {
 	x := p.parseMultiplicative()
 	for p.cur().Kind == token.PLUS || p.cur().Kind == token.MINUS {
-		op := p.next()
-		y := p.parseMultiplicative()
-		x = &ast.BinaryExpr{Op: op.Kind, X: x, Y: y}
+		op, h := p.next(), p.h
+		x = p.binary(op, x, p.parseMultiplicative(), h)
 	}
 	return x
 }
@@ -574,9 +654,8 @@ func (p *parser) parseAdditive() ast.Expr {
 func (p *parser) parseMultiplicative() ast.Expr {
 	x := p.parseUnary()
 	for p.cur().Kind == token.STAR || p.cur().Kind == token.SLASH || p.cur().Kind == token.PERCENT {
-		op := p.next()
-		y := p.parseUnary()
-		x = &ast.BinaryExpr{Op: op.Kind, X: x, Y: y}
+		op, h := p.next(), p.h
+		x = p.binary(op, x, p.parseUnary(), h)
 	}
 	return x
 }
@@ -585,10 +664,13 @@ func (p *parser) parseUnary() ast.Expr {
 	switch p.cur().Kind {
 	case token.MINUS, token.PLUS, token.NOT, token.INC, token.DEC, token.AMP, token.STAR:
 		op := p.next()
+		p.enter()
 		x := p.parseUnary()
+		p.depth--
 		if op.Kind == token.PLUS {
 			return x
 		}
+		p.h = p.grow(p.h, op.Pos)
 		return &ast.UnaryExpr{Op: op.Kind, X: x, OpPos: op.Pos}
 	}
 	return p.parsePostfix()
@@ -597,33 +679,41 @@ func (p *parser) parseUnary() ast.Expr {
 func (p *parser) parsePostfix() ast.Expr {
 	x := p.parsePrimary()
 	for {
-		switch p.cur().Kind {
+		h := p.h
+		switch t := p.cur(); t.Kind {
 		case token.LPAREN:
 			p.next()
 			call := &ast.CallExpr{Fun: x}
 			if p.cur().Kind != token.RPAREN {
 				call.Args = append(call.Args, p.parseAssignExpr())
+				h = max(h, p.h)
 				for p.accept(token.COMMA) {
 					call.Args = append(call.Args, p.parseAssignExpr())
+					h = max(h, p.h)
 				}
 			}
 			p.expect(token.RPAREN)
+			p.h = p.grow(h, t.Pos)
 			x = call
 		case token.LBRACKET:
 			p.next()
 			idx := p.parseExpr()
 			p.expect(token.RBRACKET)
+			p.h = p.grow(max(h, p.h), t.Pos)
 			x = &ast.IndexExpr{X: x, Index: idx}
 		case token.DOT:
 			p.next()
 			sel := p.expect(token.IDENT)
+			p.h = p.grow(h, t.Pos)
 			x = &ast.MemberExpr{X: x, Sel: sel.Lit}
 		case token.ARROW:
 			p.next()
 			sel := p.expect(token.IDENT)
+			p.h = p.grow(h, t.Pos)
 			x = &ast.MemberExpr{X: x, Sel: sel.Lit, Arrow: true}
 		case token.INC, token.DEC:
 			op := p.next()
+			p.h = p.grow(h, t.Pos)
 			x = &ast.UnaryExpr{Op: op.Kind, X: x, Postfix: true, OpPos: op.Pos}
 		default:
 			return x
@@ -633,6 +723,7 @@ func (p *parser) parsePostfix() ast.Expr {
 
 func (p *parser) parsePrimary() ast.Expr {
 	t := p.cur()
+	p.h = 1
 	switch t.Kind {
 	case token.IDENT:
 		p.next()
@@ -671,6 +762,7 @@ func (p *parser) parsePrimary() ast.Expr {
 		p.next()
 		x := p.parseExpr()
 		p.expect(token.RPAREN)
+		p.h = p.grow(p.h, t.Pos)
 		return &ast.ParenExpr{X: x, ParenPos: t.Pos}
 	}
 	p.errf(t.Pos, "unexpected token %s in expression", t)
