@@ -45,18 +45,22 @@ govulncheck:
 
 # fuzz-smoke runs the three-way evaluator divergence fuzzer (tree walker
 # vs compiled model vs VM over synthesized programs), the frame decoder
-# fuzzer (the only decoder of untrusted store and peer bytes), the
-# rational arithmetic fuzzer (every operation against math/big across
-# the int64 overflow boundary), the source fuzzer (core.Analyze on
-# arbitrary MiniC, the daemon's largest untrusted input), the wire cell
-# fuzzer (mira-serve's /query and /sweep encoder against encoding/json),
-# and the expression renderer fuzzer (ast.ExprString against its
-# fmt-based reference on parsed MiniC), each for FUZZTIME; CI runs it on
-# every push, so all six stay continuously fuzzed.
+# fuzzer (the frame around untrusted store and peer bytes), the unit
+# decoder fuzzer (cc.DecodeUnitBytes on the compiled units inside those
+# frames: no panic, allocation bounded by the input, stable
+# re-encoding), the rational arithmetic fuzzer (every operation against
+# math/big across the int64 overflow boundary), the source fuzzer
+# (core.Analyze on arbitrary MiniC, the daemon's largest untrusted
+# input), the wire cell fuzzer (mira-serve's /query and /sweep encoder
+# against encoding/json), and the expression renderer fuzzer
+# (ast.ExprString against its fmt-based reference on parsed MiniC), each
+# for FUZZTIME; CI runs it on every push, so all seven stay continuously
+# fuzzed.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzThreeWayEvaluators -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/cachestore
+	$(GO) test -run xxx -fuzz FuzzDecodeUnit -fuzztime $(FUZZTIME) ./internal/cc
 	$(GO) test -run xxx -fuzz FuzzRatArith -fuzztime $(FUZZTIME) ./internal/rational
 	$(GO) test -run xxx -fuzz FuzzAnalyzeSource -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzWireCell -fuzztime $(FUZZTIME) ./cmd/mira-serve

@@ -20,13 +20,13 @@ import (
 // newClusterTestServer wires a single-member clustered server: every
 // key is self-owned, so no peer traffic happens, but the daemon honours
 // sibling-forwarded requests.
-func newClusterTestServer(t *testing.T, rl RateLimiterOptions) *server {
+func newClusterTestServer(t *testing.T, rl RateLimiterOptions, peers ...string) *server {
 	t.Helper()
 	self := "http://self.invalid:1"
 	reg := obs.NewRegistry()
 	node, err := cluster.NewNode(cluster.NodeOptions{
 		Self:  self,
-		Peers: []string{self},
+		Peers: append([]string{self}, peers...),
 		Local: engine.NewMemoryStore(),
 		Obs:   reg,
 	})

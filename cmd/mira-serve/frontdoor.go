@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/netip"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,9 +57,11 @@ func ClassOf(path string) Class {
 // its health checks and its siblings. On a clustered daemon, requests
 // already forwarded by a sibling skip the rate limiter (the sibling's
 // client already spent a token there) but still count against
-// admission, which protects this replica's memory. A lone daemon has
-// no siblings, so it ignores the forwarded header: any client could set
-// it.
+// admission, which protects this replica's memory. Any client could set
+// the forwarded header, so it counts only on a request whose remote
+// address is a ring peer's host; a lone daemon has no peers and ignores
+// it. A peer named by hostname rather than IP address never matches a
+// remote address, so what it forwards is rate-limited like any client.
 func (s *server) frontDoor(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		class := ClassOf(r.URL.Path)
@@ -65,7 +69,7 @@ func (s *server) frontDoor(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		forwarded := s.node != nil && r.Header.Get(cluster.ForwardedHeader) != ""
+		forwarded := r.Header.Get(cluster.ForwardedHeader) != "" && s.peerHosts[canonicalHost(clientKey(r))]
 		if s.limiter.Enabled() && !forwarded && !s.limiter.Allow(clientKey(r)) {
 			s.reqErrors.Inc()
 			s.limiter.Limit(w)
@@ -89,6 +93,31 @@ func clientKey(r *http.Request) string {
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {
 		return r.RemoteAddr
+	}
+	return host
+}
+
+// peerHosts returns the hosts of a clustered daemon's ring members, IP
+// addresses in canonical form, or nil for a lone daemon.
+func peerHosts(node *cluster.Node) map[string]bool {
+	if node == nil {
+		return nil
+	}
+	out := map[string]bool{}
+	for _, p := range node.Ring.Peers() {
+		if u, err := url.Parse(p); err == nil && u.Hostname() != "" {
+			out[canonicalHost(u.Hostname())] = true
+		}
+	}
+	return out
+}
+
+// canonicalHost writes an IP address in one form (an IPv4-mapped IPv6
+// address as IPv4), so a peer's URL host and a remote address compare
+// equal; any other host is returned as it is.
+func canonicalHost(host string) string {
+	if a, err := netip.ParseAddr(host); err == nil {
+		return a.Unmap().String()
 	}
 	return host
 }
@@ -398,13 +427,18 @@ func (s *server) routeKey(key, source string) string {
 	return ""
 }
 
-// forward proxies an interactive request to key's ring owner when this
-// replica is clustered and the owner is a healthy remote peer. A true
-// return means the response was written (whatever the owner answered);
-// false means the caller serves the request locally — forwarding is an
-// optimization for cache locality, never a dependency.
-func (s *server) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
-	if s.node == nil || key == "" {
+// forward proxies an interactive request, which addresses key or inline
+// source, to the content key's ring owner when this replica is clustered
+// and the owner is a healthy remote peer. A true return means the
+// response was written (whatever the owner answered); false means the
+// caller serves the request locally — forwarding is an optimization for
+// cache locality, never a dependency. A lone daemon returns before
+// hashing the source for a route it has no use for.
+func (s *server) forward(w http.ResponseWriter, r *http.Request, key, source string, body []byte) bool {
+	if s.node == nil {
+		return false
+	}
+	if key = s.routeKey(key, source); key == "" {
 		return false
 	}
 	owner, ok := s.node.Forwarder.ShouldForward(r, key)

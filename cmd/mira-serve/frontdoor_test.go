@@ -98,8 +98,19 @@ func TestFrontDoorRateLimits(t *testing.T) {
 
 // forwardedQuery sends a /query that claims to come from a sibling.
 func forwardedQuery(s *server) *httptest.ResponseRecorder {
+	return queryFrom(s, "", true)
+}
+
+// queryFrom posts a /query from the remote address remote (httptest's
+// default when empty), with a sibling's forwarded header when forwarded.
+func queryFrom(s *server, remote string, forwarded bool) *httptest.ResponseRecorder {
 	req := httptest.NewRequest("POST", "/query", strings.NewReader(queryBody()))
-	req.Header.Set(cluster.ForwardedHeader, "http://origin.invalid:1")
+	if remote != "" {
+		req.RemoteAddr = remote
+	}
+	if forwarded {
+		req.Header.Set(cluster.ForwardedHeader, "http://origin.invalid:1")
+	}
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	return rec
@@ -117,15 +128,34 @@ func TestLoneDaemonIgnoresForwardedHeader(t *testing.T) {
 	}
 }
 
-// TestForwardedRequestSkipsRateLimit: on a clustered daemon, a
-// sibling-forwarded request already paid at the origin replica.
+// testPeer is the second ring member of the forwarded-header tests: a
+// loopback port nothing listens on, so a request the ring routes there
+// fails to forward at once and is served locally.
+const testPeer = "http://127.0.0.1:1"
+
+// TestForwardedRequestSkipsRateLimit: on a clustered daemon, a request
+// that a sibling forwarded, from that sibling's host, already paid at
+// the origin replica.
 func TestForwardedRequestSkipsRateLimit(t *testing.T) {
-	s := newClusterTestServer(t, RateLimiterOptions{Rate: 1, Burst: 1})
+	s := newClusterTestServer(t, RateLimiterOptions{Rate: 1, Burst: 1}, testPeer)
 	for range 2 {
-		postJSON(t, s, "/query", json.RawMessage(queryBody()))
+		queryFrom(s, "127.0.0.1:40000", false) // spends the peer host's token
 	}
-	if w := forwardedQuery(s); w.Code != http.StatusOK {
-		t.Fatalf("forwarded query past the bucket: %d, want 200 (%s)", w.Code, w.Body.String())
+	if w := queryFrom(s, "127.0.0.1:40001", true); w.Code != http.StatusOK {
+		t.Fatalf("forwarded query from a peer past the bucket: %d, want 200 (%s)", w.Code, w.Body.String())
+	}
+}
+
+// TestForgedForwardedHeaderIsRateLimited: on a clustered daemon, the
+// forwarded header from a host that is not a ring peer is a client's
+// own, and does not skip -rate.
+func TestForgedForwardedHeaderIsRateLimited(t *testing.T) {
+	s := newClusterTestServer(t, RateLimiterOptions{Rate: 1, Burst: 1}, testPeer)
+	if w := queryFrom(s, "192.0.2.7:1234", true); w.Code != http.StatusOK {
+		t.Fatalf("first query: %d (%s)", w.Code, w.Body.String())
+	}
+	if w := queryFrom(s, "192.0.2.7:1234", true); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("second query with a forged forwarded header: %d, want 429", w.Code)
 	}
 }
 

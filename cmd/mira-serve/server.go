@@ -51,6 +51,9 @@ type server struct {
 	// node is the replica's cluster runtime; nil for a standalone
 	// daemon, in which case forwarding is inert.
 	node *cluster.Node
+	// peerHosts are the ring members' hosts, whose forwarded requests
+	// skip the rate limiter (nil on a lone daemon).
+	peerHosts map[string]bool
 	// admission and limiter are the front door's gates (frontdoor.go).
 	admission *Admission
 	limiter   *RateLimiter
@@ -91,6 +94,7 @@ func newServer(eng *engine.Engine, reg *obs.Registry, suites map[string]report.S
 		suites:       suites,
 		start:        time.Now(),
 		node:         node,
+		peerHosts:    peerHosts(node),
 		admission:    newAdmission(adm, reg),
 		limiter:      newRateLimiter(rl, reg, nil),
 		reqAnalyze:   reg.Counter("mira_http_analyze_requests", "POST /analyze requests"),
@@ -185,7 +189,27 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 // readBody reads a bounded request body. Forwarding handlers read the
 // raw bytes first so an owner-routed request can be re-sent verbatim.
 func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+	if r.ContentLength > maxRequestBytes {
+		s.apiError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxRequestBytes)
+		return nil, false
+	}
+	var body []byte
+	var err error
+	if r.ContentLength >= 0 {
+		// A declared length within the bound is read into one buffer of
+		// that size; a body that runs past it is as oversized as one
+		// that declares too much.
+		body = make([]byte, r.ContentLength)
+		if _, err = io.ReadFull(r.Body, body); err == nil {
+			var probe [1]byte
+			if n, _ := io.ReadFull(r.Body, probe[:]); n > 0 {
+				s.apiError(w, http.StatusRequestEntityTooLarge, "request body exceeds its declared %d bytes", r.ContentLength)
+				return nil, false
+			}
+		}
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+	}
 	if err != nil {
 		s.apiError(w, http.StatusBadRequest, "read body: %v", err)
 		return nil, false
@@ -284,7 +308,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if req.Name == "" {
 		req.Name = "input.c"
 	}
-	if s.forward(w, r, s.routeKey("", req.Source), body) {
+	if s.forward(w, r, "", req.Source, body) {
 		return
 	}
 	a, err := s.eng.AnalyzeCtx(r.Context(), req.Name, req.Source)
@@ -402,7 +426,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, http.StatusRequestEntityTooLarge, "%d queries exceeds the per-request limit of %d", len(req.Queries), maxQueriesPerRequest)
 		return
 	}
-	if s.forward(w, r, s.routeKey(req.Key, req.Source), body) {
+	if s.forward(w, r, req.Key, req.Source, body) {
 		return
 	}
 	a, ok := s.resolveAnalysis(w, r, req.Key, req.Name, req.Source)

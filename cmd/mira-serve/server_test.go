@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -427,4 +428,43 @@ func TestOversizeBodyRejected(t *testing.T) {
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("status %d, want 413", w.Code)
 	}
+}
+
+// TestBodyLengthHeader checks readBody against the Content-Length it
+// sizes its buffer from: a declared length past the bound and a body
+// that runs past its declared length both get 413 (the first without the
+// body being read), a body shorter than declared gets 400, and a chunked
+// body with no declared length is read up to the bound as before.
+func TestBodyLengthHeader(t *testing.T) {
+	h := newTestServer(t, "")
+	valid := fmt.Sprintf(`{"source":%q}`, "double f(double a) { return a * 2.0; }")
+	cases := []struct {
+		name     string
+		body     io.Reader
+		declared int64
+		want     int
+	}{
+		{"exact", strings.NewReader(valid), int64(len(valid)), http.StatusOK},
+		{"declared past the bound", failReader{}, maxRequestBytes + 1, http.StatusRequestEntityTooLarge},
+		{"runs past its declared length", strings.NewReader(valid + " "), int64(len(valid)), http.StatusRequestEntityTooLarge},
+		{"shorter than declared", strings.NewReader(valid), int64(len(valid)) + 5, http.StatusBadRequest},
+		{"no declared length", strings.NewReader(valid), -1, http.StatusOK},
+		{"no declared length, oversized", strings.NewReader(strings.Repeat(" ", maxRequestBytes+1)), -1, http.StatusRequestEntityTooLarge},
+	}
+	for _, c := range cases {
+		req := httptest.NewRequest("POST", "/analyze", c.body)
+		req.ContentLength = c.declared
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != c.want {
+			t.Errorf("%s: status %d, want %d (%s)", c.name, w.Code, c.want, w.Body.String())
+		}
+	}
+}
+
+// failReader fails the test's request if its body is ever read.
+type failReader struct{}
+
+func (failReader) Read([]byte) (int, error) {
+	return 0, errors.New("body read although its declared length was refused")
 }

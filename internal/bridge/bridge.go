@@ -10,6 +10,7 @@
 package bridge
 
 import (
+	"slices"
 	"sort"
 
 	"mira/internal/dwarfline"
@@ -28,9 +29,13 @@ type Pos struct {
 type SiteCounts struct {
 	Pos        Pos
 	ByCategory [ir.NumCategories]int64
-	ByOpcode   map[ir.Op]int64
-	Flops      int64
-	Instrs     int64
+	// Ops holds the per-opcode counts, sorted by opcode: a window of one
+	// slab that the function's sites share.
+	Ops    []ir.OpN
+	Flops  int64
+	Instrs int64
+	// first and last link the site's runs while build counts them.
+	first, last int32
 }
 
 // FuncBridge maps source positions to instruction groups for one function.
@@ -47,6 +52,14 @@ type Bridge struct {
 	obj   *objfile.File
 	syms  map[string]*objfile.Symbol
 	funcs map[string]*FuncBridge
+	// Scratch reused from one build to the next.
+	runs []run
+}
+
+// run is one stretch of a function's text under one line-table row.
+type run struct {
+	lo, hi int   // instruction range within the function's text
+	next   int32 // index of the site's next run, or -1
 }
 
 // Build indexes an object file's symbols by name. When a name repeats,
@@ -77,6 +90,8 @@ func (b *Bridge) Func(name string) (*FuncBridge, bool) {
 // build groups one symbol's instructions by their line-table position.
 // The table's rows are sorted by address and a row covers the addresses
 // up to the next row's, so the text is walked one row's run at a time.
+// Each position's runs are linked, and then counted one position at a
+// time, so that the function's per-opcode counts fill one slab.
 func (b *Bridge) build(sym *objfile.Symbol) *FuncBridge {
 	text := b.obj.FuncText(sym)
 	var rows []dwarfline.Row
@@ -87,10 +102,12 @@ func (b *Bridge) build(sym *objfile.Symbol) *FuncBridge {
 	start, end := sym.Start, sym.Start+uint64(len(text))
 	r := sort.Search(len(rows), func(i int) bool { return rows[i].Addr > start }) - 1
 	// Each run starts at the symbol or at a row inside it, and each
-	// position holds at least one run.
-	runs := max(sort.Search(len(rows), func(i int) bool { return rows[i].Addr >= end })-r, 0)
-	fb := &FuncBridge{Sym: sym, Sites: make(map[Pos]*SiteCounts, runs)}
-	slab := make([]SiteCounts, 0, runs)
+	// position holds at least one run, so maxRuns bounds the sites too
+	// and the site slab never grows: the map's pointers stay in it.
+	maxRuns := max(sort.Search(len(rows), func(i int) bool { return rows[i].Addr >= end })-r, 0)
+	fb := &FuncBridge{Sym: sym, Sites: make(map[Pos]*SiteCounts, maxRuns)}
+	slab := make([]SiteCounts, 0, maxRuns)
+	b.runs = slices.Grow(b.runs[:0], maxRuns)
 	for idx := 0; idx < len(text); {
 		addr := start + uint64(idx)
 		for r+1 < len(rows) && rows[r+1].Addr <= addr {
@@ -104,23 +121,61 @@ func (b *Bridge) build(sym *objfile.Symbol) *FuncBridge {
 		if r+1 < len(rows) && rows[r+1].Addr-addr < uint64(n) {
 			n = int(rows[r+1].Addr - addr)
 		}
-		sc, ok := fb.Sites[pos]
-		if !ok {
-			// A slab that overflows its estimate reallocates, but the
-			// map keeps the only references, so they stay valid.
-			slab = append(slab, SiteCounts{Pos: pos, ByOpcode: map[ir.Op]int64{}})
-			sc = &slab[len(slab)-1]
-			fb.Sites[pos] = sc
+		ri := int32(len(b.runs))
+		b.runs = append(b.runs, run{lo: idx, hi: idx + n, next: -1})
+		if sc, ok := fb.Sites[pos]; ok {
+			b.runs[sc.last].next = ri
+			sc.last = ri
+		} else {
+			slab = append(slab, SiteCounts{Pos: pos, first: ri, last: ri})
+			fb.Sites[pos] = &slab[len(slab)-1]
 		}
-		for _, in := range text[idx : idx+n] {
-			sc.ByCategory[in.Op.Cat()]++
-			sc.ByOpcode[in.Op]++
-			sc.Flops += int64(in.Op.Flops())
-		}
-		sc.Instrs += int64(n)
 		idx += n
 	}
+	// Count each site's instructions, and how many distinct opcodes it
+	// has, then fill one slab of exactly that many opcode counts.
+	var local [64]ir.OpN // a site's opcode counts, spilling past 64
+	total := 0
+	for i := range slab {
+		sc := &slab[i]
+		ops := local[:0]
+		for ri := sc.first; ri >= 0; ri = b.runs[ri].next {
+			for _, in := range text[b.runs[ri].lo:b.runs[ri].hi] {
+				sc.ByCategory[in.Op.Cat()]++
+				sc.Flops += int64(in.Op.Flops())
+				ops = countOp(ops, in.Op)
+			}
+			sc.Instrs += int64(b.runs[ri].hi - b.runs[ri].lo)
+		}
+		total += len(ops)
+	}
+	ops := make([]ir.OpN, total)
+	lo := 0
+	for i := range slab {
+		sc := &slab[i]
+		sc.Ops = ops[lo:lo]
+		for ri := sc.first; ri >= 0; ri = b.runs[ri].next {
+			for _, in := range text[b.runs[ri].lo:b.runs[ri].hi] {
+				sc.Ops = countOp(sc.Ops, in.Op)
+			}
+		}
+		lo += len(sc.Ops)
+		sc.Ops = sc.Ops[:len(sc.Ops):len(sc.Ops)]
+	}
 	return fb
+}
+
+// countOp adds one op instruction to the counts ops, sorted by opcode.
+func countOp(ops []ir.OpN, op ir.Op) []ir.OpN {
+	i := len(ops)
+	for i > 0 && ops[i-1].Op > op {
+		i--
+	}
+	if i > 0 && ops[i-1].Op == op {
+		ops[i-1].N++
+		return ops
+	}
+	return slices.Insert(ops, i, ir.OpN{Op: op, N: 1})
 }
 
 // At returns the instruction group at an exact source position, or nil.

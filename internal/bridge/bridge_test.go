@@ -56,8 +56,8 @@ func TestStatementToInstructionMapping(t *testing.T) {
 	if body == nil {
 		t.Fatalf("no site at 6:3; positions = %v", fb.Positions())
 	}
-	if body.ByOpcode[ir.ADDSD] != 1 {
-		t.Errorf("ADDSD at body = %d, want 1", body.ByOpcode[ir.ADDSD])
+	if opsOf(t, body)[ir.ADDSD] != 1 {
+		t.Errorf("ADDSD at body = %d, want 1", opsOf(t, body)[ir.ADDSD])
 	}
 	if body.ByCategory[ir.CatSSEMove] == 0 {
 		t.Error("no SSE2 movement at FP statement")
@@ -76,12 +76,12 @@ func TestStatementToInstructionMapping(t *testing.T) {
 
 	// The condition site holds the compare and conditional jump.
 	cond := fb.At(5, 14)
-	if cond == nil || cond.ByOpcode[ir.CMP] != 1 {
+	if cond == nil || opsOf(t, cond)[ir.CMP] != 1 {
 		t.Errorf("cond site = %+v", cond)
 	}
 	// The post site holds the increment and the back jump.
 	post := fb.At(5, 21)
-	if post == nil || post.ByOpcode[ir.INC] != 1 || post.ByOpcode[ir.JMP] != 1 {
+	if post == nil || opsOf(t, post)[ir.INC] != 1 || opsOf(t, post)[ir.JMP] != 1 {
 		t.Errorf("post site = %+v", post)
 	}
 }
@@ -107,10 +107,30 @@ double f(int n) {
 	}
 }
 
+// opsOf returns a site's per-opcode counts as a map, failing the test
+// unless the list is sorted by opcode without repeats or zero counts.
+func opsOf(t *testing.T, sc *bridge.SiteCounts) map[ir.Op]int64 {
+	t.Helper()
+	out := map[ir.Op]int64{}
+	for i, c := range sc.Ops {
+		if c.N <= 0 || i > 0 && sc.Ops[i-1].Op >= c.Op {
+			t.Fatalf("site %v: per-opcode counts %v not sorted and positive", sc.Pos, sc.Ops)
+		}
+		out[c.Op] = c.N
+	}
+	return out
+}
+
+// refSite is the reference grouping's counts for one position.
+type refSite struct {
+	sc  bridge.SiteCounts
+	ops map[ir.Op]int64
+}
+
 // lookupBridge is the reference grouping: each instruction's position
 // looked up in the line table on its own.
-func lookupBridge(obj *objfile.File, sym *objfile.Symbol) map[bridge.Pos]bridge.SiteCounts {
-	out := map[bridge.Pos]bridge.SiteCounts{}
+func lookupBridge(obj *objfile.File, sym *objfile.Symbol) map[bridge.Pos]refSite {
+	out := map[bridge.Pos]refSite{}
 	for idx, in := range obj.FuncText(sym) {
 		var pos bridge.Pos
 		if obj.Line != nil {
@@ -118,28 +138,28 @@ func lookupBridge(obj *objfile.File, sym *objfile.Symbol) map[bridge.Pos]bridge.
 				pos = bridge.Pos{Line: row.Line, Col: row.Col}
 			}
 		}
-		sc, ok := out[pos]
+		r, ok := out[pos]
 		if !ok {
-			sc = bridge.SiteCounts{Pos: pos, ByOpcode: map[ir.Op]int64{}}
+			r = refSite{sc: bridge.SiteCounts{Pos: pos}, ops: map[ir.Op]int64{}}
 		}
-		sc.ByCategory[in.Op.Cat()]++
-		sc.ByOpcode[in.Op]++
-		sc.Flops += int64(in.Op.Flops())
-		sc.Instrs++
-		out[pos] = sc
+		r.sc.ByCategory[in.Op.Cat()]++
+		r.ops[in.Op]++
+		r.sc.Flops += int64(in.Op.Flops())
+		r.sc.Instrs++
+		out[pos] = r
 	}
 	return out
 }
 
-func sameSites(t *testing.T, name string, fb *bridge.FuncBridge, want map[bridge.Pos]bridge.SiteCounts) {
+func sameSites(t *testing.T, name string, fb *bridge.FuncBridge, want map[bridge.Pos]refSite) {
 	t.Helper()
 	if len(fb.Sites) != len(want) {
 		t.Errorf("%s: %d positions, reference %d", name, len(fb.Sites), len(want))
 	}
-	for pos, w := range want {
-		got := fb.Sites[pos]
-		if got == nil || got.Pos != w.Pos || got.ByCategory != w.ByCategory || got.Flops != w.Flops || got.Instrs != w.Instrs || !maps.Equal(got.ByOpcode, w.ByOpcode) {
-			t.Errorf("%s at %v: %+v, reference %+v", name, pos, got, w)
+	for pos, r := range want {
+		got, w := fb.Sites[pos], r.sc
+		if got == nil || got.Pos != w.Pos || got.ByCategory != w.ByCategory || got.Flops != w.Flops || got.Instrs != w.Instrs || !maps.Equal(opsOf(t, got), r.ops) {
+			t.Errorf("%s at %v: %+v, reference %+v %v", name, pos, got, w, r.ops)
 		}
 	}
 }

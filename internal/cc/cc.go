@@ -182,9 +182,10 @@ func LinkOrder(prog *sema.Program) []string {
 
 // Link assembles compiled units (in the given order) into an object file:
 // concatenate bodies, resolve call targets against the symbol table, emit
-// the line table, and lay out the .data image. Units are read-only inputs
-// — instruction bodies are copied before call patching — so cached units
-// survive linking unchanged.
+// the line table, and lay out the .data image. .text and the line table
+// are each allocated once, at their final size, and calls are patched in
+// the copy, so units are read-only inputs and cached units survive
+// linking unchanged.
 func Link(prog *sema.Program, opts Options, units []*Unit) (*objfile.File, error) {
 	g := &globalCtx{
 		prog:       prog,
@@ -194,40 +195,63 @@ func Link(prog *sema.Program, opts Options, units []*Unit) (*objfile.File, error
 	if err := g.layoutGlobals(); err != nil {
 		return nil, err
 	}
-	symIndex := map[string]int64{}
+	symIndex := make(map[string]int64, len(units))
+	// A row starts wherever the position changes from the previous
+	// instruction's, so counting changes sizes the line table exactly.
+	n, rows := 0, 0
+	prev := token.Pos{}
 	for i, u := range units {
 		symIndex[u.Name] = int64(i)
+		n += len(u.Instrs)
+		for j := range u.Instrs {
+			if pos := linePos(u.Tags[j]); pos != prev || rows == 0 {
+				rows++
+				prev = pos
+			}
+		}
 	}
-	f := &objfile.File{SourceName: opts.SourceName, MemWords: g.memTop}
+	f := &objfile.File{
+		SourceName: opts.SourceName,
+		MemWords:   g.memTop,
+		Text:       make([]ir.Instr, n),
+		Syms:       make([]objfile.Symbol, len(units)),
+	}
 	var lb dwarfline.Builder
-	for _, u := range units {
+	lb.Grow(rows)
+	start := 0
+	for i, u := range units {
 		sym := u.Sym
-		sym.Start = uint64(len(f.Text))
+		sym.Start = uint64(start)
 		sym.Count = uint64(len(u.Instrs))
-		instrs := append([]ir.Instr(nil), u.Instrs...)
-		for j, in := range instrs {
-			if in.Op == ir.CALL {
+		text := f.Text[start : start+len(u.Instrs)]
+		copy(text, u.Instrs)
+		for j := range text {
+			if text[j].Op == ir.CALL {
 				name := u.Calls[j]
 				idx, ok := symIndex[name]
 				if !ok {
 					return nil, fmt.Errorf("cc: call to unknown symbol %q", name)
 				}
-				in.Imm = idx
-				instrs[j] = in
+				text[j].Imm = idx
 			}
-			addr := sym.Start + uint64(j)
-			pos := u.Tags[j]
-			if !pos.Valid() {
-				pos = token.Pos{Line: 1, Col: 1}
-			}
-			lb.Add(addr, int32(pos.Line), int32(pos.Col))
+			pos := linePos(u.Tags[j])
+			lb.Add(uint64(start+j), int32(pos.Line), int32(pos.Col))
 		}
-		f.Text = append(f.Text, instrs...)
-		f.Syms = append(f.Syms, sym)
+		f.Syms[i] = sym
+		start += len(text)
 	}
 	f.Line = lb.Table()
 	f.Data = g.dataEntries()
 	return f, nil
+}
+
+// linePos is the position the line table records for an instruction
+// tagged pos: 1:1 when the tag is unset.
+func linePos(pos token.Pos) token.Pos {
+	if !pos.Valid() {
+		return token.Pos{Line: 1, Col: 1}
+	}
+	return pos
 }
 
 // Units compiles every function of the program into units, in link order.

@@ -129,9 +129,12 @@ func DecodeUnitBytes(raw []byte) (*Unit, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	const maxInstrs = 1 << 24 // refuse absurd counts before allocating
-	if n > maxInstrs {
-		return nil, fmt.Errorf("cc: unit decode: instruction count %d too large", n)
+	// Each instruction takes at least seven bytes (five varints and a
+	// two-varint tag), so a count the remaining bytes cannot hold is
+	// refused before allocating: what a decode allocates stays within a
+	// small multiple of its input's length.
+	if n > uint64(len(r.b)/7) {
+		return nil, fmt.Errorf("cc: unit decode: instruction count %d too large for %d bytes", n, len(r.b))
 	}
 	u.Instrs = make([]ir.Instr, n)
 	for i := range u.Instrs {
@@ -172,8 +175,8 @@ func DecodeUnitBytes(raw []byte) (*Unit, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if np > 1<<16 {
-		return nil, fmt.Errorf("cc: unit decode: parameter count %d too large", np)
+	if np > uint64(len(r.b)) {
+		return nil, fmt.Errorf("cc: unit decode: parameter count %d too large for %d bytes", np, len(r.b))
 	}
 	u.Sym.Params = make([]objfile.ParamKind, np)
 	for i := range u.Sym.Params {

@@ -14,6 +14,8 @@ package dwarfline
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -45,6 +47,10 @@ type Builder struct {
 	rows []Row
 }
 
+// Grow makes room for n more rows, so a caller that knows how many rows
+// it will add allocates the table once.
+func (b *Builder) Grow(n int) { b.rows = slices.Grow(b.rows, n) }
+
 // Add records that the instruction at addr belongs to (line, col). Rows
 // must be added in nondecreasing address order; duplicate consecutive
 // positions are coalesced.
@@ -70,42 +76,75 @@ func (b *Builder) Table() *Table { return &Table{Rows: b.rows} }
 
 // Encode compresses the table into a line program.
 func (t *Table) Encode() []byte {
-	var out []byte
+	return t.AppendEncode(make([]byte, 0, t.EncodedLen()))
+}
+
+// EncodedLen returns the length of the line program Encode returns.
+func (t *Table) EncodedLen() int {
+	n := 1 // opEnd
 	var addr uint64
-	line := int32(1)
-	col := int32(1)
-	var buf [binary.MaxVarintLen64]byte
+	line, col := int32(1), int32(1)
 	for _, r := range t.Rows {
 		if r.Col != col {
-			out = append(out, opSetCol)
-			n := binary.PutUvarint(buf[:], uint64(r.Col))
-			out = append(out, buf[:n]...)
+			n += 1 + uvarintLen(uint64(r.Col))
 			col = r.Col
 		}
 		if r.Line != line {
-			out = append(out, opSetLine)
-			n := binary.PutVarint(buf[:], int64(r.Line-line))
-			out = append(out, buf[:n]...)
+			n += 1 + uvarintLen(zigzag(int64(r.Line-line)))
+			line = r.Line
+		}
+		if delta := r.Addr - addr; delta < uint64(0xff-opSpecialMin) {
+			n++
+		} else {
+			n += 2 + uvarintLen(delta)
+		}
+		addr = r.Addr
+	}
+	return n
+}
+
+// AppendEncode appends the line program to dst and returns the extended
+// slice.
+func (t *Table) AppendEncode(out []byte) []byte {
+	var addr uint64
+	line := int32(1)
+	col := int32(1)
+	for _, r := range t.Rows {
+		if r.Col != col {
+			out = binary.AppendUvarint(append(out, opSetCol), uint64(r.Col))
+			col = r.Col
+		}
+		if r.Line != line {
+			out = binary.AppendVarint(append(out, opSetLine), int64(r.Line-line))
 			line = r.Line
 		}
 		delta := r.Addr - addr
 		if delta < uint64(0xff-opSpecialMin) {
 			out = append(out, opSpecialMin+byte(delta))
 		} else {
-			out = append(out, opAdvancePC)
-			n := binary.PutUvarint(buf[:], delta)
-			out = append(out, buf[:n]...)
+			out = binary.AppendUvarint(append(out, opAdvancePC), delta)
 			out = append(out, opCopy)
 		}
 		addr = r.Addr
 	}
-	out = append(out, opEnd)
-	return out
+	return append(out, opEnd)
 }
 
+// uvarintLen returns how many bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// zigzag is the unsigned form binary.AppendVarint encodes v as.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
 // Decode replays a line program into a table.
+//
+// Every row of a program takes at least one byte, and every row after the
+// first that Encode writes takes at least three (a column or line change
+// and an address step), so the rows are presized from the program's
+// length alone; a program that packs rows tighter still decodes, growing
+// the table as it goes.
 func Decode(prog []byte) (*Table, error) {
-	t := &Table{}
+	t := &Table{Rows: make([]Row, 0, len(prog)/3+1)}
 	var addr uint64
 	line := int32(1)
 	col := int32(1)

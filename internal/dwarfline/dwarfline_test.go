@@ -157,3 +157,32 @@ func TestAddrsAt(t *testing.T) {
 		t.Errorf("AddrsAt = %v", addrs)
 	}
 }
+
+// TestEncodedLen checks that EncodedLen, which presizes every encoding,
+// is exact on random tables, including line steps and address gaps that
+// need multi-byte varints.
+func TestEncodedLen(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		var b Builder
+		addr := uint64(0)
+		for i := r.Intn(200); i > 0; i-- {
+			addr += uint64(r.Intn(3)) << uint(r.Intn(40))
+			b.Add(addr, int32(r.Intn(1<<uint(r.Intn(31)))), int32(r.Intn(1<<uint(r.Intn(31)))))
+		}
+		tbl := b.Table()
+		enc := tbl.Encode()
+		if got := tbl.EncodedLen(); got != len(enc) || cap(enc) != len(enc) {
+			t.Fatalf("EncodedLen = %d, encoding %d bytes (cap %d)", got, len(enc), cap(enc))
+		}
+		dec, err := Decode(enc)
+		if err != nil || len(dec.Rows) != len(tbl.Rows) {
+			t.Fatalf("decode: %v, %d rows, want %d", err, len(dec.Rows), len(tbl.Rows))
+		}
+		for i := range dec.Rows {
+			if dec.Rows[i] != tbl.Rows[i] {
+				t.Fatalf("row %d = %+v, want %+v", i, dec.Rows[i], tbl.Rows[i])
+			}
+		}
+	}
+}

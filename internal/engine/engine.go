@@ -44,6 +44,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"mira/internal/arch"
 	"mira/internal/core"
@@ -190,7 +191,9 @@ func (e *Engine) Registry() *arch.Registry { return e.registry }
 // miss.
 func (e *Engine) cacheKey(source string) string {
 	h := sha256.New()
-	h.Write([]byte(source))
+	// The hash only reads its input, so the source is hashed where it
+	// lies instead of being copied into a byte slice of its own size.
+	h.Write(unsafe.Slice(unsafe.StringData(source), len(source)))
 	fmt.Fprintf(h, "\x00v=%d opt=%t lenient=%t arch=%s",
 		CacheFormatVersion, e.opts.Core.DisableOpt, e.opts.Core.Lenient, e.archKey)
 	return hex.EncodeToString(h.Sum(nil))

@@ -24,7 +24,7 @@ func panicPipeline() *core.Pipeline {
 		Name: "boom",
 		Sites: []*model.Site{{
 			Line: 1, Col: 1, Desc: "zero-divisor floor division",
-			Ops:    map[ir.Op]int64{ir.ADDSD: 1},
+			Ops:    []ir.OpN{{Op: ir.ADDSD, N: 1}},
 			Instrs: 1,
 			Mult:   expr.FloorDiv{X: expr.P("n"), D: rational.Zero},
 		}},

@@ -265,6 +265,14 @@ func (op Op) IsFPI() bool { return op.Cat() == CatSSEArith }
 // OpCount returns the number of defined opcodes (for table-driven tests).
 func OpCount() int { return int(opCount) }
 
+// OpN is one opcode's instruction count in a group of instructions. A
+// group's counts are a slice of OpN sorted by opcode, with no zero
+// counts.
+type OpN struct {
+	Op Op
+	N  int64
+}
+
 // Instr is one decoded instruction.
 type Instr struct {
 	Op  Op

@@ -21,22 +21,27 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Lexer scans MiniC source text.
+// Lexer scans MiniC source text. Positions are 1-based byte columns: a
+// token's column is its offset past the start of its line, so only the
+// paths that can cross a newline keep the line count up to date.
 type Lexer struct {
-	src    string
-	off    int // byte offset of next rune
-	line   int
-	col    int
-	errors []*Error
+	src       string
+	off       int // byte offset of next rune
+	line      int
+	lineStart int // offset of the first byte of the current line
+	errors    []*Error
 }
 
 // New returns a Lexer over src.
 func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1}
 }
 
 // Errors returns the lexical errors encountered so far.
 func (l *Lexer) Errors() []*Error { return l.errors }
+
+// Offset returns the byte offset up to which the source has been scanned.
+func (l *Lexer) Offset() int { return l.off }
 
 func (l *Lexer) errorf(pos token.Pos, format string, args ...any) {
 	l.errors = append(l.errors, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
@@ -56,6 +61,7 @@ func (l *Lexer) peek2() byte {
 	return l.src[l.off+1]
 }
 
+// advance consumes one byte of any kind, newlines included.
 func (l *Lexer) advance() byte {
 	if l.off >= len(l.src) {
 		return 0
@@ -64,14 +70,12 @@ func (l *Lexer) advance() byte {
 	l.off++
 	if c == '\n' {
 		l.line++
-		l.col = 1
-	} else {
-		l.col++
+		l.lineStart = l.off
 	}
 	return c
 }
 
-func (l *Lexer) pos() token.Pos { return token.Pos{Line: l.line, Col: l.col} }
+func (l *Lexer) pos() token.Pos { return token.Pos{Line: l.line, Col: l.off - l.lineStart + 1} }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
@@ -81,27 +85,35 @@ func isIdentStart(c byte) bool {
 
 func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
-// skipSpace consumes whitespace and comments. It returns false when a
-// comment is unterminated at EOF.
+// skipDigits consumes a run of decimal digits.
+func (l *Lexer) skipDigits() {
+	for l.off < len(l.src) && isDigit(l.src[l.off]) {
+		l.off++
+	}
+}
+
+// skipSpace consumes whitespace and comments, recording an unterminated
+// block comment as an error.
 func (l *Lexer) skipSpace() {
-	for {
-		c := l.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
+	for l.off < len(l.src) {
+		switch c := l.src[l.off]; {
+		case c == ' ' || c == '\t' || c == '\r':
+			l.off++
+		case c == '\n':
+			l.off++
+			l.line++
+			l.lineStart = l.off
 		case c == '/' && l.peek2() == '/':
-			for l.peek() != '\n' && l.peek() != 0 {
-				l.advance()
+			for l.off < len(l.src) && l.src[l.off] != '\n' && l.src[l.off] != 0 {
+				l.off++
 			}
 		case c == '/' && l.peek2() == '*':
 			start := l.pos()
-			l.advance()
-			l.advance()
+			l.off += 2
 			closed := false
 			for l.off < len(l.src) {
 				if l.peek() == '*' && l.peek2() == '/' {
-					l.advance()
-					l.advance()
+					l.off += 2
 					closed = true
 					break
 				}
@@ -113,7 +125,7 @@ func (l *Lexer) skipSpace() {
 		case c == '\\' && (l.peek2() == '\n' || l.peek2() == '\r'):
 			// Line continuation (used inside multi-line pragmas outside
 			// directive context too).
-			l.advance()
+			l.off++
 			l.advance()
 		default:
 			return
@@ -121,33 +133,37 @@ func (l *Lexer) skipSpace() {
 	}
 }
 
-// Next returns the next token, stamped with its byte offsets.
-func (l *Lexer) Next() token.Token {
+// Scan overwrites *t with the next token, stamped with its byte offsets.
+// The caller owns the token's storage, so a token is never copied on its
+// way from the lexer to the parser.
+func (l *Lexer) Scan(t *token.Token) {
 	l.skipSpace()
 	off := l.off
-	t := l.scan()
-	t.Off, t.End = off, l.off
-	return t
-}
-
-func (l *Lexer) scan() token.Token {
-	pos := l.pos()
+	t.Pos, t.Lit = l.pos(), ""
 	c := l.peek()
 	switch {
 	case c == 0:
-		return token.Token{Kind: token.EOF, Pos: pos}
+		t.Kind = token.EOF
 	case c == '#':
-		return l.scanPragma(pos)
+		l.scanPragma(t)
 	case isIdentStart(c):
-		return l.scanIdent(pos)
+		start := l.off
+		for l.off++; l.off < len(l.src) && isIdentCont(l.src[l.off]); l.off++ {
+		}
+		t.Lit, t.Kind = l.src[start:l.off], token.IDENT
+		if kw, ok := token.Keywords[t.Lit]; ok {
+			t.Kind = kw
+		}
 	case isDigit(c) || (c == '.' && isDigit(l.peek2())):
-		return l.scanNumber(pos)
+		l.scanNumber(t)
 	case c == '"':
-		return l.scanString(pos)
+		l.scanString(t)
 	case c == '\'':
-		return l.scanChar(pos)
+		l.scanChar(t)
+	default:
+		l.scanOperator(t)
 	}
-	return l.scanOperator(pos)
+	t.Off, t.End = off, l.off
 }
 
 // All scans the remaining input and returns every token including the
@@ -157,38 +173,22 @@ func (l *Lexer) All() []token.Token {
 	// and Table I rows), so one allocation usually holds every token.
 	toks := make([]token.Token, 0, (len(l.src)-l.off)/3+1)
 	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
+		toks = append(toks, token.Token{})
+		l.Scan(&toks[len(toks)-1])
+		if toks[len(toks)-1].Kind == token.EOF {
 			return toks
 		}
 	}
 }
 
-func (l *Lexer) scanIdent(pos token.Pos) token.Token {
+func (l *Lexer) scanNumber(t *token.Token) {
 	start := l.off
-	for isIdentCont(l.peek()) {
-		l.advance()
-	}
-	lit := l.src[start:l.off]
-	if kw, ok := token.Keywords[lit]; ok {
-		return token.Token{Kind: kw, Lit: lit, Pos: pos}
-	}
-	return token.Token{Kind: token.IDENT, Lit: lit, Pos: pos}
-}
-
-func (l *Lexer) scanNumber(pos token.Pos) token.Token {
-	start := l.off
-	kind := token.INTLIT
-	for isDigit(l.peek()) {
-		l.advance()
-	}
+	t.Kind = token.INTLIT
+	l.skipDigits()
 	if l.peek() == '.' {
-		kind = token.FLOATLIT
-		l.advance()
-		for isDigit(l.peek()) {
-			l.advance()
-		}
+		t.Kind = token.FLOATLIT
+		l.off++
+		l.skipDigits()
 	}
 	if c := l.peek(); c == 'e' || c == 'E' {
 		next := l.peek2()
@@ -197,36 +197,34 @@ func (l *Lexer) scanNumber(pos token.Pos) token.Token {
 			hasExp = true
 		}
 		if hasExp {
-			kind = token.FLOATLIT
-			l.advance() // e
+			t.Kind = token.FLOATLIT
+			l.off++ // e
 			if l.peek() == '+' || l.peek() == '-' {
-				l.advance()
+				l.off++
 			}
-			for isDigit(l.peek()) {
-				l.advance()
-			}
+			l.skipDigits()
 		}
 	}
 	// Accept and drop C suffixes (f, L, u, ll).
-	lit := l.src[start:l.off]
+	t.Lit = l.src[start:l.off]
 	for {
 		c := l.peek()
 		if c == 'f' || c == 'F' {
-			kind = token.FLOATLIT
-			l.advance()
+			t.Kind = token.FLOATLIT
+			l.off++
 			continue
 		}
 		if c == 'l' || c == 'L' || c == 'u' || c == 'U' {
-			l.advance()
+			l.off++
 			continue
 		}
 		break
 	}
-	return token.Token{Kind: kind, Lit: lit, Pos: pos}
 }
 
-func (l *Lexer) scanString(pos token.Pos) token.Token {
-	l.advance() // opening quote
+func (l *Lexer) scanString(t *token.Token) {
+	pos := t.Pos
+	l.off++ // opening quote
 	var sb strings.Builder
 	for {
 		c := l.peek()
@@ -234,7 +232,7 @@ func (l *Lexer) scanString(pos token.Pos) token.Token {
 			l.errorf(pos, "unterminated string literal")
 			break
 		}
-		l.advance()
+		l.off++
 		if c == '"' {
 			break
 		}
@@ -256,11 +254,11 @@ func (l *Lexer) scanString(pos token.Pos) token.Token {
 		}
 		sb.WriteByte(c)
 	}
-	return token.Token{Kind: token.STRINGLIT, Lit: sb.String(), Pos: pos}
+	t.Kind, t.Lit = token.STRINGLIT, sb.String()
 }
 
-func (l *Lexer) scanChar(pos token.Pos) token.Token {
-	l.advance() // opening quote
+func (l *Lexer) scanChar(t *token.Token) {
+	l.off++ // opening quote
 	var lit string
 	c := l.advance()
 	if c == '\\' {
@@ -279,18 +277,18 @@ func (l *Lexer) scanChar(pos token.Pos) token.Token {
 		lit = string(c)
 	}
 	if l.peek() != '\'' {
-		l.errorf(pos, "unterminated character literal")
+		l.errorf(t.Pos, "unterminated character literal")
 	} else {
-		l.advance()
+		l.off++
 	}
-	return token.Token{Kind: token.CHARLIT, Lit: lit, Pos: pos}
+	t.Kind, t.Lit = token.CHARLIT, lit
 }
 
 // scanPragma consumes a "#pragma ..." (or any "#...") directive up to the
 // end of the logical line, honoring backslash line continuations. The token
 // literal is the directive body after "#".
-func (l *Lexer) scanPragma(pos token.Pos) token.Token {
-	l.advance() // '#'
+func (l *Lexer) scanPragma(t *token.Token) {
+	l.off++ // '#'
 	var sb strings.Builder
 	for {
 		c := l.peek()
@@ -298,9 +296,9 @@ func (l *Lexer) scanPragma(pos token.Pos) token.Token {
 			break
 		}
 		if c == '\\' && (l.peek2() == '\n' || l.peek2() == '\r') {
-			l.advance() // backslash
+			l.off++ // backslash
 			for l.peek() == '\r' {
-				l.advance()
+				l.off++
 			}
 			if l.peek() == '\n' {
 				l.advance()
@@ -312,89 +310,100 @@ func (l *Lexer) scanPragma(pos token.Pos) token.Token {
 			break
 		}
 		sb.WriteByte(c)
-		l.advance()
+		l.off++
 	}
 	body := strings.TrimSpace(sb.String())
 	if !strings.HasPrefix(body, "pragma") {
-		l.errorf(pos, "unsupported preprocessor directive %q", "#"+body)
-		return token.Token{Kind: token.ILLEGAL, Lit: body, Pos: pos}
+		l.errorf(t.Pos, "unsupported preprocessor directive %q", "#"+body)
+		t.Kind, t.Lit = token.ILLEGAL, body
+		return
 	}
-	payload := strings.TrimSpace(strings.TrimPrefix(body, "pragma"))
-	return token.Token{Kind: token.PRAGMA, Lit: payload, Pos: pos}
+	t.Kind, t.Lit = token.PRAGMA, strings.TrimSpace(strings.TrimPrefix(body, "pragma"))
 }
 
-func (l *Lexer) scanOperator(pos token.Pos) token.Token {
-	c := l.advance()
-	two := func(next byte, k2, k1 token.Kind) token.Token {
+// scanOperator scans punctuation. The byte under the cursor is never a
+// newline (skipSpace consumed those), so it moves the offset directly.
+func (l *Lexer) scanOperator(t *token.Token) {
+	c := l.src[l.off]
+	l.off++
+	// two picks k2 when the next byte is next (consuming it), else k1.
+	two := func(next byte, k2, k1 token.Kind) token.Kind {
 		if l.peek() == next {
-			l.advance()
-			return token.Token{Kind: k2, Pos: pos}
+			l.off++
+			return k2
 		}
-		return token.Token{Kind: k1, Pos: pos}
+		return k1
 	}
+	var k token.Kind
 	switch c {
 	case '+':
 		if l.peek() == '+' {
-			l.advance()
-			return token.Token{Kind: token.INC, Pos: pos}
+			l.off++
+			k = token.INC
+		} else {
+			k = two('=', token.PLUSEQ, token.PLUS)
 		}
-		return two('=', token.PLUSEQ, token.PLUS)
 	case '-':
-		if l.peek() == '-' {
-			l.advance()
-			return token.Token{Kind: token.DEC, Pos: pos}
+		switch l.peek() {
+		case '-':
+			l.off++
+			k = token.DEC
+		case '>':
+			l.off++
+			k = token.ARROW
+		default:
+			k = two('=', token.MINUSEQ, token.MINUS)
 		}
-		if l.peek() == '>' {
-			l.advance()
-			return token.Token{Kind: token.ARROW, Pos: pos}
-		}
-		return two('=', token.MINUSEQ, token.MINUS)
 	case '*':
-		return two('=', token.STAREQ, token.STAR)
+		k = two('=', token.STAREQ, token.STAR)
 	case '/':
-		return two('=', token.SLASHEQ, token.SLASH)
+		k = two('=', token.SLASHEQ, token.SLASH)
 	case '%':
-		return token.Token{Kind: token.PERCENT, Pos: pos}
+		k = token.PERCENT
 	case '=':
-		return two('=', token.EQ, token.ASSIGN)
+		k = two('=', token.EQ, token.ASSIGN)
 	case '!':
-		return two('=', token.NEQ, token.NOT)
+		k = two('=', token.NEQ, token.NOT)
 	case '<':
-		return two('=', token.LEQ, token.LT)
+		k = two('=', token.LEQ, token.LT)
 	case '>':
-		return two('=', token.GEQ, token.GT)
+		k = two('=', token.GEQ, token.GT)
 	case '&':
-		return two('&', token.ANDAND, token.AMP)
+		k = two('&', token.ANDAND, token.AMP)
 	case '|':
-		if l.peek() == '|' {
-			l.advance()
-			return token.Token{Kind: token.OROR, Pos: pos}
+		if l.peek() != '|' {
+			l.errorf(t.Pos, "unsupported operator '|'")
+			t.Kind, t.Lit = token.ILLEGAL, "|"
+			return
 		}
-		l.errorf(pos, "unsupported operator '|'")
-		return token.Token{Kind: token.ILLEGAL, Lit: "|", Pos: pos}
+		l.off++
+		k = token.OROR
 	case '(':
-		return token.Token{Kind: token.LPAREN, Pos: pos}
+		k = token.LPAREN
 	case ')':
-		return token.Token{Kind: token.RPAREN, Pos: pos}
+		k = token.RPAREN
 	case '{':
-		return token.Token{Kind: token.LBRACE, Pos: pos}
+		k = token.LBRACE
 	case '}':
-		return token.Token{Kind: token.RBRACE, Pos: pos}
+		k = token.RBRACE
 	case '[':
-		return token.Token{Kind: token.LBRACKET, Pos: pos}
+		k = token.LBRACKET
 	case ']':
-		return token.Token{Kind: token.RBRACKET, Pos: pos}
+		k = token.RBRACKET
 	case ',':
-		return token.Token{Kind: token.COMMA, Pos: pos}
+		k = token.COMMA
 	case ';':
-		return token.Token{Kind: token.SEMI, Pos: pos}
+		k = token.SEMI
 	case '.':
-		return token.Token{Kind: token.DOT, Pos: pos}
+		k = token.DOT
 	case '?':
-		return token.Token{Kind: token.QUESTION, Pos: pos}
+		k = token.QUESTION
 	case ':':
-		return two(':', token.SCOPE, token.COLON)
+		k = two(':', token.SCOPE, token.COLON)
+	default:
+		l.errorf(t.Pos, "unexpected character %q", string(c))
+		t.Kind, t.Lit = token.ILLEGAL, string(c)
+		return
 	}
-	l.errorf(pos, "unexpected character %q", string(c))
-	return token.Token{Kind: token.ILLEGAL, Lit: string(c), Pos: pos}
+	t.Kind = k
 }

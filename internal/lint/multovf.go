@@ -45,6 +45,7 @@ var countFields = map[string]bool{
 	"ByCategory": true,
 	"Counts":     true,
 	"Ops":        true,
+	"N":          true, // ir.OpN, one opcode's count in a site's Ops
 }
 
 func runMultovf(pass *Pass) error {
@@ -96,7 +97,7 @@ func runMultovf(pass *Pass) error {
 }
 
 // isCountExpr reports whether e mentions a count field: Metrics.Flops,
-// site.Instrs, m.ByCategory[c], sc.Counts[cat], ops[op] over a .Ops map,
+// site.Instrs, m.ByCategory[c], sc.Counts[cat], an opcode's c.N in a .Ops list,
 // unwrapping parens, unary ops, and nested arithmetic.
 func isCountExpr(e ast.Expr) bool {
 	switch x := ast.Unparen(e).(type) {

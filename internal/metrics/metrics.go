@@ -211,7 +211,7 @@ func (w *funcWalker) claim(pos token.Pos, mult expr.Expr, desc string, e ast.Exp
 		Flops:  sc.Flops,
 		Instrs: sc.Instrs,
 		Mult:   mult,
-		Ops:    sc.ByOpcode,
+		Ops:    sc.Ops,
 	})
 	w.fm.Sites = append(w.fm.Sites, &w.slab[len(w.slab)-1])
 }

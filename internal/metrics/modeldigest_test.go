@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -89,16 +88,11 @@ func modelDigest(t *testing.T, name, src string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// opsString renders per-opcode counts in opcode order.
-func opsString(ops map[ir.Op]int64) string {
-	keys := make([]ir.Op, 0, len(ops))
-	for op := range ops {
-		keys = append(keys, op)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+// opsString renders per-opcode counts, which are in opcode order.
+func opsString(ops []ir.OpN) string {
 	var b strings.Builder
-	for _, op := range keys {
-		fmt.Fprintf(&b, "%d:%d,", op, ops[op])
+	for _, c := range ops {
+		fmt.Fprintf(&b, "%d:%d,", c.Op, c.N)
 	}
 	return b.String()
 }

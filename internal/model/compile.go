@@ -67,7 +67,7 @@ type term struct {
 	cats   []catCount
 	flops  int64
 	instrs int64
-	ops    map[ir.Op]int64
+	ops    []ir.OpN // sorted by opcode; never mutated, so terms may share it
 }
 
 // catCount is one nonzero (category, count) entry of a term.
@@ -339,7 +339,7 @@ type scaledSite struct {
 	counts [ir.NumCategories]int64
 	flops  int64
 	instrs int64
-	ops    map[ir.Op]int64
+	ops    []ir.OpN
 }
 
 // scaleSite multiplies a site's counts by a constant multiplicity,
@@ -360,14 +360,17 @@ func scaleSite(s *Site, mult int64) (scaledSite, bool) {
 	if out.instrs, ok = mulChecked(s.Instrs, mult); !ok {
 		return out, false
 	}
-	if len(s.Ops) > 0 {
-		out.ops = make(map[ir.Op]int64, len(s.Ops))
-		for op, n := range s.Ops {
-			p, ok := mulChecked(n, mult)
+	switch {
+	case mult == 1:
+		out.ops = s.Ops
+	case len(s.Ops) > 0:
+		out.ops = make([]ir.OpN, len(s.Ops))
+		for i, c := range s.Ops {
+			p, ok := mulChecked(c.N, mult)
 			if !ok {
 				return out, false
 			}
-			out.ops[op] = p
+			out.ops[i] = ir.OpN{Op: c.Op, N: p}
 		}
 	}
 	return out, true
@@ -390,21 +393,39 @@ func mergeTerm(dst, src *term) bool {
 	}
 	ops := merged.ops
 	if len(src.ops) > 0 {
-		ops = make(map[ir.Op]int64, len(merged.ops)+len(src.ops))
-		for op, n := range merged.ops {
-			ops[op] = n
-		}
-		for op, n := range src.ops {
-			s, ok := addChecked(ops[op], n)
-			if !ok {
-				return false
-			}
-			ops[op] = s
+		if ops, ok = mergeOps(merged.ops, src.ops); !ok {
+			return false
 		}
 	}
 	merged.ops = ops
 	*dst = merged
 	return true
+}
+
+// mergeOps returns the sum of two sorted per-opcode count lists as a new
+// sorted list; false on overflow.
+func mergeOps(a, b []ir.OpN) ([]ir.OpN, bool) {
+	out := make([]ir.OpN, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || i < len(a) && a[i].Op < b[j].Op:
+			out = append(out, a[i])
+			i++
+		case i == len(a) || b[j].Op < a[i].Op:
+			out = append(out, b[j])
+			j++
+		default:
+			n, ok := addChecked(a[i].N, b[j].N)
+			if !ok {
+				return nil, false
+			}
+			out = append(out, ir.OpN{Op: a[i].Op, N: n})
+			i++
+			j++
+		}
+	}
+	return out, true
 }
 
 // argOrder lists a call's bound parameters in the callee's declared
@@ -577,8 +598,8 @@ func (cm *CompiledModel) EvalOps(env expr.Env) (map[ir.Op]int64, error) {
 		if mult == 0 {
 			continue
 		}
-		for op, n := range t.ops {
-			if err := accumOp(out, op, n, mult); err != nil {
+		for _, c := range t.ops {
+			if err := accumOp(out, c.Op, c.N, mult); err != nil {
 				return cm.model.opcodes(cm.fn, env, cm.exclusive)
 			}
 		}

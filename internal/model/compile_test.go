@@ -71,7 +71,7 @@ func TestCompileMangledFallback(t *testing.T) {
 		Params: []string{"m"},
 		Sites: []*Site{{
 			Line: 2, Counts: catVec(ir.CatSSEArith, 1),
-			Ops: map[ir.Op]int64{ir.ADDSD: 1}, Flops: 1, Instrs: 1,
+			Ops: []ir.OpN{{Op: ir.ADDSD, N: 1}}, Flops: 1, Instrs: 1,
 			Mult: expr.P("m"),
 		}},
 	}
@@ -112,7 +112,7 @@ func TestCompileSumVariableCapture(t *testing.T) {
 		Params: []string{"m"},
 		Sites: []*Site{{
 			Line: 2, Counts: catVec(ir.CatSSEArith, 1),
-			Ops: map[ir.Op]int64{ir.ADDSD: 1}, Flops: 1, Instrs: 1,
+			Ops: []ir.OpN{{Op: ir.ADDSD, N: 1}}, Flops: 1, Instrs: 1,
 			Mult: sumMult,
 		}},
 	}
@@ -144,7 +144,7 @@ func TestCompileUncomputableArgFallback(t *testing.T) {
 		Params: []string{"m"},
 		Sites: []*Site{{
 			Line: 2, Counts: catVec(ir.CatSSEArith, 1),
-			Ops: map[ir.Op]int64{ir.ADDSD: 1}, Flops: 1, Instrs: 1,
+			Ops: []ir.OpN{{Op: ir.ADDSD, N: 1}}, Flops: 1, Instrs: 1,
 			Mult: expr.P("m"),
 		}},
 	}
@@ -187,7 +187,7 @@ func TestCompileOverflow(t *testing.T) {
 		Params: []string{"m"},
 		Sites: []*Site{{
 			Line: 2, Counts: catVec(ir.CatSSEArith, 2),
-			Ops: map[ir.Op]int64{ir.ADDSD: 2}, Flops: 2, Instrs: 2,
+			Ops: []ir.OpN{{Op: ir.ADDSD, N: 2}}, Flops: 2, Instrs: 2,
 			Mult: expr.NewMul(expr.P("m"), expr.P("m")),
 		}},
 	}
@@ -234,7 +234,7 @@ func TestCompileFractionalRounding(t *testing.T) {
 		Params: []string{"m"},
 		Sites: []*Site{{
 			Line: 2, Counts: catVec(ir.CatSSEArith, 1),
-			Ops: map[ir.Op]int64{ir.ADDSD: 1}, Flops: 1, Instrs: 1,
+			Ops: []ir.OpN{{Op: ir.ADDSD, N: 1}}, Flops: 1, Instrs: 1,
 			// 0.37*m: fractional for most m, rounds per level.
 			Mult: expr.NewMul(expr.ConstRat(fr(37, 100)), expr.P("m")),
 		}},
@@ -282,9 +282,9 @@ func TestCompileConstantFolding(t *testing.T) {
 		Name: "leaf",
 		Sites: []*Site{
 			{Line: 1, Counts: catVec(ir.CatIntData, 3), Instrs: 3, Mult: expr.Const(7),
-				Ops: map[ir.Op]int64{ir.PUSH: 3}},
+				Ops: []ir.OpN{{Op: ir.PUSH, N: 3}}},
 			{Line: 2, Counts: catVec(ir.CatIntData, 1), Instrs: 1, Mult: expr.Const(2),
-				Ops: map[ir.Op]int64{ir.POP: 1}},
+				Ops: []ir.OpN{{Op: ir.POP, N: 1}}},
 		},
 	}
 	m := &Model{Order: []string{"leaf"}, Funcs: map[string]*Func{"leaf": f}}

@@ -117,7 +117,7 @@ type Site struct {
 	Desc      string
 	Expr      ast.Expr
 	Counts    [ir.NumCategories]int64
-	Ops       map[ir.Op]int64 // per-opcode counts, for fine categorization
+	Ops       []ir.OpN // per-opcode counts sorted by opcode, for fine categorization
 	Flops     int64
 	Instrs    int64
 	Mult      expr.Expr
@@ -336,7 +336,14 @@ func (m *Metrics) fresh() *Metrics { return new(Metrics) }
 // opCounts is the per-opcode accumulator.
 type opCounts map[ir.Op]int64
 
-func (acc opCounts) addSite(s *Site, mult int64) error { return acc.addCallee(s.Ops, mult) }
+func (acc opCounts) addSite(s *Site, mult int64) error {
+	for _, c := range s.Ops {
+		if err := accumOp(acc, c.Op, c.N, mult); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 func (acc opCounts) addCallee(sub opCounts, mult int64) error {
 	for op, n := range sub {

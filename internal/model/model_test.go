@@ -23,7 +23,7 @@ func buildModel() *Model {
 			{
 				Line: 2, Col: 1, Desc: "s = s + 1.0",
 				Counts: catVec(ir.CatSSEArith, 1),
-				Ops:    map[ir.Op]int64{ir.ADDSD: 1},
+				Ops:    []ir.OpN{{Op: ir.ADDSD, N: 1}},
 				Flops:  1, Instrs: 1,
 				Mult: expr.P("m"),
 			},
@@ -36,7 +36,7 @@ func buildModel() *Model {
 			{
 				Line: 10, Col: 1, Desc: "prologue",
 				Counts: catVec(ir.CatIntData, 2),
-				Ops:    map[ir.Op]int64{ir.PUSH: 1, ir.POP: 1},
+				Ops:    []ir.OpN{{Op: ir.PUSH, N: 1}, {Op: ir.POP, N: 1}},
 				Instrs: 2,
 				Mult:   expr.Const(1),
 			},
@@ -227,7 +227,7 @@ func fracModel() *Model {
 			{
 				Line: 2, Col: 1, Desc: "body",
 				Counts: catVec(ir.CatSSEArith, 1),
-				Ops:    map[ir.Op]int64{ir.ADDSD: 1},
+				Ops:    []ir.OpN{{Op: ir.ADDSD, N: 1}},
 				Flops:  1, Instrs: 1,
 				Mult: expr.Const(7),
 			},
@@ -240,7 +240,7 @@ func fracModel() *Model {
 			{
 				Line: 10, Col: 1, Desc: "guarded",
 				Counts: catVec(ir.CatSSEArith, 1),
-				Ops:    map[ir.Op]int64{ir.MULSD: 1},
+				Ops:    []ir.OpN{{Op: ir.MULSD, N: 1}},
 				Flops:  1, Instrs: 1,
 				// n/4 executions: fractional for n not divisible by 4.
 				Mult: expr.NewMul(expr.ConstRat(rational.FromFrac(1, 4)), expr.P("n")),
@@ -314,7 +314,7 @@ func bindModel() *Model {
 			{
 				Line: 2, Col: 1, Desc: "body",
 				Counts: catVec(ir.CatSSEArith, 1),
-				Ops:    map[ir.Op]int64{ir.ADDSD: 1},
+				Ops:    []ir.OpN{{Op: ir.ADDSD, N: 1}},
 				Flops:  1, Instrs: 1,
 				Mult: expr.P("m"),
 			},

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"mira/internal/dwarfline"
 	"mira/internal/ir"
@@ -114,156 +115,135 @@ func (f *File) FuncText(sym *Symbol) []ir.Instr {
 // ---------------------------------------------------------------------------
 // Encoding
 
-type countingWriter struct {
-	w io.Writer
-	n uint64
+// sectionNames lists the sections in file order.
+var sectionNames = [...]string{".text", ".symtab", ".data", ".debug_line", ".meta"}
+
+// uvarintLen returns how many bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func appendString(out []byte, s string) []byte {
+	return append(binary.AppendUvarint(out, uint64(len(s))), s...)
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += uint64(n)
-	return n, err
-}
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
-func putString(buf *bytes.Buffer, s string) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(s)))
-	buf.Write(tmp[:n])
-	buf.WriteString(s)
-}
-
-func putUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-// Encode serializes the file.
+// Encode serializes the file. It sizes every section first and writes
+// the whole file into one buffer, which is w's own free space when w is a
+// *bytes.Buffer, so encoding allocates once at most.
 func (f *File) Encode(w io.Writer) error {
-	text := encodeText(f.Text)
-	symtab := encodeSyms(f.Syms)
-	data := encodeData(f.Data)
-	var line []byte
+	sizes := [len(sectionNames)]int{
+		len(f.Text) * InstrBytes,
+		symsLen(f.Syms),
+		dataLen(f.Data),
+		0,
+		stringLen(f.SourceName) + uvarintLen(f.MemWords),
+	}
 	if f.Line != nil {
-		line = f.Line.Encode()
+		sizes[3] = f.Line.EncodedLen()
 	}
-	meta := encodeMeta(f)
-
-	sections := []struct {
-		name string
-		body []byte
-	}{
-		{".text", text},
-		{".symtab", symtab},
-		{".data", data},
-		{".debug_line", line},
-		{".meta", meta},
+	// Header, then the section table with offsets relative to file start.
+	base := len(Magic) + 4
+	for _, name := range sectionNames {
+		base += stringLen(name) + 16
 	}
-
-	var hdr bytes.Buffer
-	hdr.Write(Magic[:])
-	if err := binary.Write(&hdr, binary.LittleEndian, Version); err != nil {
-		return err
+	total := base
+	for _, n := range sizes {
+		total += n
 	}
-	if err := binary.Write(&hdr, binary.LittleEndian, uint16(len(sections))); err != nil {
-		return err
+	var out []byte
+	buf, isBuf := w.(*bytes.Buffer)
+	if isBuf {
+		buf.Grow(total)
+		out = buf.AvailableBuffer()
+	} else {
+		out = make([]byte, 0, total)
 	}
-	// Section table with offsets relative to file start.
-	var table bytes.Buffer
-	offset := uint64(0)
-	var tableSize uint64
-	// Two passes: the table size depends on name lengths only, so compute
-	// it first.
-	for _, s := range sections {
-		var tmp bytes.Buffer
-		putString(&tmp, s.name)
-		tableSize += uint64(tmp.Len()) + 16
+	out = append(out, Magic[:]...)
+	out = binary.LittleEndian.AppendUint16(out, Version)
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(sectionNames)))
+	offset := uint64(base)
+	for i, name := range sectionNames {
+		out = appendString(out, name)
+		out = binary.LittleEndian.AppendUint64(out, offset)
+		out = binary.LittleEndian.AppendUint64(out, uint64(sizes[i]))
+		offset += uint64(sizes[i])
 	}
-	base := uint64(hdr.Len()) + tableSize
-	for _, s := range sections {
-		putString(&table, s.name)
-		if err := binary.Write(&table, binary.LittleEndian, base+offset); err != nil {
-			return err
-		}
-		if err := binary.Write(&table, binary.LittleEndian, uint64(len(s.body))); err != nil {
-			return err
-		}
-		offset += uint64(len(s.body))
+	out = appendText(out, f.Text)
+	out = appendSyms(out, f.Syms)
+	out = appendData(out, f.Data)
+	if f.Line != nil {
+		out = f.Line.AppendEncode(out)
 	}
-	cw := &countingWriter{w: w}
-	if _, err := cw.Write(hdr.Bytes()); err != nil {
-		return err
+	out = appendString(out, f.SourceName)
+	out = binary.AppendUvarint(out, f.MemWords)
+	if len(out) != total {
+		return fmt.Errorf("objfile: encoded %d bytes, sized %d", len(out), total)
 	}
-	if _, err := cw.Write(table.Bytes()); err != nil {
-		return err
-	}
-	for _, s := range sections {
-		if _, err := cw.Write(s.body); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(out)
+	return err
 }
 
-func encodeText(instrs []ir.Instr) []byte {
-	out := make([]byte, 0, len(instrs)*InstrBytes)
-	var b [InstrBytes]byte
+func appendText(out []byte, instrs []ir.Instr) []byte {
 	for _, in := range instrs {
-		binary.LittleEndian.PutUint16(b[0:], uint16(in.Op))
-		binary.LittleEndian.PutUint16(b[2:], 0)
-		binary.LittleEndian.PutUint32(b[4:], uint32(in.Rd))
-		binary.LittleEndian.PutUint32(b[8:], uint32(in.Rs1))
-		binary.LittleEndian.PutUint32(b[12:], uint32(in.Rs2))
-		binary.LittleEndian.PutUint64(b[16:], uint64(in.Imm))
-		out = append(out, b[:]...)
+		out = binary.LittleEndian.AppendUint16(out, uint16(in.Op))
+		out = binary.LittleEndian.AppendUint16(out, 0)
+		out = binary.LittleEndian.AppendUint32(out, uint32(in.Rd))
+		out = binary.LittleEndian.AppendUint32(out, uint32(in.Rs1))
+		out = binary.LittleEndian.AppendUint32(out, uint32(in.Rs2))
+		out = binary.LittleEndian.AppendUint64(out, uint64(in.Imm))
 	}
 	return out
 }
 
-func encodeSyms(syms []Symbol) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(syms)))
+func symsLen(syms []Symbol) int {
+	n := uvarintLen(uint64(len(syms)))
 	for _, s := range syms {
-		putString(&buf, s.Name)
-		putUvarint(&buf, s.Start)
-		putUvarint(&buf, s.Count)
-		putUvarint(&buf, uint64(s.RegCount))
-		putUvarint(&buf, uint64(len(s.Params)))
+		n += stringLen(s.Name) + uvarintLen(s.Start) + uvarintLen(s.Count) + uvarintLen(uint64(s.RegCount)) +
+			uvarintLen(uint64(len(s.Params))) + len(s.Params) + 2
+	}
+	return n
+}
+
+func appendSyms(out []byte, syms []Symbol) []byte {
+	out = binary.AppendUvarint(out, uint64(len(syms)))
+	for _, s := range syms {
+		out = appendString(out, s.Name)
+		out = binary.AppendUvarint(out, s.Start)
+		out = binary.AppendUvarint(out, s.Count)
+		out = binary.AppendUvarint(out, uint64(s.RegCount))
+		out = binary.AppendUvarint(out, uint64(len(s.Params)))
 		for _, p := range s.Params {
-			buf.WriteByte(byte(p))
+			out = append(out, byte(p))
 		}
-		buf.WriteByte(byte(s.Ret))
+		extern := byte(0)
 		if s.Extern {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
+			extern = 1
 		}
+		out = append(out, byte(s.Ret), extern)
 	}
-	return buf.Bytes()
+	return out
 }
 
-func encodeData(data []DataEntry) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(data)))
+func dataLen(data []DataEntry) int {
+	n := uvarintLen(uint64(len(data)))
 	for _, d := range data {
-		putString(&buf, d.Name)
-		putUvarint(&buf, d.Addr)
-		putUvarint(&buf, d.Size)
-		putUvarint(&buf, uint64(len(d.Init)))
-		for _, v := range d.Init {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], v)
-			buf.Write(b[:])
-		}
+		n += stringLen(d.Name) + uvarintLen(d.Addr) + uvarintLen(d.Size) + uvarintLen(uint64(len(d.Init))) + 8*len(d.Init)
 	}
-	return buf.Bytes()
+	return n
 }
 
-func encodeMeta(f *File) []byte {
-	var buf bytes.Buffer
-	putString(&buf, f.SourceName)
-	putUvarint(&buf, f.MemWords)
-	return buf.Bytes()
+func appendData(out []byte, data []DataEntry) []byte {
+	out = binary.AppendUvarint(out, uint64(len(data)))
+	for _, d := range data {
+		out = appendString(out, d.Name)
+		out = binary.AppendUvarint(out, d.Addr)
+		out = binary.AppendUvarint(out, d.Size)
+		out = binary.AppendUvarint(out, uint64(len(d.Init)))
+		for _, v := range d.Init {
+			out = binary.LittleEndian.AppendUint64(out, v)
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -292,6 +272,20 @@ func (r *reader) uvarint() (uint64, error) {
 	}
 	r.off += n
 	return v, nil
+}
+
+// substr reads a length-prefixed string as a substring of text, a copy
+// of the reader's bytes.
+func (r *reader) substr(text string) (string, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if n > uint64(r.remain()) {
+		return "", fmt.Errorf("objfile: truncated (need %d bytes, have %d)", n, r.remain())
+	}
+	r.off += int(n)
+	return text[r.off-int(n) : r.off], nil
 }
 
 func (r *reader) str() (string, error) {
@@ -328,6 +322,9 @@ func Decode(data []byte) (*File, error) {
 		return nil, err
 	}
 	nsec := int(binary.LittleEndian.Uint16(cntB))
+	if nsec > r.remain()/17 { // a table entry takes at least 17 bytes
+		return nil, fmt.Errorf("objfile: %d sections claimed in %d bytes", nsec, r.remain())
+	}
 	type sec struct {
 		name string
 		off  uint64
@@ -427,16 +424,26 @@ func decodeText(b []byte) ([]ir.Instr, error) {
 	return out, nil
 }
 
+// decodeSyms decodes .symtab. Every name is a substring of one copy of
+// the section and every parameter list a window of one slab, so the
+// table costs a fixed number of allocations; both, like the symbol
+// slice, are sized from the section's length, since each symbol takes at
+// least six bytes, not from the count the section claims.
 func decodeSyms(b []byte) ([]Symbol, error) {
 	r := &reader{b: b}
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
+	if n > uint64(r.remain()/6) {
+		return nil, fmt.Errorf("objfile: .symtab claims %d symbols in %d bytes", n, r.remain())
+	}
+	text := string(b)
 	syms := make([]Symbol, n)
+	params := make([]ParamKind, 0, r.remain())
 	for i := range syms {
 		s := &syms[i]
-		if s.Name, err = r.str(); err != nil {
+		if s.Name, err = r.substr(text); err != nil {
 			return nil, err
 		}
 		if s.Start, err = r.uvarint(); err != nil {
@@ -454,14 +461,18 @@ func decodeSyms(b []byte) ([]Symbol, error) {
 		if err != nil {
 			return nil, err
 		}
+		if np > uint64(r.remain()) {
+			return nil, fmt.Errorf("objfile: truncated (need %d bytes, have %d)", np, r.remain())
+		}
 		pb, err := r.bytes(int(np))
 		if err != nil {
 			return nil, err
 		}
-		s.Params = make([]ParamKind, np)
-		for j := range s.Params {
-			s.Params[j] = ParamKind(pb[j])
+		start := len(params)
+		for _, k := range pb {
+			params = append(params, ParamKind(k))
 		}
+		s.Params = params[start:len(params):len(params)]
 		rb, err := r.bytes(2)
 		if err != nil {
 			return nil, err
@@ -472,16 +483,23 @@ func decodeSyms(b []byte) ([]Symbol, error) {
 	return syms, nil
 }
 
+// decodeData decodes .data, with names as substrings of one copy of the
+// section and the entry slice sized from its length (each entry takes at
+// least four bytes).
 func decodeData(b []byte) ([]DataEntry, error) {
 	r := &reader{b: b}
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
+	if n > uint64(r.remain()/4) {
+		return nil, fmt.Errorf("objfile: .data claims %d entries in %d bytes", n, r.remain())
+	}
+	text := string(b)
 	out := make([]DataEntry, n)
 	for i := range out {
 		d := &out[i]
-		if d.Name, err = r.str(); err != nil {
+		if d.Name, err = r.substr(text); err != nil {
 			return nil, err
 		}
 		if d.Addr, err = r.uvarint(); err != nil {
@@ -495,6 +513,9 @@ func decodeData(b []byte) ([]DataEntry, error) {
 			return nil, err
 		}
 		if ni > 0 {
+			if ni > uint64(r.remain()/8) {
+				return nil, fmt.Errorf("objfile: truncated (need %d words, have %d bytes)", ni, r.remain())
+			}
 			ib, err := r.bytes(int(ni) * 8)
 			if err != nil {
 				return nil, err

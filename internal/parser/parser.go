@@ -3,6 +3,12 @@
 // Together with internal/lexer it forms Mira's Input Processor front half
 // (paper Sec. III-A1): source text in, source AST out, with user
 // annotations attached to the statements they precede.
+//
+// The parser pulls tokens from the lexer as it goes and stops at the
+// first error, so a refused source costs no more lexing than the prefix
+// read up to that error. ParseFile reports the first error in source
+// order: a lexical error met at or before the position of the parse
+// error wins; a lexical error later in the source is never scanned.
 package parser
 
 import (
@@ -38,9 +44,11 @@ const (
 	MaxExprHeight = 1 << 17
 )
 
-// The parser pulls tokens from the lexer as it goes and keeps only the
-// current one, one lookahead and the end of the last one consumed, so a
-// source refused at a bound costs no token buffer of its own size.
+// The parser keeps only the current token, one lookahead and the end of
+// the last token consumed, so a source refused at a bound costs no token
+// buffer of its own size. The lexer scans straight into tok (or ahead),
+// and callers read the fields they need before consuming it, so no token
+// value is copied on the common path.
 type parser struct {
 	src      string
 	lx       *lexer.Lexer
@@ -52,14 +60,53 @@ type parser struct {
 	classes  map[string]bool // class names seen so far, for type lookahead
 	depth    int             // current nesting, bounded by MaxNesting
 	h        int             // height of the expression parsed last
+	// stmts holds the statements of every open block, innermost last;
+	// a block copies its own run out, at its exact length, when it ends.
+	stmts []ast.Stmt
+	// The commonest nodes come from chunks.
+	idents chunk[ast.Ident]
+	ints   chunk[ast.IntLit]
+	floats chunk[ast.FloatLit]
+	exprs  chunk[ast.ExprStmt]
+}
+
+// chunkLen is how many nodes one chunk allocation holds: 16 nodes of at
+// most 32 bytes fit a 512-byte size class, the largest that carries no
+// malloc header, so a chunk wastes nothing but its unused tail.
+const chunkLen = 16
+
+// chunk hands out nodes of one type from arrays of chunkLen, one
+// allocation per chunk. A chunk lives as long as any of its nodes, so
+// only two kinds of node come from chunks: leaves, which point at
+// nothing but source text, and expression statements, which nothing
+// outside the tree points at. An expression that a model keeps (a
+// statement's right-hand side, a loop condition) is allocated alone, so
+// it never holds its neighbours' subtrees alive.
+type chunk[T any] []T
+
+func (c *chunk[T]) new() *T {
+	if len(*c) == 0 {
+		*c = make([]T, chunkLen)
+	}
+	x := &(*c)[0]
+	*c = (*c)[1:]
+	return x
 }
 
 // ParseFile parses MiniC source text into a File.
 func ParseFile(name, src string) (*ast.File, error) {
+	file, _, err := parseLexed(name, src)
+	return file, err
+}
+
+// parseLexed is ParseFile, also returning the lexer so tests can see how
+// much of the source was read.
+func parseLexed(name, src string) (*ast.File, *lexer.Lexer, error) {
 	lx := lexer.New(src)
-	p := &parser{src: src, lx: lx, tok: lx.Next(), classes: map[string]bool{}}
+	p := &parser{src: src, lx: lx, classes: map[string]bool{}}
+	lx.Scan(&p.tok)
 	p.file = &ast.File{Name: name, FilePos: token.Pos{Line: 1, Col: 1}}
-	var perr error
+	var perr *Error
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -72,19 +119,13 @@ func ParseFile(name, src string) (*ast.File, error) {
 		}()
 		p.parseProgram()
 	}()
-	// A lexical error anywhere outranks a parse error, so the rest of
-	// the source is scanned, without keeping its tokens.
-	if p.tok.Kind != token.EOF && !(p.hasAhead && p.ahead.Kind == token.EOF) {
-		for lx.Next().Kind != token.EOF {
-		}
-	}
-	if errs := lx.Errors(); len(errs) > 0 {
-		return nil, errs[0]
+	if errs := lx.Errors(); len(errs) > 0 && (perr == nil || !perr.Pos.Before(errs[0].Pos)) {
+		return nil, lx, errs[0]
 	}
 	if perr != nil {
-		return nil, perr
+		return nil, lx, perr
 	}
-	return p.file, nil
+	return p.file, lx, nil
 }
 
 func (p *parser) errf(pos token.Pos, format string, args ...any) {
@@ -97,7 +138,7 @@ func (p *parser) errf(pos token.Pos, format string, args ...any) {
 func (p *parser) enter() {
 	p.depth++
 	if p.depth > MaxNesting {
-		p.errf(p.cur().Pos, "nesting deeper than %d levels", MaxNesting)
+		p.errf(p.tok.Pos, "nesting deeper than %d levels", MaxNesting)
 	}
 }
 
@@ -110,60 +151,71 @@ func (p *parser) grow(h int, pos token.Pos) int {
 	return h + 1
 }
 
-func (p *parser) cur() token.Token { return p.tok }
-
-func (p *parser) peek() token.Token {
+// peekKind returns the kind of the token after the current one.
+func (p *parser) peekKind() token.Kind {
 	if p.tok.Kind == token.EOF {
-		return p.tok
+		return token.EOF
 	}
 	if !p.hasAhead {
-		p.ahead, p.hasAhead = p.lx.Next(), true
+		p.lx.Scan(&p.ahead)
+		p.hasAhead = true
 	}
-	return p.ahead
+	return p.ahead.Kind
 }
 
-func (p *parser) next() token.Token {
-	t := p.tok
-	if t.Kind == token.EOF {
-		return t
+// next consumes the current token.
+func (p *parser) next() {
+	if p.tok.Kind == token.EOF {
+		return
 	}
-	p.prevEnd = t.End
+	p.prevEnd = p.tok.End
 	if p.hasAhead {
 		p.tok, p.hasAhead = p.ahead, false
 	} else {
-		p.tok = p.lx.Next()
+		p.lx.Scan(&p.tok)
 	}
-	return t
 }
 
 func (p *parser) accept(k token.Kind) bool {
-	if p.cur().Kind == k {
+	if p.tok.Kind == k {
 		p.next()
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(k token.Kind) token.Token {
-	t := p.cur()
-	if t.Kind != k {
-		p.errf(t.Pos, "expected %s, found %s", k, t)
+// expect consumes a token of kind k and returns its position.
+func (p *parser) expect(k token.Kind) token.Pos {
+	if p.tok.Kind != k {
+		p.errf(p.tok.Pos, "expected %s, found %s", k, p.tok)
 	}
-	return p.next()
+	pos := p.tok.Pos
+	p.next()
+	return pos
 }
 
-// source returns the text from token first through the last token
-// consumed, anchored at first.
-func (p *parser) source(first token.Token) ast.Source {
-	return ast.Source{Pos: first.Pos, Text: p.src[first.Off:p.prevEnd]}
+// expectIdent consumes an identifier and returns its name and position.
+func (p *parser) expectIdent() (string, token.Pos) {
+	if p.tok.Kind != token.IDENT {
+		p.errf(p.tok.Pos, "expected %s, found %s", token.IDENT, p.tok)
+	}
+	name, pos := p.tok.Lit, p.tok.Pos
+	p.next()
+	return name, pos
+}
+
+// source returns the text from the token at byte offset off and position
+// pos through the last token consumed, anchored at pos.
+func (p *parser) source(off int, pos token.Pos) ast.Source {
+	return ast.Source{Pos: pos, Text: p.src[off:p.prevEnd]}
 }
 
 // ---------------------------------------------------------------------------
 // Declarations
 
 func (p *parser) parseProgram() {
-	for p.cur().Kind != token.EOF {
-		switch p.cur().Kind {
+	for p.tok.Kind != token.EOF {
+		switch p.tok.Kind {
 		case token.PRAGMA:
 			// Top-level pragmas (include guards, omp, ...) are ignored.
 			p.next()
@@ -178,36 +230,38 @@ func (p *parser) parseProgram() {
 }
 
 func (p *parser) parseExtern() ast.Decl {
+	off := p.tok.Off
 	kw := p.expect(token.KWEXTERN)
 	ret := p.parseType()
-	name := p.expect(token.IDENT)
+	name, _ := p.expectIdent()
 	fd := &ast.FuncDecl{
-		Name:     name.Lit,
+		Name:     name,
 		RetType:  ret,
 		IsExtern: true,
-		FuncPos:  kw.Pos,
+		FuncPos:  kw,
 	}
 	p.expect(token.LPAREN)
 	fd.Params = p.parseParams()
 	p.expect(token.RPAREN)
 	p.expect(token.SEMI)
-	fd.Src = p.source(kw)
+	fd.Src = p.source(off, kw)
 	return fd
 }
 
 func (p *parser) parseClass() *ast.ClassDecl {
-	kw := p.next() // class or struct
-	name := p.expect(token.IDENT)
-	cd := &ast.ClassDecl{Name: name.Lit, ClassPos: kw.Pos}
-	p.classes[name.Lit] = true
+	kw := p.tok.Pos // class or struct
+	p.next()
+	name, _ := p.expectIdent()
+	cd := &ast.ClassDecl{Name: name, ClassPos: kw}
+	p.classes[name] = true
 	p.expect(token.LBRACE)
-	for p.cur().Kind != token.RBRACE && p.cur().Kind != token.EOF {
-		switch p.cur().Kind {
+	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
+		switch p.tok.Kind {
 		case token.KWPUBLIC, token.KWPRIVATE:
 			p.next()
 			p.expect(token.COLON)
 		default:
-			d := p.parseFuncOrVar(name.Lit)
+			d := p.parseFuncOrVar(name)
 			switch x := d.(type) {
 			case *ast.FuncDecl:
 				cd.Methods = append(cd.Methods, x)
@@ -224,18 +278,19 @@ func (p *parser) parseClass() *ast.ClassDecl {
 // parseFuncOrVar parses either a function/method definition or a variable
 // declaration; className is non-empty when parsing inside a class body.
 func (p *parser) parseFuncOrVar(className string) ast.Decl {
-	first := p.cur()
+	firstOff, firstPos := p.tok.Off, p.tok.Pos
 	isConst := p.accept(token.KWCONST)
 	p.accept(token.KWSTATIC)
 	if !isConst {
 		isConst = p.accept(token.KWCONST)
 	}
-	start := p.cur().Pos
+	start := p.tok.Pos
 	typ := p.parseType()
 
 	// operator() method.
-	if p.cur().Kind == token.KWOPERATOR {
-		op := p.next()
+	if p.tok.Kind == token.KWOPERATOR {
+		op := p.tok.Pos
+		p.next()
 		p.expect(token.LPAREN)
 		p.expect(token.RPAREN)
 		fd := &ast.FuncDecl{
@@ -243,32 +298,32 @@ func (p *parser) parseFuncOrVar(className string) ast.Decl {
 			ClassName:  className,
 			RetType:    typ,
 			IsOperator: true,
-			FuncPos:    op.Pos,
+			FuncPos:    op,
 		}
 		p.expect(token.LPAREN)
 		fd.Params = p.parseParams()
 		p.expect(token.RPAREN)
 		p.accept(token.KWCONST)
 		fd.Body = p.parseBlock()
-		fd.Src = p.source(first)
+		fd.Src = p.source(firstOff, firstPos)
 		return fd
 	}
 
-	name := p.expect(token.IDENT)
+	name, namePos := p.expectIdent()
 
 	// Out-of-class method definition: Type Class::name(...).
-	if p.cur().Kind == token.SCOPE {
+	if p.tok.Kind == token.SCOPE {
 		p.next()
-		className = name.Lit
+		className = name
 		if !p.classes[className] {
-			p.errf(name.Pos, "undefined class %q in qualified name", className)
+			p.errf(namePos, "undefined class %q in qualified name", className)
 		}
-		name = p.expect(token.IDENT)
+		name, namePos = p.expectIdent()
 	}
 
-	if p.cur().Kind == token.LPAREN {
+	if p.tok.Kind == token.LPAREN {
 		fd := &ast.FuncDecl{
-			Name:      name.Lit,
+			Name:      name,
 			ClassName: className,
 			RetType:   typ,
 			FuncPos:   start,
@@ -280,29 +335,28 @@ func (p *parser) parseFuncOrVar(className string) ast.Decl {
 		if p.accept(token.SEMI) {
 			// Forward declaration; treat as extern-like prototype only if no
 			// definition follows. The sema layer resolves duplicates.
-			fd.Src = p.source(first)
+			fd.Src = p.source(firstOff, firstPos)
 			return fd
 		}
 		fd.Body = p.parseBlock()
-		fd.Src = p.source(first)
+		fd.Src = p.source(firstOff, firstPos)
 		return fd
 	}
 
 	// Variable declaration.
 	vd := &ast.VarDecl{Type: typ, IsConst: isConst, DeclPos: start}
-	vd.Names = append(vd.Names, p.parseDeclarator(name))
+	vd.Names = append(vd.Names, p.parseDeclarator(name, namePos))
 	for p.accept(token.COMMA) {
-		n := p.expect(token.IDENT)
-		vd.Names = append(vd.Names, p.parseDeclarator(n))
+		vd.Names = append(vd.Names, p.parseDeclarator(p.expectIdent()))
 	}
 	p.expect(token.SEMI)
-	vd.Src = p.source(first)
+	vd.Src = p.source(firstOff, firstPos)
 	return vd
 }
 
-func (p *parser) parseDeclarator(name token.Token) *ast.Declarator {
-	d := &ast.Declarator{Name: name.Lit, NamePos: name.Pos}
-	for p.cur().Kind == token.LBRACKET {
+func (p *parser) parseDeclarator(name string, pos token.Pos) *ast.Declarator {
+	d := &ast.Declarator{Name: name, NamePos: pos}
+	for p.tok.Kind == token.LBRACKET {
 		p.next()
 		d.Dims = append(d.Dims, p.parseExpr())
 		p.expect(token.RBRACKET)
@@ -315,10 +369,10 @@ func (p *parser) parseDeclarator(name token.Token) *ast.Declarator {
 
 func (p *parser) parseParams() []*ast.Param {
 	var params []*ast.Param
-	if p.cur().Kind == token.RPAREN {
+	if p.tok.Kind == token.RPAREN {
 		return params
 	}
-	if p.cur().Kind == token.KWVOID && p.peek().Kind == token.RPAREN {
+	if p.tok.Kind == token.KWVOID && p.peekKind() == token.RPAREN {
 		p.next()
 		return params
 	}
@@ -329,12 +383,12 @@ func (p *parser) parseParams() []*ast.Param {
 		if p.accept(token.AMP) {
 			typ.Ptr++
 		}
-		name := p.expect(token.IDENT)
-		prm := &ast.Param{Name: name.Lit, Type: typ, ParamPos: name.Pos}
-		for p.cur().Kind == token.LBRACKET {
+		name, pos := p.expectIdent()
+		prm := &ast.Param{Name: name, Type: typ, ParamPos: pos}
+		for p.tok.Kind == token.LBRACKET {
 			p.next()
 			// Parameter array dimensions decay to pointers; sizes ignored.
-			if p.cur().Kind != token.RBRACKET {
+			if p.tok.Kind != token.RBRACKET {
 				p.parseExpr()
 			}
 			p.expect(token.RBRACKET)
@@ -349,19 +403,18 @@ func (p *parser) parseParams() []*ast.Param {
 }
 
 func (p *parser) parseType() ast.Type {
-	t := p.cur()
 	var typ ast.Type
-	switch t.Kind {
+	switch p.tok.Kind {
 	case token.KWUNSIGNED:
 		p.next()
-		if p.cur().Kind == token.KWINT || p.cur().Kind == token.KWLONG {
+		if p.tok.Kind == token.KWINT || p.tok.Kind == token.KWLONG {
 			p.next()
 		}
 		typ = ast.TypeInt
 	case token.KWINT, token.KWLONG, token.KWCHAR:
 		p.next()
 		// "long long", "long int" collapse.
-		for p.cur().Kind == token.KWLONG || p.cur().Kind == token.KWINT {
+		for p.tok.Kind == token.KWLONG || p.tok.Kind == token.KWINT {
 			p.next()
 		}
 		typ = ast.TypeInt
@@ -375,13 +428,14 @@ func (p *parser) parseType() ast.Type {
 		p.next()
 		typ = ast.TypeVoid
 	case token.IDENT:
-		if !p.classes[t.Lit] {
-			p.errf(t.Pos, "unknown type %q", t.Lit)
+		name := p.tok.Lit
+		if !p.classes[name] {
+			p.errf(p.tok.Pos, "unknown type %q", name)
 		}
 		p.next()
-		typ = ast.Type{Kind: ast.Class, ClassName: t.Lit}
+		typ = ast.Type{Kind: ast.Class, ClassName: name}
 	default:
-		p.errf(t.Pos, "expected type, found %s", t)
+		p.errf(p.tok.Pos, "expected type, found %s", p.tok)
 	}
 	for p.accept(token.STAR) {
 		typ.Ptr++
@@ -392,13 +446,13 @@ func (p *parser) parseType() ast.Type {
 // startsType reports whether the token stream at the current position looks
 // like the start of a declaration.
 func (p *parser) startsType() bool {
-	t := p.cur()
-	if t.Kind.IsType() || t.Kind == token.KWCONST || t.Kind == token.KWSTATIC {
+	k := p.tok.Kind
+	if k.IsType() || k == token.KWCONST || k == token.KWSTATIC {
 		return true
 	}
-	if t.Kind == token.IDENT && p.classes[t.Lit] {
+	if k == token.IDENT && p.classes[p.tok.Lit] {
 		// "A a;" or "A *a;" — identifier followed by identifier or star.
-		n := p.peek().Kind
+		n := p.peekKind()
 		return n == token.IDENT || n == token.STAR
 	}
 	return false
@@ -408,12 +462,19 @@ func (p *parser) startsType() bool {
 // Statements
 
 func (p *parser) parseBlock() *ast.BlockStmt {
-	lb := p.expect(token.LBRACE)
-	blk := &ast.BlockStmt{BracePos: lb.Pos}
-	for p.cur().Kind != token.RBRACE && p.cur().Kind != token.EOF {
-		blk.Stmts = append(blk.Stmts, p.parseStmt())
+	blk := &ast.BlockStmt{BracePos: p.expect(token.LBRACE)}
+	base := len(p.stmts)
+	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
+		st := p.parseStmt()
+		p.stmts = append(p.stmts, st)
 	}
 	p.expect(token.RBRACE)
+	if n := len(p.stmts) - base; n > 0 {
+		blk.Stmts = make([]ast.Stmt, n)
+		copy(blk.Stmts, p.stmts[base:])
+		clear(p.stmts[base:])
+		p.stmts = p.stmts[:base]
+	}
 	return blk
 }
 
@@ -427,26 +488,28 @@ func (p *parser) parseStmt() ast.Stmt {
 func (p *parser) parseStmtAt() ast.Stmt {
 	// A pragma annotates the statement that follows it. Non-annotation
 	// pragmas (omp, once, ...) are ignored.
-	for p.cur().Kind == token.PRAGMA {
-		t := p.next()
-		if !ast.IsAnnotationPragma(t.Lit) {
+	for p.tok.Kind == token.PRAGMA {
+		lit, pos := p.tok.Lit, p.tok.Pos
+		p.next()
+		if !ast.IsAnnotationPragma(lit) {
 			continue
 		}
-		ann, err := ast.ParseAnnotation(t.Lit, t.Pos)
+		ann, err := ast.ParseAnnotation(lit, pos)
 		if err != nil {
-			p.errf(t.Pos, "bad annotation: %v", err)
+			p.errf(pos, "bad annotation: %v", err)
 		}
 		st := p.parseStmt()
 		attachAnnotation(st, ann, p)
 		return st
 	}
 
-	switch p.cur().Kind {
+	pos := p.tok.Pos
+	switch p.tok.Kind {
 	case token.LBRACE:
 		return p.parseBlock()
 	case token.SEMI:
-		t := p.next()
-		return &ast.EmptyStmt{SemiPos: t.Pos}
+		p.next()
+		return &ast.EmptyStmt{SemiPos: pos}
 	case token.KWIF:
 		return p.parseIf()
 	case token.KWFOR:
@@ -454,23 +517,23 @@ func (p *parser) parseStmtAt() ast.Stmt {
 	case token.KWWHILE:
 		return p.parseWhile()
 	case token.KWDO:
-		p.errf(p.cur().Pos, "do-while loops are not supported; rewrite as while")
+		p.errf(pos, "do-while loops are not supported; rewrite as while")
 	case token.KWRETURN:
-		t := p.next()
-		rs := &ast.ReturnStmt{ReturnPos: t.Pos}
-		if p.cur().Kind != token.SEMI {
+		p.next()
+		rs := &ast.ReturnStmt{ReturnPos: pos}
+		if p.tok.Kind != token.SEMI {
 			rs.X = p.parseExpr()
 		}
 		p.expect(token.SEMI)
 		return rs
 	case token.KWBREAK:
-		t := p.next()
+		p.next()
 		p.expect(token.SEMI)
-		return &ast.BreakStmt{BreakPos: t.Pos}
+		return &ast.BreakStmt{BreakPos: pos}
 	case token.KWCONTINUE:
-		t := p.next()
+		p.next()
 		p.expect(token.SEMI)
-		return &ast.ContinueStmt{ContinuePos: t.Pos}
+		return &ast.ContinueStmt{ContinuePos: pos}
 	}
 	if p.startsType() {
 		d := p.parseFuncOrVar("")
@@ -482,7 +545,9 @@ func (p *parser) parseStmtAt() ast.Stmt {
 	}
 	x := p.parseExpr()
 	p.expect(token.SEMI)
-	return &ast.ExprStmt{X: x}
+	st := p.exprs.new()
+	st.X = x
+	return st
 }
 
 func attachAnnotation(st ast.Stmt, ann *ast.Annotation, p *parser) {
@@ -509,7 +574,7 @@ func (p *parser) parseIf() ast.Stmt {
 	p.expect(token.LPAREN)
 	cond := p.parseExpr()
 	p.expect(token.RPAREN)
-	s := &ast.IfStmt{Cond: cond, IfPos: kw.Pos}
+	s := &ast.IfStmt{Cond: cond, IfPos: kw}
 	s.Then = p.parseStmt()
 	if p.accept(token.KWELSE) {
 		s.Else = p.parseStmt()
@@ -520,7 +585,7 @@ func (p *parser) parseIf() ast.Stmt {
 func (p *parser) parseFor() ast.Stmt {
 	kw := p.expect(token.KWFOR)
 	p.expect(token.LPAREN)
-	s := &ast.ForStmt{ForPos: kw.Pos}
+	s := &ast.ForStmt{ForPos: kw}
 	if !p.accept(token.SEMI) {
 		if p.startsType() {
 			d := p.parseFuncOrVar("")
@@ -535,11 +600,11 @@ func (p *parser) parseFor() ast.Stmt {
 			s.Init = &ast.ExprStmt{X: x}
 		}
 	}
-	if p.cur().Kind != token.SEMI {
+	if p.tok.Kind != token.SEMI {
 		s.Cond = p.parseExpr()
 	}
 	p.expect(token.SEMI)
-	if p.cur().Kind != token.RPAREN {
+	if p.tok.Kind != token.RPAREN {
 		s.Post = p.parseExpr()
 	}
 	p.expect(token.RPAREN)
@@ -552,7 +617,7 @@ func (p *parser) parseWhile() ast.Stmt {
 	p.expect(token.LPAREN)
 	cond := p.parseExpr()
 	p.expect(token.RPAREN)
-	s := &ast.WhileStmt{Cond: cond, WhilePos: kw.Pos}
+	s := &ast.WhileStmt{Cond: cond, WhilePos: kw}
 	s.Body = p.parseStmt()
 	return s
 }
@@ -561,117 +626,96 @@ func (p *parser) parseWhile() ast.Stmt {
 // Expressions
 
 // Every expression parser leaves the height of the tree it returns in
-// p.h, so operator chains, which the loops below build without nesting,
-// stay within MaxExprHeight.
+// p.h, so operator chains, which parseBinary builds in a loop without
+// nesting, stay within MaxExprHeight.
 
 func (p *parser) parseExpr() ast.Expr { return p.parseAssignExpr() }
 
 func (p *parser) parseAssignExpr() ast.Expr {
 	p.enter()
 	lhs := p.parseTernary()
-	if p.cur().Kind.IsAssignOp() {
-		h := p.h
-		op := p.next()
+	if op := p.tok.Kind; op.IsAssignOp() {
+		h, pos := p.h, p.tok.Pos
+		p.next()
 		rhs := p.parseAssignExpr()
-		p.h = p.grow(max(h, p.h), op.Pos)
-		lhs = &ast.AssignExpr{Op: op.Kind, LHS: lhs, RHS: rhs}
+		p.h = p.grow(max(h, p.h), pos)
+		lhs = &ast.AssignExpr{Op: op, LHS: lhs, RHS: rhs}
 	}
 	p.depth--
 	return lhs
 }
 
 func (p *parser) parseTernary() ast.Expr {
-	cond := p.parseOr()
-	if q := p.cur(); p.accept(token.QUESTION) {
-		h := p.h
-		then := p.parseExpr()
-		h = max(h, p.h)
-		p.expect(token.COLON)
-		p.enter()
-		els := p.parseTernary()
-		p.depth--
-		p.h = p.grow(max(h, p.h), q.Pos)
-		return &ast.CondExpr{Cond: cond, Then: then, Else: els}
+	cond := p.parseBinary(1)
+	if p.tok.Kind != token.QUESTION {
+		return cond
 	}
-	return cond
+	q := p.tok.Pos
+	p.next()
+	h := p.h
+	then := p.parseExpr()
+	h = max(h, p.h)
+	p.expect(token.COLON)
+	p.enter()
+	els := p.parseTernary()
+	p.depth--
+	p.h = p.grow(max(h, p.h), q)
+	return &ast.CondExpr{Cond: cond, Then: then, Else: els}
 }
 
-// binary returns the node x op y over x of height hx, leaving its height
-// in p.h (which holds y's).
-func (p *parser) binary(op token.Token, x, y ast.Expr, hx int) ast.Expr {
-	p.h = p.grow(max(hx, p.h), op.Pos)
-	return &ast.BinaryExpr{Op: op.Kind, X: x, Y: y}
-}
-
-func (p *parser) parseOr() ast.Expr {
-	x := p.parseAnd()
-	for p.cur().Kind == token.OROR {
-		op, h := p.next(), p.h
-		x = p.binary(op, x, p.parseAnd(), h)
+// binaryPrec returns how tightly a binary operator binds, from || (1) to
+// the multiplicative operators (6), or 0 for any other token.
+func binaryPrec(k token.Kind) int {
+	switch k {
+	case token.OROR:
+		return 1
+	case token.ANDAND:
+		return 2
+	case token.EQ, token.NEQ:
+		return 3
+	case token.LT, token.GT, token.LEQ, token.GEQ:
+		return 4
+	case token.PLUS, token.MINUS:
+		return 5
+	case token.STAR, token.SLASH, token.PERCENT:
+		return 6
 	}
-	return x
+	return 0
 }
 
-func (p *parser) parseAnd() ast.Expr {
-	x := p.parseEquality()
-	for p.cur().Kind == token.ANDAND {
-		op, h := p.next(), p.h
-		x = p.binary(op, x, p.parseEquality(), h)
-	}
-	return x
-}
-
-func (p *parser) parseEquality() ast.Expr {
-	x := p.parseRelational()
-	for p.cur().Kind == token.EQ || p.cur().Kind == token.NEQ {
-		op, h := p.next(), p.h
-		x = p.binary(op, x, p.parseRelational(), h)
-	}
-	return x
-}
-
-func (p *parser) parseRelational() ast.Expr {
-	x := p.parseAdditive()
+// parseBinary parses a unary operand followed by binary operators that
+// bind at least as tightly as minPrec, all left-associative: one
+// precedence-climbing loop that builds the tree, and checks the heights,
+// in the order one recursive function per precedence level would.
+func (p *parser) parseBinary(minPrec int) ast.Expr {
+	x := p.parseUnary()
 	for {
-		k := p.cur().Kind
-		if k != token.LT && k != token.GT && k != token.LEQ && k != token.GEQ {
+		op := p.tok.Kind
+		prec := binaryPrec(op)
+		if prec < minPrec || prec == 0 {
 			return x
 		}
-		op, h := p.next(), p.h
-		x = p.binary(op, x, p.parseAdditive(), h)
+		h, pos := p.h, p.tok.Pos
+		p.next()
+		y := p.parseBinary(prec + 1)
+		p.h = p.grow(max(h, p.h), pos)
+		x = &ast.BinaryExpr{Op: op, X: x, Y: y}
 	}
-}
-
-func (p *parser) parseAdditive() ast.Expr {
-	x := p.parseMultiplicative()
-	for p.cur().Kind == token.PLUS || p.cur().Kind == token.MINUS {
-		op, h := p.next(), p.h
-		x = p.binary(op, x, p.parseMultiplicative(), h)
-	}
-	return x
-}
-
-func (p *parser) parseMultiplicative() ast.Expr {
-	x := p.parseUnary()
-	for p.cur().Kind == token.STAR || p.cur().Kind == token.SLASH || p.cur().Kind == token.PERCENT {
-		op, h := p.next(), p.h
-		x = p.binary(op, x, p.parseUnary(), h)
-	}
-	return x
 }
 
 func (p *parser) parseUnary() ast.Expr {
-	switch p.cur().Kind {
+	switch op := p.tok.Kind; op {
 	case token.MINUS, token.PLUS, token.NOT, token.INC, token.DEC, token.AMP, token.STAR:
-		op := p.next()
+		pos := p.tok.Pos
+		p.next()
 		p.enter()
 		x := p.parseUnary()
 		p.depth--
-		if op.Kind == token.PLUS {
+		if op == token.PLUS {
 			return x
 		}
-		p.h = p.grow(p.h, op.Pos)
-		return &ast.UnaryExpr{Op: op.Kind, X: x, OpPos: op.Pos}
+		p.h = p.grow(p.h, pos)
+		return &ast.UnaryExpr{Op: op, X: x, OpPos: pos}
 	}
 	return p.parsePostfix()
 }
@@ -679,12 +723,12 @@ func (p *parser) parseUnary() ast.Expr {
 func (p *parser) parsePostfix() ast.Expr {
 	x := p.parsePrimary()
 	for {
-		h := p.h
-		switch t := p.cur(); t.Kind {
+		h, pos := p.h, p.tok.Pos
+		switch op := p.tok.Kind; op {
 		case token.LPAREN:
 			p.next()
 			call := &ast.CallExpr{Fun: x}
-			if p.cur().Kind != token.RPAREN {
+			if p.tok.Kind != token.RPAREN {
 				call.Args = append(call.Args, p.parseAssignExpr())
 				h = max(h, p.h)
 				for p.accept(token.COMMA) {
@@ -693,78 +737,83 @@ func (p *parser) parsePostfix() ast.Expr {
 				}
 			}
 			p.expect(token.RPAREN)
-			p.h = p.grow(h, t.Pos)
+			p.h = p.grow(h, pos)
 			x = call
 		case token.LBRACKET:
 			p.next()
 			idx := p.parseExpr()
 			p.expect(token.RBRACKET)
-			p.h = p.grow(max(h, p.h), t.Pos)
+			p.h = p.grow(max(h, p.h), pos)
 			x = &ast.IndexExpr{X: x, Index: idx}
-		case token.DOT:
+		case token.DOT, token.ARROW:
 			p.next()
-			sel := p.expect(token.IDENT)
-			p.h = p.grow(h, t.Pos)
-			x = &ast.MemberExpr{X: x, Sel: sel.Lit}
-		case token.ARROW:
-			p.next()
-			sel := p.expect(token.IDENT)
-			p.h = p.grow(h, t.Pos)
-			x = &ast.MemberExpr{X: x, Sel: sel.Lit, Arrow: true}
+			sel, _ := p.expectIdent()
+			p.h = p.grow(h, pos)
+			x = &ast.MemberExpr{X: x, Sel: sel, Arrow: op == token.ARROW}
 		case token.INC, token.DEC:
-			op := p.next()
-			p.h = p.grow(h, t.Pos)
-			x = &ast.UnaryExpr{Op: op.Kind, X: x, Postfix: true, OpPos: op.Pos}
+			p.next()
+			p.h = p.grow(h, pos)
+			x = &ast.UnaryExpr{Op: op, X: x, Postfix: true, OpPos: pos}
 		default:
 			return x
 		}
 	}
 }
 
+func (p *parser) intLit(v int64, pos token.Pos) *ast.IntLit {
+	x := p.ints.new()
+	*x = ast.IntLit{Value: v, LitPos: pos}
+	return x
+}
+
 func (p *parser) parsePrimary() ast.Expr {
-	t := p.cur()
+	pos, lit := p.tok.Pos, p.tok.Lit
 	p.h = 1
-	switch t.Kind {
+	switch p.tok.Kind {
 	case token.IDENT:
 		p.next()
-		return &ast.Ident{Name: t.Lit, NamePos: t.Pos}
+		id := p.idents.new()
+		*id = ast.Ident{Name: lit, NamePos: pos}
+		return id
 	case token.INTLIT:
 		p.next()
-		v, err := strconv.ParseInt(t.Lit, 10, 64)
+		v, err := strconv.ParseInt(lit, 10, 64)
 		if err != nil {
-			p.errf(t.Pos, "bad integer literal %q", t.Lit)
+			p.errf(pos, "bad integer literal %q", lit)
 		}
-		return &ast.IntLit{Value: v, LitPos: t.Pos}
+		return p.intLit(v, pos)
 	case token.FLOATLIT:
 		p.next()
-		v, err := strconv.ParseFloat(t.Lit, 64)
+		v, err := strconv.ParseFloat(lit, 64)
 		if err != nil {
-			p.errf(t.Pos, "bad float literal %q", t.Lit)
+			p.errf(pos, "bad float literal %q", lit)
 		}
-		return &ast.FloatLit{Value: v, LitPos: t.Pos}
+		x := p.floats.new()
+		*x = ast.FloatLit{Value: v, LitPos: pos}
+		return x
 	case token.KWTRUE:
 		p.next()
-		return &ast.BoolLit{Value: true, LitPos: t.Pos}
+		return &ast.BoolLit{Value: true, LitPos: pos}
 	case token.KWFALSE:
 		p.next()
-		return &ast.BoolLit{Value: false, LitPos: t.Pos}
+		return &ast.BoolLit{Value: false, LitPos: pos}
 	case token.STRINGLIT:
 		p.next()
-		return &ast.StringLit{Value: t.Lit, LitPos: t.Pos}
+		return &ast.StringLit{Value: lit, LitPos: pos}
 	case token.CHARLIT:
 		p.next()
 		v := int64(0)
-		if len(t.Lit) > 0 {
-			v = int64(t.Lit[0])
+		if len(lit) > 0 {
+			v = int64(lit[0])
 		}
-		return &ast.IntLit{Value: v, LitPos: t.Pos}
+		return p.intLit(v, pos)
 	case token.LPAREN:
 		p.next()
 		x := p.parseExpr()
 		p.expect(token.RPAREN)
-		p.h = p.grow(p.h, t.Pos)
-		return &ast.ParenExpr{X: x, ParenPos: t.Pos}
+		p.h = p.grow(p.h, pos)
+		return &ast.ParenExpr{X: x, ParenPos: pos}
 	}
-	p.errf(t.Pos, "unexpected token %s in expression", t)
+	p.errf(pos, "unexpected token %s in expression", p.tok)
 	return nil
 }
