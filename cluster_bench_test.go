@@ -48,7 +48,7 @@ func BenchmarkCluster_WireRoundTrip(b *testing.B) {
 // BenchmarkCluster_RingOwner: the consistent-hash lookup on every
 // routed request, across a 3-peer ring at the default vnode count.
 func BenchmarkCluster_RingOwner(b *testing.B) {
-	ring, err := cluster.NewRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 0)
+	ring, err := cluster.NewRing([]string{"http://a:1", "http://b:1", "http://c:1"})
 	if err != nil {
 		b.Fatal(err)
 	}

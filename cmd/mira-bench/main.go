@@ -76,48 +76,59 @@ import (
 )
 
 func main() {
-	suiteList := flag.String("suite", "", "comma-separated report suites to run (see -list)")
-	list := flag.Bool("list", false, "list the named suites and exit")
-	all := flag.Bool("all", false, "run every named suite")
-	format := flag.String("format", "table", "output encoding: table, json, csv, markdown")
-	scaled := flag.Bool("scaled", false, "run dynamic columns at the scaled (seconds-fast) sizes")
-	paperSizes := flag.Bool("paper-sizes", false, "also evaluate the static model at the paper's full sizes")
-	jobs := flag.Int("j", 0, "analysis-engine workers (0 = GOMAXPROCS, 1 = serial)")
-	archName := flag.String("arch", "", "architecture description the suites run on: a registered name or a JSON description file (default generic)")
-	serveStats := flag.String("serve-stats", "", "scrape and summarize a running mira-serve daemon (base URL)")
-	compare := flag.Bool("compare", false, "compare two `go test -bench -json` baselines (args: OLD.json NEW.json)")
-	threshold := flag.Float64("threshold", 15, "regression threshold for -compare, in percent")
-	normalize := flag.Bool("normalize", false, "normalize -compare ratios by the shared-set median (cross-machine baselines)")
-	load := flag.Bool("load", false, "generate load against running mira-serve replicas (-targets)")
-	targets := flag.String("targets", "", "comma-separated replica base URLs for -load")
-	rps := flag.Float64("rps", 0, "-load target arrival rate in req/s (0 = closed loop)")
-	concurrency := flag.Int("c", 16, "-load worker count")
-	duration := flag.Duration("duration", 10*time.Second, "-load run duration")
-	mix := flag.String("mix", "90:10", "-load interactive:bulk weight mix")
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, runs the selected mode and
+// writes its output to stdout. It returns the exit code: 0 on success,
+// 1 on a failed run (or a -compare regression), 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mira-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	suiteList := fs.String("suite", "", "comma-separated report suites to run (see -list)")
+	list := fs.Bool("list", false, "list the named suites and exit")
+	all := fs.Bool("all", false, "run every named suite")
+	format := fs.String("format", "table", "output encoding: table, json, csv, markdown")
+	scaled := fs.Bool("scaled", false, "run dynamic columns at the scaled (seconds-fast) sizes")
+	paperSizes := fs.Bool("paper-sizes", false, "also evaluate the static model at the paper's full sizes")
+	jobs := fs.Int("j", 0, "analysis-engine workers (0 = GOMAXPROCS, 1 = serial)")
+	archName := fs.String("arch", "", "architecture description the suites run on: a registered name or a JSON description file (default generic)")
+	serveStats := fs.String("serve-stats", "", "scrape and summarize a running mira-serve daemon (base URL)")
+	compare := fs.Bool("compare", false, "compare two `go test -bench -json` baselines (args: OLD.json NEW.json)")
+	threshold := fs.Float64("threshold", 15, "regression threshold for -compare, in percent")
+	normalize := fs.Bool("normalize", false, "normalize -compare ratios by the shared-set median (cross-machine baselines)")
+	load := fs.Bool("load", false, "generate load against running mira-serve replicas (-targets)")
+	targets := fs.String("targets", "", "comma-separated replica base URLs for -load")
+	rps := fs.Float64("rps", 0, "-load target arrival rate in req/s (0 = closed loop)")
+	concurrency := fs.Int("c", 16, "-load worker count")
+	duration := fs.Duration("duration", 10*time.Second, "-load run duration")
+	mix := fs.String("mix", "90:10", "-load interactive:bulk weight mix")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: mira-bench -compare [-threshold pct] [-normalize] OLD.json NEW.json")
-			os.Exit(2)
+		if fs.NArg() != 2 {
+			fmt.Fprintln(stderr, "usage: mira-bench -compare [-threshold pct] [-normalize] OLD.json NEW.json")
+			return 2
 		}
-		regressions, err := runCompare(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold, *normalize)
+		regressions, err := runCompare(stdout, fs.Arg(0), fs.Arg(1), *threshold, *normalize)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mira-bench: compare: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "mira-bench: compare: %v\n", err)
+			return 2
 		}
 		if regressions > 0 {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *serveStats != "" {
-		if err := printServeStats(os.Stdout, *serveStats); err != nil {
-			fmt.Fprintf(os.Stderr, "mira-bench: serve-stats: %v\n", err)
-			os.Exit(1)
+		if err := printServeStats(stdout, *serveStats); err != nil {
+			fmt.Fprintf(stderr, "mira-bench: serve-stats: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *load {
@@ -128,16 +139,16 @@ func main() {
 			}
 		}
 		if len(bases) == 0 {
-			fmt.Fprintln(os.Stderr, "usage: mira-bench -load -targets URL[,URL...] [-rps r] [-c n] [-duration d] [-mix i:b]")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "usage: mira-bench -load -targets URL[,URL...] [-rps r] [-c n] [-duration d] [-mix i:b]")
+			return 2
 		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		if err := runLoad(ctx, os.Stdout, bases, *rps, *concurrency, *duration, *mix); err != nil {
-			fmt.Fprintf(os.Stderr, "mira-bench: load: %v\n", err)
-			os.Exit(1)
+		if err := runLoad(ctx, stdout, bases, *rps, *concurrency, *duration, *mix); err != nil {
+			fmt.Fprintf(stderr, "mira-bench: load: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	cfg := experiments.PaperConfig()
@@ -146,23 +157,23 @@ func main() {
 	}
 	if *list {
 		for _, s := range experiments.Suites(cfg) {
-			fmt.Printf("%-12s %s\n", s.Name, s.Title)
+			fmt.Fprintf(stdout, "%-12s %s\n", s.Name, s.Title)
 		}
-		return
+		return 0
 	}
 
 	enc, err := report.ParseFormat(*format)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mira-bench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mira-bench: %v\n", err)
+		return 2
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	d, err := arch.Resolve(*archName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mira-bench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mira-bench: %v\n", err)
+		return 2
 	}
 	eng := engine.New(engine.Options{Workers: *jobs, Core: core.Options{Arch: d}})
 	runner := report.NewRunner(eng)
@@ -172,17 +183,17 @@ func main() {
 		// The paper-size static extras are free-form lines that would
 		// corrupt a machine-readable stream; refuse rather than
 		// silently drop an explicitly requested evaluation.
-		fmt.Fprintln(os.Stderr, "mira-bench: -paper-sizes requires -format table")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mira-bench: -paper-sizes requires -format table")
+		return 2
 	}
 	names, err := selectSuites(cfg, *suiteList, *all)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mira-bench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mira-bench: %v\n", err)
+		return 2
 	}
 	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "nothing selected; use -suite or -all (see -list)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "nothing selected; use -suite or -all (see -list)")
+		return 2
 	}
 	suites := experiments.SuiteMap(cfg)
 	// JSON output must stay one valid document even across -all: the
@@ -192,53 +203,54 @@ func main() {
 	for i, name := range names {
 		s := suites[name]
 		if banners {
-			fmt.Printf("==== %s ====\n", s.Title)
+			fmt.Fprintf(stdout, "==== %s ====\n", s.Title)
 		}
 		rep, err := runner.Run(ctx, s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mira-bench: %s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "mira-bench: %s: %v\n", name, err)
+			return 1
 		}
 		switch {
 		case enc == report.FormatJSON:
 			jsonReports = append(jsonReports, rep)
 		default:
 			if !banners && i > 0 {
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
-			if err := rep.Encode(os.Stdout, enc); err != nil {
-				fmt.Fprintf(os.Stderr, "mira-bench: %s: %v\n", name, err)
-				os.Exit(1)
+			if err := rep.Encode(stdout, enc); err != nil {
+				fmt.Fprintf(stderr, "mira-bench: %s: %v\n", name, err)
+				return 1
 			}
 		}
 		if banners {
 			if name == "table_iii" && *paperSizes {
-				if err := paperSizeLines(ctx, runner, "stream"); err != nil {
-					fmt.Fprintf(os.Stderr, "mira-bench: %v\n", err)
-					os.Exit(1)
+				if err := paperSizeLines(ctx, stdout, runner, "stream"); err != nil {
+					fmt.Fprintf(stderr, "mira-bench: %v\n", err)
+					return 1
 				}
 			}
 			if name == "table_iv" && *paperSizes {
-				if err := paperSizeLines(ctx, runner, "dgemm"); err != nil {
-					fmt.Fprintf(os.Stderr, "mira-bench: %v\n", err)
-					os.Exit(1)
+				if err := paperSizeLines(ctx, stdout, runner, "dgemm"); err != nil {
+					fmt.Fprintf(stderr, "mira-bench: %v\n", err)
+					return 1
 				}
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 	if enc == report.FormatJSON {
 		var err error
 		if len(jsonReports) == 1 {
-			err = jsonReports[0].EncodeJSON(os.Stdout)
+			err = jsonReports[0].EncodeJSON(stdout)
 		} else {
-			err = json.NewEncoder(os.Stdout).Encode(jsonReports)
+			err = json.NewEncoder(stdout).Encode(jsonReports)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mira-bench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "mira-bench: %v\n", err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // selectSuites maps the -suite list (or -all) to suite names, in the
@@ -269,10 +281,10 @@ func selectSuites(cfg experiments.SuiteConfig, suiteList string, all bool) ([]st
 	return out, nil
 }
 
-// paperSizeLines prints the static-only evaluations at the paper's full
+// paperSizeLines writes the static-only evaluations at the paper's full
 // problem sizes (closed-form, instant) with the paper's reference
 // values.
-func paperSizeLines(ctx context.Context, runner *report.Runner, workload string) error {
+func paperSizeLines(ctx context.Context, w io.Writer, runner *report.Runner, workload string) error {
 	a, err := runner.Analyze(ctx, report.WorkloadRef{Name: workload})
 	if err != nil {
 		return err
@@ -291,7 +303,7 @@ func paperSizeLines(ctx context.Context, runner *report.Runner, workload string)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("static-only at paper size %-12d Mira=%.4g (paper Mira: 8.20E7 / 4.100E9 / 2.050E10)\n",
+			fmt.Fprintf(w, "static-only at paper size %-12d Mira=%.4g (paper Mira: 8.20E7 / 4.100E9 / 2.050E10)\n",
 				n, static)
 		}
 	case "dgemm":
@@ -300,7 +312,7 @@ func paperSizeLines(ctx context.Context, runner *report.Runner, workload string)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("static-only at paper size %-6d (nrep=30) Mira=%.5g (paper Mira: 1.0125E9 / 8.0769E9 / 6.4519E10)\n",
+			fmt.Fprintf(w, "static-only at paper size %-6d (nrep=30) Mira=%.5g (paper Mira: 1.0125E9 / 8.0769E9 / 6.4519E10)\n",
 				n, static)
 		}
 	}

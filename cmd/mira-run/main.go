@@ -11,14 +11,6 @@
 //	-arch name      architecture description (FP counters only where real)
 //	-max-steps n    instruction budget
 //	-j n            analysis workers for batch mode (0 = GOMAXPROCS)
-//	-watch          re-analyze on change, printing only changed functions
-//	-interval d     poll interval for -watch (default 500ms)
-//
-// With -watch, mira-run polls the files (mtime + size) and re-analyzes
-// through the engine's function-granular incremental cache whenever one
-// changes, printing one row per *recompiled* function — unchanged
-// functions are reused from the function memo and stay silent. Exit with
-// SIGINT/SIGTERM.
 //
 // With multiple files, mira-run runs in batch mode: every file is
 // analyzed concurrently through the engine's worker pool (identical
@@ -36,12 +28,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"mira"
 	"mira/internal/arch"
@@ -50,65 +42,65 @@ import (
 )
 
 func main() {
-	fn := flag.String("fn", "main", "entry function")
-	args := flag.String("args", "", "comma-separated arguments (ints, or f:<value> for doubles)")
-	archName := flag.String("arch", "frankenstein", "architecture description: a registered name or a JSON description file")
-	maxSteps := flag.Uint64("max-steps", 0, "instruction budget (0 = default)")
-	workers := flag.Int("j", 0, "analysis workers for batch mode (0 = GOMAXPROCS)")
-	watch := flag.Bool("watch", false, "re-analyze on change, printing only changed functions")
-	interval := flag.Duration("interval", 500*time.Millisecond, "poll interval for -watch")
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: mira-run [flags] file.c [file2.c ...]")
-		os.Exit(2)
+// run is the whole command: it parses args, analyzes every file, runs
+// each on the VM and prints its profile to stdout. It returns the exit
+// code: 0 when every file ran, 1 when any failed, 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mira-run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fn := fs.String("fn", "main", "entry function")
+	vmArgList := fs.String("args", "", "comma-separated arguments (ints, or f:<value> for doubles)")
+	archName := fs.String("arch", "frankenstein", "architecture description: a registered name or a JSON description file")
+	maxSteps := fs.Uint64("max-steps", 0, "instruction budget (0 = default)")
+	workers := fs.Int("j", 0, "analysis workers for batch mode (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	vmArgs, err := parseArgs(*args)
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: mira-run [flags] file.c [file2.c ...]")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mira-run:", err)
+		return 1
+	}
+	vmArgs, err := parseArgs(*vmArgList)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	d, err := arch.Resolve(*archName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
-	// The signal context only governs the analysis phase; it is released
-	// as soon as the batch returns so that ^C during VM execution keeps
-	// its default kill-the-process behavior instead of being swallowed.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	eng, err := mira.NewEngine(*workers, mira.Options{Lenient: true, Arch: *archName})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if *watch {
-		// Watch mode is signal-driven end to end: the loop exits when the
-		// context does.
-		runWatch(ctx, eng, flag.Args(), *interval)
-		return
-	}
+
 	// Read errors are per-file failures like any other: they must not
 	// abort the rest of the batch, so unreadable files are skipped at
 	// analysis time and reported in file order below.
-	paths := flag.Args()
-	readErrs := make([]error, len(paths))
+	paths := fs.Args()
+	results := make([]mira.BatchResult, len(paths))
 	var jobs []mira.BatchJob
 	jobIdx := make([]int, 0, len(paths))
 	for i, path := range paths {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			readErrs[i] = err
+			results[i] = mira.BatchResult{Job: mira.BatchJob{Name: path}, Err: err}
 			continue
 		}
 		jobs = append(jobs, mira.BatchJob{Name: path, Source: string(src)})
 		jobIdx = append(jobIdx, i)
 	}
-	results := make([]mira.BatchResult, len(paths))
-	for i, err := range readErrs {
-		results[i] = mira.BatchResult{Job: mira.BatchJob{Name: paths[i]}, Err: err}
-	}
-	for k, r := range eng.AnalyzeAllCtx(ctx, jobs) {
+	// The signal context only governs the analysis phase; it is released
+	// as soon as the batch returns so that ^C during VM execution keeps
+	// its default kill-the-process behavior instead of being swallowed.
+	actx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	for k, r := range eng.AnalyzeAllCtx(actx, jobs) {
 		results[jobIdx[k]] = r
 	}
 	stop()
@@ -117,109 +109,29 @@ func main() {
 	failed := 0
 	for _, r := range results {
 		if batch {
-			fmt.Printf("==== %s ====\n", r.Job.Name)
+			fmt.Fprintf(stdout, "==== %s ====\n", r.Job.Name)
 		}
-		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "mira-run: %s: %v\n", r.Job.Name, r.Err)
-			failed++
-		} else if err := runOne(r.Result, d, *fn, vmArgs, *maxSteps); err != nil {
-			fmt.Fprintf(os.Stderr, "mira-run: %s: %v\n", r.Job.Name, err)
+		err := r.Err
+		if err == nil {
+			err = runOne(stdout, r.Result, d, *fn, vmArgs, *maxSteps)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "mira-run: %s: %v\n", r.Job.Name, err)
 			failed++
 		}
 		if batch {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// fileStamp is the poll key of one watched file: re-analysis triggers
-// when either the modification time or the size moves.
-type fileStamp struct {
-	mod  time.Time
-	size int64
-}
-
-// runWatch polls paths and re-analyzes each through the engine's
-// incremental cache whenever its stamp changes, printing one row per
-// recompiled function. Reused functions stay silent; a content-identical
-// rewrite (touch, editor save with no edit) prints a single "unchanged"
-// line because the live content-hash cache absorbs it before any
-// pipeline runs.
-func runWatch(ctx context.Context, eng *mira.Engine, paths []string, interval time.Duration) {
-	last := make(map[string]fileStamp, len(paths))
-	for ctx.Err() == nil {
-		for _, path := range paths {
-			info, err := os.Stat(path)
-			if err != nil {
-				if _, seen := last[path]; !seen {
-					fmt.Fprintf(os.Stderr, "mira-run: %s: %v\n", path, err)
-					last[path] = fileStamp{}
-				}
-				continue
-			}
-			st := fileStamp{mod: info.ModTime(), size: info.Size()}
-			if last[path] == st {
-				continue
-			}
-			last[path] = st
-			src, err := os.ReadFile(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mira-run: %s: %v\n", path, err)
-				continue
-			}
-			res, err := eng.AnalyzeCtx(ctx, path, string(src))
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				fmt.Fprintf(os.Stderr, "mira-run: %s: %v\n", path, err)
-				continue
-			}
-			printDelta(ctx, path, res)
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(interval):
-		}
-	}
-}
-
-// printDelta prints one watch cycle's outcome: only the rows of
-// functions the incremental analysis actually recompiled. Closed-form
-// functions show their evaluated instruction counts; parametric ones
-// list the parameters a later query must bind.
-func printDelta(ctx context.Context, path string, res *mira.Result) {
-	now := time.Now().Format("15:04:05")
-	d := res.Delta()
-	if d == nil {
-		fmt.Printf("[%s] %s: unchanged\n", now, path)
-		return
-	}
-	fmt.Printf("[%s] %s: %d recompiled, %d reused\n", now, path, len(d.Compiled), len(d.Reused))
-	for _, fn := range d.Compiled {
-		f := res.Pipeline().Model.Funcs[fn]
-		switch {
-		case f == nil || f.Extern:
-			fmt.Printf("  ~ %s (extern)\n", fn)
-		case len(f.FreeParams()) > 0:
-			fmt.Printf("  ~ %s (parametric: %s)\n", fn, strings.Join(f.FreeParams(), ", "))
-		default:
-			r := res.Run(ctx, []mira.Query{{Fn: fn, Kind: mira.KindStatic}})[0]
-			if r.Err != nil {
-				fmt.Printf("  ~ %s (unevaluated: %v)\n", fn, r.Err)
-				continue
-			}
-			met := r.Metrics
-			fmt.Printf("  ~ %s instrs=%d flops=%d fpi=%d\n", fn, met.Instrs, met.Flops, met.FPI())
-		}
-	}
-}
-
-func runOne(res *mira.Result, d *arch.Description, fn string, vmArgs []vm.Value, maxSteps uint64) error {
+// runOne executes fn on res's binary and writes its return value,
+// retired-instruction count and TAU-style profile to w.
+func runOne(w io.Writer, res *mira.Result, d *arch.Description, fn string, vmArgs []vm.Value, maxSteps uint64) error {
 	m := res.Machine()
 	if maxSteps > 0 {
 		m.MaxSteps = maxSteps
@@ -229,12 +141,12 @@ func runOne(res *mira.Result, d *arch.Description, fn string, vmArgs []vm.Value,
 		return err
 	}
 	if ret.IsFloat {
-		fmt.Printf("%s returned %g\n", fn, ret.F)
+		fmt.Fprintf(w, "%s returned %g\n", fn, ret.F)
 	} else {
-		fmt.Printf("%s returned %d\n", fn, ret.I)
+		fmt.Fprintf(w, "%s returned %d\n", fn, ret.I)
 	}
-	fmt.Printf("instructions retired: %d\n\n", m.Steps())
-	fmt.Print(dynamic.New(m, d).Report().String())
+	fmt.Fprintf(w, "instructions retired: %d\n\n", m.Steps())
+	fmt.Fprint(w, dynamic.New(m, d).Report().String())
 	return nil
 }
 
@@ -260,9 +172,4 @@ func parseArgs(s string) ([]vm.Value, error) {
 		out = append(out, vm.Int(v))
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mira-run:", err)
-	os.Exit(1)
 }

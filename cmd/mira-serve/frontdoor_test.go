@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -210,7 +212,6 @@ func TestFlagPairs(t *testing.T) {
 	}{
 		{"-burst", "-rate", serveConfig{burst: 10}},
 		{"-self", "-peers", serveConfig{self: "http://a:1"}},
-		{"-vnodes", "-peers", serveConfig{vnodes: 8}},
 	} {
 		c.cfg.addr = "127.0.0.1:0"
 		err := run(ctx, c.cfg)
@@ -221,6 +222,49 @@ func TestFlagPairs(t *testing.T) {
 	lone := serveConfig{addr: "127.0.0.1:0", rate: 5, burst: 10, interactiveSlots: 8, bulkSlots: 2}
 	if err := run(ctx, lone); err != nil {
 		t.Errorf("front-door flags on a lone daemon rejected: %v", err)
+	}
+}
+
+// TestRunAcceptsEveryFlag starts run with every flag set, so each one's
+// startup wiring runs: a cache directory, an -arch-dir machine chosen by
+// -arch, cluster mode and the front door all come up, and the cancelled
+// context drains at once. An unknown -arch, a bad description file or a
+// -self missing from -peers fails startup instead.
+func TestRunAcceptsEveryFlag(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	archDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(archDir, "testbox.json"), []byte(testboxJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	full := serveConfig{
+		addr: "127.0.0.1:0", cacheDir: t.TempDir(), jobs: 1, maxResident: 8,
+		archName: "testbox", archDir: archDir, lenient: true, noOpt: true, drain: time.Second,
+		peers: "127.0.0.1:1,127.0.0.1:2", self: "http://127.0.0.1:1",
+		rate: 5, burst: 10, interactiveSlots: 8, bulkSlots: 2,
+	}
+	if err := run(ctx, full); err != nil {
+		t.Fatalf("every flag set: %v", err)
+	}
+
+	badDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(badDir, "bad.json"), []byte(`{"name": "bad"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		want string // in the startup error
+		edit func(*serveConfig)
+	}{
+		{`unknown architecture "nosuch"`, func(c *serveConfig) { c.archName = "nosuch" }},
+		{"bad.json", func(c *serveConfig) { c.archDir = badDir }},
+		{"is not among the peers", func(c *serveConfig) { c.self = "http://127.0.0.1:3" }},
+		{"-peers requires -self", func(c *serveConfig) { c.self = "" }},
+	} {
+		cfg := full
+		c.edit(&cfg)
+		if err := run(ctx, cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("startup error = %v, want one containing %q", err, c.want)
+		}
 	}
 }
 

@@ -44,14 +44,18 @@
 // forwarded to their key's owner for cache locality, and cache
 // artifacts read through to the owner and replicate back write-behind.
 // The peer protocol is served under /cluster/. A flag that does nothing
-// without another one (-burst without -rate, -self or -vnodes without
-// -peers) fails startup rather than being ignored.
+// without another one (-burst without -rate, -self without -peers)
+// fails startup rather than being ignored.
+//
+// Named report suites run at the scaled sizes, so a POST /report
+// finishes within the server's write timeout; mira-bench regenerates
+// the paper's tables at full size.
 //
 // Usage:
 //
-//	mira-serve [-addr :7319] [-cache-dir DIR] [-j n] [-arch name|file]
-//	           [-arch-dir DIR] [-lenient] [-no-opt] [-drain 30s] [-paper-suites]
-//	           [-peers URL,URL,... -self URL] [-vnodes n]
+//	mira-serve [-addr :7319] [-cache-dir DIR] [-j n] [-max-resident n]
+//	           [-arch name|file] [-arch-dir DIR] [-lenient] [-no-opt] [-drain 30s]
+//	           [-peers URL,URL,... -self URL]
 //	           [-rate r -burst b] [-interactive-slots n] [-bulk-slots n]
 package main
 
@@ -89,12 +93,10 @@ type serveConfig struct {
 	lenient     bool
 	noOpt       bool
 	drain       time.Duration
-	paperSuites bool
 
 	// Cluster mode.
-	peers  string
-	self   string
-	vnodes int
+	peers string
+	self  string
 
 	// Front door.
 	rate             float64
@@ -114,11 +116,8 @@ func main() {
 	flag.BoolVar(&cfg.lenient, "lenient", false, "downgrade unanalyzable branches to warnings")
 	flag.BoolVar(&cfg.noOpt, "no-opt", false, "compile without optimizations")
 	flag.DurationVar(&cfg.drain, "drain", 30*time.Second, "how long shutdown waits for in-flight requests to finish")
-	flag.BoolVar(&cfg.paperSuites, "paper-suites", false,
-		"serve the named report suites at the paper's full dynamic sizes (minutes of VM time per request) instead of the scaled ones")
 	flag.StringVar(&cfg.peers, "peers", "", "comma-separated replica base URLs (cluster mode; must include -self)")
 	flag.StringVar(&cfg.self, "self", "", "this replica's advertised base URL (required with -peers)")
-	flag.IntVar(&cfg.vnodes, "vnodes", 0, "virtual nodes per replica on the hash ring (0 = default; needs -peers)")
 	flag.Float64Var(&cfg.rate, "rate", 0, "per-client sustained request rate in req/s (0 = unlimited)")
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-client burst depth (0 = 2x rate; needs -rate)")
 	flag.IntVar(&cfg.interactiveSlots, "interactive-slots", 0, "concurrent interactive (query/analyze) requests admitted (0 = 256)")
@@ -178,11 +177,10 @@ func run(ctx context.Context, cfg serveConfig) error {
 			store = engine.NewMemoryStore()
 		}
 		node, err = cluster.NewNode(cluster.NodeOptions{
-			Self:         strings.TrimRight(cfg.self, "/"),
-			Peers:        cluster.NormalizePeers(cfg.peers),
-			VirtualNodes: cfg.vnodes,
-			Local:        store,
-			Obs:          reg,
+			Self:  strings.TrimRight(cfg.self, "/"),
+			Peers: cluster.NormalizePeers(cfg.peers),
+			Local: store,
+			Obs:   reg,
 		})
 		if err != nil {
 			return err
@@ -199,17 +197,7 @@ func run(ctx context.Context, cfg serveConfig) error {
 		Obs:         reg,
 		Registry:    registry,
 	})
-	// Named report suites: the scaled configuration by default, so a
-	// POST /report completes within the write timeout; -paper-suites
-	// opts into the paper-faithful sizes for offline regeneration
-	// (handleReport extends its own per-request write deadline — the
-	// dynamic columns take minutes of VM time — without loosening the
-	// slow-client timeouts on any other endpoint).
-	suiteCfg := experiments.ScaledConfig()
-	if cfg.paperSuites {
-		suiteCfg = experiments.PaperConfig()
-	}
-	s := newServer(eng, reg, experiments.SuiteMap(suiteCfg), node,
+	s := newServer(eng, reg, experiments.SuiteMap(experiments.ScaledConfig()), node,
 		AdmissionOptions{InteractiveSlots: cfg.interactiveSlots, BulkSlots: cfg.bulkSlots},
 		RateLimiterOptions{Rate: cfg.rate, Burst: cfg.burst})
 	// Full timeout set: a resident daemon must shrug off slow-body
@@ -238,7 +226,6 @@ func (cfg serveConfig) checkFlagPairs() error {
 	}{
 		{"-burst", "-rate", cfg.burst != 0, cfg.rate > 0},
 		{"-self", "-peers", cfg.self != "", cfg.peers != ""},
-		{"-vnodes", "-peers", cfg.vnodes != 0, cfg.peers != ""},
 	} {
 		if f.set && !f.has {
 			return fmt.Errorf("%s takes effect only with %s: set %s, or drop %s", f.name, f.needs, f.needs, f.name)

@@ -642,12 +642,6 @@ type reportRequest struct {
 	Format string `json:"format,omitempty"`
 }
 
-// reportWriteDeadline bounds one /report request end to end. The
-// server-wide WriteTimeout stays tight for every other endpoint; a
-// report over the paper-faithful suites legitimately runs minutes of
-// VM work, so only this handler extends its own connection's deadline.
-const reportWriteDeadline = 30 * time.Minute
-
 // handleReport runs a report suite — the paper's tables and figures, or
 // any client-defined scenario grid — and answers in the requested
 // encoding. Spec problems (unknown suite, workload, function, kind; an
@@ -656,9 +650,6 @@ const reportWriteDeadline = 30 * time.Minute
 // connection cancels the remaining sections.
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.reqReport.Inc()
-	// Best-effort: a ResponseWriter that cannot move its deadline just
-	// keeps the server-wide one.
-	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(reportWriteDeadline))
 	var req reportRequest
 	if !s.decode(w, r, &req) {
 		return

@@ -1,25 +1,34 @@
 // Command mira runs the static analysis pipeline on a MiniC source file:
 // it generates the parametric performance model and either evaluates it
 // for given parameter values or emits artifacts (the Python model, dot
-// graphs of the source/binary ASTs, a disassembly listing).
+// graphs of the source/binary ASTs, a disassembly listing, the decoded
+// line table).
 //
 // Usage:
 //
 //	mira [flags] file.c
 //
-//	-fn name        function to evaluate/inspect (default: main)
+//	-fn name        function to evaluate/inspect (default: main); with
+//	                -fn '', asm and dot-bin print every function
 //	-args k=v,...   integer parameter bindings for evaluation
-//	-emit kind      python | dot-src | dot-bin | asm | model (default model)
+//	-emit kind      model | python | dot-src | dot-bin | asm | lines
+//	                (default model)
 //	-arch name      a registered machine (arya, frankenstein, generic,
 //	                graviton2, graviton3, icelake, knl, skylake, volta,
 //	                zen2) or a JSON description file
 //	-lenient        downgrade unanalyzable branches to warnings
 //	-no-opt         compile without optimizations
 //
+// -emit asm prints an objdump-style listing with per-instruction source
+// positions from the line table; -emit lines prints that table for the
+// whole object. With an empty -fn, asm and dot-bin cover every symbol
+// in object order, each listing followed by a blank line.
+//
 // Examples:
 //
 //	mira -fn stream -args n=2000000 stream.c
 //	mira -fn cg_solve -emit python minife.c
+//	mira -fn '' -emit asm minife.c
 package main
 
 import (
@@ -36,72 +45,106 @@ import (
 )
 
 func main() {
-	fn := flag.String("fn", "main", "function to evaluate or inspect")
-	args := flag.String("args", "", "comma-separated integer parameter bindings, e.g. n=1000,m=4")
-	emit := flag.String("emit", "model", "artifact: model | python | dot-src | dot-bin | asm")
-	archName := flag.String("arch", "generic", "architecture description: a registered name (arya, skylake, ...) or a JSON description file")
-	lenient := flag.Bool("lenient", false, "treat unanalyzable branches as always taken")
-	noOpt := flag.Bool("no-opt", false, "compile without optimizations")
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mira [flags] file.c")
-		flag.Usage()
-		os.Exit(2)
+// run is the whole command: it parses args, analyzes the file and
+// writes the requested artifact to stdout. It returns the exit code:
+// 0 on success, 1 on a failed analysis or emit, 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mira", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fn := fs.String("fn", "main", "function to evaluate or inspect ('' = every function, for asm and dot-bin)")
+	bindings := fs.String("args", "", "comma-separated integer parameter bindings, e.g. n=1000,m=4")
+	emit := fs.String("emit", "model", "artifact: model | python | dot-src | dot-bin | asm | lines")
+	archName := fs.String("arch", "generic", "architecture description: a registered name (arya, skylake, ...) or a JSON description file")
+	lenient := fs.Bool("lenient", false, "treat unanalyzable branches as always taken")
+	noOpt := fs.Bool("no-opt", false, "compile without optimizations")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	path := flag.Arg(0)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: mira [flags] file.c")
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mira:", err)
+		return 1
+	}
+	path := fs.Arg(0)
 	src, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
 	res, err := mira.Analyze(path, string(src), mira.Options{
 		Unoptimized: *noOpt,
 		Lenient:     *lenient,
 		Arch:        *archName,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	for _, w := range res.Warnings() {
-		fmt.Fprintln(os.Stderr, "warning:", w)
+		fmt.Fprintln(stderr, "warning:", w)
 	}
 
 	switch *emit {
-	case "python":
-		fmt.Print(res.PythonModel())
-	case "dot-src":
-		fmt.Print(res.SourceDot())
-	case "dot-bin":
-		out, err := res.BinaryDot(*fn)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(out)
-	case "asm":
-		out, err := res.Disassembly(*fn)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(out)
 	case "model":
-		if err := writeModel(os.Stdout, res, *fn, *args); err != nil {
-			fatal(err)
+		err = writeModel(ctx, stdout, res, *fn, *bindings)
+	case "python":
+		fmt.Fprint(stdout, res.PythonModel())
+	case "dot-src":
+		fmt.Fprint(stdout, res.SourceDot())
+	case "dot-bin":
+		err = writeEach(stdout, res, *fn, res.BinaryDot, "")
+	case "asm":
+		err = writeEach(stdout, res, *fn, res.Disassembly, "\n")
+	case "lines":
+		rows := res.Pipeline().Obj.Line.Rows
+		fmt.Fprintf(stdout, "line table (%d rows):\n", len(rows))
+		for _, r := range rows {
+			fmt.Fprintf(stdout, "  addr %6d -> %d:%d\n", r.Addr, r.Line, r.Col)
 		}
 	default:
-		fatal(fmt.Errorf("unknown -emit kind %q", *emit))
+		err = fmt.Errorf("unknown -emit kind %q", *emit)
 	}
+	if err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+// writeEach writes render(fn) or, when fn is empty, render of every
+// symbol in object order, each followed by sep.
+func writeEach(w io.Writer, res *mira.Result, fn string, render func(string) (string, error), sep string) error {
+	if fn != "" {
+		out, err := render(fn)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, out)
+		return nil
+	}
+	for _, sym := range res.Pipeline().Obj.Syms {
+		out, err := render(sym.Name)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, out, sep)
+	}
+	return nil
 }
 
 // writeModel prints fn's static metrics and Table II categories under
 // the bindings args. Categories are count-descending with a name
 // tiebreak, so tied rows print in the same order on every run.
-func writeModel(w io.Writer, res *mira.Result, fn, args string) error {
+func writeModel(ctx context.Context, w io.Writer, res *mira.Result, fn, args string) error {
 	env, err := parseArgs(args)
 	if err != nil {
 		return err
 	}
-	out := res.Run(context.Background(), []mira.Query{
+	out := res.Run(ctx, []mira.Query{
 		{Fn: fn, Env: env, Kind: mira.KindStatic},
 		{Fn: fn, Env: env, Kind: mira.KindCategories},
 	})
@@ -162,9 +205,4 @@ func bindingString(s string) string {
 		return "no parameters"
 	}
 	return s
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mira:", err)
-	os.Exit(1)
 }

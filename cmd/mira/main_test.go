@@ -1,11 +1,117 @@
 package main
 
 import (
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"mira"
+	"mira/internal/benchprogs"
 )
+
+// runMira runs the command on args and returns its exit code, stdout
+// and stderr.
+func runMira(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr strings.Builder
+	code := run(context.Background(), args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// TestEmitKinds drives every -emit kind through run on the bundled
+// STREAM program: each prints its artifact and exits 0, an empty -fn
+// prints asm and dot-bin for every symbol in object order, and an
+// unknown kind exits 1 naming it.
+func TestEmitKinds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.c")
+	if err := os.WriteFile(path, []byte(benchprogs.Stream), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := mira.Analyze(path, benchprogs.Stream, mira.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := res.Pipeline().Obj
+	if len(obj.Syms) < 2 {
+		t.Fatalf("stream.c has %d symbols, want several", len(obj.Syms))
+	}
+	// each renders fn's single-function artifact through run.
+	each := func(kind, fn string) string {
+		t.Helper()
+		code, out, errOut := runMira(t, "-emit", kind, "-fn", fn, path)
+		if code != 0 {
+			t.Fatalf("-emit %s -fn %s: exit %d: %s", kind, fn, code, errOut)
+		}
+		return out
+	}
+	var allAsm, allDot strings.Builder
+	for _, sym := range obj.Syms {
+		allAsm.WriteString(each("asm", sym.Name) + "\n")
+		allDot.WriteString(each("dot-bin", sym.Name))
+	}
+
+	for _, c := range []struct {
+		name string
+		args []string
+		want []string // substrings of stdout, in order
+		all  string   // when set, the exact stdout
+	}{
+		{name: "model", args: []string{"-fn", "stream", "-args", "n=1000"}, want: []string{
+			"Static metrics for stream (n=1000):\n",
+			"  Total instructions                       410546\n",
+			"  Floating-point instructions (FPI)        40000\n",
+			"  Floating-point operations                40000\n",
+		}},
+		{name: "python", want: []string{"# Performance model generated by Mira from " + path, "def stream_4(a, b, c, n):"}},
+		{name: "dot-src", want: []string{"digraph ast {", `"SgSourceFile ` + path + `"`}},
+		{name: "dot-bin", args: []string{"-fn", "stream"}, want: []string{"digraph binast {", `"SgAsmFunction stream"`}},
+		{name: "asm", args: []string{"-fn", "stream"}, want: []string{"stream:  (", "; line 35:7"}},
+		{name: "lines", want: []string{
+			fmt.Sprintf("line table (%d rows):\n", len(obj.Line.Rows)),
+			fmt.Sprintf("  addr %6d -> %d:%d\n", obj.Line.Rows[0].Addr, obj.Line.Rows[0].Line, obj.Line.Rows[0].Col),
+		}},
+		{name: "asm", args: []string{"-fn", ""}, all: allAsm.String()},
+		{name: "dot-bin", args: []string{"-fn", ""}, all: allDot.String()},
+	} {
+		args := append([]string{"-emit", c.name}, c.args...)
+		code, out, errOut := runMira(t, append(args, path)...)
+		if code != 0 {
+			t.Errorf("%v: exit %d: %s", args, code, errOut)
+			continue
+		}
+		if c.all != "" && out != c.all {
+			t.Errorf("%v printed\n%s\nwant every symbol in object order:\n%s", args, out, c.all)
+		}
+		rest := out
+		for _, w := range c.want {
+			i := strings.Index(rest, w)
+			if i < 0 {
+				t.Errorf("%v: %q missing (or out of order) in\n%s", args, w, out)
+				break
+			}
+			rest = rest[i+len(w):]
+		}
+	}
+	if n := strings.Count(allDot.String(), "digraph binast {"); n != len(obj.Syms) {
+		t.Errorf("-emit dot-bin -fn '' prints %d graphs, want %d", n, len(obj.Syms))
+	}
+
+	if code, out, errOut := runMira(t, "-emit", "bogus", path); code != 1 || out != "" || !strings.Contains(errOut, `unknown -emit kind "bogus"`) {
+		t.Errorf("-emit bogus: exit %d, stdout %q, stderr %q; want exit 1 naming the kind", code, out, errOut)
+	}
+	if code, _, errOut := runMira(t, "-fn", "stream", path); code != 1 || !strings.Contains(errOut, `unbound parameter "n"`) {
+		t.Errorf("-emit model with n unbound: exit %d, stderr %q; want exit 1 naming n", code, errOut)
+	}
+	if code, _, _ := runMira(t, "-emit", "asm", "-fn", "nosuch", path); code != 1 {
+		t.Errorf("-emit asm -fn nosuch: exit %d, want 1", code)
+	}
+	if code, _, _ := runMira(t, "-emit", "model"); code != 2 {
+		t.Errorf("no file: exit %d, want 2", code)
+	}
+}
 
 // TestWriteModelTiedCategories pins the category order of -emit model:
 // a copy loop's integer arithmetic and SSE2 data movement counts tie,
@@ -25,7 +131,7 @@ func TestWriteModelTiedCategories(t *testing.T) {
 	var first string
 	for run := 0; run < 20; run++ {
 		var sb strings.Builder
-		if err := writeModel(&sb, res, "f", "n=100"); err != nil {
+		if err := writeModel(context.Background(), &sb, res, "f", "n=100"); err != nil {
 			t.Fatal(err)
 		}
 		if run == 0 {

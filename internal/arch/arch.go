@@ -208,14 +208,6 @@ func FromJSON(data []byte) (*Description, error) {
 	return &d, nil
 }
 
-// Lookup returns a built-in description by name (or alias), backed by a
-// fresh registry of the embedded profiles — so the returned value is
-// the caller's to mutate, and the unknown-name error derives its
-// builtin list from the registry instead of a hand-maintained string.
-func Lookup(name string) (*Description, error) {
-	return NewRegistry().Lookup(name)
-}
-
 // x86Categories is the fine-grained 64-category partition of the x86
 // instruction set the paper's description file defines, following the
 // Intel SDM instruction-group taxonomy.

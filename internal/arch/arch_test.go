@@ -34,12 +34,12 @@ func TestLookup(t *testing.T) {
 		"frankenstein": "frankenstein", "nehalem": "frankenstein",
 		"generic": "generic", "": "generic",
 	} {
-		d, err := Lookup(name)
+		d, err := NewRegistry().Lookup(name)
 		if err != nil || d.Name != want {
 			t.Errorf("Lookup(%q) = %v/%v, want %s", name, d, err, want)
 		}
 	}
-	if _, err := Lookup("vax"); err == nil {
+	if _, err := NewRegistry().Lookup("vax"); err == nil {
 		t.Error("unknown architecture accepted")
 	}
 }

@@ -69,7 +69,7 @@ func (p *peerDepot) funcKeys() []string {
 // cross-arch poisoning.
 func ownerOnlyStore(t *testing.T, owner string) *PeerStore {
 	t.Helper()
-	ring, err := NewRing([]string{owner}, 0)
+	ring, err := NewRing([]string{owner})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func testKeys(n int) []string {
 
 func TestRingDistribution(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r, err := NewRing(peers, 0)
+	r, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestRingDistribution(t *testing.T) {
 // property that keeps the shared cache tier warm across a replica
 // death.
 func TestRingMembershipStability(t *testing.T) {
-	full, err := NewRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 0)
+	full, err := NewRing([]string{"http://a:1", "http://b:1", "http://c:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing([]string{"http://a:1", "http://c:1"}, 0)
+	reduced, err := NewRing([]string{"http://a:1", "http://c:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +68,13 @@ func TestRingMembershipStability(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"http://a:1", "http://a:1"}, 0); err == nil {
+	if _, err := NewRing([]string{"http://a:1", "http://a:1"}); err == nil {
 		t.Error("duplicate peer accepted")
 	}
-	if _, err := NewRing([]string{""}, 0); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Error("empty peer address accepted")
 	}
 }

@@ -38,7 +38,7 @@ func TestPeerStoreLatencyUsesInjectedClock(t *testing.T) {
 	defer srv.Close()
 
 	clock := &fakeClock{t: time.Unix(1700000000, 0), step: 250 * time.Millisecond}
-	ring, err := NewRing([]string{"http://self.invalid:1", srv.URL}, 0)
+	ring, err := NewRing([]string{"http://self.invalid:1", srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestForwardMidResponseFailureCounted(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	ring, err := NewRing([]string{"http://self.invalid:1", srv.URL}, 0)
+	ring, err := NewRing([]string{"http://self.invalid:1", srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(ringInfo{
 		Self:     n.Self,
 		Peers:    n.Ring.Peers(),
-		VNodes:   n.Ring.VirtualNodes(),
+		VNodes:   DefaultVirtualNodes,
 		Shares:   n.Ring.Shares(0),
 		Breakers: n.health.states(),
 	})

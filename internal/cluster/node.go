@@ -18,8 +18,6 @@ type NodeOptions struct {
 	// Entries are base URLs ("http://10.0.0.1:7319"); NormalizePeers
 	// turns bare host:port forms into URLs.
 	Peers []string
-	// VirtualNodes per peer (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// Local is the replica's own store: the on-disk cachestore, or an
 	// engine.MemoryStore for diskless replicas. Required.
 	Local engine.CacheStore
@@ -54,7 +52,7 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	if opts.Local == nil {
 		return nil, fmt.Errorf("cluster: node needs a local store")
 	}
-	ring, err := NewRing(opts.Peers, opts.VirtualNodes)
+	ring, err := NewRing(opts.Peers)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ var testFuncEntry = engine.FuncEntry{Name: "f", Unit: []byte{9, 8, 7}}
 // the given options, returning the store and its health registry.
 func newTestPeerStore(t *testing.T, self, owner string, opts PeerStoreOptions) (*PeerStore, *health) {
 	t.Helper()
-	ring, err := NewRing([]string{self, owner}, 0)
+	ring, err := NewRing([]string{self, owner})
 	if err != nil {
 		t.Fatal(err)
 	}

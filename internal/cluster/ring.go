@@ -27,9 +27,10 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-peer virtual-node count when the
-// caller passes zero: enough points that a 3-replica ring splits the
-// key space within a few percent of evenly.
+// DefaultVirtualNodes is every ring's per-peer virtual-node count:
+// enough points that a 3-replica ring splits the key space within a few
+// percent of evenly. It is a constant, not an option, because replicas
+// that disagree on it disagree on who owns a key.
 const DefaultVirtualNodes = 64
 
 // point is one virtual node on the ring.
@@ -45,19 +46,15 @@ type point struct {
 // key owned by a surviving peer keeps its owner, which is what keeps a
 // shared cache tier warm across membership changes.
 type Ring struct {
-	vnodes int
 	peers  []string
 	points []point
 }
 
 // NewRing builds a ring over the given peer addresses. Peers must be
-// non-empty and unique; vnodes <= 0 selects DefaultVirtualNodes.
-func NewRing(peers []string, vnodes int) (*Ring, error) {
+// non-empty and unique.
+func NewRing(peers []string) (*Ring, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one peer")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
 	}
 	sorted := append([]string(nil), peers...)
 	sort.Strings(sorted)
@@ -70,12 +67,11 @@ func NewRing(peers []string, vnodes int) (*Ring, error) {
 		}
 	}
 	r := &Ring{
-		vnodes: vnodes,
 		peers:  sorted,
-		points: make([]point, 0, len(sorted)*vnodes),
+		points: make([]point, 0, len(sorted)*DefaultVirtualNodes),
 	}
 	for _, p := range sorted {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			r.points = append(r.points, point{hash: ringHash(fmt.Sprintf("%s\x00%d", p, v)), peer: p})
 		}
 	}
@@ -125,13 +121,9 @@ func (r *Ring) Peers() []string {
 	return append([]string(nil), r.peers...)
 }
 
-// VirtualNodes reports the per-peer virtual-node count.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
-
-// Shares reports how many virtual-node arcs each peer owns (always
-// vnodes per peer) and, more usefully, samples the key space to
-// estimate ownership fractions. n is the sample size (<= 0 means
-// 4096). Used by GET /cluster/ring for introspection.
+// Shares samples the key space to estimate each peer's ownership
+// fraction; every peer holds DefaultVirtualNodes arcs. n is the sample
+// size (<= 0 means 4096). Used by GET /cluster/ring for introspection.
 func (r *Ring) Shares(n int) map[string]float64 {
 	if n <= 0 {
 		n = 4096

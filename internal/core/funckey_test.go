@@ -40,10 +40,7 @@ double driver(double *a, double *b, int n) {
 // outside every declaration that move no line, and it covers every
 // global, every class field, and every analysis option.
 func TestFuncKeyInputs(t *testing.T) {
-	arya, err := arch.Lookup("arya")
-	if err != nil {
-		t.Fatal(err)
-	}
+	arya := arch.Arya()
 	keysOf := func(src string, opts core.Options) map[string]string {
 		t.Helper()
 		return core.FuncKeys(mustProgram(t, "k.c", src), opts)

@@ -36,7 +36,7 @@ func TestDeltaSemantics(t *testing.T) {
 	}
 
 	// Identical content again: served from the live cache, no pipeline
-	// ran, so no delta — a -watch caller prints "unchanged".
+	// ran, so no delta.
 	a2, err := e.AnalyzeCtx(context.Background(), "minife.c", benchprogs.MiniFE)
 	if err != nil {
 		t.Fatal(err)

@@ -298,18 +298,6 @@ func suppress(sups []suppression, d Diagnostic) bool {
 // ---------------------------------------------------------------------------
 // Shared AST/type helpers used by several analyzers.
 
-// enclosingFunc returns the innermost function declaration containing
-// pos, if any.
-func enclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	var found *ast.FuncDecl
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
-			found = fd
-		}
-	}
-	return found
-}
-
 // isPkgFunc reports whether the call expression resolves to the function
 // pkgPath.name (a package-level function, not a method).
 func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {

@@ -153,8 +153,7 @@ type walker struct {
 	fi        *sema.FuncInfo
 	params    map[string]bool
 	floatVars map[string]bool // double-typed locals and params
-	loops     map[string]string
-	seq       int
+	loops     map[string]bool
 	flops     expr.Expr
 	loads     expr.Expr
 	stores    expr.Expr
@@ -167,7 +166,7 @@ func (r *Report) analyzeFunc(fi *sema.FuncInfo) (*Estimate, error) {
 		fi:        fi,
 		params:    map[string]bool{},
 		floatVars: map[string]bool{},
-		loops:     map[string]string{},
+		loops:     map[string]bool{},
 		flops:     expr.Const(0),
 		loads:     expr.Const(0),
 		stores:    expr.Const(0),
@@ -234,10 +233,7 @@ func (w *walker) walkStmt(s ast.Stmt, mult expr.Expr) error {
 			return w.walkStmt(st.Else, mult)
 		}
 	case *ast.ForStmt:
-		trips, varName, uname, err := w.loopTrips(st)
-		if err != nil {
-			return err
-		}
+		trips, varName := w.loopTrips(st)
 		inner := expr.NewMul(mult, trips)
 		if st.Init != nil {
 			if es, ok := st.Init.(*ast.ExprStmt); ok {
@@ -245,12 +241,12 @@ func (w *walker) walkStmt(s ast.Stmt, mult expr.Expr) error {
 			}
 		}
 		if varName != "" {
-			saved, had := w.loops[varName]
-			w.loops[varName] = uname
-			err = w.walkStmt(st.Body, inner)
-			if had {
-				w.loops[varName] = saved
-			} else {
+			// A nested loop may reuse an outer loop's variable: the
+			// outer one stays a loop variable once the inner one ends.
+			had := w.loops[varName]
+			w.loops[varName] = true
+			err := w.walkStmt(st.Body, inner)
+			if !had {
 				delete(w.loops, varName)
 			}
 			return err
@@ -267,7 +263,7 @@ func (w *walker) walkStmt(s ast.Stmt, mult expr.Expr) error {
 // loopTrips derives a trip-count expression from the loop SCoP. PBound's
 // version supports the same init/cond/step grammar as Mira but without
 // annotations or convexity diagnostics.
-func (w *walker) loopTrips(st *ast.ForStmt) (expr.Expr, string, string, error) {
+func (w *walker) loopTrips(st *ast.ForStmt) (expr.Expr, string) {
 	varName := ""
 	var initE ast.Expr
 	switch init := st.Init.(type) {
@@ -285,7 +281,7 @@ func (w *walker) loopTrips(st *ast.ForStmt) (expr.Expr, string, string, error) {
 		}
 	}
 	if varName == "" || st.Cond == nil || st.Post == nil {
-		return expr.Const(1), "", "", nil // unbounded: PBound assumes once
+		return expr.Const(1), "" // unbounded: PBound assumes once
 	}
 	step := int64(1)
 	if un, ok := st.Post.(*ast.UnaryExpr); ok && un.Op == token.DEC {
@@ -302,18 +298,16 @@ func (w *walker) loopTrips(st *ast.ForStmt) (expr.Expr, string, string, error) {
 	}
 	lo, err := w.convert(initE)
 	if err != nil {
-		return expr.Const(1), "", "", nil
+		return expr.Const(1), ""
 	}
 	cmp, ok := st.Cond.(*ast.BinaryExpr)
 	if !ok {
-		return expr.Const(1), "", "", nil
+		return expr.Const(1), ""
 	}
 	bound, err := w.convert(cmp.Y)
 	if err != nil {
-		return expr.Const(1), "", "", nil
+		return expr.Const(1), ""
 	}
-	w.seq++
-	uname := fmt.Sprintf("%s_pb%d", varName, w.seq)
 	var trips expr.Expr
 	if step > 0 {
 		hi := bound
@@ -328,12 +322,7 @@ func (w *walker) loopTrips(st *ast.ForStmt) (expr.Expr, string, string, error) {
 		}
 		trips = expr.Trips(loB, lo, -step)
 	}
-	// Rename the loop variable in the trip expression if it leaks (bounds
-	// depending on outer loop variables evaluate through the env; PBound
-	// approximates those with the outer variable's upper bound and is
-	// therefore a bound, not an exact count).
-	_ = uname
-	return trips, varName, uname, nil
+	return trips, varName
 }
 
 func (w *walker) convert(e ast.Expr) (expr.Expr, error) {
@@ -343,7 +332,7 @@ func (w *walker) convert(e ast.Expr) (expr.Expr, error) {
 	case *ast.ParenExpr:
 		return w.convert(x.X)
 	case *ast.Ident:
-		if _, isLoop := w.loops[x.Name]; isLoop {
+		if w.loops[x.Name] {
 			// Outer-loop-dependent bound: approximate with the variable
 			// treated as a free parameter bound to its maximum; for the
 			// upper-bound semantics of PBound this keeps estimates sound
