@@ -52,10 +52,11 @@ govulncheck:
 # math/big across the int64 overflow boundary), the source fuzzer
 # (core.Analyze on arbitrary MiniC, the daemon's largest untrusted
 # input), the wire cell fuzzer (mira-serve's /query and /sweep encoder
-# against encoding/json), and the expression renderer fuzzer
-# (ast.ExprString against its fmt-based reference on parsed MiniC), each
-# for FUZZTIME; CI runs it on every push, so all seven stay continuously
-# fuzzed.
+# against encoding/json), the expression renderer fuzzer
+# (ast.ExprString against its fmt-based reference on parsed MiniC), and
+# the sweep row fuzzer (a synthesized program's compiled slot rows at
+# fuzzed int64 points against the tree walker), each for FUZZTIME; CI
+# runs it on every push, so all eight stay continuously fuzzed.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzThreeWayEvaluators -fuzztime $(FUZZTIME) ./internal/synth
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAnalyzeSource -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzWireCell -fuzztime $(FUZZTIME) ./cmd/mira-serve
 	$(GO) test -run xxx -fuzz FuzzExprString -fuzztime $(FUZZTIME) ./internal/ast
+	$(GO) test -run xxx -fuzz FuzzCompiledRows -fuzztime $(FUZZTIME) ./internal/engine
 
 build:
 	$(GO) build ./...

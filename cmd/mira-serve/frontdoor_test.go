@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/benchprogs"
 	"mira/internal/cluster"
 	"mira/internal/core"
 	"mira/internal/engine"
@@ -390,5 +391,59 @@ func TestRateLimiterEviction(t *testing.T) {
 	l.Allow("newcomer")
 	if n := l.Clients(); n > 8 {
 		t.Errorf("limiter tracks %d clients past the bound of 8", n)
+	}
+}
+
+// TestBulkHandlersStopAtWriteDeadline: /sweep and /report stop
+// evaluating once the server's write deadline passes, instead of
+// computing a response the server would no longer send, and free their
+// bulk slot. Each request sweeps miniFE over 65,536 points whose
+// multiplicities enumerate sums, many minutes of work.
+func TestBulkHandlersStopAtWriteDeadline(t *testing.T) {
+	s := newDoorServer(t, AdmissionOptions{BulkSlots: 1}, RateLimiterOptions{})
+	const deadline = 300 * time.Millisecond
+	s.writeDeadline = deadline
+	w := postJSON(t, s, "/analyze", map[string]any{"name": "minife.c", "source": benchprogs.MiniFE})
+	if w.Code != 200 {
+		t.Fatalf("analyze: %d %s", w.Code, w.Body)
+	}
+	var ar analyzeResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &ar); err != nil {
+		t.Fatal(err)
+	}
+	axis := func(name string, lo, hi int64) map[string]any {
+		var vals []int64
+		for v := lo; v <= hi; v++ {
+			vals = append(vals, v)
+		}
+		return map[string]any{"name": name, "values": vals}
+	}
+	grid := map[string]any{
+		"key": ar.Key, "fn": "minife", "base": map[string]int64{"max_iter": 10},
+		"axes": []map[string]any{axis("nx", 10, 25), axis("ny", 10, 73), axis("nz", 10, 73)},
+	}
+	twoSections := map[string]any{"spec": map[string]any{"sections": []map[string]any{grid, grid}}}
+	for _, c := range []struct {
+		path string
+		body map[string]any
+	}{{"/sweep", grid}, {"/report", twoSections}} {
+		start := time.Now()
+		w := postJSON(t, s, c.path, c.body)
+		elapsed := time.Since(start)
+		t.Logf("%s: %d after %v", c.path, w.Code, elapsed)
+		if elapsed > deadline+10*time.Second {
+			t.Errorf("%s returned %v after a %v deadline", c.path, elapsed, deadline)
+		}
+		if c.path == "/sweep" {
+			resp := decodeSweep(t, w.Body.Bytes())
+			if last := resp.Points[len(resp.Points)-1]; !strings.Contains(last.Error, "deadline exceeded") {
+				t.Errorf("/sweep: last point = %+v, want the deadline error", last)
+			}
+		} else if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "deadline exceeded") {
+			t.Errorf("/report: %d %s, want 503 with the deadline error", w.Code, w.Body)
+		}
+		if n := s.admission.BulkInflight(); n != 0 {
+			t.Errorf("%s: %d bulk slots still held", c.path, n)
+		}
 	}
 }

@@ -206,7 +206,7 @@ func run(ctx context.Context, cfg serveConfig) error {
 		Handler:           s,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
+		WriteTimeout:      writeTimeout,
 		IdleTimeout:       120 * time.Second,
 	}
 	ln, err := net.Listen("tcp", cfg.addr)

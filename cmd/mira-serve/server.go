@@ -32,6 +32,12 @@ const maxRequestBytes = 4 << 20
 // sweep is a few hundred cells, and anything larger can be split.
 const maxQueriesPerRequest = 1024
 
+// writeTimeout is the daemon's http.Server WriteTimeout, and the
+// deadline of the bulk handlers' evaluation: once the server would drop
+// the response anyway, /sweep and /report stop computing it and free
+// their admission slot.
+const writeTimeout = 60 * time.Second
+
 // openMetricsContentType is the content type Prometheus negotiates for
 // the OpenMetrics text exposition.
 const openMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
@@ -61,6 +67,8 @@ type server struct {
 	// then on so a cluster front-end routes around the replica while
 	// in-flight requests finish.
 	draining atomic.Bool
+	// writeDeadline bounds /sweep and /report evaluation (writeTimeout).
+	writeDeadline time.Duration
 	// handler is the assembled middleware chain ServeHTTP delegates to.
 	handler http.Handler
 	// encoders holds idle *cellEncoder values: /query and /sweep take
@@ -106,6 +114,7 @@ func newServer(eng *engine.Engine, reg *obs.Registry, suites map[string]report.S
 		reqErrors:    reg.Counter("mira_http_request_errors", "requests answered with a 4xx/5xx status"),
 		httpLat:      reg.Summary("mira_http_seconds", "HTTP request latency"),
 	}
+	s.writeDeadline = writeTimeout
 	for _, wl := range report.Workloads() {
 		s.workloads = append(s.workloads, workloadInfo{Workload: wl, Key: eng.Key(wl.Source)})
 	}
@@ -522,7 +531,9 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, err := a.Sweep(r.Context(), engine.SweepSpec{
+	ctx, cancel := context.WithTimeout(r.Context(), s.writeDeadline)
+	defer cancel()
+	res, err := a.Sweep(ctx, engine.SweepSpec{
 		Fn:     req.Fn,
 		Kind:   kind,
 		Axes:   req.Axes,
@@ -691,7 +702,9 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rep, err := s.runner.Run(r.Context(), suite)
+	ctx, cancel := context.WithTimeout(r.Context(), s.writeDeadline)
+	defer cancel()
+	rep, err := s.runner.Run(ctx, suite)
 	if err != nil {
 		if clientGone(r) {
 			return

@@ -74,9 +74,9 @@ type analysisShared struct {
 type funcEntry struct {
 	mu      sync.RWMutex
 	art     *core.FuncArtifact
-	metrics map[fevalKey]model.Metrics
-	opcodes map[fevalKey]map[ir.Op]int64
-	pbounds map[fevalKey]pbound.Counts
+	metrics memoTable[model.Metrics]
+	opcodes memoTable[map[ir.Op]int64]
+	pbounds memoTable[pbound.Counts]
 
 	// compiled caches the symbolic compilations (one per exclusivity),
 	// singleflighted: a sweep storm over one function compiles it once.
@@ -90,11 +90,31 @@ type fevalKey struct {
 	exclusive bool
 }
 
+// memoTable is one leaf's memo within a function cell (guarded by the
+// cell's mu): the stored results, and the evaluations in flight, so
+// concurrent misses on one key run the evaluation once. flying is made
+// at the table's first miss, so a leaf never evaluated costs no map.
+type memoTable[V any] struct {
+	done   map[fevalKey]V
+	flying map[fevalKey]*flight[V]
+}
+
+// flight is one in-flight evaluation; wg is done once v and err are set.
+type flight[V any] struct {
+	wg  sync.WaitGroup
+	v   V
+	err error
+}
+
+func newMemoTable[V any]() memoTable[V] {
+	return memoTable[V]{done: map[fevalKey]V{}}
+}
+
 func newFuncEntry() *funcEntry {
 	return &funcEntry{
-		metrics:  map[fevalKey]model.Metrics{},
-		opcodes:  map[fevalKey]map[ir.Op]int64{},
-		pbounds:  map[fevalKey]pbound.Counts{},
+		metrics:  newMemoTable[model.Metrics](),
+		opcodes:  newMemoTable[map[ir.Op]int64](),
+		pbounds:  newMemoTable[pbound.Counts](),
 		compiled: map[bool]*compiledSlot{},
 	}
 }
@@ -120,7 +140,7 @@ func (fe *funcEntry) adopt(art *core.FuncArtifact) {
 func (fe *funcEntry) memoLen() int {
 	fe.mu.RLock()
 	defer fe.mu.RUnlock()
-	return len(fe.metrics) + len(fe.opcodes) + len(fe.pbounds)
+	return len(fe.metrics.done) + len(fe.opcodes.done) + len(fe.pbounds.done)
 }
 
 // compiledSlot is a singleflight cell for one compilation.
@@ -251,28 +271,52 @@ func envFingerprint(env expr.Env) string {
 }
 
 // memo is the one lookup/compute/store routine behind every leaf: a hit
-// in table (one of fe's memo maps, guarded by fe.mu) is counted and
+// in table (one of fe's memo tables, guarded by fe.mu) is counted and
 // served; a miss runs f — panic-guarded, timed, and counted — and stores
-// its result. Errors are not cached: they are rare (an unbound parameter,
-// an overflowing count) and carry no reuse value.
-func memo[V any](a *Analysis, fe *funcEntry, table map[fevalKey]V, key fevalKey, what string, f func() (V, error)) (V, error) {
+// its result. Misses on one key are singleflighted: a request arriving
+// while the key is being evaluated waits for that evaluation, shares its
+// value or error, and counts as a hit. Errors are not stored: they are
+// rare (an unbound parameter, an overflowing count) and carry no reuse
+// value.
+func memo[V any](a *Analysis, fe *funcEntry, table *memoTable[V], key fevalKey, what string, f func() (V, error)) (V, error) {
 	fe.mu.RLock()
-	v, ok := table[key]
+	v, ok := table.done[key]
 	fe.mu.RUnlock()
 	if ok {
 		a.observeEval(true, 0)
 		return v, nil
 	}
-	start := time.Now()
-	v, err := safely(what, f)
-	a.observeEval(false, time.Since(start).Seconds())
-	if err != nil {
-		return v, err
-	}
 	fe.mu.Lock()
-	table[key] = v
+	if v, ok := table.done[key]; ok {
+		fe.mu.Unlock()
+		a.observeEval(true, 0)
+		return v, nil
+	}
+	if fl, ok := table.flying[key]; ok {
+		fe.mu.Unlock()
+		fl.wg.Wait()
+		a.observeEval(true, 0)
+		return fl.v, fl.err
+	}
+	fl := &flight[V]{}
+	fl.wg.Add(1)
+	if table.flying == nil {
+		table.flying = map[fevalKey]*flight[V]{}
+	}
+	table.flying[key] = fl
 	fe.mu.Unlock()
-	return v, nil
+
+	start := time.Now()
+	fl.v, fl.err = safely(what, f)
+	a.observeEval(false, time.Since(start).Seconds())
+	fe.mu.Lock()
+	delete(table.flying, key)
+	if fl.err == nil {
+		table.done[key] = fl.v
+	}
+	fe.mu.Unlock()
+	fl.wg.Done()
+	return fl.v, fl.err
 }
 
 // memoLeaves evaluates one query's leaves through fn's memo cell: a hit
@@ -286,7 +330,7 @@ type memoLeaves struct {
 
 func (l memoLeaves) metrics(exclusive bool) (model.Metrics, error) {
 	key := fevalKey{env: envFingerprint(l.env), exclusive: exclusive}
-	return memo(l.a, l.fe, l.fe.metrics, key, "evaluation", func() (model.Metrics, error) {
+	return memo(l.a, l.fe, &l.fe.metrics, key, "evaluation", func() (model.Metrics, error) {
 		if exclusive {
 			return l.a.Model.EvaluateExclusive(l.fn, l.env)
 		}
@@ -297,7 +341,7 @@ func (l memoLeaves) metrics(exclusive bool) (model.Metrics, error) {
 // opcodes returns the memo's own map: callers bucket it and never mutate
 // it.
 func (l memoLeaves) opcodes() (map[ir.Op]int64, error) {
-	return memo(l.a, l.fe, l.fe.opcodes, fevalKey{env: envFingerprint(l.env)}, "evaluation", func() (map[ir.Op]int64, error) {
+	return memo(l.a, l.fe, &l.fe.opcodes, fevalKey{env: envFingerprint(l.env)}, "evaluation", func() (map[ir.Op]int64, error) {
 		return l.a.Model.EvaluateOpcodes(l.fn, l.env)
 	})
 }
@@ -310,7 +354,7 @@ func (l memoLeaves) pbound() (pbound.Counts, error) {
 	if err != nil {
 		return pbound.Counts{}, err
 	}
-	return memo(l.a, l.fe, l.fe.pbounds, fevalKey{env: envFingerprint(l.env)}, "pbound evaluation", func() (pbound.Counts, error) {
+	return memo(l.a, l.fe, &l.fe.pbounds, fevalKey{env: envFingerprint(l.env)}, "pbound evaluation", func() (pbound.Counts, error) {
 		return rep.EvalCounts(l.fn, l.env)
 	})
 }

@@ -157,7 +157,7 @@ func (a *Analysis) query(ctx context.Context, q Query) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	return value(q.Kind, q.Fn, d, memoLeaves{a: a, fe: fe, fn: q.Fn, env: q.Env})
+	return value(q.Kind, q.Fn, d, memoLeaves{a: a, fe: fe, fn: q.Fn, env: q.Env}, nil)
 }
 
 // leaves evaluates the leaf counts of one (function, env) point that
@@ -171,16 +171,21 @@ type leaves interface {
 
 // value derives kind's answer for fn from l, against d for the
 // architecture-dependent kinds. It is the one place that knows what a
-// kind computes. (Generic rather than interface-typed so the per-point
-// leaves value is not boxed.)
-func value[L leaves](kind QueryKind, fn string, d *arch.Description, l L) (Value, error) {
+// kind computes. A metrics kind's answer is stored in dst, or in a new
+// Metrics when dst is nil. (Generic rather than interface-typed so the
+// per-point leaves value is not boxed.)
+func value[L leaves](kind QueryKind, fn string, d *arch.Description, l L, dst *model.Metrics) (Value, error) {
 	switch kind {
 	case KindStatic, KindStaticExclusive:
 		met, err := l.metrics(kind == KindStaticExclusive)
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Metrics: &met}, nil
+		if dst == nil {
+			dst = new(model.Metrics)
+		}
+		*dst = met
+		return Value{Metrics: dst}, nil
 	case KindCategories, KindFineCategories:
 		ops, err := l.opcodes()
 		if err != nil {

@@ -17,11 +17,25 @@
 //   - sites reached with an identical multiplicity chain merge into one
 //     term, and
 //   - the surviving symbolic multiplicities are interned so a chain
-//     shared by many terms evaluates once per point.
+//     shared by many terms evaluates once per point, and
+//   - each interned multiplicity built only from integral constants,
+//     parameters, +, *, floor division by an integer, min and max is
+//     lowered onto the model's int64 tape (tape.go): a flat program over
+//     parameter slots, with common subexpressions computed once.
 //
 // The result evaluates with no recursion and no environment copying: a
 // flat pass over terms, each term a handful of int64 multiplies against
-// per-point values of the interned expressions.
+// per-point values of the interned expressions. Per point, the tape
+// fills a value column eagerly with checked arithmetic; that cannot
+// fail, since an unbound slot or an overflow only leaves a value
+// unknown. Every multiplicity the tape does not hold at the point — a
+// non-integral constant such as Faulhaber's 1/2, a rational divisor, a
+// Sum or a Var, or a tape value that overflowed — stays on the rational
+// path: expr.Eval of its tree, computed lazily in the walker's order
+// against the point's environment, which is built at most once per
+// point. Both paths work in a Scratch that a caller evaluating many
+// points reuses: Eval and EvalOps bind the slots from an expr.Env
+// (from a pool), and a sweep worker binds them from its grid rows.
 //
 // Fidelity contract: CompiledModel.Eval returns exactly the walker's
 // metrics and EvalOps exactly its per-opcode counts, for inclusive and
@@ -29,15 +43,19 @@
 // round-to-nearest of each multiplicity, the skip of a subtree
 // whose call multiplicity rounds to zero, ErrOverflow on counts that
 // leave int64, and bindEnv's runtime fallback from an uncomputable
-// derived argument to its mangled environment binding (expr.Fallback
-// carries that behavior into the compiled form). A point the flat pass
-// cannot evaluate is re-run through the walker, so the two paths succeed
-// together with equal values or fail together with the same error.
+// derived argument to its mangled environment binding. A value the tape
+// holds is the exact rational value (integral, so its own rounding),
+// and an expression it holds cannot fail on the rational path either,
+// so the tape changes no outcome. A point the flat pass cannot evaluate
+// is re-run through the walker, so the two paths succeed together with
+// equal values or fail together with the same error.
 package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"mira/internal/expr"
 	"mira/internal/ir"
@@ -84,6 +102,7 @@ type CompiledModel struct {
 	exclusive bool
 	params    []string
 	exprs     []expr.Expr
+	tape      tape
 	terms     []term
 	// model backs the failure path: a point the flat pass cannot
 	// evaluate is re-run through the tree walker, which owns the full
@@ -91,6 +110,8 @@ type CompiledModel struct {
 	// uncomputable derived argument to its mangled environment binding
 	// (the paper's y_16 convention), and the canonical error wording.
 	model *Model
+	// pool holds idle workspaces for Eval and EvalOps.
+	pool sync.Pool
 }
 
 // Fn returns the compiled function's name.
@@ -148,6 +169,7 @@ func (m *Model) compile(fn string, exclusive bool) (*CompiledModel, error) {
 		c.cm.params = append(c.cm.params, p)
 	}
 	sort.Strings(c.cm.params)
+	c.cm.tape = lowerTape(c.cm.exprs)
 	for i := range c.cm.terms {
 		t := &c.cm.terms[i]
 		for cat, n := range t.counts {
@@ -453,14 +475,23 @@ func argOrder(call *Call) []string {
 // ---------------------------------------------------------------------------
 // Evaluation
 
-// scratch is the per-evaluation workspace: lazily computed raw and
-// rounded values of the interned expressions. Lazy matters for parity:
-// an expression guarded by an outer zero multiplicity must not be
-// evaluated at all, because the tree walk never reaches it.
-type scratch struct {
-	env   expr.Env
-	exprs []expr.Expr
+// Scratch is the workspace of one point's evaluation: the tape's value
+// column, and the rational values of the interned expressions the tape
+// declines, computed lazily. Lazy matters for parity: an expression
+// guarded by an outer zero multiplicity must not be evaluated at all,
+// because the tree walk never reaches it. A caller that evaluates many
+// points (a sweep worker) reuses one Scratch for all of them. A Scratch
+// belongs to the model that made it and is not safe for concurrent use.
+type Scratch struct {
+	cm    *CompiledModel
+	vals  []int64 // the tape's value column
+	known []bool
 	cells []scratchCell
+	// The point's full bindings: env as given to Eval, or ints made into
+	// env at most once, when the rational path or the walker needs it.
+	env    expr.Env
+	ints   map[string]int64
+	hasEnv bool
 }
 
 type scratchCell struct {
@@ -474,18 +505,61 @@ const (
 	roundedDone = 1 << 1
 )
 
-func (cm *CompiledModel) newScratch(env expr.Env) *scratch {
-	return &scratch{
-		env:   env,
-		exprs: cm.exprs,
-		cells: make([]scratchCell, len(cm.exprs)),
+// NewScratch returns a workspace for evaluating cm.
+func (cm *CompiledModel) NewScratch() *Scratch {
+	w := cm.tape.width()
+	sc := &Scratch{cm: cm, vals: make([]int64, w), known: make([]bool, w), cells: make([]scratchCell, len(cm.exprs))}
+	for j, c := range cm.tape.consts {
+		at := len(cm.tape.slots) + j
+		sc.vals[at], sc.known[at] = c, true
 	}
+	return sc
 }
 
-func (sc *scratch) value(idx int) (rational.Rat, error) {
+// Slots returns the parameter names the tape reads, in slot order: slot
+// i is Slots()[i]. It is a subset of Params.
+func (cm *CompiledModel) Slots() []string { return slices.Clone(cm.tape.slots) }
+
+// Reset starts a new point whose full bindings are env. Every slot is
+// unbound until Bind; env is made into an expr.Env only if an
+// expression the tape declines, or the walker, needs the point's
+// environment. The caller binds each slot env binds, to env's value.
+func (sc *Scratch) Reset(env map[string]int64) {
+	sc.begin(nil, false)
+	sc.ints = env
+}
+
+// Bind sets slot i to v for the current point.
+func (sc *Scratch) Bind(slot int, v int64) { sc.vals[slot], sc.known[slot] = v, true }
+
+func (sc *Scratch) begin(env expr.Env, hasEnv bool) {
+	clear(sc.known[:len(sc.cm.tape.slots)])
+	clear(sc.cells)
+	sc.env, sc.hasEnv, sc.ints = env, hasEnv, nil
+}
+
+// envOf returns the current point's environment.
+func (sc *Scratch) envOf() expr.Env {
+	if !sc.hasEnv {
+		sc.env, sc.hasEnv = expr.EnvFromInts(sc.ints), true
+	}
+	return sc.env
+}
+
+// tapeValue returns interned expression idx's value from the tape's
+// column, if the tape holds it at this point. A value the tape holds is
+// integral, so it is also its own rounded multiplicity.
+func (sc *Scratch) tapeValue(idx int) (int64, bool) {
+	if at := sc.cm.tape.exprAt[idx]; at >= 0 && sc.known[at] {
+		return sc.vals[at], true
+	}
+	return 0, false
+}
+
+func (sc *Scratch) value(idx int) (rational.Rat, error) {
 	cell := &sc.cells[idx]
 	if cell.flags&rawDone == 0 {
-		v, err := expr.Eval(sc.exprs[idx], sc.env)
+		v, err := expr.Eval(sc.cm.exprs[idx], sc.envOf())
 		if err != nil {
 			return rational.Rat{}, err
 		}
@@ -495,7 +569,7 @@ func (sc *scratch) value(idx int) (rational.Rat, error) {
 	return cell.raw, nil
 }
 
-func (sc *scratch) roundedValue(idx int) (int64, error) {
+func (sc *Scratch) roundedValue(idx int) (int64, error) {
 	cell := &sc.cells[idx]
 	if cell.flags&roundedDone == 0 {
 		v, err := sc.value(idx)
@@ -516,19 +590,25 @@ func (sc *scratch) roundedValue(idx int) (int64, error) {
 // outermost first, exactly the order the tree walk encounters them — and
 // returns the product of the rounded values. A zero short-circuits
 // before any later element is touched (the walker skips the subtree),
-// and probes are evaluated for effect only.
-func (sc *scratch) chainMult(chain []chainElem) (int64, error) {
+// and probes are evaluated for effect only. An element the tape holds
+// cannot fail; any other is evaluated on the rational path.
+func (sc *Scratch) chainMult(chain []chainElem) (int64, error) {
 	mult := int64(1)
 	for _, el := range chain {
-		if el.probe {
+		mi, ok := sc.tapeValue(el.idx)
+		switch {
+		case ok && el.probe:
+			continue
+		case el.probe:
 			if _, err := sc.value(el.idx); err != nil {
 				return 0, err
 			}
 			continue
-		}
-		mi, err := sc.roundedValue(el.idx)
-		if err != nil {
-			return 0, err
+		case !ok:
+			var err error
+			if mi, err = sc.roundedValue(el.idx); err != nil {
+				return 0, err
+			}
 		}
 		if mi == 0 {
 			return 0, nil
@@ -552,13 +632,55 @@ func (sc *scratch) chainMult(chain []chainElem) (int64, error) {
 // canonical error) is definitive. The slow path costs one tree walk,
 // exactly the pre-compilation price, and only for failing points.
 func (cm *CompiledModel) Eval(env expr.Env) (Metrics, error) {
+	sc := cm.scratchFor(env)
+	defer cm.release(sc)
+	return sc.Eval()
+}
+
+// EvalOps computes the compiled per-opcode counts under env, identical
+// to the walker's per-opcode view of the same compilation (inclusive or
+// exclusive), with the same walker failure path as Eval. The returned
+// map is fresh.
+func (cm *CompiledModel) EvalOps(env expr.Env) (map[ir.Op]int64, error) {
+	sc := cm.scratchFor(env)
+	defer cm.release(sc)
+	return sc.EvalOps()
+}
+
+// scratchFor takes a pooled workspace and starts a point at env, binding
+// every slot env binds to an integer.
+func (cm *CompiledModel) scratchFor(env expr.Env) *Scratch {
+	sc, _ := cm.pool.Get().(*Scratch)
+	if sc == nil {
+		sc = cm.NewScratch()
+	}
+	sc.begin(env, true)
+	for i, name := range cm.tape.slots {
+		if v, ok := env[name]; ok {
+			if n, ok := v.Int64(); ok {
+				sc.Bind(i, n)
+			}
+		}
+	}
+	return sc
+}
+
+func (cm *CompiledModel) release(sc *Scratch) {
+	sc.env, sc.ints = nil, nil
+	cm.pool.Put(sc)
+}
+
+// Eval computes the metrics at the point Reset and Bind set up, exactly
+// as CompiledModel.Eval does at that point's environment.
+func (sc *Scratch) Eval() (Metrics, error) {
+	cm := sc.cm
+	cm.tape.run(sc.vals, sc.known)
 	var out Metrics
-	sc := cm.newScratch(env)
 	for i := range cm.terms {
 		t := &cm.terms[i]
 		mult, err := sc.chainMult(t.chain)
 		if err != nil {
-			return cm.model.metrics(cm.fn, env, cm.exclusive)
+			return cm.model.metrics(cm.fn, sc.envOf(), cm.exclusive)
 		}
 		if mult == 0 {
 			continue
@@ -573,19 +695,18 @@ func (cm *CompiledModel) Eval(env expr.Env) (Metrics, error) {
 			}
 		}
 		if !ok || !accumInto(&out.Flops, t.flops, mult) || !accumInto(&out.Instrs, t.instrs, mult) {
-			return cm.model.metrics(cm.fn, env, cm.exclusive)
+			return cm.model.metrics(cm.fn, sc.envOf(), cm.exclusive)
 		}
 	}
 	return out, nil
 }
 
-// EvalOps computes the compiled per-opcode counts under env, identical
-// to the walker's per-opcode view of the same compilation (inclusive or
-// exclusive), with the same walker failure path as Eval. The returned
-// map is fresh.
-func (cm *CompiledModel) EvalOps(env expr.Env) (map[ir.Op]int64, error) {
+// EvalOps computes the per-opcode counts at the point Reset and Bind set
+// up, exactly as CompiledModel.EvalOps does at that point's environment.
+func (sc *Scratch) EvalOps() (map[ir.Op]int64, error) {
+	cm := sc.cm
+	cm.tape.run(sc.vals, sc.known)
 	out := map[ir.Op]int64{}
-	sc := cm.newScratch(env)
 	for i := range cm.terms {
 		t := &cm.terms[i]
 		if len(t.ops) == 0 && len(t.chain) == 0 {
@@ -593,14 +714,14 @@ func (cm *CompiledModel) EvalOps(env expr.Env) (map[ir.Op]int64, error) {
 		}
 		mult, err := sc.chainMult(t.chain)
 		if err != nil {
-			return cm.model.opcodes(cm.fn, env, cm.exclusive)
+			return cm.model.opcodes(cm.fn, sc.envOf(), cm.exclusive)
 		}
 		if mult == 0 {
 			continue
 		}
 		for _, c := range t.ops {
 			if err := accumOp(out, c.Op, c.N, mult); err != nil {
-				return cm.model.opcodes(cm.fn, env, cm.exclusive)
+				return cm.model.opcodes(cm.fn, sc.envOf(), cm.exclusive)
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package model
 
 import (
 	"errors"
+	"maps"
+	"sync"
 	"testing"
 
 	"mira/internal/expr"
@@ -302,3 +304,43 @@ func TestCompileConstantFolding(t *testing.T) {
 }
 
 func fr(num, den int64) rational.Rat { return rational.FromFrac(num, den) }
+
+// TestCompiledEvalConcurrent: Eval and EvalOps on one compiled model
+// from several goroutines at once share its pool of workspaces; every
+// answer must still be the walker's at its own point, including points
+// whose rational path or walker fallback runs (a non-integral binding,
+// an unbound parameter).
+func TestCompiledEvalConcurrent(t *testing.T) {
+	m := buildModel()
+	cm, err := m.Compile("outer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := []expr.Env{{}, {"n": rational.FromFrac(7, 2)}}
+	for n := int64(-2); n < 30; n++ {
+		envs = append(envs, expr.EnvFromInts(map[string]int64{"n": n}))
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				env := envs[(g+i)%len(envs)]
+				want, werr := m.Evaluate("outer", env)
+				got, gerr := cm.Eval(env)
+				if (werr == nil) != (gerr == nil) || werr == nil && got != want {
+					t.Errorf("Eval at %v: %+v (%v), walker %+v (%v)", env, got, gerr, want, werr)
+					return
+				}
+				wantOps, werr := m.EvaluateOpcodes("outer", env)
+				gotOps, gerr := cm.EvalOps(env)
+				if (werr == nil) != (gerr == nil) || werr == nil && !maps.Equal(gotOps, wantOps) {
+					t.Errorf("EvalOps at %v: %v (%v), walker %v (%v)", env, gotOps, gerr, wantOps, werr)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -16,7 +16,7 @@ package model
 import (
 	"errors"
 	"fmt"
-	"math"
+	"math/bits"
 	"sort"
 
 	"mira/internal/ast"
@@ -41,23 +41,21 @@ func addChecked(a, b int64) (int64, bool) {
 	return s, true
 }
 
-// mulChecked returns a*b, reporting overflow instead of wrapping.
+// mulChecked returns a*b, reporting overflow instead of wrapping. The
+// 128-bit unsigned product becomes the signed one by subtracting each
+// negative operand's partner from the high word; the product fits
+// int64 exactly when that high word is the sign extension of the low.
 func mulChecked(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	shi := int64(hi)
+	if a < 0 {
+		shi -= b
 	}
-	if a == math.MinInt64 || b == math.MinInt64 {
-		// |MinInt64| is not representable; the only safe partner is 1.
-		if a == 1 {
-			return b, true
-		}
-		if b == 1 {
-			return a, true
-		}
-		return 0, false
+	if b < 0 {
+		shi -= a
 	}
-	p := a * b
-	if p/b != a {
+	p := int64(lo)
+	if shi != p>>63 {
 		return 0, false
 	}
 	return p, true
