@@ -54,8 +54,8 @@ govulncheck:
 # input), the wire cell fuzzer (mira-serve's /query and /sweep encoder
 # against encoding/json), the expression renderer fuzzer
 # (ast.ExprString against its fmt-based reference on parsed MiniC), and
-# the sweep row fuzzer (a synthesized program's compiled slot rows at
-# fuzzed int64 points against the tree walker), each for FUZZTIME; CI
+# the compiled sweep fuzzer (a synthesized program's sweep points at
+# fuzzed int64 values against the tree walker), each for FUZZTIME; CI
 # runs it on every push, so all eight stay continuously fuzzed.
 FUZZTIME ?= 30s
 fuzz-smoke:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -96,14 +95,12 @@ func (r *SweepResult) Errs() []error {
 
 // Sweep evaluates spec's grid against the analysis. The function's
 // model is compiled to closed form once (cached per content hash) and
-// each point is then a flat evaluation — no tree walk, no (function,
-// env) memo churn — from which the kind's value is derived exactly as a
-// query's is, fanned out over the worker bound in chunks. The grid is
-// expanded once into an int64 row matrix whose columns are mapped to
-// the compiled model's slots once per sweep, so a point binds its slots
-// from its row and builds no expr.Env unless the rational path or the
-// walker needs one; each chunk reuses one workspace, and the metrics
-// kinds' values share one slab.
+// each point is then a flat expression evaluation — no tree walk, no
+// (function, env) memo churn — from which the kind's value is derived
+// exactly as a query's is, fanned out over the worker bound in chunks.
+// A point is evaluated through the compiled model's public entry point,
+// CompiledModel.Eval (or EvalOps) at its expr.Env, whose workspaces are
+// pooled per model; the metrics kinds' values share one slab.
 // The error return covers the spec itself (unknown function or kind,
 // bad grid, too many points): bad-request material. Everything
 // per-point, including cancellation of ctx, lands in SweepPoint.Err;
@@ -115,11 +112,10 @@ func (a *Analysis) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, err
 	if err := spec.Kind.check(); err != nil {
 		return nil, err
 	}
-	grid, err := expandSweepGrid(spec)
+	envs, err := expandSweepGrid(spec)
 	if err != nil {
 		return nil, err
 	}
-	envs := grid.envs
 	archs, err := a.sweepArchs(spec)
 	if err != nil {
 		return nil, err
@@ -131,16 +127,12 @@ func (a *Analysis) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, err
 	}
 
 	// The once-per-sweep work: the symbolic compilation the kind
-	// evaluates and its slots' grid columns, or the PBound report.
+	// evaluates, or the PBound report.
 	base := compiledLeaves{fn: spec.Fn}
-	var slotCol []int
 	if spec.Kind == KindPBound {
 		base.rep, err = a.pboundReport()
 	} else {
 		base.cm, err = a.Compiled(spec.Fn, spec.Kind == KindStaticExclusive)
-		if err == nil {
-			slotCol = grid.columnsOf(base.cm.Slots())
-		}
 	}
 	if err != nil {
 		return nil, err
@@ -160,25 +152,22 @@ func (a *Analysis) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, err
 		slab = make([]model.Metrics, total)
 	}
 	chunks := (total + sweepChunk - 1) / sweepChunk
+	done := ctx.Done()
 	_ = ForEachCtx(ctx, a.eng.workers, chunks, func(ci int) error {
 		lo, hi := ci*sweepChunk, (ci+1)*sweepChunk
 		if hi > total {
 			hi = total
 		}
-		l := base
-		if l.cm != nil {
-			l.sc = l.cm.NewScratch()
-		}
 		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				res.Points[i].Err = err
+			select {
+			case <-done:
+				res.Points[i].Err = ctx.Err()
 				continue
+			default:
 			}
 			p := &res.Points[i]
-			l.env = p.Env
-			if l.sc != nil {
-				grid.bind(l.sc, i%len(envs), slotCol)
-			}
+			l := base
+			l.env = expr.EnvFromInts(p.Env)
 			var dst *model.Metrics
 			if slab != nil {
 				dst = &slab[i]
@@ -233,46 +222,10 @@ func (a *Analysis) sweepArchs(spec SweepSpec) ([]sweepArch, error) {
 	return out, nil
 }
 
-// sweepGrid is an expanded grid: one environment map per point (what
-// SweepPoint.Env and the wire carry) and the same bindings as an int64
-// row matrix, len(cols) wide, that compiled models read their slots
-// from.
-type sweepGrid struct {
-	envs []map[string]int64
-	cols []string
-	rows []int64 // row-major, len(envs) x len(cols)
-	// bound marks the cells a row binds; nil when every row binds every
-	// column (an axes grid). Explicit points may bind different names.
-	bound []bool
-}
-
-// columnsOf maps each name to its column, or -1 when no row binds it.
-func (g *sweepGrid) columnsOf(names []string) []int {
-	out := make([]int, len(names))
-	for i, name := range names {
-		out[i] = slices.Index(g.cols, name)
-	}
-	return out
-}
-
-// bind starts point ei in sc: every slot the point's row binds is set
-// from the row; the rest stay unbound, which declines only the
-// expressions that read them.
-func (g *sweepGrid) bind(sc *model.Scratch, ei int, slotCol []int) {
-	sc.Reset(g.envs[ei])
-	w := len(g.cols)
-	row := g.rows[ei*w : (ei+1)*w]
-	for slot, c := range slotCol {
-		if c >= 0 && (g.bound == nil || g.bound[ei*w+c]) {
-			sc.Bind(slot, row[c])
-		}
-	}
-}
-
-// expandSweepGrid builds the grid: the cross product of the axes
-// (rightmost axis varying fastest) or the explicit points, each
+// expandSweepGrid builds the environment list: the cross product of the
+// axes (rightmost axis varying fastest) or the explicit points, each
 // completed by the base bindings.
-func expandSweepGrid(spec SweepSpec) (*sweepGrid, error) {
+func expandSweepGrid(spec SweepSpec) ([]map[string]int64, error) {
 	if len(spec.Axes) > 0 && len(spec.Points) > 0 {
 		return nil, fmt.Errorf("engine: sweep takes axes or explicit points, not both")
 	}
@@ -281,18 +234,18 @@ func expandSweepGrid(spec SweepSpec) (*sweepGrid, error) {
 			return nil, fmt.Errorf("engine: %d explicit points exceeds the limit of %d: %w",
 				len(spec.Points), MaxSweepPoints, ErrSweepTooLarge)
 		}
-		envs := make([]map[string]int64, len(spec.Points))
+		out := make([]map[string]int64, len(spec.Points))
 		for i, p := range spec.Points {
-			envs[i] = mergeEnv(spec.Base, p)
+			out[i] = mergeEnv(spec.Base, p)
 		}
-		return pointsGrid(envs), nil
+		return out, nil
 	}
 	if len(spec.Axes) == 0 {
 		if len(spec.Base) == 0 {
 			return nil, fmt.Errorf("engine: sweep needs axes or explicit points")
 		}
 		// A base with no axes is the degenerate one-point sweep.
-		return pointsGrid([]map[string]int64{mergeEnv(spec.Base, nil)}), nil
+		return []map[string]int64{mergeEnv(spec.Base, nil)}, nil
 	}
 	total := 1
 	seen := map[string]bool{}
@@ -312,30 +265,14 @@ func expandSweepGrid(spec SweepSpec) (*sweepGrid, error) {
 		}
 		total *= len(ax.Values)
 	}
-	// Columns: the base bindings no axis overrides, then the axes.
-	g := &sweepGrid{envs: make([]map[string]int64, 0, total)}
-	for name := range spec.Base {
-		if !seen[name] {
-			g.cols = append(g.cols, name)
-		}
-	}
-	sort.Strings(g.cols)
-	nBase := len(g.cols)
-	for _, ax := range spec.Axes {
-		g.cols = append(g.cols, ax.Name)
-	}
-	g.rows = make([]int64, 0, total*len(g.cols))
+	out := make([]map[string]int64, 0, total)
 	idx := make([]int, len(spec.Axes))
 	for {
 		env := mergeEnv(spec.Base, nil)
-		for _, name := range g.cols[:nBase] {
-			g.rows = append(g.rows, spec.Base[name])
-		}
 		for i, ax := range spec.Axes {
 			env[ax.Name] = ax.Values[idx[i]]
-			g.rows = append(g.rows, ax.Values[idx[i]])
 		}
-		g.envs = append(g.envs, env)
+		out = append(out, env)
 		// Odometer increment, rightmost fastest.
 		i := len(idx) - 1
 		for ; i >= 0; i-- {
@@ -346,34 +283,9 @@ func expandSweepGrid(spec SweepSpec) (*sweepGrid, error) {
 			idx[i] = 0
 		}
 		if i < 0 {
-			return g, nil
+			return out, nil
 		}
 	}
-}
-
-// pointsGrid lays explicit environments out as rows over the union of
-// the names they bind.
-func pointsGrid(envs []map[string]int64) *sweepGrid {
-	g := &sweepGrid{envs: envs}
-	seen := map[string]bool{}
-	for _, env := range envs {
-		for name := range env {
-			if !seen[name] {
-				seen[name] = true
-				g.cols = append(g.cols, name)
-			}
-		}
-	}
-	sort.Strings(g.cols)
-	w := len(g.cols)
-	g.rows = make([]int64, len(envs)*w)
-	g.bound = make([]bool, len(envs)*w)
-	for i, env := range envs {
-		for c, name := range g.cols {
-			g.rows[i*w+c], g.bound[i*w+c] = env[name]
-		}
-	}
-	return g
 }
 
 func mergeEnv(base, point map[string]int64) map[string]int64 {
@@ -388,24 +300,22 @@ func mergeEnv(base, point map[string]int64) map[string]int64 {
 }
 
 // compiledLeaves evaluates one sweep point's leaves: the compiled model
-// (already specialized to the sweep's exclusivity) through the chunk's
-// workspace, already bound to the point, or the PBound report, with no
-// memo and no tree walk.
+// (already specialized to the sweep's exclusivity) or the PBound report,
+// with no memo and no tree walk.
 type compiledLeaves struct {
 	cm  *model.CompiledModel
-	sc  *model.Scratch
 	rep *pbound.Report
 	fn  string
-	env map[string]int64
+	env expr.Env
 }
 
-func (l compiledLeaves) metrics(bool) (model.Metrics, error) { return l.sc.Eval() }
+func (l compiledLeaves) metrics(bool) (model.Metrics, error) { return l.cm.Eval(l.env) }
 
-func (l compiledLeaves) opcodes() (map[ir.Op]int64, error) { return l.sc.EvalOps() }
+func (l compiledLeaves) opcodes() (map[ir.Op]int64, error) { return l.cm.EvalOps(l.env) }
 
 func (l compiledLeaves) pbound() (pbound.Counts, error) {
 	return safely("pbound evaluation", func() (pbound.Counts, error) {
-		return l.rep.EvalCounts(l.fn, expr.EnvFromInts(l.env))
+		return l.rep.EvalCounts(l.fn, l.env)
 	})
 }
 

@@ -14,8 +14,10 @@ import (
 
 // triSrc has a triangular nest, whose trip count n(n-1)/2 carries
 // Faulhaber's rational coefficients, called with a floor-divided
-// argument that moves with the caller's loop, and a strided loop whose
-// trip count floor-divides a sum that may be negative or overflow.
+// argument that moves with the caller's loop and, from reps, with a
+// fixed argument under an integral trip count (so one chain mixes tape
+// and rational multiplicities), and a strided loop whose trip count
+// floor-divides a sum that may be negative or overflow.
 const triSrc = `
 double strided(double *a, int n) {
 	double s; int i;
@@ -40,6 +42,14 @@ double outer(double *a, int n, int m) {
 	s = 0.0;
 	for (k = 0; k < m; k++) {
 		s = s + tri(a, n / 2 + k);
+	}
+	return s;
+}
+double reps(double *a, int n, int m) {
+	double s; int k;
+	s = 0.0;
+	for (k = 0; k < m; k++) {
+		s = s + tri(a, n);
 	}
 	return s;
 }`
@@ -83,13 +93,14 @@ func sweepMatchesWalker(t *testing.T, a *engine.Analysis, spec engine.SweepSpec)
 	}
 }
 
-// TestSweepRowsMatchWalker holds the slot-row evaluation to the tree
-// walker, point by point: zeros, negatives and values at the int64
+// TestSweepMatchesWalker holds the compiled sweep evaluation (the int64
+// tape, the rational path and the walker fallback) to the tree walker,
+// point by point: zeros, negatives and values at the int64
 // overflow boundary; rational multiplicities (a triangular nest,
 // br_frac); explicit points that bind different names, leave a
 // parameter unbound or bind one the model never reads; every
 // compiled-model kind.
-func TestSweepRowsMatchWalker(t *testing.T) {
+func TestSweepMatchesWalker(t *testing.T) {
 	e := engine.New(engine.Options{})
 	dgemm := analyzeT(t, e, "dgemm.c", benchprogs.Dgemm)
 	tri := analyzeT(t, e, "tri.c", triSrc)
@@ -110,6 +121,8 @@ func TestSweepRowsMatchWalker(t *testing.T) {
 		{tri, engine.SweepSpec{Fn: "outer", Axes: []engine.SweepAxis{
 			{Name: "n", Values: small}, {Name: "m", Values: []int64{0, 1, 3, -1}}}}},
 		{tri, engine.SweepSpec{Fn: "outer", Points: []map[string]int64{{"n": 9}, {"m": 2}, {"n": 9, "m": 2}}}},
+		{tri, engine.SweepSpec{Fn: "reps", Axes: []engine.SweepAxis{
+			{Name: "n", Values: small}, {Name: "m", Values: []int64{0, 1, 3, -1, 1 << 40}}}}},
 		{brfrac, engine.SweepSpec{Fn: "kernel", Axes: []engine.SweepAxis{{Name: "n", Values: edgeInts}}}},
 	}
 	for _, c := range cases {
@@ -126,8 +139,8 @@ func TestSweepRowsMatchWalker(t *testing.T) {
 
 // FuzzCompiledRows evaluates every function of a fuzzed synthetic
 // program (internal/synth, Table I-style profiles) at fuzzed int64
-// points through the sweep's slot rows, and holds each point to the
-// tree walker by value or by error text. The points include one that
+// points through a sweep, and holds each point to the tree walker by
+// value or by error text. The points include one that
 // binds a name the model never reads and one that binds nothing.
 func FuzzCompiledRows(f *testing.F) {
 	f.Add(1, 1, 1, int64(6), int64(-1))

@@ -25,17 +25,17 @@
 //
 // The result evaluates with no recursion and no environment copying: a
 // flat pass over terms, each term a handful of int64 multiplies against
-// per-point values of the interned expressions. Per point, the tape
+// per-point values of the interned expressions. Per point, Eval and
+// EvalOps bind the tape's slots from the point's expr.Env and the tape
 // fills a value column eagerly with checked arithmetic; that cannot
 // fail, since an unbound slot or an overflow only leaves a value
 // unknown. Every multiplicity the tape does not hold at the point — a
 // non-integral constant such as Faulhaber's 1/2, a rational divisor, a
 // Sum or a Var, or a tape value that overflowed — stays on the rational
-// path: expr.Eval of its tree, computed lazily in the walker's order
-// against the point's environment, which is built at most once per
-// point. Both paths work in a Scratch that a caller evaluating many
-// points reuses: Eval and EvalOps bind the slots from an expr.Env
-// (from a pool), and a sweep worker binds them from its grid rows.
+// path: expr.Eval of its tree against the point's environment, computed
+// lazily in the walker's order. Both paths work in a scratch workspace
+// from a per-model pool, so evaluating many points (a sweep) allocates
+// no workspace per point.
 //
 // Fidelity contract: CompiledModel.Eval returns exactly the walker's
 // metrics and EvalOps exactly its per-opcode counts, for inclusive and
@@ -53,7 +53,6 @@ package model
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -80,7 +79,9 @@ type chainElem struct {
 // (nonzero categories only), derived once at the end of compilation —
 // the per-point hot loop iterates it instead of the dense vector.
 type term struct {
-	chain  []chainElem
+	chain []chainElem
+	// multAt is the tape value holding the chain's product, or -1.
+	multAt int32
 	counts [ir.NumCategories]int64
 	cats   []catCount
 	flops  int64
@@ -169,7 +170,7 @@ func (m *Model) compile(fn string, exclusive bool) (*CompiledModel, error) {
 		c.cm.params = append(c.cm.params, p)
 	}
 	sort.Strings(c.cm.params)
-	c.cm.tape = lowerTape(c.cm.exprs)
+	c.cm.tape = lowerTape(c.cm.exprs, c.cm.terms)
 	for i := range c.cm.terms {
 		t := &c.cm.terms[i]
 		for cat, n := range t.counts {
@@ -475,28 +476,29 @@ func argOrder(call *Call) []string {
 // ---------------------------------------------------------------------------
 // Evaluation
 
-// Scratch is the workspace of one point's evaluation: the tape's value
-// column, and the rational values of the interned expressions the tape
-// declines, computed lazily. Lazy matters for parity: an expression
-// guarded by an outer zero multiplicity must not be evaluated at all,
-// because the tree walk never reaches it. A caller that evaluates many
-// points (a sweep worker) reuses one Scratch for all of them. A Scratch
-// belongs to the model that made it and is not safe for concurrent use.
-type Scratch struct {
+// scratch is the workspace of one point's evaluation: the point's
+// environment, the tape's value column, and the rational values of the
+// interned expressions the tape declines, computed lazily. Lazy matters
+// for parity: an expression guarded by an outer zero multiplicity must
+// not be evaluated at all, because the tree walk never reaches it.
+// Workspaces are pooled per compiled model, so evaluating many points
+// (a sweep worker) reuses them instead of allocating one per point.
+type scratch struct {
 	cm    *CompiledModel
+	env   expr.Env
 	vals  []int64 // the tape's value column
 	known []bool
 	cells []scratchCell
-	// The point's full bindings: env as given to Eval, or ints made into
-	// env at most once, when the rational path or the walker needs it.
-	env    expr.Env
-	ints   map[string]int64
-	hasEnv bool
+	// gen numbers the points evaluated in this workspace; a cell whose
+	// gen differs holds nothing for the current point, so starting a
+	// point clears no cells.
+	gen uint32
 }
 
 type scratchCell struct {
 	raw     rational.Rat
 	rounded int64
+	gen     uint32
 	flags   uint8
 }
 
@@ -505,61 +507,63 @@ const (
 	roundedDone = 1 << 1
 )
 
-// NewScratch returns a workspace for evaluating cm.
-func (cm *CompiledModel) NewScratch() *Scratch {
-	w := cm.tape.width()
-	sc := &Scratch{cm: cm, vals: make([]int64, w), known: make([]bool, w), cells: make([]scratchCell, len(cm.exprs))}
-	for j, c := range cm.tape.consts {
-		at := len(cm.tape.slots) + j
-		sc.vals[at], sc.known[at] = c, true
+// scratchFor takes a pooled workspace and starts a point at env: every
+// slot env binds to an integer is bound, the rest stay unbound, which
+// declines only the tape values that read them.
+func (cm *CompiledModel) scratchFor(env expr.Env) *scratch {
+	sc, _ := cm.pool.Get().(*scratch)
+	if sc == nil {
+		w := cm.tape.width()
+		sc = &scratch{cm: cm, vals: make([]int64, w), known: make([]bool, w), cells: make([]scratchCell, len(cm.exprs))}
+		for j, c := range cm.tape.consts {
+			at := len(cm.tape.slots) + j
+			sc.vals[at], sc.known[at] = c, true
+		}
 	}
+	sc.env = env
+	if sc.gen++; sc.gen == 0 {
+		clear(sc.cells)
+		sc.gen = 1
+	}
+	for i, name := range cm.tape.slots {
+		v, ok := env[name]
+		if ok {
+			sc.vals[i], ok = v.Int64()
+		}
+		sc.known[i] = ok
+	}
+	cm.tape.run(sc.vals, sc.known)
 	return sc
 }
 
-// Slots returns the parameter names the tape reads, in slot order: slot
-// i is Slots()[i]. It is a subset of Params.
-func (cm *CompiledModel) Slots() []string { return slices.Clone(cm.tape.slots) }
-
-// Reset starts a new point whose full bindings are env. Every slot is
-// unbound until Bind; env is made into an expr.Env only if an
-// expression the tape declines, or the walker, needs the point's
-// environment. The caller binds each slot env binds, to env's value.
-func (sc *Scratch) Reset(env map[string]int64) {
-	sc.begin(nil, false)
-	sc.ints = env
-}
-
-// Bind sets slot i to v for the current point.
-func (sc *Scratch) Bind(slot int, v int64) { sc.vals[slot], sc.known[slot] = v, true }
-
-func (sc *Scratch) begin(env expr.Env, hasEnv bool) {
-	clear(sc.known[:len(sc.cm.tape.slots)])
-	clear(sc.cells)
-	sc.env, sc.hasEnv, sc.ints = env, hasEnv, nil
-}
-
-// envOf returns the current point's environment.
-func (sc *Scratch) envOf() expr.Env {
-	if !sc.hasEnv {
-		sc.env, sc.hasEnv = expr.EnvFromInts(sc.ints), true
-	}
-	return sc.env
+func (cm *CompiledModel) release(sc *scratch) {
+	sc.env = nil
+	cm.pool.Put(sc)
 }
 
 // tapeValue returns interned expression idx's value from the tape's
 // column, if the tape holds it at this point. A value the tape holds is
 // integral, so it is also its own rounded multiplicity.
-func (sc *Scratch) tapeValue(idx int) (int64, bool) {
+func (sc *scratch) tapeValue(idx int) (int64, bool) {
 	if at := sc.cm.tape.exprAt[idx]; at >= 0 && sc.known[at] {
 		return sc.vals[at], true
 	}
 	return 0, false
 }
 
-func (sc *Scratch) value(idx int) (rational.Rat, error) {
-	cell := &sc.cells[idx]
+// cell returns interned expression idx's cell for the current point.
+func (sc *scratch) cell(idx int) *scratchCell {
+	c := &sc.cells[idx]
+	if c.gen != sc.gen {
+		c.gen, c.flags = sc.gen, 0
+	}
+	return c
+}
+
+func (sc *scratch) value(idx int) (rational.Rat, error) {
+	cell := sc.cell(idx)
 	if cell.flags&rawDone == 0 {
-		v, err := expr.Eval(sc.cm.exprs[idx], sc.envOf())
+		v, err := expr.Eval(sc.cm.exprs[idx], sc.env)
 		if err != nil {
 			return rational.Rat{}, err
 		}
@@ -569,8 +573,8 @@ func (sc *Scratch) value(idx int) (rational.Rat, error) {
 	return cell.raw, nil
 }
 
-func (sc *Scratch) roundedValue(idx int) (int64, error) {
-	cell := &sc.cells[idx]
+func (sc *scratch) roundedValue(idx int) (int64, error) {
+	cell := sc.cell(idx)
 	if cell.flags&roundedDone == 0 {
 		v, err := sc.value(idx)
 		if err != nil {
@@ -592,7 +596,7 @@ func (sc *Scratch) roundedValue(idx int) (int64, error) {
 // before any later element is touched (the walker skips the subtree),
 // and probes are evaluated for effect only. An element the tape holds
 // cannot fail; any other is evaluated on the rational path.
-func (sc *Scratch) chainMult(chain []chainElem) (int64, error) {
+func (sc *scratch) chainMult(chain []chainElem) (int64, error) {
 	mult := int64(1)
 	for _, el := range chain {
 		mi, ok := sc.tapeValue(el.idx)
@@ -622,6 +626,15 @@ func (sc *Scratch) chainMult(chain []chainElem) (int64, error) {
 	return mult, nil
 }
 
+// mult returns a term's multiplicity at this point: the tape's value of
+// its chain product where the tape holds it, else chainMult's.
+func (sc *scratch) mult(t *term) (int64, error) {
+	if at := t.multAt; at >= 0 && sc.known[at] {
+		return sc.vals[at], nil
+	}
+	return sc.chainMult(t.chain)
+}
+
 // Eval computes the compiled function's metrics under env: a flat pass
 // over the merged terms, with no recursion and no environment copying.
 // Results are byte-identical to the tree-walk Evaluate (or
@@ -634,53 +647,12 @@ func (sc *Scratch) chainMult(chain []chainElem) (int64, error) {
 func (cm *CompiledModel) Eval(env expr.Env) (Metrics, error) {
 	sc := cm.scratchFor(env)
 	defer cm.release(sc)
-	return sc.Eval()
-}
-
-// EvalOps computes the compiled per-opcode counts under env, identical
-// to the walker's per-opcode view of the same compilation (inclusive or
-// exclusive), with the same walker failure path as Eval. The returned
-// map is fresh.
-func (cm *CompiledModel) EvalOps(env expr.Env) (map[ir.Op]int64, error) {
-	sc := cm.scratchFor(env)
-	defer cm.release(sc)
-	return sc.EvalOps()
-}
-
-// scratchFor takes a pooled workspace and starts a point at env, binding
-// every slot env binds to an integer.
-func (cm *CompiledModel) scratchFor(env expr.Env) *Scratch {
-	sc, _ := cm.pool.Get().(*Scratch)
-	if sc == nil {
-		sc = cm.NewScratch()
-	}
-	sc.begin(env, true)
-	for i, name := range cm.tape.slots {
-		if v, ok := env[name]; ok {
-			if n, ok := v.Int64(); ok {
-				sc.Bind(i, n)
-			}
-		}
-	}
-	return sc
-}
-
-func (cm *CompiledModel) release(sc *Scratch) {
-	sc.env, sc.ints = nil, nil
-	cm.pool.Put(sc)
-}
-
-// Eval computes the metrics at the point Reset and Bind set up, exactly
-// as CompiledModel.Eval does at that point's environment.
-func (sc *Scratch) Eval() (Metrics, error) {
-	cm := sc.cm
-	cm.tape.run(sc.vals, sc.known)
 	var out Metrics
 	for i := range cm.terms {
 		t := &cm.terms[i]
-		mult, err := sc.chainMult(t.chain)
+		mult, err := sc.mult(t)
 		if err != nil {
-			return cm.model.metrics(cm.fn, sc.envOf(), cm.exclusive)
+			return cm.model.metrics(cm.fn, env, cm.exclusive)
 		}
 		if mult == 0 {
 			continue
@@ -695,33 +667,35 @@ func (sc *Scratch) Eval() (Metrics, error) {
 			}
 		}
 		if !ok || !accumInto(&out.Flops, t.flops, mult) || !accumInto(&out.Instrs, t.instrs, mult) {
-			return cm.model.metrics(cm.fn, sc.envOf(), cm.exclusive)
+			return cm.model.metrics(cm.fn, env, cm.exclusive)
 		}
 	}
 	return out, nil
 }
 
-// EvalOps computes the per-opcode counts at the point Reset and Bind set
-// up, exactly as CompiledModel.EvalOps does at that point's environment.
-func (sc *Scratch) EvalOps() (map[ir.Op]int64, error) {
-	cm := sc.cm
-	cm.tape.run(sc.vals, sc.known)
+// EvalOps computes the compiled per-opcode counts under env, identical
+// to the walker's per-opcode view of the same compilation (inclusive or
+// exclusive), with the same walker failure path as Eval. The returned
+// map is fresh.
+func (cm *CompiledModel) EvalOps(env expr.Env) (map[ir.Op]int64, error) {
+	sc := cm.scratchFor(env)
+	defer cm.release(sc)
 	out := map[ir.Op]int64{}
 	for i := range cm.terms {
 		t := &cm.terms[i]
 		if len(t.ops) == 0 && len(t.chain) == 0 {
 			continue
 		}
-		mult, err := sc.chainMult(t.chain)
+		mult, err := sc.mult(t)
 		if err != nil {
-			return cm.model.opcodes(cm.fn, sc.envOf(), cm.exclusive)
+			return cm.model.opcodes(cm.fn, env, cm.exclusive)
 		}
 		if mult == 0 {
 			continue
 		}
 		for _, c := range t.ops {
 			if err := accumOp(out, c.Op, c.N, mult); err != nil {
-				return cm.model.opcodes(cm.fn, sc.envOf(), cm.exclusive)
+				return cm.model.opcodes(cm.fn, env, cm.exclusive)
 			}
 		}
 	}

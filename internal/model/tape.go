@@ -88,8 +88,9 @@ func onTape(e expr.Expr) bool {
 	return false // Var, Sum, a non-integral constant
 }
 
-// lowerTape lowers the interned expressions of a compiled model.
-func lowerTape(exprs []expr.Expr) tape {
+// lowerTape lowers the interned expressions of a compiled model, then
+// each term's chain product (see lowerer.chain) into the term's multAt.
+func lowerTape(exprs []expr.Expr, terms []term) tape {
 	l := lowerer{slotAt: map[string]int32{}, constAt: map[int64]int32{}, instrAt: map[tapeInstr]int32{}}
 	var consts []int64
 	for _, e := range exprs {
@@ -112,6 +113,9 @@ func lowerTape(exprs []expr.Expr) tape {
 		if onTape(e) {
 			l.t.exprAt[i] = l.lower(e)
 		}
+	}
+	for i := range terms {
+		terms[i].multAt = l.chain(terms[i].chain)
 	}
 	return l.t
 }
@@ -176,6 +180,30 @@ func (l *lowerer) lower(e expr.Expr) int32 {
 		return l.emit(tapeInstr{op: tapeMax, a: l.lower(x.A), b: l.lower(x.B)})
 	}
 	panic("model: lowering an expression the tape cannot take")
+}
+
+// chain returns the value index of a multiplicity chain's product,
+// multiplied left to right as chainMult does, when the tape holds every
+// element; -1 when it does not, or when the chain has no non-probe
+// element. A probe the tape holds cannot fail, so it adds nothing. The
+// product equals chainMult's wherever the tape holds it: a zero element
+// zeroes it, and any overflow on the way leaves it unknown, which sends
+// the term back to chainMult.
+func (l *lowerer) chain(chain []chainElem) int32 {
+	at := int32(-1)
+	for _, el := range chain {
+		v := l.t.exprAt[el.idx]
+		switch {
+		case v < 0:
+			return -1
+		case el.probe:
+		case at < 0:
+			at = v
+		default:
+			at = l.emit(tapeInstr{op: tapeMul, a: at, b: v})
+		}
+	}
+	return at
 }
 
 // fold lowers an n-ary sum or product as a left-to-right chain.

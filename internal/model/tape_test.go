@@ -54,7 +54,7 @@ func TestTapeMatchesRational(t *testing.T) {
 	for range 400 {
 		exprs = append(exprs, randTapeExpr(rng, 4))
 	}
-	tp := lowerTape(exprs)
+	tp := lowerTape(exprs, nil)
 	for i, e := range exprs {
 		if (tp.exprAt[i] >= 0) != onTape(e) {
 			t.Fatalf("%s: on tape %v, lowered to %d", e, onTape(e), tp.exprAt[i])
@@ -106,11 +106,53 @@ func TestTapeSharesSubexpressions(t *testing.T) {
 		expr.NewAdd(expr.Const(1), clamp),
 		expr.P("n"),
 		expr.Const(4),
-	})
+	}, nil)
 	if len(tp.code) != 3 {
 		t.Fatalf("code = %+v, want 3 instructions (max, mul, add)", tp.code)
 	}
 	if tp.exprAt[3] != 0 || tp.exprAt[4] != int32(len(tp.slots)+2) {
 		t.Fatalf("exprAt = %v, slots %v, consts %v", tp.exprAt, tp.slots, tp.consts)
+	}
+}
+
+// TestTapeChainProducts: a term's chain product is on the tape exactly
+// when every element is, probes add no factor, reordered chains share
+// one instruction, and the product is the left-to-right checked one:
+// unknown on overflow, zero when an element is zero.
+func TestTapeChainProducts(t *testing.T) {
+	half := expr.ConstRat(rational.FromFrac(1, 2))
+	exprs := []expr.Expr{expr.P("n"), expr.P("m"), expr.NewMul(half, expr.P("n"))}
+	terms := []term{
+		{chain: []chainElem{{idx: 0}, {idx: 1}}},
+		{chain: []chainElem{{idx: 0, probe: true}, {idx: 1}}},
+		{chain: []chainElem{{idx: 0}, {idx: 2}}},
+		{chain: nil},
+		{chain: []chainElem{{idx: 1}, {idx: 0}}},
+		{chain: []chainElem{{idx: 1, probe: true}}},
+	}
+	tp := lowerTape(exprs, terms)
+	n, m := tp.exprAt[0], tp.exprAt[1]
+	want := []int32{terms[0].multAt, m, -1, -1, terms[0].multAt, -1}
+	for i, tm := range terms {
+		if tm.multAt != want[i] {
+			t.Fatalf("term %d: multAt %d, want %d (n at %d, m at %d)", i, tm.multAt, want[i], n, m)
+		}
+	}
+	if terms[0].multAt < 0 || len(tp.code) != 1 {
+		t.Fatalf("product not on the tape: multAt %d, code %+v", terms[0].multAt, tp.code)
+	}
+	for _, c := range []struct {
+		n, m      int64
+		v         int64
+		overflows bool
+	}{{3, 4, 12, false}, {0, math.MaxInt64, 0, false}, {1 << 32, 1 << 32, 0, true}, {-5, 7, -35, false}} {
+		vals := make([]int64, tp.width())
+		known := make([]bool, tp.width())
+		vals[n], known[n], vals[m], known[m] = c.n, true, c.m, true
+		tp.run(vals, known)
+		at := terms[0].multAt
+		if known[at] == c.overflows || !c.overflows && vals[at] != c.v {
+			t.Fatalf("n=%d m=%d: product %d known %v, want %d overflow %v", c.n, c.m, vals[at], known[at], c.v, c.overflows)
+		}
 	}
 }
